@@ -13,7 +13,6 @@ from __future__ import annotations
 from .classify import (
     ClassificationReport,
     ConstraintSet,
-    NotConstant,
     Parameter,
     RejectedBranch,
     SolutionFamily,
@@ -35,10 +34,8 @@ from .errors import (
     MerosolveError,
     NearPoleError,
     NestedExtensionError,
-    NoSquareRootError,
     PointInPhiError,
     PoleAtPointError,
-    ResonanceCapExceededError,
     TranscendentalShiftError,
     UnsupportedExtensionError,
     ZeroDenominatorLiteralError,
@@ -101,8 +98,6 @@ __all__ = [
     "MerosolveError",
     "NearPoleError",
     "NestedExtensionError",
-    "NoSquareRootError",
-    "NotConstant",
     "ObstructionReport",
     "Parameter",
     "PartialFractionForm",
@@ -112,7 +107,6 @@ __all__ = [
     "RESONANCE_CAP_DEFAULT",
     "RatFunc",
     "RejectedBranch",
-    "ResonanceCapExceededError",
     "ResonanceInfo",
     "SolutionFamily",
     "TranscendentalShiftError",

@@ -49,21 +49,6 @@ CASE_ORDER = (
 )
 
 
-class NotConstant:
-    """Marker wrapping a rational function that failed a constancy test."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: RatFunc):
-        self.value = value
-
-    def __str__(self) -> str:
-        return f"not constant: {ratfunc_to_str(self.value)}"
-
-    def __repr__(self) -> str:
-        return f"NotConstant({ratfunc_to_str(self.value)})"
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Exactly computed branch quantities; None marks not-applicable fields."""
@@ -72,8 +57,8 @@ class ConstraintSet:
     B: RatFunc | None = None
     g: FieldConstant | None = None
     h: RatFunc | None = None
-    k1_squared: FieldConstant | NotConstant | None = None
-    k2_squared: FieldConstant | NotConstant | None = None
+    k1_squared: FieldConstant | None = None
+    k2_squared: FieldConstant | None = None
     discriminant: RatFunc | None = None
     case2_constraint: RatFunc | None = None
 
@@ -167,13 +152,7 @@ def eq3_residual(
 
 def applicable_labels(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> tuple[str, ...]:
     """Case labels the classifier must account for on this input."""
-    if alpha.is_zero and beta.is_zero and gamma.is_zero:
-        return ("trivial-all-zero",)
-    if gamma.is_zero and beta.is_zero:
-        return ("A-cosh", "A-quadratic", "C")
-    if gamma.is_zero:
-        return ("B", "C")
-    return ("D", "E.a", "E.b", "E.c", "E.d", "E.e")
+    return _case_table(alpha, beta, gamma)[0]
 
 
 # -- instantiation and admissibility ------------------------------------------------
@@ -225,14 +204,6 @@ def _admissible_member(
     return False
 
 
-def admissibility(
-    family: SolutionFamily, alpha: RatFunc, beta: RatFunc, gamma: RatFunc
-) -> bool:
-    """Admissibility of the family's recorded generic member."""
-    w = instantiate(family, dict(family.generic_assignment))
-    return _admissible_member(w, alpha, beta, gamma)
-
-
 # -- verification machinery ----------------------------------------------------------
 
 _LIFT_ERRORS = (UnsupportedExtensionError, IncompatibleExtensionsError, NestedExtensionError)
@@ -256,31 +227,35 @@ def _verify(
     gamma: RatFunc,
     builder: Callable[[dict], ExpSum],
     assignments: list[dict],
-) -> tuple[tuple[VerificationRecord, ...], str | None]:
-    """Run the residual gate at every assignment.  Returns (records, failure)."""
-    records = []
+) -> tuple[tuple[VerificationRecord, ...], list[ExpSum], str | None]:
+    """Run the residual gate at every assignment.
+
+    Returns (records, members built, failure); members are listed in
+    assignment order and all verify when failure is None."""
+    records, members = [], []
     for assign in assignments:
         try:
             w = builder(dict(assign))
         except _LIFT_ERRORS as exc:
             records.append(VerificationRecord(_fmt_assignment(assign), False))
-            return tuple(records), (
+            return tuple(records), members, (
                 f"instantiation ({_assignment_text(assign)}) leaves the constant "
                 f"field: {exc}"
             )
         except DomainViolationError as exc:
             records.append(VerificationRecord(_fmt_assignment(assign), False))
-            return tuple(records), (
+            return tuple(records), members, (
                 f"instantiation ({_assignment_text(assign)}) violates the domain: {exc}"
             )
         r = residual(alpha, beta, gamma, w)
         ok = r.is_zero
         records.append(VerificationRecord(_fmt_assignment(assign), ok))
         if not ok:
-            return tuple(records), (
+            return tuple(records), members, (
                 f"residual at ({_assignment_text(assign)}) is {r.to_text()}"
             )
-    return tuple(records), None
+        members.append(w)
+    return tuple(records), members, None
 
 
 def _cross_sign(base: list[dict]) -> list[dict]:
@@ -298,12 +273,47 @@ class _Collector:
 
     def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        self.base_q = _coefficient_extension(alpha, beta, gamma)
         self.families: list[SolutionFamily] = []
         self.rejected: list[RejectedBranch] = []
         self.warnings: list[str] = []
 
     def reject(self, label: str, reason: str) -> None:
         self.rejected.append(RejectedBranch(label, reason))
+
+    def constant(self, f: RatFunc, name: str, *labels: str) -> FieldConstant | None:
+        """f's value when f is constant, else None after rejecting every label."""
+        v = f.constant_value()
+        if v is None:
+            for label in labels:
+                self.reject(label, f"{name} = {ratfunc_to_str(f)} is not constant")
+        return v
+
+    def vanishes(self, f: RatFunc, name: str, label: str) -> bool:
+        """True when f is identically zero, else False after rejecting label."""
+        if not f.is_zero:
+            self.reject(label, f"{name} = {ratfunc_to_str(f)} does not vanish identically")
+        return f.is_zero
+
+    def lift(self, label: str, call, *args, leaves: str, split: str = "", tag: str = ""):
+        """call(*args): a square root, root split, partial fraction split or
+        exp-integration over the constant field.
+
+        When it leaves the field, or integrates to an obstruction, reject
+        `label` and return None.  The reason starts with `tag`; `leaves` names
+        what left the field ("k1 leaves") and `split` the function whose
+        denominator does not split."""
+        try:
+            out = call(*args)
+        except IrreducibleDenominatorError as exc:
+            self.reject(label, f"{tag}{split} cannot be decomposed over the constant field: {exc}")
+        except _LIFT_ERRORS as exc:
+            self.reject(label, f"{tag}{leaves} the constant field: {exc}")
+        else:
+            if not isinstance(out, ObstructionReport):
+                return out
+            self.reject(label, f"{tag}{out.describe()}")
+        return None
 
     def attempt(
         self,
@@ -320,64 +330,44 @@ class _Collector:
         A family containing a sign parameter is verified per sign; a sign
         whose instantiations all fail is logged while the other may still
         be emitted (with a note)."""
-        has_sign = any(p.kind == "sign" for p in parameters)
-        if not has_sign:
-            records, failure = _verify(self.alpha, self.beta, self.gamma, builder, assignments)
-            if failure is None:
-                self._emit(label, parameters, closed_form, constraints, builder,
-                           records, assignments, notes)
-            else:
-                self.reject(label, failure)
-            return
-        per_sign: dict[str, tuple] = {}
-        for sgn in ("+", "-"):
-            subset = [a for a in assignments if a["sign"] == sgn]
-            per_sign[sgn] = _verify(self.alpha, self.beta, self.gamma, builder, subset)
-        good = [s for s in ("+", "-") if per_sign[s][1] is None]
+        signs = ("+", "-") if any(p.kind == "sign" for p in parameters) else (None,)
+        subsets = {sgn: [a for a in assignments if a.get("sign") == sgn] for sgn in signs}
+        runs = {sgn: _verify(self.alpha, self.beta, self.gamma, builder, subsets[sgn])
+                for sgn in signs}
+        good = [sgn for sgn in signs if runs[sgn][2] is None]
         if not good:
-            self.reject(label, per_sign["+"][1])
+            self.reject(label, runs[signs[0]][2])
             return
-        all_records = per_sign["+"][0] + per_sign["-"][0]
-        if len(good) == 2:
-            self._emit(label, parameters, closed_form, constraints, builder,
-                       all_records, assignments, notes)
-        else:
+        if len(good) < len(signs):
             sgn = good[0]
             bad = "-" if sgn == "+" else "+"
-            self.reject(label, f"sign {bad} branch: {per_sign[bad][1]}")
-            params = tuple(
+            self.reject(label, f"sign {bad} branch: {runs[bad][2]}")
+            parameters = tuple(
                 Parameter(p.name, f"{{{sgn}}}", p.kind, p.allowed_values)
                 if p.kind == "sign" else p
                 for p in parameters
             )
-            subset = [a for a in assignments if a["sign"] == sgn]
-            self._emit(label, params, closed_form, constraints, builder,
-                       per_sign[sgn][0], subset,
-                       notes + (f"only the {sgn} sign verifies",))
-
-    def _emit(self, label, parameters, closed_form, constraints, builder,
-              records, assignments, notes) -> None:
+            notes += (f"only the {sgn} sign verifies",)
         # judge admissibility on the most generic verified member: the first
-        # instantiation that dominates the coefficients, if any does
-        generic = assignments[0]
-        admissible = False
-        for assign in assignments:
-            if _admissible_member(builder(dict(assign)), self.alpha, self.beta, self.gamma):
+        # one built that dominates the coefficients, if any does
+        verified = [(a, w) for sgn in good for a, w in zip(subsets[sgn], runs[sgn][1])]
+        generic, admissible = verified[0][0], False
+        for assign, w in verified:
+            if _admissible_member(w, self.alpha, self.beta, self.gamma):
                 generic, admissible = assign, True
                 break
-        fam = SolutionFamily(
+        self.families.append(SolutionFamily(
             case_label=label,
             parameters=parameters,
             closed_form=closed_form,
             constraints=constraints,
             admissible=admissible,
             verified=True,
-            verification=records,
+            verification=tuple(r for sgn in good for r in runs[sgn][0]),
             builder=builder,
             generic_assignment=tuple(generic.items()),
             notes=notes,
-        )
-        self.families.append(fam)
+        ))
 
 
 def _exp_piece(coeff: str, rate: FieldConstant) -> str:
@@ -390,7 +380,7 @@ def _exp_piece(coeff: str, rate: FieldConstant) -> str:
 # -- case branches -------------------------------------------------------------------
 
 
-def _case_trivial(col: _Collector) -> None:
+def _case_trivial(col: _Collector, ctx: ExtensionContext) -> None:
     def build(v: dict) -> ExpSum:
         return ExpSum.exponential(v["c1"], RatFunc.const(v["c2"]))
 
@@ -407,12 +397,8 @@ def _case_trivial(col: _Collector) -> None:
 
 
 def _case_A(col: _Collector, ctx: ExtensionContext) -> None:
-    alpha = col.alpha
-    kv = alpha.constant_value()
+    kv = col.constant(col.alpha, "alpha", "A-cosh", "A-quadratic")
     if kv is None:
-        reason = f"alpha = {ratfunc_to_str(alpha)} is not constant"
-        col.reject("A-cosh", reason)
-        col.reject("A-quadratic", reason)
         return
     k = format_constant(kv)
 
@@ -452,11 +438,9 @@ def _case_A(col: _Collector, ctx: ExtensionContext) -> None:
     )
 
 
-def _case_B(col: _Collector) -> None:
-    k1rf = -(col.alpha / col.beta)
-    k1v = k1rf.constant_value()
+def _case_B(col: _Collector, ctx: ExtensionContext) -> None:
+    k1v = col.constant(-(col.alpha / col.beta), "-alpha/beta", "B")
     if k1v is None:
-        col.reject("B", f"-alpha/beta = {ratfunc_to_str(k1rf)} is not constant")
         return
 
     def build(v: dict) -> ExpSum:
@@ -477,38 +461,23 @@ def _case_B(col: _Collector) -> None:
 def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
     alpha, beta = col.alpha, col.beta
     constraint = alpha + beta.derivative()
-    if not constraint.is_zero:
-        col.reject(
-            "C",
-            f"alpha + beta' = {ratfunc_to_str(constraint)} does not vanish identically",
-        )
+    if not col.vanishes(constraint, "alpha + beta'", "C"):
         return
 
-    try:
-        pf = beta.partial_fractions(ctx)
-    except IrreducibleDenominatorError as exc:
-        col.reject("C", f"beta cannot be decomposed over the constant field: {exc}")
+    pf = col.lift("C", beta.partial_fractions, ctx, leaves="beta's poles leave", split="beta")
+    if pf is None:
         return
-    except _LIFT_ERRORS as exc:
-        col.reject("C", f"beta's poles leave the constant field: {exc}")
-        return
-
-    by_pole: dict[tuple, dict[int, FieldConstant]] = {}
-    pole_of: dict[tuple, FieldConstant] = {}
-    for pole, order, c in pf.pole_terms:
-        key = pole.sort_key()
-        by_pole.setdefault(key, {})[order] = c
-        pole_of[key] = pole
+    poles = pf.poles()
 
     notes: list[str] = []
     allowed: tuple[FieldConstant, ...] | None = None
-    if by_pole:
+    if poles:
         # residue of beta*exp(-c1*z) at each pole is a polynomial in -c1;
         # admissible rates c1 are the common roots across all poles
         obstruction_polys = []
-        for key in sorted(by_pole):
-            coeffs = [ZERO] * max(by_pole[key])
-            for order, c in by_pole[key].items():
+        for pole, orders in poles:
+            coeffs = [ZERO] * max(orders)
+            for order, c in orders.items():
                 coeffs[order - 1] = c / math.factorial(order - 1)
             opoly = Poly(coeffs)
             obstruction_polys.append(opoly)
@@ -516,7 +485,7 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
                 [c * (1 if i % 2 == 0 else -1) for i, c in enumerate(opoly.coeffs)]
             )
             notes.append(
-                f"pole z = {format_constant(pole_of[key])}: residue vanishes iff "
+                f"pole z = {format_constant(pole)}: residue vanishes iff "
                 f"{poly_to_str(in_c1, 'c1')} = 0"
             )
         g = obstruction_polys[0]
@@ -529,11 +498,10 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
                 "poles of beta have no common root (" + "; ".join(notes) + ")",
             )
             return
-        try:
-            _, roots, rem = linear_roots(g, ctx)
-        except _LIFT_ERRORS as exc:
-            col.reject("C", f"residue roots leave the constant field: {exc}")
+        split = col.lift("C", linear_roots, g, ctx, leaves="residue roots leave")
+        if split is None:
             return
+        _, roots, rem = split
         allowed = tuple(sorted((-r for r, _ in roots), key=lambda c: c.sort_key()))
         if rem.degree > 0:
             notes.append(
@@ -585,11 +553,12 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
 def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
     disc = beta * beta - 4 * gamma
-    try:
-        s = disc.sqrt(ctx)
-    except _LIFT_ERRORS as exc:
-        col.reject("D", f"square root of beta^2 - 4*gamma leaves the constant field: {exc}")
+    # RatFunc.sqrt answers None for a non-square, so box it apart from the lift's None
+    boxed = col.lift("D", lambda: (disc.sqrt(ctx),),
+                     leaves="square root of beta^2 - 4*gamma leaves")
+    if boxed is None:
         return
+    s = boxed[0]
     if s is None:
         col.reject(
             "D", f"beta^2 - 4*gamma = {ratfunc_to_str(disc)} is not a square in K(z)"
@@ -599,22 +568,13 @@ def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
     if not s.is_zero:
         branches.append(("-", (-beta - s) / 2))
     for sgn, h in branches:
-        tag = f"branch h = {ratfunc_to_str(h)}"
-        k1rf = (h.derivative() - alpha) / (h + beta)
-        k1v = k1rf.constant_value()
+        tag = f"branch h = {ratfunc_to_str(h)}: "
+        k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1", "D")
         if k1v is None:
-            col.reject("D", f"{tag}: k1 = {ratfunc_to_str(k1rf)} is not constant")
             continue
-        try:
-            anti = integrate_exp(h, -k1v, ctx)
-        except IrreducibleDenominatorError as exc:
-            col.reject("D", f"{tag}: h cannot be decomposed over the constant field: {exc}")
-            continue
-        except _LIFT_ERRORS as exc:
-            col.reject("D", f"{tag}: integration leaves the constant field: {exc}")
-            continue
-        if isinstance(anti, ObstructionReport):
-            col.reject("D", f"{tag}: {anti.describe()}")
+        anti = col.lift("D", integrate_exp, h, -k1v, ctx,
+                        leaves="integration leaves", split="h", tag=tag)
+        if anti is None:
             continue
         rate0 = ExpSum.exponential(k1v, 1) * anti  # single rate-0 term
 
@@ -634,56 +594,43 @@ def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
         )
 
 
-def _case_E(col: _Collector, ctx: ExtensionContext, base_q: int | None) -> None:
+def _case_E(col: _Collector, ctx: ExtensionContext) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
     labels = ("E.a", "E.b", "E.c", "E.d", "E.e")
     Arf = compute_A(alpha, beta, gamma)
-    Av = Arf.constant_value()
+    Av = col.constant(Arf, "A", *labels)
     if Av is None:
-        for label in labels:
-            col.reject(label, f"A = {ratfunc_to_str(Arf)} is not constant")
         return
     h0 = beta * RatFunc.const(Av / 2) - beta.derivative() - 2 * alpha
     disc = beta * beta - 4 * gamma
     quarter_disc = beta * beta / 4 - gamma
 
-    _case_Ea(col, ctx, base_q, Arf, Av, h0)
+    _case_Ea(col, ctx, Arf, Av, h0)
     _case_Eb(col, ctx, Arf, Av, h0, disc)
     _case_Ec(col, Arf, Av)
     _case_Ed(col, ctx, Arf, Av, quarter_disc)
     _case_Ee(col, ctx, Arf, Av, quarter_disc)
 
 
-def _case_Ea(col, ctx, base_q, Arf, Av, h0) -> None:
+def _case_Ea(col, ctx, Arf, Av, h0) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
     if not Av.is_zero:
         col.reject("E.a", f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
         return
     bend = beta.derivative().derivative() + 2 * alpha.derivative()
     if beta.is_zero:
-        if not bend.is_zero:
-            col.reject(
-                "E.a",
-                f"beta'' + 2*alpha' = {ratfunc_to_str(bend)} does not vanish identically",
-            )
-            return
-        _case_Ea_free(col, base_q, Arf)
+        if col.vanishes(bend, "beta'' + 2*alpha'", "E.a"):
+            _case_Ea_free(col, Arf)
         return
-    k1sq_rf = -(bend / beta)
-    k1sqv = k1sq_rf.constant_value()
+    k1sqv = col.constant(-(bend / beta), "k1^2 = -(beta'' + 2*alpha')/beta", "E.a")
     if k1sqv is None:
-        col.reject(
-            "E.a", f"k1^2 = -(beta'' + 2*alpha')/beta = {ratfunc_to_str(k1sq_rf)} is not constant"
-        )
         return
     if k1sqv.is_zero:
         col.reject("E.a", "k1^2 = 0 (the cosh branch needs a nonzero rate)")
         return
     k2sq_rf = (h0 * h0 / RatFunc.const(4 * k1sqv) + gamma - beta * beta / 4) / RatFunc.const(k1sqv)
-    k2sqv = k2sq_rf.constant_value()
+    k2sqv = col.constant(k2sq_rf, "k2^2", "E.a")
     if k2sqv is None:
-        msg = f"k2^2 = {ratfunc_to_str(k2sq_rf)} is not constant"
-        col.reject("E.a", msg)
         col.warnings.append(
             "E.a: k1^2 is constant yet k2^2 is not; this contradicts the "
             "classification derivation and the branch was rejected"
@@ -692,12 +639,10 @@ def _case_Ea(col, ctx, base_q, Arf, Av, h0) -> None:
     if k2sqv.is_zero:
         col.reject("E.a", "k2^2 = 0 (degenerate; the exponential branch E.b covers it)")
         return
-    try:
-        k1 = ctx.sqrt(k1sqv)
-        k2 = ctx.sqrt(k2sqv)
-    except _LIFT_ERRORS as exc:
-        col.reject("E.a", f"k1 or k2 leaves the constant field: {exc}")
+    roots = col.lift("E.a", lambda: (ctx.sqrt(k1sqv), ctx.sqrt(k2sqv)), leaves="k1 or k2 leaves")
+    if roots is None:
         return
+    k1, k2 = roots
     offset = (beta.derivative() + 2 * alpha) / RatFunc.const(2 * k1sqv)
 
     def build(v: dict) -> ExpSum:
@@ -724,7 +669,7 @@ def _case_Ea(col, ctx, base_q, Arf, Av, h0) -> None:
     )
 
 
-def _case_Ea_free(col, base_q, Arf) -> None:
+def _case_Ea_free(col, Arf) -> None:
     """beta = 0 with beta''+2*alpha' = 0: alpha, gamma constant, k1 free."""
     alpha, gamma = col.alpha, col.gamma
     av = alpha.constant_value()
@@ -749,7 +694,7 @@ def _case_Ea_free(col, base_q, Arf) -> None:
             raise DomainViolationError(
                 f"k2 = 0 at k1 = {format_constant(k1)}; not in the cosh branch"
             )
-        local = ExtensionContext(base_q)
+        local = ExtensionContext(col.base_q)
         k2 = local.sqrt(k2sq)
         s = ONE if v["sign"] == "+" else -ONE
         half = s * k2 / 2
@@ -767,7 +712,7 @@ def _case_Ea_free(col, base_q, Arf) -> None:
         if k2sq.is_zero:
             continue
         try:
-            ExtensionContext(base_q).sqrt(k2sq)
+            ExtensionContext(col.base_q).sqrt(k2sq)
         except _LIFT_ERRORS:
             continue
         k1_samples.append(v)
@@ -818,18 +763,14 @@ def _case_Eb(col, ctx, Arf, Av, h0, disc) -> None:
     if disc.is_zero:
         col.reject("E.b", "beta^2 - 4*gamma vanishes identically (see E.e)")
         return
-    k1sq_rf = (h0 * h0) / disc
-    k1sqv = k1sq_rf.constant_value()
+    k1sqv = col.constant((h0 * h0) / disc, "k1^2", "E.b")
     if k1sqv is None:
-        col.reject("E.b", f"k1^2 = {ratfunc_to_str(k1sq_rf)} is not constant")
         return
     if k1sqv.is_zero:
         col.reject("E.b", "k1^2 = 0 (this branch needs a nonzero k1)")
         return
-    try:
-        k1 = ctx.sqrt(k1sqv)
-    except _LIFT_ERRORS as exc:
-        col.reject("E.b", f"k1 leaves the constant field: {exc}")
+    k1 = col.lift("E.b", ctx.sqrt, k1sqv, leaves="k1 leaves")
+    if k1 is None:
         return
     m = -h0 / RatFunc.const(2 * k1sqv)
     lam = {"+": -Av / 2 + k1, "-": -Av / 2 - k1}
@@ -854,19 +795,16 @@ def _case_Eb(col, ctx, Arf, Av, h0, disc) -> None:
 
 def _case_Ec(col, Arf, Av) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
-    av = alpha.constant_value()
+    av = col.constant(alpha, "alpha", "E.c")
     if av is None:
-        col.reject("E.c", f"alpha = {ratfunc_to_str(alpha)} is not constant")
         return
     if av.is_zero:
         col.reject("E.c", "alpha vanishes identically (this branch needs a nonzero constant alpha)")
         return
-    if not beta.is_zero:
-        col.reject("E.c", f"beta = {ratfunc_to_str(beta)} does not vanish identically")
+    if not col.vanishes(beta, "beta", "E.c"):
         return
-    gv = gamma.constant_value()
+    gv = col.constant(gamma, "gamma", "E.c")
     if gv is None:
-        col.reject("E.c", f"gamma = {ratfunc_to_str(gamma)} is not constant")
         return
 
     def build(v: dict) -> ExpSum:
@@ -891,36 +829,20 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
     if quarter_disc.is_zero:
         col.reject("E.d", "beta^2/4 - gamma vanishes identically (see E.e)")
         return
-    k1sqv = quarter_disc.constant_value()
+    k1sqv = col.constant(quarter_disc, "k1^2 = beta^2/4 - gamma", "E.d")
     if k1sqv is None:
-        col.reject(
-            "E.d", f"k1^2 = beta^2/4 - gamma = {ratfunc_to_str(quarter_disc)} is not constant"
-        )
         return
     if not Av.is_zero:
         col.reject("E.d", f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
         return
-    side = beta.derivative() + 2 * alpha
-    if not side.is_zero:
-        col.reject(
-            "E.d", f"beta' + 2*alpha = {ratfunc_to_str(side)} does not vanish identically"
-        )
+    if not col.vanishes(beta.derivative() + 2 * alpha, "beta' + 2*alpha", "E.d"):
         return
-    try:
-        k1 = ctx.sqrt(k1sqv)
-    except _LIFT_ERRORS as exc:
-        col.reject("E.d", f"k1 leaves the constant field: {exc}")
+    k1 = col.lift("E.d", ctx.sqrt, k1sqv, leaves="k1 leaves")
+    if k1 is None:
         return
-    try:
-        anti = integrate_exp(beta, ZERO, ctx)
-    except IrreducibleDenominatorError as exc:
-        col.reject("E.d", f"beta cannot be decomposed over the constant field: {exc}")
-        return
-    except _LIFT_ERRORS as exc:
-        col.reject("E.d", f"integration leaves the constant field: {exc}")
-        return
-    if isinstance(anti, ObstructionReport):
-        col.reject("E.d", anti.describe())
+    anti = col.lift("E.d", integrate_exp, beta, ZERO, ctx,
+                    leaves="integration leaves", split="beta")
+    if anti is None:
         return
     half_int = anti.rate_zero_part() / 2
 
@@ -951,16 +873,9 @@ def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
             f"beta^2/4 - gamma = {ratfunc_to_str(quarter_disc)} is not identically zero",
         )
         return
-    try:
-        anti = integrate_exp(beta / 2, Av / 2, ctx)
-    except IrreducibleDenominatorError as exc:
-        col.reject("E.e", f"beta cannot be decomposed over the constant field: {exc}")
-        return
-    except _LIFT_ERRORS as exc:
-        col.reject("E.e", f"integration leaves the constant field: {exc}")
-        return
-    if isinstance(anti, ObstructionReport):
-        col.reject("E.e", anti.describe())
+    anti = col.lift("E.e", integrate_exp, beta / 2, Av / 2, ctx,
+                    leaves="integration leaves", split="beta")
+    if anti is None:
         return
     mu = -Av / 2
     tail = ExpSum.exponential(mu, 1) * anti  # rate-0 term
@@ -990,24 +905,24 @@ def _coefficient_extension(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> int
     return None
 
 
+def _case_table(alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
+    """The case split: (labels, branches) for the input's signature, in order."""
+    if gamma.is_zero and beta.is_zero:
+        if alpha.is_zero:
+            return ("trivial-all-zero",), (_case_trivial,)
+        return ("A-cosh", "A-quadratic", "C"), (_case_A, _case_C)
+    if gamma.is_zero:
+        return ("B", "C"), (_case_B, _case_C)
+    return ("D", "E.a", "E.b", "E.c", "E.d", "E.e"), (_case_D, _case_E)
+
+
 def classify(alpha, beta, gamma) -> ClassificationReport:
     """Decide which cases apply and emit every verified solution family."""
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
-    base_q = _coefficient_extension(alpha, beta, gamma)
-    ctx = ExtensionContext(base_q)
     col = _Collector(alpha, beta, gamma)
-
-    if alpha.is_zero and beta.is_zero and gamma.is_zero:
-        _case_trivial(col)
-    elif gamma.is_zero and beta.is_zero:
-        _case_A(col, ctx)
-        _case_C(col, ctx)
-    elif gamma.is_zero:
-        _case_B(col)
-        _case_C(col, ctx)
-    else:
-        _case_D(col, ctx)
-        _case_E(col, ctx, base_q)
+    ctx = ExtensionContext(col.base_q)
+    for branch in _case_table(alpha, beta, gamma)[1]:
+        branch(col, ctx)
 
     return ClassificationReport(
         alpha=alpha,

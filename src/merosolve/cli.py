@@ -10,26 +10,25 @@ Timing goes to standard error as elapsed_ms=<n>, never into the payload.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 from .classify import classify, transform_original
 from .errors import MerosolveError
-from .expsum import guarded_sample_points, residual
+from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual
 from .field import FieldConstant
 from .parse import parse_constant, parse_expsum, parse_ratfunc
-from .ratfunc import ratfunc_to_str
 from .report import (
     branch_dict,
     classification_payload,
+    coefficients_dict,
     document,
     error_document,
     render_text,
     to_json,
 )
 from .series import RESONANCE_CAP_DEFAULT, expand, leading_candidates, resonance_report
-
-SPOT_CHECK_TOL = 1e-9
 
 
 class _UsageError(Exception):
@@ -119,11 +118,12 @@ def _parse_params(items: list[str]) -> dict[str, FieldConstant | str]:
     return out
 
 
+def _parse_coefficients(args):
+    return parse_ratfunc(args.alpha), parse_ratfunc(args.beta), parse_ratfunc(args.gamma)
+
+
 def _cmd_classify(args) -> tuple[dict, int]:
-    alpha = parse_ratfunc(args.alpha)
-    beta = parse_ratfunc(args.beta)
-    gamma = parse_ratfunc(args.gamma)
-    rep = classify(alpha, beta, gamma)
+    rep = classify(*_parse_coefficients(args))
     payload = classification_payload(rep)
     doc = document(
         "classify",
@@ -138,13 +138,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
 def _cmd_transform(args) -> tuple[dict, int]:
     kappas = [parse_ratfunc(getattr(args, k)) for k in ("k0", "k1", "k2", "k3")]
     alpha, beta, gamma = transform_original(*kappas)
-    payload = {
-        "coefficients": {
-            "alpha": ratfunc_to_str(alpha),
-            "beta": ratfunc_to_str(beta),
-            "gamma": ratfunc_to_str(gamma),
-        }
-    }
+    payload = {"coefficients": coefficients_dict(alpha, beta, gamma)}
     warnings: list[str] = []
     code = 0
     if args.then_classify:
@@ -168,9 +162,7 @@ def _format_complex(z: complex) -> str:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    alpha = parse_ratfunc(args.alpha)
-    beta = parse_ratfunc(args.beta)
-    gamma = parse_ratfunc(args.gamma)
+    alpha, beta, gamma = _parse_coefficients(args)
     params = _parse_params(args.params)
     constants = {k: v for k, v in params.items() if isinstance(v, FieldConstant)}
     w = parse_expsum(args.solution, params=constants)
@@ -181,12 +173,15 @@ def _cmd_verify(args) -> tuple[dict, int]:
     rows = []
     spot_ok = True
     for z in points:
+        rv = bound = math.inf  # what an evaluation that overflows reports
         try:
             rv = abs(r.eval_complex(z))
             bound = SPOT_CHECK_TOL * (1 + abs(w.eval_complex(z)) ** 2)
         except MerosolveError:
             continue
-        row_ok = rv <= bound
+        except OverflowError:
+            pass
+        row_ok = rv <= bound < math.inf
         spot_ok = spot_ok and row_ok
         rows.append(
             {
@@ -197,18 +192,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
             }
         )
     payload = {
-        "coefficients": {
-            "alpha": ratfunc_to_str(alpha),
-            "beta": ratfunc_to_str(beta),
-            "gamma": ratfunc_to_str(gamma),
-        },
+        "coefficients": coefficients_dict(alpha, beta, gamma),
         "solution": args.solution,
         "parameters": [
             [k, v if isinstance(v, str) else str(v)] for k, v in params.items()
         ],
         "residual": {"identically_zero": ok, "text": r.to_text()},
         "numeric_spot_check": {
-            "tolerance_rule": "1e-09 * (1 + |w|^2)",
+            "tolerance_rule": f"{SPOT_CHECK_TOL:g} * (1 + |w|^2)",
             "points": rows,
         },
     }
@@ -223,9 +214,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_expand(args) -> tuple[dict, int]:
-    alpha = parse_ratfunc(args.alpha)
-    beta = parse_ratfunc(args.beta)
-    gamma = parse_ratfunc(args.gamma)
+    for flag, value in (("--order", args.order), ("--cap", args.cap)):
+        if value < 0:
+            raise _UsageError(f"{flag} must be nonnegative, got {value}")
+    alpha, beta, gamma = _parse_coefficients(args)
     z0 = parse_constant(args.at)
     order = args.order
 
@@ -254,11 +246,7 @@ def _cmd_expand(args) -> tuple[dict, int]:
         branches.append(branch_dict(res, expansion))
 
     payload = {
-        "coefficients": {
-            "alpha": ratfunc_to_str(alpha),
-            "beta": ratfunc_to_str(beta),
-            "gamma": ratfunc_to_str(gamma),
-        },
+        "coefficients": coefficients_dict(alpha, beta, gamma),
         "at": args.at,
         "order": order,
         "branches": branches,

@@ -71,12 +71,6 @@ class GammaIdenticallyZeroError(MerosolveError):
     code = "GammaIdenticallyZero"
 
 
-class NoSquareRootError(MerosolveError):
-    """Requested square root does not exist in the rational function field."""
-
-    code = "NoSquareRoot"
-
-
 class NearPoleError(MerosolveError):
     code = "NearPole"
 
@@ -101,10 +95,6 @@ class PointInPhiError(MerosolveError):
     def __init__(self, point):
         self.point = point
         super().__init__(f"z0 = {point} is a zero or pole of a coefficient")
-
-
-class ResonanceCapExceededError(MerosolveError):
-    code = "ResonanceCapExceeded"
 
 
 class DomainViolationError(MerosolveError):

@@ -17,6 +17,7 @@ from .laurent import LaurentExpansion
 from .ratfunc import Poly, RatFunc, ratfunc_to_str
 
 POLE_GUARD = 1e-6
+SPOT_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -261,9 +262,6 @@ def _poly_eval_complex(p: Poly, z: complex) -> complex:
     return acc if p.coeffs else 0j
 
 
-ES_ZERO = ExpSum()
-
-
 def integrate_exp(
     coeff: RatFunc, rate: FieldConstant, ctx: ExtensionContext | None = None
 ) -> ExpSum | ObstructionReport:
@@ -279,27 +277,19 @@ def integrate_exp(
     if coeff.is_zero:
         return ExpSum.zero()
     pf = coeff.partial_fractions(ctx)
-
-    # group pole coefficients: pole -> {order: c}
-    by_pole: dict[tuple, dict] = {}
-    pole_of: dict[tuple, FieldConstant] = {}
-    for pole, order, c in pf.pole_terms:
-        key = pole.sort_key()
-        by_pole.setdefault(key, {})[order] = c
-        pole_of[key] = pole
+    poles = pf.poles()
 
     result = RatFunc.of(0)
     if rate.is_zero:
         # plain antiderivative: obstruction iff a simple pole has residue
-        for key in sorted(by_pole):
-            if 1 in by_pole[key] and not by_pole[key][1].is_zero:
-                return ObstructionReport(pole_of[key], rate, by_pole[key][1])
+        for pole, orders in poles:
+            if 1 in orders and not orders[1].is_zero:
+                return ObstructionReport(pole, rate, orders[1])
         p = pf.polynomial_part
         anti = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)]) if not p.is_zero else Poly()
         result = result + RatFunc(anti)
-        for key in sorted(by_pole):
-            pole = pole_of[key]
-            for order, c in sorted(by_pole[key].items()):
+        for pole, orders in poles:
+            for order, c in sorted(orders.items()):
                 if order >= 2:
                     den = Poly((-pole, ONE)).pow(order - 1)
                     result = result + RatFunc(Poly.const(-c / (order - 1)), den)
@@ -320,9 +310,7 @@ def integrate_exp(
 
     # pole terms: reduce order by parts, accumulate the order-1 coefficient
     residues = []
-    for key in sorted(by_pole):
-        pole = pole_of[key]
-        orders = by_pole[key]
+    for pole, orders in poles:
         top = max(orders)
         d = [ZERO] * (top + 1)
         for order, c in orders.items():
@@ -368,7 +356,7 @@ def numeric_residual_bound_ok(
     gamma: RatFunc,
     w: ExpSum,
     points: list[complex],
-    tol: float = 1e-9,
+    tol: float = SPOT_CHECK_TOL,
 ) -> bool:
     """Check |w w'' - w'^2 - alpha w - beta w' - gamma| <= tol*(1+|w|^2) numerically."""
     wp = w.derivative()
@@ -407,6 +395,8 @@ def guarded_sample_points(
                 f.eval_complex(z)
         except NearPoleError:
             continue
+        except OverflowError:
+            pass  # not near a pole; the spot check reports the overflow
         out.append(z)
         if len(out) == count:
             break

@@ -194,9 +194,6 @@ class FieldConstant:
             n >>= 1
         return result
 
-    def conjugate(self) -> FieldConstant:
-        return FieldConstant(self.a, -self.b, self.q)
-
     # -- ordering, embedding, display ------------------------------------------
 
     def sort_key(self) -> tuple:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .field import FieldConstant
 
@@ -37,6 +37,3 @@ class LaurentExpansion:
     # the free coefficient instantiated at 1 instead of 0.
     alternate_coefficients: tuple[FieldConstant, ...] | None = None
     halted_at: int | None = None
-
-    def coefficient(self, k: int) -> FieldConstant:
-        return self.coefficients[k]

@@ -303,6 +303,13 @@ class PartialFractionForm:
     polynomial_part: Poly
     pole_terms: tuple[tuple[FieldConstant, int, FieldConstant], ...]
 
+    def poles(self) -> list[tuple[FieldConstant, dict[int, FieldConstant]]]:
+        """(pole, {order: coeff}) for every pole, in canonical pole order."""
+        grouped: dict[tuple, tuple[FieldConstant, dict[int, FieldConstant]]] = {}
+        for pole, order, coeff in self.pole_terms:
+            grouped.setdefault(pole.sort_key(), (pole, {}))[1][order] = coeff
+        return [grouped[key] for key in sorted(grouped)]
+
     def recombine(self) -> RatFunc:
         total = RatFunc(self.polynomial_part, Poly.const(1))
         for pole, order, coeff in self.pole_terms:
@@ -376,10 +383,6 @@ class RatFunc:
         if self.den.degree == 0 and self.num.degree <= 0:
             return self.num[0]
         return None
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
@@ -512,10 +515,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({ratfunc_to_str(self)})"
-
-
-RF_ZERO = RatFunc(Poly())
-RF_ONE = RatFunc.const(1)
 
 
 def in_excluded_set(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant) -> bool:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .classify import ClassificationReport, NotConstant, SolutionFamily
-from .field import FieldConstant, format_constant
+from .classify import ClassificationReport, SolutionFamily
+from .field import format_constant
 from .laurent import LaurentExpansion
 from .ratfunc import RatFunc, ratfunc_to_str
 from .series import BranchResonance
@@ -18,14 +18,12 @@ from .series import BranchResonance
 SCHEMA_VERSION = "1"
 
 
-def _value_str(v) -> str:
-    if isinstance(v, RatFunc):
-        return ratfunc_to_str(v)
-    if isinstance(v, FieldConstant):
-        return format_constant(v)
-    if isinstance(v, NotConstant):
-        return str(v)
-    return str(v)
+def coefficients_dict(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> dict:
+    return {
+        "alpha": ratfunc_to_str(alpha),
+        "beta": ratfunc_to_str(beta),
+        "gamma": ratfunc_to_str(gamma),
+    }
 
 
 def _constraints_dict(family: SolutionFamily) -> dict:
@@ -35,7 +33,7 @@ def _constraints_dict(family: SolutionFamily) -> dict:
                  "discriminant", "case2_constraint"):
         v = getattr(c, name)
         if v is not None:
-            out[name] = _value_str(v)
+            out[name] = str(v)  # a RatFunc or FieldConstant in canonical text
     return out
 
 
@@ -72,11 +70,7 @@ def _family_dict(family: SolutionFamily) -> dict:
 
 def classification_payload(report: ClassificationReport) -> dict:
     return {
-        "coefficients": {
-            "alpha": ratfunc_to_str(report.alpha),
-            "beta": ratfunc_to_str(report.beta),
-            "gamma": ratfunc_to_str(report.gamma),
-        },
+        "coefficients": coefficients_dict(report.alpha, report.beta, report.gamma),
         "extension_used": report.extension_used,
         "families": [_family_dict(f) for f in report.families],
         "rejected_branches": [
@@ -148,12 +142,16 @@ def to_json(doc: dict) -> str:
 # -- text rendering --------------------------------------------------------------------
 
 
-def _text_classification(doc: dict, lines: list[str]) -> None:
+def _text_coefficients(doc: dict, lines: list[str]) -> None:
     co = doc["coefficients"]
-    lines.append("equation: w*w'' - (w')^2 = alpha*w + beta*w' + gamma")
     lines.append(f"  alpha = {co['alpha']}")
     lines.append(f"  beta  = {co['beta']}")
     lines.append(f"  gamma = {co['gamma']}")
+
+
+def _text_classification(doc: dict, lines: list[str]) -> None:
+    lines.append("equation: w*w'' - (w')^2 = alpha*w + beta*w' + gamma")
+    _text_coefficients(doc, lines)
     ext = doc["extension_used"]
     lines.append("constant field: Q" + (f"(sqrt({ext}))" if ext is not None else ""))
     fams = doc["families"]
@@ -211,11 +209,8 @@ def _text_expansion(exp: dict, lines: list[str], indent: str) -> None:
 
 
 def _text_expand(doc: dict, lines: list[str]) -> None:
-    co = doc["coefficients"]
     lines.append("local series analysis")
-    lines.append(f"  alpha = {co['alpha']}")
-    lines.append(f"  beta  = {co['beta']}")
-    lines.append(f"  gamma = {co['gamma']}")
+    _text_coefficients(doc, lines)
     lines.append(f"  z0 = {doc['at']}, requested order {doc['order']}")
     branches = doc["branches"]
     lines.append(f"branches ({len(branches)}):")
@@ -233,21 +228,15 @@ def _text_expand(doc: dict, lines: list[str]) -> None:
 
 def _text_transform(doc: dict, lines: list[str]) -> None:
     lines.append("transformed f*f'' - (f')^2 = k0 + k1*f + k2*f' + k3*f'' via w = f - k3")
-    co = doc["coefficients"]
-    lines.append(f"  alpha = {co['alpha']}")
-    lines.append(f"  beta  = {co['beta']}")
-    lines.append(f"  gamma = {co['gamma']}")
+    _text_coefficients(doc, lines)
     if doc.get("classification") is not None:
         lines.append("")
         _text_classification(doc["classification"], lines)
 
 
 def _text_verify(doc: dict, lines: list[str]) -> None:
-    co = doc["coefficients"]
     lines.append("residual verification")
-    lines.append(f"  alpha = {co['alpha']}")
-    lines.append(f"  beta  = {co['beta']}")
-    lines.append(f"  gamma = {co['gamma']}")
+    _text_coefficients(doc, lines)
     lines.append(f"  w = {doc['solution']}")
     if doc["parameters"]:
         lines.append("  parameters: " + ", ".join(f"{n} = {v}" for n, v in doc["parameters"]))

@@ -8,6 +8,10 @@ import pytest
 
 from merosolve.classify import (
     CASE_ORDER,
+    ConstraintSet,
+    Parameter,
+    _Collector,
+    _cross_sign,
     applicable_labels,
     classify,
     compute_A,
@@ -227,6 +231,28 @@ class TestSignFamilies:
         for s in ("+", "-"):
             w = instantiate(fam, {"sign": s, "k1": 2, "C": 3})
             assert residual(RF(0), RF(0), RF(1), w).is_zero
+
+    def test_one_failing_sign_is_rejected_and_the_other_emitted(self):
+        # no shipped family has a sign that fails alone, so gate a made-up one:
+        # c1*exp(z) solves the all-zero equation, the "-" member z + c1 does not
+        col = _Collector(RF(0), RF(0), RF(0))
+
+        def build(v):
+            if v["sign"] == "+":
+                return ExpSum.exponential(1, RF(v["c1"]))
+            return ExpSum.from_ratfunc(Z + RF(v["c1"]))
+
+        col.attempt(
+            "X", (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
+            ConstraintSet(), build, _cross_sign([{"c1": FieldConstant.of(1)}]),
+        )
+        (fam,) = col.families
+        assert fam.parameters[0].domain == "{+}"
+        assert [r.assignment for r in fam.verification] == [(("c1", "1"), ("sign", "+"))]
+        assert fam.admissible and fam.notes == ("only the + sign verifies",)
+        assert [r.reason for r in col.rejected] == [
+            "sign - branch: residual at (c1 = 1, sign = -) is (-1)"
+        ]
 
 
 class TestExtensions:

@@ -176,6 +176,22 @@ class TestVerify:
         assert code == 1
         assert out.startswith("error [Usage]")
 
+    @pytest.mark.parametrize("solution", ["exp(1000*z)", "exp(400*z)"])
+    def test_overflowing_points_fail_their_rows(self, capsys, solution):
+        # exp(1000*z) overflows while sampling points, exp(400*z) in the bound
+        code, doc, _ = run_json(
+            capsys, "verify",
+            "--alpha", "0", "--beta", "0", "--gamma", "0",
+            "--solution", solution,
+        )
+        assert code == 2
+        assert doc["residual"]["identically_zero"] is True
+        points = doc["numeric_spot_check"]["points"]
+        assert len(points) == 20
+        failed = [row for row in points if not row["ok"]]
+        assert failed
+        assert all(row["bound"] == "inf" for row in failed)
+
 
 class TestExpand:
     def test_resonance_fixture(self, capsys):
@@ -218,6 +234,20 @@ class TestExpand:
         assert code == 1
         assert out.startswith("error [Usage]")
         assert "out of range" in out
+
+    @pytest.mark.parametrize("flag", ["--order", "--cap"])
+    def test_negative_order_or_cap_is_a_usage_error(self, capsys, flag):
+        argv = {"--order": "3", "--cap": "5", flag: "-5"}
+        code, out, _ = run_cli(
+            capsys, "expand",
+            "--alpha", "1", "--beta", "0", "--gamma", "2", "--at", "1",
+            "--order", argv["--order"], "--cap", argv["--cap"], "--json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["error"]["code"] == "Usage"
+        assert f"{flag} must be nonnegative" in doc["error"]["message"]
 
     def test_extension_point_expansion(self, capsys):
         code, doc, _ = run_json(
