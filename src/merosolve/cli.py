@@ -28,7 +28,7 @@ from .report import (
     render_text,
     to_json,
 )
-from .series import RESONANCE_CAP_DEFAULT, expand, leading_candidates, resonance_report
+from .series import RESONANCE_CAP_DEFAULT, expand, resonance_report
 
 
 class _UsageError(Exception):
@@ -221,8 +221,8 @@ def _cmd_expand(args) -> tuple[dict, int]:
     z0 = parse_constant(args.at)
     order = args.order
 
-    candidates = leading_candidates(alpha, beta, gamma, z0)
     reports = resonance_report(alpha, beta, gamma, z0, cap=args.cap)
+    candidates = [r.candidate for r in reports]
     warnings: list[str] = []
     if not candidates:
         warnings.append(

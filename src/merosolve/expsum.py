@@ -8,6 +8,7 @@ report (a normal outcome, not an exception).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -358,22 +359,30 @@ def numeric_residual_bound_ok(
     points: list[complex],
     tol: float = SPOT_CHECK_TOL,
 ) -> bool:
-    """Check |w w'' - w'^2 - alpha w - beta w' - gamma| <= tol*(1+|w|^2) numerically."""
+    """Check |w w'' - w'^2 - alpha w - beta w' - gamma| <= tol*(1+|w|^2) numerically.
+
+    A point whose evaluation overflows (an OverflowError or an infinite
+    bound) fails the check, by the same rule as the CLI's spot-check rows.
+    """
     wp = w.derivative()
     wpp = wp.derivative()
     ea = ExpSum.from_ratfunc(alpha)
     eb = ExpSum.from_ratfunc(beta)
     eg = ExpSum.from_ratfunc(gamma)
     for z in points:
-        wv = w.eval_complex(z)
-        r = (
-            wv * wpp.eval_complex(z)
-            - wp.eval_complex(z) ** 2
-            - ea.eval_complex(z) * wv
-            - eb.eval_complex(z) * wp.eval_complex(z)
-            - eg.eval_complex(z)
-        )
-        if abs(r) > tol * (1.0 + abs(wv) ** 2):
+        try:
+            wv = w.eval_complex(z)
+            r = (
+                wv * wpp.eval_complex(z)
+                - wp.eval_complex(z) ** 2
+                - ea.eval_complex(z) * wv
+                - eb.eval_complex(z) * wp.eval_complex(z)
+                - eg.eval_complex(z)
+            )
+            bound = tol * (1.0 + abs(wv) ** 2)
+        except OverflowError:
+            return False
+        if not abs(r) <= bound < math.inf:
             return False
     return True
 

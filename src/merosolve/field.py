@@ -63,12 +63,20 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+_F0 = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
 class FieldConstant:
-    """Immutable exact constant a + b*sqrt(q)."""
+    """Immutable exact constant a + b*sqrt(q).
+
+    The public constructor canonicalises its input: it pulls square factors
+    out of q and collapses b == 0 or a square q to a plain rational.
+    Arithmetic results skip that work (see _trusted).
+    """
 
     a: Fraction
-    b: Fraction = Fraction(0)
+    b: Fraction = _F0
     q: int = 0
 
     def __post_init__(self):
@@ -98,17 +106,17 @@ class FieldConstant:
     def of(x) -> FieldConstant:
         if isinstance(x, FieldConstant):
             return x
-        return FieldConstant(_as_fraction(x))
+        return _trusted(_as_fraction(x), _F0, 0)
 
     # -- predicates -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.b
 
     def is_positive_integer(self) -> bool:
         return self.b == 0 and self.a.denominator == 1 and self.a >= 1
@@ -132,7 +140,7 @@ class FieldConstant:
         if other is NotImplemented:
             return NotImplemented
         q = self._join(other)
-        return FieldConstant(self.a + other.a, self.b + other.b, q)
+        return _trusted(self.a + other.a, self.b + other.b, q)
 
     __radd__ = __add__
 
@@ -140,7 +148,8 @@ class FieldConstant:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        q = self._join(other)
+        return _trusted(self.a - other.a, self.b - other.b, q)
 
     def __rsub__(self, other) -> FieldConstant:
         other = _coerce(other)
@@ -149,25 +158,33 @@ class FieldConstant:
         return other - self
 
     def __neg__(self) -> FieldConstant:
-        return FieldConstant(-self.a, -self.b, self.q)
+        return _trusted(-self.a, -self.b, self.q)
 
     def __mul__(self, other) -> FieldConstant:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.b:  # a rational factor scales both parts
+            if not self.b:
+                return _trusted(self.a * other.a, _F0, 0)
+            return _trusted(self.a * other.a, self.b * other.a, self.q)
+        if not self.b:
+            return _trusted(self.a * other.a, self.a * other.b, other.q)
         q = self._join(other)
         a = self.a * other.a + self.b * other.b * q
         b = self.a * other.b + self.b * other.a
-        return FieldConstant(a, b, q)
+        return _trusted(a, b, q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldConstant:
         if self.is_zero:
             raise DivisionByZeroError("division by zero constant")
+        if not self.q:
+            return _trusted(1 / self.a, _F0, 0)
         n = self.a * self.a - self.b * self.b * self.q
         # n = 0 with q square-free and nonzero forces a = b = 0, handled above
-        return FieldConstant(self.a / n, -self.b / n, self.q)
+        return _trusted(self.a / n, -self.b / n, self.q)
 
     def __truediv__(self, other) -> FieldConstant:
         other = _coerce(other)
@@ -211,11 +228,31 @@ class FieldConstant:
         return f"FieldConstant({self})"
 
 
+_set_a = FieldConstant.a.__set__
+_set_b = FieldConstant.b.__set__
+_set_q = FieldConstant.q.__set__
+
+
+def _trusted(a: Fraction, b: Fraction, q: int) -> FieldConstant:
+    """a + b*sqrt(q) from parts that are canonical already; no square-free work.
+
+    The caller guarantees that a and b are Fractions and that q is 0 or the
+    square-free discriminant (not 1) of a canonical operand.  Sums, products,
+    negations and inverses of canonical constants keep such a q, so the only
+    normalisation left is that a vanishing b drops the extension (q = 0).
+    """
+    c = object.__new__(FieldConstant)
+    _set_a(c, a)
+    _set_b(c, b)
+    _set_q(c, q if b else 0)
+    return c
+
+
 def _coerce(x):
     if isinstance(x, FieldConstant):
         return x
     if isinstance(x, (int, Fraction)):
-        return FieldConstant(_as_fraction(x))
+        return _trusted(_as_fraction(x), _F0, 0)
     return NotImplemented
 
 
@@ -270,7 +307,7 @@ def sqrt_constant(c: FieldConstant) -> FieldConstant | ExtensionRequest:
         # sqrt(n/d) = sqrt(n*d)/d
         nd = c.a.numerator * c.a.denominator
         s, m = square_free_decomposition(nd)
-        value = FieldConstant(Fraction(0), Fraction(s, c.a.denominator), m)
+        value = _trusted(_F0, Fraction(s, c.a.denominator), m)
         return ExtensionRequest(q=m, value=value)
     # Solve (x + y*sqrt(q))**2 = a + b*sqrt(q): x*x + q*y*y = a, 2*x*y = b.
     norm = c.a * c.a - c.q * c.b * c.b
@@ -283,7 +320,7 @@ def sqrt_constant(c: FieldConstant) -> FieldConstant | ExtensionRequest:
         x = rational_sqrt(t) if t >= 0 else None
         if x is not None and x != 0:
             y = c.b / (2 * x)
-            root = FieldConstant(x, y, c.q)
+            root = _trusted(x, y, c.q)
             if root.sort_key() < (-root).sort_key():
                 root = -root
             return root

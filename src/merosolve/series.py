@@ -2,11 +2,12 @@
 
 The engine substitutes a truncated series w = sum a_k (z-z0)**(p+k) into
 w*w'' - (w')**2 = alpha*w + beta*w' + gamma with the coefficients Taylor
-expanded at z0, and matches orders one at a time.  Each a_n enters the
-matched equations affinely, so it is extracted by evaluating the relevant
-residual coefficient at a_n = 0 and a_n = 1; no closed recurrence is
-hand-derived.  A vanishing linear factor is a resonance: the branch either
-gains a free coefficient (condition satisfied) or terminates (condition
+expanded at z0, and matches orders one at a time.  The unknown a_n enters
+the order n + 2p - 2 equation affinely, as base + slope*a_n: one pass of the
+series convolution over a_0..a_{n-1} gives base, and slope is read off the
+few convolution terms that contain a_n, so no closed recurrence is
+hand-derived.  A vanishing slope is a resonance: the branch either gains a
+free coefficient (base = 0, condition satisfied) or terminates (condition
 violated, no formal solution).
 """
 
@@ -107,31 +108,50 @@ def _residual_order(
     al: list[FieldConstant],
     be: list[FieldConstant],
     ga: list[FieldConstant],
-) -> FieldConstant:
-    """Order-m coefficient of w*w'' - (w')**2 - alpha*w - beta*w' - gamma
-    for w = sum a[k] zeta**(p+k), by direct convolution of the series."""
-    t = ZERO
+) -> tuple[FieldConstant, FieldConstant]:
+    """Order-m coefficient of w*w'' - (w')**2 - alpha*w - beta*w' - gamma as
+    (base, slope) in the next unknown a_n, n = len(a).
+
+    w = sum a[k] zeta**(p+k) + a_n zeta**(p+n), and the coefficient is
+    base + slope*a_n.  base is the direct convolution of the series with a_n
+    left out.  slope collects the terms that contain a_n: the quadratic pairs
+    (s-n, n) and (n, s-n) with s = m - 2p + 2, alpha[m-p-n]*a_n and
+    beta[m-p-n+1]*(p+n)*a_n.  The coefficient is affine in a_n when s < 2n,
+    which holds for every order expand matches (s = n there).
+    """
+    n = len(a)
+    base = slope = ZERO
     s = m - 2 * p + 2
-    if s >= 0:
-        for i in range(min(s, len(a) - 1) + 1):
-            j = s - i
-            if j >= len(a) or a[i].is_zero or a[j].is_zero:
-                continue
-            c = (p + j) * (p + j - 1) - (p + i) * (p + j)
-            if c:
-                t = t + a[i] * a[j] * c
-    for i in range(len(a)):
-        if a[i].is_zero:
+    # w*w'' - (w')**2 at order m: sum over i + j = s of
+    # a_i*a_j*((p+j)*(p+j-1) - (p+i)*(p+j)); the weights of (i, j) and (j, i)
+    # add up to (j-i)**2 - (2p+s), and the diagonal i = j weighs -(p+i).
+    for i in range(max(0, s - n + 1), s // 2 + 1):
+        j = s - i
+        if a[i].is_zero or a[j].is_zero:
+            continue
+        c = (j - i) ** 2 - (2 * p + s) if i < j else -(p + i)
+        if c:
+            base = base + a[i] * a[j] * c
+    i = s - n
+    if 0 <= i < n:
+        slope = a[i] * ((n - i) ** 2 - (2 * p + s))
+    # -alpha*w - beta*w' at order m: a_i meets alpha[m-p-i] and beta[m-p-i+1]
+    for i in range(n + 1):
+        if i < n and a[i].is_zero:
             continue
         l = m - p - i
-        if 0 <= l < len(al) and not al[l].is_zero:
-            t = t - al[l] * a[i]
-        l = m - p - i + 1
-        if 0 <= l < len(be) and not be[l].is_zero:
-            t = t - be[l] * a[i] * (p + i)
+        c = al[l] if 0 <= l < len(al) else ZERO
+        if 0 <= l + 1 < len(be) and not be[l + 1].is_zero:
+            c = c + be[l + 1] * (p + i)
+        if c.is_zero:
+            continue
+        if i < n:
+            base = base - c * a[i]
+        else:
+            slope = slope - c
     if 0 <= m < len(ga):
-        t = t - ga[m]
-    return t
+        base = base - ga[m]
+    return base, slope
 
 
 def expand(
@@ -166,11 +186,11 @@ def expand(
     be = _taylor_list(beta, z0, n_taylor)
     ga = _taylor_list(gamma, z0, n_taylor)
 
-    def res(m: int, a: list[FieldConstant]) -> FieldConstant:
+    def res(m: int, a: list[FieldConstant]) -> tuple[FieldConstant, FieldConstant]:
         return _residual_order(m, a, p, al, be, ga)
 
     for m in range(0, 2 * p - 1):
-        if not res(m, [a0]).is_zero:
+        if not res(m, [a0])[0].is_zero:
             raise ValueError(
                 f"leading data (p={p}, a0={a0}) does not balance at order {m}"
             )
@@ -178,9 +198,7 @@ def expand(
     def continue_branch(a: list[FieldConstant], start: int) -> list[FieldConstant] | None:
         a = list(a)
         for n in range(start, order + 1):
-            m = n + 2 * p - 2
-            base = res(m, a + [ZERO])
-            slope = res(m, a + [ONE]) - base
+            base, slope = res(n + 2 * p - 2, a)
             if not slope.is_zero:
                 a.append(-base / slope)
             elif base.is_zero:
@@ -196,9 +214,7 @@ def expand(
     alternate: tuple[FieldConstant, ...] | None = None
     halted: int | None = None
     for n in range(1, order + 1):
-        m = n + 2 * p - 2
-        base = res(m, a + [ZERO])
-        slope = res(m, a + [ONE]) - base
+        base, slope = res(n + 2 * p - 2, a)
         if not slope.is_zero:
             a.append(-base / slope)
         elif base.is_zero:

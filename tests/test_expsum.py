@@ -209,6 +209,18 @@ class TestNumeric:
         bad = w + ExpSum.from_ratfunc(1)
         assert not numeric_residual_bound_ok(alpha, beta, gamma, bad, pts)
 
+    @pytest.mark.parametrize("rate", [1000, 400])
+    def test_overflowing_points_fail_the_numeric_check(self, rate):
+        # exp(rate*z) solves the all-zero equation exactly, but its numeric
+        # residual or bound overflows at some sample points, which the CLI
+        # reports as failing rows
+        w = exp_of(rate)
+        assert residual(RF0, RF0, RF0, w).is_zero
+        pts = guarded_sample_points(RF0, RF0, RF0, w)
+        assert len(pts) == 20
+        assert not numeric_residual_bound_ok(RF0, RF0, RF0, w, pts)
+        assert numeric_residual_bound_ok(RF0, RF0, RF0, w, [0.001 + 0j])
+
 
 class TestText:
     def test_zero(self):

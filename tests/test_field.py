@@ -5,8 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+from merosolve import field
 from merosolve.errors import (
     DivisionByZeroError,
     IncompatibleExtensionsError,
@@ -90,6 +91,67 @@ class TestFieldAxioms:
         scale = max(1.0, abs(x.embed()), abs(y.embed()))
         assert abs((x + y).embed() - (x.embed() + y.embed())) <= 1e-14 * scale
         assert abs((x * y).embed() - x.embed() * y.embed()) <= 1e-14 * scale * scale
+
+
+def _parts(c: FieldConstant) -> tuple:
+    return (c.a, c.b, c.q, type(c.a), type(c.b))
+
+
+def _arithmetic_results(x: FieldConstant, y: FieldConstant) -> list[FieldConstant]:
+    out = [x + y, x - y, -x, x * y, x * 3, Fraction(2, 7) * y, 1 - x, x ** 2]
+    if not y.is_zero:
+        out += [y.inverse(), x / y, 2 / y]
+    return out
+
+
+constants = st.one_of(rational_constants, extended_constants)
+
+
+class TestTrustedConstructor:
+    """Arithmetic results skip the public constructor's canonicalisation; they
+    must still be exactly what that constructor would build."""
+
+    @given(constants, constants)
+    def test_results_are_canonical(self, x, y):
+        for r in _arithmetic_results(x, y):
+            assert _parts(r) == _parts(FieldConstant(r.a, r.b, r.q))
+
+    @given(rational_constants, extended_constants)
+    def test_square_roots_are_canonical(self, c, x):
+        for root in (sqrt_constant(c), sqrt_constant(x * x)):
+            if isinstance(root, ExtensionRequest):
+                root = root.value
+            assert _parts(root) == _parts(FieldConstant(root.a, root.b, root.q))
+
+    def test_cancellation_drops_the_extension(self):
+        root5 = FieldConstant(Fraction(0), Fraction(1), 5)
+        for r in (root5 - root5, root5 + (-root5), root5 * 0):
+            assert (r.a, r.b, r.q) == (0, 0, 0)
+        square = root5 * root5
+        assert (square.a, square.b, square.q) == (5, 0, 0)
+        assert square == FieldConstant.of(5)
+        assert hash(square) == hash(FieldConstant.of(5))
+        assert root5 * root5.inverse() == FieldConstant.of(1)
+
+    def test_arithmetic_never_redecomposes_the_discriminant(self, monkeypatch):
+        # trial division of 10**12 + 39 takes tens of milliseconds per call
+        q = 10**12 + 39
+        x = FieldConstant(Fraction(1), Fraction(2), q)
+        y = FieldConstant(Fraction(-3, 7), Fraction(1, 5), q)
+        assert x.q == y.q == q
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return (1, n)
+
+        monkeypatch.setattr(field, "square_free_decomposition", counting)
+        results = [x * y, x + y, x.inverse(), x - y, -x, x / y, x * 2, x ** 3]
+        assert calls == []
+        assert all(r.q == q for r in results)
+        # the counter is live: the public constructor still decomposes
+        FieldConstant(Fraction(1), Fraction(1), q)
+        assert calls == [q]
 
 
 class TestMixedExtensions:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from merosolve import series
 from merosolve.errors import PointInPhiError
 from merosolve.expsum import ExpSum
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
@@ -19,7 +20,7 @@ from merosolve.series import (
     resonance_report,
 )
 
-from conftest import small_fractions
+from conftest import extended_constants, rational_constants, small_fractions
 
 Z = RatFunc.z()
 RF0 = RatFunc(Poly())
@@ -323,3 +324,85 @@ class TestClosedFormAgreement:
         cands = leading_candidates(alpha, beta, gamma, z0, ctx)
         root = FieldConstant(Fraction(0), Fraction(1), -2)
         assert {c.a0 for c in cands} == {root, -root}
+
+
+# -- one residual pass per order, against the two-evaluation definition ------------
+
+
+def _direct_residual(m, a, p, al, be, ga):
+    """Order-m coefficient of w*w'' - (w')**2 - alpha*w - beta*w' - gamma for
+    w = sum a[k] zeta**(p+k): the plain convolution over ordered pairs."""
+    t = ZERO
+    s = m - 2 * p + 2
+    for i in range(len(a)):
+        for j in range(len(a)):
+            if i + j == s:
+                t = t + a[i] * a[j] * ((p + j) * (p + j - 1) - (p + i) * (p + j))
+    for i in range(len(a)):
+        if 0 <= m - p - i < len(al):
+            t = t - al[m - p - i] * a[i]
+        if 0 <= m - p - i + 1 < len(be):
+            t = t - be[m - p - i + 1] * a[i] * (p + i)
+    if 0 <= m < len(ga):
+        t = t - ga[m]
+    return t
+
+
+def _reference_pair(m, a, p, al, be, ga):
+    """(base, slope) by definition: the residual at a_n = 0, and at a_n = 1
+    minus that."""
+    base = _direct_residual(m, a + [ZERO], p, al, be, ga)
+    return base, _direct_residual(m, a + [ONE], p, al, be, ga) - base
+
+
+@st.composite
+def _truncated_series(draw):
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    p = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(min_value=1, max_value=7))
+    length = n + 2 * p + 1
+    a = draw(st.lists(constants, min_size=n, max_size=n))
+    al, be, ga = (draw(st.lists(constants, min_size=length, max_size=length)) for _ in range(3))
+    # every order up to n + 2p - 2, where a_n first enters; there s < 2n
+    m = draw(st.integers(min_value=0, max_value=n + 2 * p - 2))
+    return m, a, p, al, be, ga
+
+
+class TestResidualOrder:
+    @given(_truncated_series())
+    def test_base_and_slope_match_the_two_evaluations(self, data):
+        m, a, p, al, be, ga = data
+        assert series._residual_order(m, a, p, al, be, ga) == _reference_pair(m, a, p, al, be, ga)
+
+    @given(_truncated_series())
+    def test_resonant_slope_vanishes(self, data):
+        # tune beta[p-1], which enters the slope at order n + 2p - 2 affinely,
+        # so that the reference slope is zero: a resonance at n
+        _, a, p, al, be, ga = data
+        m = len(a) + 2 * p - 2
+        slopes = []
+        for value in (ZERO, ONE):
+            be[p - 1] = value
+            slopes.append(_reference_pair(m, a, p, al, be, ga)[1])
+        assert slopes[0] != slopes[1]
+        be[p - 1] = -slopes[0] / (slopes[1] - slopes[0])
+        base, slope = series._residual_order(m, a, p, al, be, ga)
+        assert slope.is_zero
+        assert (base, slope) == _reference_pair(m, a, p, al, be, ga)
+
+    def test_one_pass_per_matched_order(self, monkeypatch):
+        seen = []
+        one_pass = series._residual_order
+
+        def counting(m, *args):
+            seen.append(m)
+            return one_pass(m, *args)
+
+        monkeypatch.setattr(series, "_residual_order", counting)
+        order = 15
+        # the a0 = 4 branch of the resonance fixture: r = 5/4, no resonance
+        e = expand(RF0, RatFunc.const(-3), RatFunc.const(-4), ZERO, 1, fc(4), order)
+        assert e.resonance.index is None and e.halted_at is None
+        assert len(e.coefficients) == order + 1
+        # orders 0 .. order + 2p - 2, each evaluated exactly once
+        assert sorted(seen) == list(range(order + 1))
