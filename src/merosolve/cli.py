@@ -28,7 +28,7 @@ from .report import (
     render_text,
     to_json,
 )
-from .series import RESONANCE_CAP_DEFAULT, expand, resonance_report
+from .series import RESONANCE_CAP_DEFAULT, expand, read_resonance, resonance_report
 
 
 class _UsageError(Exception):
@@ -221,7 +221,7 @@ def _cmd_expand(args) -> tuple[dict, int]:
     z0 = parse_constant(args.at)
     order = args.order
 
-    reports = resonance_report(alpha, beta, gamma, z0, cap=args.cap)
+    reports = resonance_report(alpha, beta, gamma, z0, cap=args.cap, order=order)
     candidates = [r.candidate for r in reports]
     warnings: list[str] = []
     if not candidates:
@@ -240,10 +240,9 @@ def _cmd_expand(args) -> tuple[dict, int]:
     branches = []
     for i in selected:
         cand = candidates[i]
-        res = reports[i]
         n = max(order, cand.p + 2)
         expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
-        branches.append(branch_dict(res, expansion))
+        branches.append(branch_dict(read_resonance(reports[i], expansion), expansion))
 
     payload = {
         "coefficients": coefficients_dict(alpha, beta, gamma),

@@ -86,6 +86,10 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         if self.is_zero or other.is_zero:
             return Poly()
+        if other.degree == 0:
+            return self.scale(other.coeffs[0])
+        if self.degree == 0:
+            return other.scale(self.coeffs[0])
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
@@ -176,6 +180,8 @@ def _synthetic_div(cs: list[FieldConstant], r: FieldConstant):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    if a.degree == 0 or b.degree == 0:  # a nonzero constant is a unit
+        return Poly.const(1)
     while not b.is_zero:
         a, b = b, (a % b.monic())
     return a.monic() if not a.is_zero else a
@@ -346,13 +352,22 @@ class RatFunc:
         if num.is_zero:
             num, den = Poly(), Poly.const(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.leading.inverse()
-            num, den = num.scale(lead), den.scale(lead)
+            if num.degree > 0 and den.degree > 0:  # a constant shares no factor
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, _ = num.divmod(g)
+                    den, _ = den.divmod(g)
+            if den.leading != ONE:
+                lead = den.leading.inverse()
+                num, den = num.scale(lead), den.scale(lead)
         self.num, self.den = num, den
+
+    @staticmethod
+    def _reduced(num: Poly, den: Poly) -> RatFunc:
+        """num/den already in normal form (coprime, den monic, 0 over 1): trusted."""
+        f = object.__new__(RatFunc)
+        f.num, f.den = num, den
+        return f
 
     # -- constructors ----------------------------------------------------------
 
@@ -396,7 +411,14 @@ class RatFunc:
 
     def __add__(self, other) -> RatFunc:
         other = RatFunc.of(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # Henrici: when b = 1, gcd(a*d + c, d) = gcd(c, d) = 1 (and symmetrically);
+        # a zero sum has d | c, so d = 1 and the result is already 0/1
+        if b.degree == 0:
+            return RatFunc._reduced(a * d + c, d)
+        if d.degree == 0:
+            return RatFunc._reduced(a + c * b, b)
+        return RatFunc(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -408,7 +430,7 @@ class RatFunc:
         return RatFunc.of(other) - self
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __mul__(self, other) -> RatFunc:
         other = RatFunc.of(other)

@@ -13,7 +13,7 @@ violated, no formal solution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PointInPhiError
 from .field import ZERO, ONE, ExtensionContext, FieldConstant
@@ -259,6 +259,7 @@ def resonance_report(
     z0: FieldConstant,
     cap: int = RESONANCE_CAP_DEFAULT,
     ctx: ExtensionContext | None = None,
+    order: int = 0,
 ) -> list[BranchResonance]:
     """Per-branch resonance location and, when reachable, its condition.
 
@@ -266,6 +267,9 @@ def resonance_report(
     The p = 2 branch has no such formula and reports not-applicable.  A
     positive integer r beyond the cap is a distinct reportable outcome, not
     an error: the condition sits too deep to evaluate by default.
+    A caller that expands every branch to ``order`` anyway passes it: a branch
+    with r + 2 <= order is then not probed to order r + 2, and its condition
+    is left for ``read_resonance`` to read off the caller's expansion.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -282,16 +286,19 @@ def resonance_report(
         if n_r > cap:
             out.append(BranchResonance(cand, "cap-exceeded", r, True))
             continue
-        exp = expand(alpha, beta, gamma, z0, cand.p, cand.a0, max(n_r + 2, cand.p + 2))
-        info = exp.resonance
-        out.append(
-            BranchResonance(
-                cand,
-                "evaluated",
-                r,
-                True,
-                condition_satisfied=info.condition_satisfied,
-                free_coefficient_index=info.free_coefficient_index,
-            )
-        )
+        report = BranchResonance(cand, "evaluated", r, True)
+        if n_r + 2 > order:
+            probe = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
+            report = read_resonance(report, probe)
+        out.append(report)
     return out
+
+
+def read_resonance(report: BranchResonance, expansion: LaurentExpansion) -> BranchResonance:
+    """Fill in a condition resonance_report left unread, from an expansion of the
+    branch to order >= r + 2: it has the probe's prefix and first zero slope."""
+    if report.status != "evaluated" or report.condition_satisfied is not None:
+        return report
+    info = expansion.resonance
+    return replace(report, condition_satisfied=info.condition_satisfied,
+                   free_coefficient_index=info.free_coefficient_index)

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from merosolve import cli, series
 from merosolve.cli import _fold_dash_values, main
 
 SCHEMA = json.loads(
@@ -214,6 +215,31 @@ class TestExpand:
         assert exp["leading_power"] == 1
         assert exp["coefficients"][0] == "-1"
         assert exp["alternate_coefficients"][5] == "1"
+
+    @pytest.mark.parametrize("order, expansions", [(7, 2), (6, 3)])
+    def test_resonant_branch_expanded_once(self, capsys, monkeypatch, order, expansions):
+        # r = 5 on the a0 = -1 branch: from --order r + 2 = 7 on, the condition
+        # is read off the branch's own expansion and no probe expansion runs
+        orders = []
+        real = series.expand
+
+        def counting(*args, **kwargs):
+            orders.append(args[6])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(series, "expand", counting)
+        monkeypatch.setattr(cli, "expand", counting)
+        code, doc, _ = run_json(
+            capsys, "expand",
+            "--alpha", "0", "--beta", "-3", "--gamma", "-4",
+            "--at", "0", "--order", str(order),
+        )
+        assert code == 0
+        assert len(orders) == expansions
+        resonant = doc["branches"][1]
+        assert resonant["resonance_status"] == "evaluated"
+        assert resonant["condition_satisfied"] is True
+        assert resonant["free_coefficient_index"] == 5
 
     def test_branch_selection(self, capsys):
         code, doc, _ = run_json(

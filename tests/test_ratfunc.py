@@ -5,8 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+from merosolve import ratfunc
 from merosolve.errors import IrreducibleDenominatorError, PoleAtPointError
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.ratfunc import (
@@ -18,7 +19,15 @@ from merosolve.ratfunc import (
     poly_to_str,
 )
 
-from conftest import nonzero_polys, polys, ratfuncs
+from conftest import (
+    extended_constants,
+    nonzero_extended_constants,
+    nonzero_polys,
+    nonzero_rational_constants,
+    polys,
+    rational_constants,
+    ratfuncs,
+)
 
 Z = RatFunc.z()
 
@@ -242,3 +251,135 @@ class TestDisplay:
 
     def test_ratfunc_str(self):
         assert str(1 / (Z + 1)) == "(1)/(z + 1)"
+
+
+# -- normal form: the gcd is skipped only where no common factor can exist ------------
+
+constants = st.one_of(rational_constants, extended_constants)
+
+
+def _euclid(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero:
+        a, b = b, a % b.monic()
+    return a.monic() if not a.is_zero else a
+
+
+def reference(num: Poly, den: Poly):
+    """(num, den) coefficients of the normal form, by the unconditional route:
+    Euclid's gcd, exact division by it, then scaling by 1/lc(den)."""
+    if num.is_zero:
+        return (), (ONE,)
+    g = _euclid(num, den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.leading.inverse()
+    return num.scale(lead).coeffs, den.scale(lead).coeffs
+
+
+def parts(f: RatFunc):
+    return f.num.coeffs, f.den.coeffs
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Unreduced (num, den) pairs f and g over Q(sqrt 5) with one forced common
+    factor h, placed so that f itself, f + g and f*g all have h to cancel."""
+    h = draw(nonzero_polys(2, constants).filter(lambda p: p.degree > 0))
+    out = []
+    for _ in range(2):
+        num = draw(polys(2, constants))
+        den = draw(nonzero_polys(2, constants))
+        where = draw(st.sampled_from(["num", "den", "both"]))
+        out.append((num * h if where != "den" else num, den * h if where != "num" else den))
+    return out
+
+
+class TestNormalForm:
+    @given(sharing_pairs())
+    def test_constructor_matches_reference(self, pairs):
+        for num, den in pairs:
+            n, d = reference(num, den)
+            assert parts(RatFunc(num, den)) == (n, d)
+            assert parts(RatFunc._reduced(Poly(n), Poly(d))) == (n, d)
+
+    @given(sharing_pairs(), st.integers(min_value=-2, max_value=3))
+    def test_arithmetic_matches_reference(self, pairs, k):
+        f, g = (RatFunc(num, den) for num, den in pairs)
+        a, b, c, d = f.num, f.den, g.num, g.den
+        cases = [
+            (f + g, a * d + c * b, b * d),
+            (f - g, a * d - c * b, b * d),
+            (-f, -a, b),
+            (f - f, a * b - a * b, b * b),
+            (f * g, a * c, b * d),
+            (f.derivative(), a.derivative() * b - a * b.derivative(), b * b),
+            (RatFunc.of(a), a, Poly.const(1)),
+        ]
+        if not g.is_zero:
+            cases.append((f / g, a * d, b * c))
+        if k >= 0:
+            cases.append((f ** k, a.pow(k), b.pow(k)))
+        elif not f.is_zero:
+            cases.append((f ** k, b.pow(-k), a.pow(-k)))
+        for result, num, den in cases:
+            assert parts(result) == reference(num, den)
+
+    @given(polys(3, constants), constants)
+    def test_polynomial_operands_match_reference(self, p, c):
+        # sums and negations over a constant denominator take the trusted path
+        one, cp = Poly.const(1), Poly.const(c)
+        f = RatFunc(p)
+        assert parts(f) == reference(p, one)
+        assert parts(RatFunc.const(c)) == reference(cp, one)
+        if not c.is_zero:
+            assert parts(RatFunc(p, cp)) == reference(p, cp)
+        assert parts(f + c) == reference(p + cp, one)
+        assert parts(c - f) == reference(cp - p, one)
+
+    @given(polys(2, constants), nonzero_polys(2, constants))
+    def test_poly_product_matches_convolution(self, p, q):
+        conv = [ZERO] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+        for i, x in enumerate(p.coeffs):
+            for j, y in enumerate(q.coeffs):
+                conv[i + j] = conv[i + j] + x * y
+        assert (p * q).coeffs == Poly(conv).coeffs == (q * p).coeffs
+
+
+class TestGcdSkips:
+    def test_no_gcd_where_no_common_factor_can_exist(self, monkeypatch):
+        p = Poly([FieldConstant.of(1), ZERO, ONE])  # z^2 + 1
+        f = RatFunc(Poly.const(1), Poly([FieldConstant.of(-2), ONE]))  # 1/(z - 2)
+        g = RatFunc(p)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+        RatFunc(p)
+        RatFunc(p, Poly.const(FieldConstant.of(3)))
+        RatFunc.const(Fraction(2, 3))
+        RatFunc(Poly.const(5), p)
+        -f
+        f + g
+        g + f
+        f - g
+        g - f
+        f + 3
+        assert calls == []
+        # the counter is live: two nonconstant polynomials still meet a gcd
+        f * g
+        assert len(calls) == 1
+
+    def test_gcd_of_zeros(self):
+        assert poly_gcd(Poly(), Poly()) == Poly()
+
+    @given(nonzero_polys(3, constants))
+    def test_gcd_with_zero_is_monic(self, p):
+        assert poly_gcd(p, Poly()) == p.monic() == poly_gcd(Poly(), p)
+
+    @given(st.one_of(nonzero_rational_constants, nonzero_extended_constants),
+           polys(3, constants))
+    def test_gcd_with_a_nonzero_constant_is_one(self, c, p):
+        one = Poly.const(1)
+        assert poly_gcd(Poly.const(c), p) == one == poly_gcd(p, Poly.const(c))

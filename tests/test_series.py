@@ -17,6 +17,7 @@ from merosolve.series import (
     RESONANCE_CAP_DEFAULT,
     expand,
     leading_candidates,
+    read_resonance,
     resonance_report,
 )
 
@@ -299,6 +300,33 @@ class TestResonanceStatuses:
         by_a0 = {b.candidate.a0: b for b in report}
         assert by_a0[fc(1)].status == "evaluated"
         assert RESONANCE_CAP_DEFAULT == 64
+
+
+class TestResonanceFromCallerExpansion:
+    """A caller that expands to order >= r + 2 reads the condition off its own
+    expansion; it must be what the order r + 2 probe reports."""
+
+    # r = 5 with the condition satisfied; r = 4 with it violated (branch halts)
+    FIXTURES = [
+        ((RF0, RatFunc.const(-3), RatFunc.const(-4)), ZERO),
+        ((RF0, RatFunc.const(-2), Z - 4), ONE),
+    ]
+
+    @pytest.mark.parametrize("coeffs, z0", FIXTURES)
+    @pytest.mark.parametrize("order", range(3, 10))
+    def test_same_report_as_the_probe(self, coeffs, z0, order):
+        probed = resonance_report(*coeffs, z0)
+        assert any(r.status == "evaluated" for r in probed)
+        unread = resonance_report(*coeffs, z0, order=order)
+        read = [
+            read_resonance(r, expand(*coeffs, z0, r.candidate.p, r.candidate.a0,
+                                     max(order, r.candidate.p + 2)))
+            for r in unread
+        ]
+        assert read == probed
+        for u, p in zip(unread, probed):
+            probe_skipped = p.status == "evaluated" and p.r.as_integer() + 2 <= order
+            assert (u != p) == probe_skipped
 
 
 class TestClosedFormAgreement:
