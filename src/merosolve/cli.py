@@ -3,7 +3,8 @@
 Exit codes: 0 success (classify/transform: at least one admissible family;
 verify: residual identically zero and spot checks pass); 2 for the documented
 mathematical outcomes "no admissible family" and "verification unsatisfied";
-1 for any error, reported as {"error": {"code", "message"}} in JSON mode.
+1 for any error, reported as {"error": {"code", "message"}} in JSON mode; an
+unexpected exception has the code "Internal" and names its type.
 Timing goes to standard error as elapsed_ms=<n>, never into the payload.
 """
 
@@ -313,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MerosolveError as exc:
         _emit_error(exc.code, str(exc), use_json)
+        return 1
+    except Exception as exc:  # last resort: still a typed error document
+        _emit_error("Internal", f"{type(exc).__name__}: {exc}", use_json)
         return 1
     finally:
         elapsed = int(round(1000 * (time.perf_counter() - started)))

@@ -15,10 +15,11 @@ from fractions import Fraction
 from .errors import NearPoleError, TranscendentalShiftError
 from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
 from .laurent import LaurentExpansion
-from .ratfunc import Poly, RatFunc, ratfunc_to_str
+from .ratfunc import Poly, RatFunc, poly_gcd, ratfunc_to_str
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
+ABERTH_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,13 @@ def _coerce_exp(x) -> "ExpSum":
 
 
 class ExpSum:
-    """Immutable normalized exponential sum: rates pairwise distinct, sorted."""
+    """Immutable normalized exponential sum: rates pairwise distinct, sorted.
 
-    __slots__ = ("terms",)
+    The numeric poles of each term's coefficient are found on the first
+    ``eval_complex`` call and kept in ``_poles``.
+    """
+
+    __slots__ = ("terms", "_poles")
 
     def __init__(self, terms=()):
         merged: dict[tuple, tuple[FieldConstant, RatFunc]] = {}
@@ -64,6 +69,7 @@ class ExpSum:
         cleaned = [(r, c) for r, c in merged.values() if not c.is_zero]
         cleaned.sort(key=lambda t: t[0].sort_key())
         self.terms = tuple(cleaned)
+        self._poles = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -150,16 +156,14 @@ class ExpSum:
 
     def eval_complex(self, z: complex) -> complex:
         """Numeric value at z; refuses points within 1e-6 of a coefficient pole."""
-        import numpy as np
-
+        if self._poles is None:
+            self._poles = tuple(_pole_set(coeff.den) for _, coeff in self.terms)
         z = complex(z)
         total = 0j
-        for rate, coeff in self.terms:
-            if coeff.den.degree > 0:
-                cs = [c.embed() for c in reversed(coeff.den.coeffs)]
-                for root in np.roots(cs):
-                    if abs(z - complex(root)) <= POLE_GUARD:
-                        raise NearPoleError(z, abs(z - complex(root)))
+        for (rate, coeff), poles in zip(self.terms, self._poles):
+            for root in poles:
+                if abs(z - root) <= POLE_GUARD:
+                    raise NearPoleError(z, abs(z - root))
             num_v = _poly_eval_complex(coeff.num, z)
             den_v = _poly_eval_complex(coeff.den, z)
             total += num_v / den_v * cmath.exp(rate.embed() * z)
@@ -257,10 +261,73 @@ def _rate_str(rate: FieldConstant) -> str:
 
 
 def _poly_eval_complex(p: Poly, z: complex) -> complex:
+    return _horner([c.embed() for c in p.coeffs], z)
+
+
+def _pole_set(den: Poly) -> tuple[complex, ...]:
+    """The distinct zeros of den in C, one per root of its exact square-free part.
+
+    Dividing out gcd(den, den') first keeps a root of multiplicity m as
+    accurate as a simple one; a float root finder on den itself scatters it
+    by about eps**(1/m).
+    """
+    if den.degree <= 0:
+        return ()
+    den = den.divmod(poly_gcd(den, den.derivative()))[0]
+    if den.degree == 1:
+        return ((-den.coeffs[0] / den.coeffs[1]).embed(),)
+    return _complex_roots([c.embed() for c in den.coeffs])
+
+
+def _complex_roots(cs: list[complex]) -> tuple[complex, ...]:
+    """Roots of the square-free polynomial with coefficients cs (low to high).
+
+    Degree 2 uses the cancellation-free quadratic formula; degree 3 and up
+    the simultaneous iteration of Aberth (Math. Comp. 27, 1973) and Ehrlich
+    (CACM 10, 1967), updating each root in place and stopping when no root
+    moves by more than a few ulps, or after ABERTH_MAX_ITERATIONS sweeps.
+    """
+    n = len(cs) - 1
+    lead = cs[-1]
+    a = [c / lead for c in cs]  # monic
+    if n == 2:
+        c, b, _ = a
+        s = cmath.sqrt(b * b - 4 * c)
+        if (b.conjugate() * s).real < 0:
+            s = -s
+        q = -(b + s) / 2  # |q| >= |b|/2 and q != 0 for a square-free quadratic
+        return (q, c / q)
+    # start on a circle about the centroid of the roots whose radius is the
+    # geometric mean of their distances from it, turned off the real axis
+    centre = -a[n - 1] / n
+    radius = abs(_horner(a, centre)) ** (1.0 / n) or 1.0
+    zs = [centre + radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    da = [k * a[k] for k in range(1, n + 1)]
+    for _ in range(ABERTH_MAX_ITERATIONS):
+        moved = False
+        for k in range(n):
+            zk = zs[k]
+            pk = _horner(a, zk)
+            if pk == 0:
+                continue
+            s = sum(1 / (zk - zj) for j, zj in enumerate(zs) if j != k)
+            denom = _horner(da, zk) - pk * s
+            if denom == 0:
+                continue
+            step = pk / denom
+            zs[k] = zk - step
+            if abs(step) > 4e-16 * abs(zk):
+                moved = True
+        if not moved:
+            break
+    return tuple(zs)
+
+
+def _horner(cs: list[complex], z: complex) -> complex:
     acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + c.embed()
-    return acc if p.coeffs else 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
 
 
 def integrate_exp(

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import merosolve
 from merosolve import cli, series
 from merosolve.cli import _fold_dash_values, main
 
@@ -194,6 +197,37 @@ class TestVerify:
         assert all(row["bound"] == "inf" for row in failed)
 
 
+    def test_point_on_a_triple_pole_is_not_sampled(self, capsys):
+        # 0.4 is the first sample candidate and a triple pole of the solution
+        code, doc, _ = run_json(
+            capsys, "verify",
+            "--alpha", "1/(z-1)", "--beta", "z/(z^2+2)", "--gamma", "0",
+            "--solution", "1/((z-2/5)^3*(z^2+z+1))",
+        )
+        assert code == 2
+        zs = [row["z"] for row in doc["numeric_spot_check"]["points"]]
+        assert len(zs) == 20
+        assert "0.400000+0.000000i" not in zs
+
+    def test_verify_imports_no_numpy(self):
+        # a fresh interpreter: other tests may import numpy in this one
+        script = (
+            "import sys\n"
+            "from merosolve import cli\n"
+            "code = cli.main(['verify', '--alpha', '2', '--beta', '0', '--gamma', '0',\n"
+            "                 '--solution', '2 + exp(z) + exp(-z)', '--json'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(merosolve.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["residual"]["identically_zero"] is True
+
+
 class TestExpand:
     def test_resonance_fixture(self, capsys):
         code, doc, _ = run_json(
@@ -330,6 +364,15 @@ class TestErrorEnvelope:
         code, out, _ = run_cli(capsys, "frobnicate")
         assert code == 1
         assert out.startswith("error [Usage]")
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys):
+        nested = "(" * 3000 + "z" + ")" * 3000
+        code, doc, _ = run_json(
+            capsys, "classify", "--alpha", nested, "--beta", "0", "--gamma", "0"
+        )
+        assert code == 1
+        assert doc["error"]["code"] == "Internal"
+        assert doc["error"]["message"].startswith("RecursionError: ")
 
 
 class TestDashFolding:

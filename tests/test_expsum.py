@@ -6,8 +6,10 @@ import cmath
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 
+from merosolve import expsum
 from merosolve.errors import NearPoleError, TranscendentalShiftError
 from merosolve.expsum import (
     ExpSum,
@@ -19,6 +21,7 @@ from merosolve.expsum import (
     residual,
 )
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
+from merosolve.parse import parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc
 
 from conftest import expsums, polynomial_expsums
@@ -191,6 +194,14 @@ class TestNumeric:
         with pytest.raises(NearPoleError):
             x.eval_complex(1e-9 + 0j)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_multiple_pole_is_guarded(self, m):
+        # a float root finder on (z - 2/5)^m scatters the root by about
+        # eps^(1/m), which is more than the guard
+        x = ExpSum.from_ratfunc(1 / (Z - Fraction(2, 5)) ** m)
+        with pytest.raises(NearPoleError):
+            x.eval_complex(0.4)
+
     def test_guarded_points_deterministic_and_guarded(self):
         alpha, beta, gamma = RatFunc.const(2), RF0, RF0
         w = exp_of(1) + exp_of(-1) + ExpSum.from_ratfunc(2)
@@ -220,6 +231,66 @@ class TestNumeric:
         assert len(pts) == 20
         assert not numeric_residual_bound_ok(RF0, RF0, RF0, w, pts)
         assert numeric_residual_bound_ok(RF0, RF0, RF0, w, [0.001 + 0j])
+
+
+# non-split, complex, Q(sqrt 2), Q(sqrt -3) and repeated-root denominators
+DENOMINATORS = [
+    "z^3 - 2",
+    "z^5 - z - 1",
+    "z^4 + 4",
+    "100*z^6 - 7*z + 3",
+    "(z - sqrt(2))*(z^3 - 2)",
+    "(z - sqrt(-3))*(z^3 + 2)",
+    "(z - 1)^2*(z^3 + z + 1)",
+    "z^2 + z + 1",
+    "(z - 2/5)^3",
+]
+
+
+def _known_roots(text: str) -> list[complex]:
+    z = sympy.Symbol("z")
+    expr = sympy.sympify(text.replace("^", "**"))
+    return [complex(r) for r in sympy.Poly(sympy.sqf_part(expr), z).nroots(n=30)]
+
+
+class TestPoleSet:
+    @pytest.mark.parametrize("text", DENOMINATORS)
+    def test_poles_are_the_distinct_roots(self, text):
+        den = parse_ratfunc(text).num
+        known = _known_roots(text)
+        poles = expsum._pole_set(den)
+        assert len(poles) == len(known)
+        for pole in poles:
+            assert min(abs(pole - r) for r in known) <= 1e-12
+        for r in known:
+            assert min(abs(pole - r) for pole in poles) <= 1e-12
+
+    @pytest.mark.parametrize("text", DENOMINATORS)
+    def test_guard_fires_within_and_not_outside(self, text):
+        x = ExpSum.from_ratfunc(1 / parse_ratfunc(text))
+        for r in _known_roots(text):
+            with pytest.raises(NearPoleError):
+                x.eval_complex(r + 1e-7)
+            x.eval_complex(r + 1e-5)
+
+    def test_poles_found_once_per_term(self, monkeypatch):
+        dens = []
+        pole_set = expsum._pole_set
+
+        def counting(den):
+            dens.append(den)
+            return pole_set(den)
+
+        monkeypatch.setattr(expsum, "_pole_set", counting)
+        x = ExpSum([
+            (ZERO, 1 / (Z ** 3 - 2)),
+            (ONE, Z + 1),
+            (FieldConstant.of(2), 1 / (Z ** 2 + 1) ** 2),
+        ])
+        for k in range(60):
+            x.eval_complex(3 * cmath.exp(2j * cmath.pi * k / 60))
+        assert dens == [c.den for _, c in x.terms]
+        assert [d.degree for d in dens] == [3, 0, 4]
 
 
 class TestText:

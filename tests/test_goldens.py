@@ -1,6 +1,6 @@
 """Golden gate: the benchmark pools' answers, byte for byte, in-process.
 
-Every entry of the classify-ladder and expand-deep pools in
+Every entry of the cli-oneshot, classify-ladder and expand-deep pools in
 ``perfbench/data`` records the exit code and the SHA-256 of the stdout the
 CLI must produce.  Running them here makes a change of normal form or of
 evaluation order that alters any answer fail the test suite, not only a
@@ -20,7 +20,7 @@ import pytest
 from merosolve import cli
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "data"
-WORKLOADS = ("classify-ladder", "expand-deep")
+WORKLOADS = ("cli-oneshot", "classify-ladder", "expand-deep")
 
 
 def _entries():
