@@ -3,9 +3,9 @@ w*w'' - (w')^2 = alpha*w + beta*w' + gamma over rational function coefficients.
 
 The public surface mirrors the four CLI verbs: classify / transform_original
 for the decision procedure, residual / integrate_exp and the ExpSum algebra
-for verification, and leading_candidates / expand / resonance_report for
-local series analysis.  All arithmetic is exact over Q, extendable to a
-single quadratic field Q(sqrt(q)).
+for verification, and leading_candidates / expand / branch_resonance /
+resonance_report for local series analysis.  All arithmetic is exact over
+Q, extendable to a single quadratic field Q(sqrt(q)).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     GammaIdenticallyZeroError,
     IncompatibleExtensionsError,
     IrreducibleDenominatorError,
+    LimitExceededError,
     MerosolveError,
     NearPoleError,
     NestedExtensionError,
@@ -72,6 +73,7 @@ from .series import (
     RESONANCE_CAP_DEFAULT,
     BranchResonance,
     LeadingCandidate,
+    branch_resonance,
     expand,
     leading_candidates,
     resonance_report,
@@ -95,6 +97,7 @@ __all__ = [
     "IrreducibleDenominatorError",
     "LaurentExpansion",
     "LeadingCandidate",
+    "LimitExceededError",
     "MerosolveError",
     "NearPoleError",
     "NestedExtensionError",
@@ -114,6 +117,7 @@ __all__ = [
     "VerificationRecord",
     "ZeroDenominatorLiteralError",
     "applicable_labels",
+    "branch_resonance",
     "classify",
     "compute_A",
     "eq3_residual",

@@ -370,6 +370,17 @@ class _Collector:
         ))
 
 
+def _cosh(rate: FieldConstant, half: FieldConstant, C: FieldConstant, offset: RatFunc) -> ExpSum:
+    """half * (C * exp(rate z) + (1/C) * exp(-rate z)) + offset."""
+    return ExpSum([(rate, RatFunc.const(half * C)), (-rate, RatFunc.const(half / C)),
+                   (ZERO, offset)])
+
+
+def _signed(v: dict, x: FieldConstant) -> FieldConstant:
+    """x under the assignment's sign parameter."""
+    return x if v["sign"] == "+" else -x
+
+
 def _exp_piece(coeff: str, rate: FieldConstant) -> str:
     """Render 'coeff * exp(rate z)', dropping the exponential at rate zero."""
     if rate.is_zero:
@@ -403,15 +414,8 @@ def _case_A(col: _Collector, ctx: ExtensionContext) -> None:
     k = format_constant(kv)
 
     def build_cosh(v: dict) -> ExpSum:
-        c1, C = v["c1"], v["C"]
-        if c1.is_zero or C.is_zero:
-            raise DomainViolationError("c1 and C must be nonzero")
-        amp = kv / (c1 * c1)
-        return (
-            ExpSum.from_ratfunc(RatFunc.const(amp))
-            + ExpSum.exponential(c1, RatFunc.const(amp * C / 2))
-            + ExpSum.exponential(-c1, RatFunc.const(amp / C / 2))
-        )
+        amp = kv / (v["c1"] * v["c1"])
+        return _cosh(v["c1"], amp / 2, v["C"], RatFunc.const(amp))
 
     col.attempt(
         "A-cosh",
@@ -444,8 +448,6 @@ def _case_B(col: _Collector, ctx: ExtensionContext) -> None:
         return
 
     def build(v: dict) -> ExpSum:
-        if v["c1"].is_zero:
-            raise DomainViolationError("c1 must be nonzero")
         return ExpSum.exponential(k1v, RatFunc.const(v["c1"]))
 
     col.attempt(
@@ -646,16 +648,7 @@ def _case_Ea(col, ctx, Arf, Av, h0) -> None:
     offset = (beta.derivative() + 2 * alpha) / RatFunc.const(2 * k1sqv)
 
     def build(v: dict) -> ExpSum:
-        C = v["C"]
-        if C.is_zero:
-            raise DomainViolationError("C must be nonzero")
-        s = ONE if v["sign"] == "+" else -ONE
-        half = s * k2 / 2
-        return (
-            ExpSum.exponential(k1, RatFunc.const(half * C))
-            + ExpSum.exponential(-k1, RatFunc.const(half / C))
-            + ExpSum.from_ratfunc(offset)
-        )
+        return _cosh(k1, _signed(v, k2) / 2, v["C"], offset)
 
     col.attempt(
         "E.a",
@@ -686,9 +679,7 @@ def _case_Ea_free(col, Arf) -> None:
         return (av * av / k1sq + gv) / k1sq
 
     def build(v: dict) -> ExpSum:
-        k1, C = v["k1"], v["C"]
-        if k1.is_zero or C.is_zero:
-            raise DomainViolationError("k1 and C must be nonzero")
+        k1 = v["k1"]
         k2sq = k2sq_of(k1)
         if k2sq.is_zero:
             raise DomainViolationError(
@@ -696,13 +687,7 @@ def _case_Ea_free(col, Arf) -> None:
             )
         local = ExtensionContext(col.base_q)
         k2 = local.sqrt(k2sq)
-        s = ONE if v["sign"] == "+" else -ONE
-        half = s * k2 / 2
-        return (
-            ExpSum.exponential(k1, RatFunc.const(half * C))
-            + ExpSum.exponential(-k1, RatFunc.const(half / C))
-            + ExpSum.from_ratfunc(RatFunc.const(av / (k1 * k1)))
-        )
+        return _cosh(k1, _signed(v, k2) / 2, v["C"], RatFunc.const(av / (k1 * k1)))
 
     # pick three k1 samples whose k2 stays within the one-extension budget
     k1_samples: list[FieldConstant] = []
@@ -776,8 +761,6 @@ def _case_Eb(col, ctx, Arf, Av, h0, disc) -> None:
     lam = {"+": -Av / 2 + k1, "-": -Av / 2 - k1}
 
     def build(v: dict) -> ExpSum:
-        if v["c1"].is_zero:
-            raise DomainViolationError("c1 must be nonzero")
         return ExpSum.exponential(lam[v["sign"]], RatFunc.const(v["c1"])) + ExpSum.from_ratfunc(m)
 
     col.attempt(
@@ -847,9 +830,8 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
     half_int = anti.rate_zero_part() / 2
 
     def build(v: dict) -> ExpSum:
-        s = k1 if v["sign"] == "+" else -k1
         return ExpSum.from_ratfunc(
-            RatFunc.z() * RatFunc.const(s) + RatFunc.const(v["c1"]) - half_int
+            RatFunc.z() * RatFunc.const(_signed(v, k1)) + RatFunc.const(v["c1"]) - half_int
         )
 
     tail = f" - ({ratfunc_to_str(half_int)})" if not half_int.is_zero else ""

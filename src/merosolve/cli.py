@@ -29,7 +29,7 @@ from .report import (
     render_text,
     to_json,
 )
-from .series import RESONANCE_CAP_DEFAULT, expand, read_resonance, resonance_report
+from .series import RESONANCE_CAP_DEFAULT, branch_resonance, expand, leading_candidates
 
 
 class _UsageError(Exception):
@@ -222,8 +222,7 @@ def _cmd_expand(args) -> tuple[dict, int]:
     z0 = parse_constant(args.at)
     order = args.order
 
-    reports = resonance_report(alpha, beta, gamma, z0, cap=args.cap, order=order)
-    candidates = [r.candidate for r in reports]
+    candidates = leading_candidates(alpha, beta, gamma, z0)
     warnings: list[str] = []
     if not candidates:
         warnings.append(
@@ -243,7 +242,8 @@ def _cmd_expand(args) -> tuple[dict, int]:
         cand = candidates[i]
         n = max(order, cand.p + 2)
         expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
-        branches.append(branch_dict(read_resonance(reports[i], expansion), expansion))
+        res = branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion)
+        branches.append(branch_dict(res, expansion))
 
     payload = {
         "coefficients": coefficients_dict(alpha, beta, gamma),

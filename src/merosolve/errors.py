@@ -103,6 +103,12 @@ class DomainViolationError(MerosolveError):
     code = "DomainViolation"
 
 
+class LimitExceededError(MerosolveError):
+    """An input is larger than a fixed bound of the program (such as nesting depth)."""
+
+    code = "LimitExceeded"
+
+
 class ExpressionSyntaxError(MerosolveError):
     code = "SyntaxError"
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NearPoleError, TranscendentalShiftError
 from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
 from .laurent import LaurentExpansion
-from .ratfunc import Poly, RatFunc, poly_gcd, ratfunc_to_str
+from .ratfunc import PartialFractionForm, Poly, RatFunc, poly_gcd, ratfunc_to_str
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
@@ -143,9 +143,6 @@ class ExpSum:
         return ExpSum(out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> ExpSum:
-        return ExpSum([(r, coeff * RatFunc.of(c)) for r, coeff in self.terms])
 
     def derivative(self) -> ExpSum:
         return ExpSum(
@@ -339,61 +336,42 @@ def integrate_exp(
     canonical order) whose accumulated (z - pole)**(-1) coefficient after
     integration by parts does not vanish.
     """
-    ctx = ctx or ExtensionContext()
     coeff = RatFunc.of(coeff)
-    rate = FieldConstant.of(rate) if not isinstance(rate, FieldConstant) else rate
+    rate = FieldConstant.of(rate)
     if coeff.is_zero:
         return ExpSum.zero()
     pf = coeff.partial_fractions(ctx)
-    poles = pf.poles()
 
-    result = RatFunc.of(0)
-    if rate.is_zero:
-        # plain antiderivative: obstruction iff a simple pole has residue
-        for pole, orders in poles:
-            if 1 in orders and not orders[1].is_zero:
-                return ObstructionReport(pole, rate, orders[1])
-        p = pf.polynomial_part
-        anti = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)]) if not p.is_zero else Poly()
-        result = result + RatFunc(anti)
-        for pole, orders in poles:
-            for order, c in sorted(orders.items()):
-                if order >= 2:
-                    den = Poly((-pole, ONE)).pow(order - 1)
-                    result = result + RatFunc(Poly.const(-c / (order - 1)), den)
-        return ExpSum([(rate, result)])
-
-    # rate != 0: polynomial part by repeated parts
-    p = pf.polynomial_part
-    q = Poly()
-    sign = 1
-    inv = rate.inverse()
-    power = inv
-    while not p.is_zero:
-        q = q + p.scale(power if sign > 0 else -power)
-        p = p.derivative()
-        sign = -sign
-        power = power * inv
-    result = RatFunc(q)
-
-    # pole terms: reduce order by parts, accumulate the order-1 coefficient
-    residues = []
-    for pole, orders in poles:
-        top = max(orders)
-        d = [ZERO] * (top + 1)
+    # by parts, with t = d/(k-1): the integral of d*exp(rate*z)/(z-P)**k is
+    # -t*exp(rate*z)/(z-P)**(k-1) plus that of t*rate*exp(rate*z)/(z-P)**(k-1);
+    # orders k >= 2 reduce one at a time, and what reaches order 1 is the residue
+    pieces = []
+    for pole, orders in pf.poles():
+        d = [ZERO] * (max(orders) + 1)
         for order, c in orders.items():
             d[order] = c
-        for k in range(top, 1, -1):
+        for k in range(len(d) - 1, 1, -1):
             if d[k].is_zero:
                 continue
-            den = Poly((-pole, ONE)).pow(k - 1)
-            result = result + RatFunc(Poly.const(-d[k] / (k - 1)), den)
-            d[k - 1] = d[k - 1] + d[k] * rate / (k - 1)
-        residues.append((pole, d[1]))
-    for pole, res in residues:
-        if not res.is_zero:
-            return ObstructionReport(pole, rate, res)
-    return ExpSum([(rate, result)])
+            t = d[k] / (k - 1)
+            pieces.append((pole, k - 1, -t))
+            d[k - 1] = d[k - 1] + t * rate
+        if not d[1].is_zero:
+            return ObstructionReport(pole, rate, d[1])
+
+    p = pf.polynomial_part
+    if rate.is_zero:
+        q = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)])
+    else:
+        # repeated parts: sum_j (-1)**j p^(j) / rate**(j+1)
+        q = Poly()
+        step = rate.inverse()
+        power = step
+        while not p.is_zero:
+            q = q + p.scale(power)
+            p = p.derivative()
+            power = -power * step
+    return ExpSum([(rate, PartialFractionForm(q, tuple(pieces)).recombine())])
 
 
 def integrate(x: ExpSum, ctx: ExtensionContext | None = None) -> ExpSum | ObstructionReport:

@@ -14,17 +14,22 @@ Grammar (whitespace insignificant)::
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2).  Rational
 literals like 1/2 arrive through exact division, which is equivalent.
 Division by anything identically zero raises ZeroDenominatorLiteralError
-with the position of the '/'.
+with the position of the '/'.  Parentheses, sqrt( and exp( nest at most
+MAX_NESTING_DEPTH levels deep; a deeper input raises LimitExceededError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExpressionSyntaxError, ZeroDenominatorLiteralError
+from .errors import ExpressionSyntaxError, LimitExceededError, ZeroDenominatorLiteralError
 from .expsum import ExpSum
 from .field import ExtensionRequest, FieldConstant, sqrt_constant
 from .ratfunc import RatFunc
+
+# a level is five frames of recursive descent (six through sqrt( or exp():
+# 100 levels stay well inside Python's default recursion limit of 1000
+MAX_NESTING_DEPTH = 100
 
 
 class _Token:
@@ -72,6 +77,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.allow_exp = allow_exp
         self.params = params or {}
 
@@ -102,11 +108,18 @@ class _Parser:
         return value
 
     def expr(self) -> ExpSum:
+        if self.depth > MAX_NESTING_DEPTH:
+            raise LimitExceededError(
+                f"expression nests deeper than {MAX_NESTING_DEPTH} levels "
+                f"(at position {self.peek().pos})"
+            )
+        self.depth += 1
         value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
             value = value + rhs if op.kind == "+" else value - rhs
+        self.depth -= 1
         return value
 
     def term(self) -> ExpSum:
@@ -217,9 +230,9 @@ def parse_expsum(text: str, params: dict[str, FieldConstant] | None = None) -> E
     return _Parser(text, allow_exp=True, params=params).parse()
 
 
-def parse_ratfunc(text: str, params: dict[str, FieldConstant] | None = None) -> RatFunc:
+def parse_ratfunc(text: str) -> RatFunc:
     """Parse an exact rational function of z such as '(z^2+1)/(z-2)'."""
-    value = _Parser(text, allow_exp=False, params=params).parse()
+    value = _Parser(text, allow_exp=False, params=None).parse()
     return value.rate_zero_part()
 
 

@@ -458,12 +458,16 @@ class RatFunc:
 
     # -- evaluation and expansion ------------------------------------------------
 
-    def pole_order_at(self, z0: FieldConstant) -> int:
+    def _split_pole(self, z0: FieldConstant) -> tuple[int, Poly]:
+        """(m, den / (z - z0)**m) with m the pole order at z0."""
         m, den = 0, self.den
-        while not den.is_zero and den.eval(z0).is_zero:
+        while den.eval(z0).is_zero:
             den = den.deflate(z0)
             m += 1
-        return m
+        return m, den
+
+    def pole_order_at(self, z0: FieldConstant) -> int:
+        return self._split_pole(z0)[0]
 
     def eval_at(self, z0: FieldConstant) -> FieldConstant:
         z0 = _fc(z0)
@@ -479,10 +483,7 @@ class RatFunc:
         """
         if self.is_zero:
             return 0, [ZERO] * n
-        m = self.pole_order_at(z0)
-        den = self.den
-        for _ in range(m):
-            den = den.deflate(z0)
+        m, den = self._split_pole(z0)
         ns = list(self.num.shift(z0).coeffs)
         ds = list(den.shift(z0).coeffs)
         return -m, _series_div(ns, ds, n)
@@ -498,14 +499,8 @@ class RatFunc:
             raise IrreducibleDenominatorError(poly_to_str(remainder))
         terms = []
         for pole, mult in roots:
-            den_r = self.den
-            for _ in range(mult):
-                den_r = den_r.deflate(pole)
-            ns = list(self.num.shift(pole).coeffs)
-            ds = list(den_r.shift(pole).coeffs)
-            local = _series_div(ns, ds, mult)
-            for j in range(mult):
-                coeff = local[j]
+            _, local = self.taylor_at(pole, mult)
+            for j, coeff in enumerate(local):
                 if not coeff.is_zero:
                     terms.append((pole, mult - j, coeff))
         terms.sort(key=lambda t: (t[0].sort_key(), t[1]))

@@ -13,7 +13,7 @@ violated, no formal solution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import PointInPhiError
 from .field import ZERO, ONE, ExtensionContext, FieldConstant
@@ -88,19 +88,6 @@ def leading_candidates(
     return [LeadingCandidate(1, (-b0 + s) / 2), LeadingCandidate(1, (-b0 - s) / 2)]
 
 
-def _taylor_list(f: RatFunc, z0: FieldConstant, n: int) -> list[FieldConstant]:
-    """Taylor coefficients of f at z0 through (z-z0)**(n-1); f analytic at z0."""
-    if f.is_zero:
-        return [ZERO] * n
-    offset, cs = f.taylor_at(z0, n)
-    out = [ZERO] * n
-    for i, c in enumerate(cs):
-        k = offset + i
-        if 0 <= k < n:
-            out[k] = c
-    return out
-
-
 def _residual_order(
     m: int,
     a: list[FieldConstant],
@@ -154,6 +141,35 @@ def _residual_order(
     return base, slope
 
 
+def _resonance_r(beta: RatFunc, z0: FieldConstant, a0: FieldConstant) -> FieldConstant:
+    """r = beta(z0)/a0 + 2: where the order-n slope of a p = 1 branch vanishes."""
+    return beta.eval_at(z0) / a0 + 2
+
+
+def _match_orders(res, a: list[FieldConstant], order: int,
+                  free_value: FieldConstant) -> tuple[int | None, int | None]:
+    """Extend the prefix a in place through a_order, one order at a time;
+    res(n, a) is a_n's equation as (base, slope).
+
+    At the first vanishing slope a met condition frees a_n, set to free_value;
+    at later ones it is set to 0.  A violated condition halts the branch.
+    Returns (index of the first vanishing slope, index where the branch
+    halted), each None when it did not happen.
+    """
+    first: int | None = None
+    for n in range(len(a), order + 1):
+        base, slope = res(n, a)
+        if not slope.is_zero:
+            a.append(-base / slope)
+            continue
+        if first is None:
+            first = n
+        if not base.is_zero:
+            return first, n
+        a.append(free_value if n == first else ZERO)
+    return first, None
+
+
 def expand(
     alpha: RatFunc,
     beta: RatFunc,
@@ -181,66 +197,33 @@ def expand(
         raise ValueError("leading coefficient a0 must be nonzero")
     if order < p + 2:
         raise ValueError(f"truncation order must be at least p + 2 = {p + 2}")
+    # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
     n_taylor = order + 2 * p + 1
-    al = _taylor_list(alpha, z0, n_taylor)
-    be = _taylor_list(beta, z0, n_taylor)
-    ga = _taylor_list(gamma, z0, n_taylor)
-
-    def res(m: int, a: list[FieldConstant]) -> tuple[FieldConstant, FieldConstant]:
-        return _residual_order(m, a, p, al, be, ga)
+    al, be, ga = (f.taylor_at(z0, n_taylor)[1] for f in (alpha, beta, gamma))
 
     for m in range(0, 2 * p - 1):
-        if not res(m, [a0])[0].is_zero:
+        if not _residual_order(m, [a0], p, al, be, ga)[0].is_zero:
             raise ValueError(
                 f"leading data (p={p}, a0={a0}) does not balance at order {m}"
             )
 
-    def continue_branch(a: list[FieldConstant], start: int) -> list[FieldConstant] | None:
-        a = list(a)
-        for n in range(start, order + 1):
-            base, slope = res(n + 2 * p - 2, a)
-            if not slope.is_zero:
-                a.append(-base / slope)
-            elif base.is_zero:
-                a.append(ZERO)
-            else:
-                return None
-        return a
+    def res(n: int, a: list[FieldConstant]) -> tuple[FieldConstant, FieldConstant]:
+        return _residual_order(n + 2 * p - 2, a, p, al, be, ga)
 
-    a: list[FieldConstant] = [a0]
-    res_index: int | None = None
-    condition: bool | None = None
-    free_index: int | None = None
-    alternate: tuple[FieldConstant, ...] | None = None
-    halted: int | None = None
-    for n in range(1, order + 1):
-        base, slope = res(n + 2 * p - 2, a)
-        if not slope.is_zero:
-            a.append(-base / slope)
-        elif base.is_zero:
-            if res_index is None:
-                res_index, condition, free_index = n, True, n
-                if resonance_value is not None:
-                    a.append(resonance_value)
-                else:
-                    alt = continue_branch(a + [ONE], n + 1)
-                    alternate = tuple(alt) if alt is not None else None
-                    a.append(ZERO)
-            else:
-                a.append(ZERO)
-        else:
-            if res_index is None:
-                res_index, condition = n, False
-            halted = n
-            break
+    a = [a0]
+    free = ZERO if resonance_value is None else resonance_value
+    res_index, halted = _match_orders(res, a, order, free)
+    condition = None if res_index is None else halted != res_index
+    free_index = res_index if condition else None
+    alternate = None
+    if condition and resonance_value is None:
+        alt = a[:free_index] + [ONE]
+        if _match_orders(res, alt, order, ZERO)[1] is None:
+            alternate = tuple(alt)
 
-    if p == 1:
-        r = beta.eval_at(z0) / a0 + 2
-        info = ResonanceInfo(
-            r, r.is_positive_integer(), res_index, condition, free_index
-        )
-    else:
-        info = ResonanceInfo(None, False, res_index, condition, free_index)
+    r = _resonance_r(beta, z0, a0) if p == 1 else None
+    info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
+                         res_index, condition, free_index)
     return LaurentExpansion(
         z0=z0,
         p=p,
@@ -252,6 +235,41 @@ def expand(
     )
 
 
+def branch_resonance(
+    alpha: RatFunc,
+    beta: RatFunc,
+    gamma: RatFunc,
+    z0: FieldConstant,
+    cand: LeadingCandidate,
+    cap: int = RESONANCE_CAP_DEFAULT,
+    expansion: LaurentExpansion | None = None,
+) -> BranchResonance:
+    """Resonance location of one leading candidate and, when reachable, its condition.
+
+    The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances.
+    The p = 2 branch has no such formula and reports not-applicable.  A
+    positive integer r beyond the cap is a distinct reportable outcome, not
+    an error: the condition sits too deep to evaluate.  The condition is read
+    off an expansion of the branch to order r + 2: the caller's expansion of
+    this candidate when it reaches that far, else a fresh one.
+    """
+    alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
+    z0 = FieldConstant.of(z0)
+    if cand.p != 1:
+        return BranchResonance(cand, "not-applicable", None, False)
+    r = _resonance_r(beta, z0, cand.a0)
+    if not r.is_positive_integer():
+        return BranchResonance(cand, "no-resonance", r, False)
+    n_r = r.as_integer()
+    if n_r > cap:
+        return BranchResonance(cand, "cap-exceeded", r, True)
+    if expansion is None or expansion.truncation_order < n_r + 2:
+        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
+    info = expansion.resonance
+    return BranchResonance(cand, "evaluated", r, True, info.condition_satisfied,
+                           info.free_coefficient_index)
+
+
 def resonance_report(
     alpha: RatFunc,
     beta: RatFunc,
@@ -259,46 +277,7 @@ def resonance_report(
     z0: FieldConstant,
     cap: int = RESONANCE_CAP_DEFAULT,
     ctx: ExtensionContext | None = None,
-    order: int = 0,
 ) -> list[BranchResonance]:
-    """Per-branch resonance location and, when reachable, its condition.
-
-    The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances.
-    The p = 2 branch has no such formula and reports not-applicable.  A
-    positive integer r beyond the cap is a distinct reportable outcome, not
-    an error: the condition sits too deep to evaluate by default.
-    A caller that expands every branch to ``order`` anyway passes it: a branch
-    with r + 2 <= order is then not probed to order r + 2, and its condition
-    is left for ``read_resonance`` to read off the caller's expansion.
-    """
-    alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
-    z0 = FieldConstant.of(z0)
-    out = []
-    for cand in leading_candidates(alpha, beta, gamma, z0, ctx):
-        if cand.p != 1:
-            out.append(BranchResonance(cand, "not-applicable", None, False))
-            continue
-        r = beta.eval_at(z0) / cand.a0 + 2
-        if not r.is_positive_integer():
-            out.append(BranchResonance(cand, "no-resonance", r, False))
-            continue
-        n_r = r.as_integer()
-        if n_r > cap:
-            out.append(BranchResonance(cand, "cap-exceeded", r, True))
-            continue
-        report = BranchResonance(cand, "evaluated", r, True)
-        if n_r + 2 > order:
-            probe = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
-            report = read_resonance(report, probe)
-        out.append(report)
-    return out
-
-
-def read_resonance(report: BranchResonance, expansion: LaurentExpansion) -> BranchResonance:
-    """Fill in a condition resonance_report left unread, from an expansion of the
-    branch to order >= r + 2: it has the probe's prefix and first zero slope."""
-    if report.status != "evaluated" or report.condition_satisfied is not None:
-        return report
-    info = expansion.resonance
-    return replace(report, condition_satisfied=info.condition_satisfied,
-                   free_coefficient_index=info.free_coefficient_index)
+    """branch_resonance of every leading candidate at z0."""
+    return [branch_resonance(alpha, beta, gamma, z0, cand, cap)
+            for cand in leading_candidates(alpha, beta, gamma, z0, ctx)]

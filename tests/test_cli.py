@@ -33,6 +33,21 @@ def run_json(capsys, *argv):
     return code, doc, err
 
 
+@pytest.fixture
+def expand_orders(monkeypatch):
+    """The truncation order of every series.expand call, in call order."""
+    orders = []
+    real = series.expand
+
+    def counting(*args, **kwargs):
+        orders.append(args[6])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series, "expand", counting)
+    monkeypatch.setattr(cli, "expand", counting)
+    return orders
+
+
 class TestClassify:
     def test_fixture_succeeds(self, capsys):
         code, doc, err = run_json(
@@ -251,29 +266,31 @@ class TestExpand:
         assert exp["alternate_coefficients"][5] == "1"
 
     @pytest.mark.parametrize("order, expansions", [(7, 2), (6, 3)])
-    def test_resonant_branch_expanded_once(self, capsys, monkeypatch, order, expansions):
+    def test_resonant_branch_expanded_once(self, capsys, expand_orders, order, expansions):
         # r = 5 on the a0 = -1 branch: from --order r + 2 = 7 on, the condition
         # is read off the branch's own expansion and no probe expansion runs
-        orders = []
-        real = series.expand
-
-        def counting(*args, **kwargs):
-            orders.append(args[6])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(series, "expand", counting)
-        monkeypatch.setattr(cli, "expand", counting)
         code, doc, _ = run_json(
             capsys, "expand",
             "--alpha", "0", "--beta", "-3", "--gamma", "-4",
             "--at", "0", "--order", str(order),
         )
         assert code == 0
-        assert len(orders) == expansions
+        assert len(expand_orders) == expansions
         resonant = doc["branches"][1]
         assert resonant["resonance_status"] == "evaluated"
         assert resonant["condition_satisfied"] is True
         assert resonant["free_coefficient_index"] == 5
+
+    # branch 0 (r = 5/4) needs no probe; branch 1 (r = 5) is probed to r + 2
+    @pytest.mark.parametrize("branch, orders", [(0, [4]), (1, [4, 7])])
+    def test_unselected_branch_is_not_expanded(self, capsys, expand_orders, branch, orders):
+        argv = ("expand", "--alpha", "0", "--beta", "-3", "--gamma", "-4",
+                "--at", "0", "--order", "4")
+        code, doc, _ = run_json(capsys, *argv, "--branch", str(branch))
+        assert code == 0
+        assert expand_orders == orders
+        _, full, _ = run_json(capsys, *argv)
+        assert doc["branches"] == [full["branches"][branch]]
 
     def test_branch_selection(self, capsys):
         code, doc, _ = run_json(
@@ -365,14 +382,26 @@ class TestErrorEnvelope:
         assert code == 1
         assert out.startswith("error [Usage]")
 
-    def test_unexpected_exception_is_an_internal_error(self, capsys):
-        nested = "(" * 3000 + "z" + ")" * 3000
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+        code, doc, _ = run_json(
+            capsys, "classify", "--alpha", "z", "--beta", "0", "--gamma", "0"
+        )
+        assert code == 1
+        assert doc["error"] == {"code": "Internal", "message": "RuntimeError: unexpected"}
+
+    @pytest.mark.parametrize("depth", [101, 3000])
+    def test_deep_nesting_is_a_limit_error(self, capsys, depth):
+        nested = "(" * depth + "z" + ")" * depth
         code, doc, _ = run_json(
             capsys, "classify", "--alpha", nested, "--beta", "0", "--gamma", "0"
         )
         assert code == 1
-        assert doc["error"]["code"] == "Internal"
-        assert doc["error"]["message"].startswith("RecursionError: ")
+        assert doc["error"]["code"] == "LimitExceeded"
+        assert "deeper than 100 levels" in doc["error"]["message"]
 
 
 class TestDashFolding:

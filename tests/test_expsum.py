@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from merosolve import expsum
 from merosolve.errors import NearPoleError, TranscendentalShiftError
@@ -24,7 +24,13 @@ from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.parse import parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc
 
-from conftest import expsums, polynomial_expsums
+from conftest import (
+    expsums,
+    nonzero_rational_constants,
+    polynomial_expsums,
+    polys,
+    rational_constants,
+)
 
 Z = RatFunc.z()
 RF0 = RatFunc(Poly())
@@ -127,6 +133,41 @@ class TestIntegrateExp:
         assert out.derivative() == ExpSum(
             [(FieldConstant.of(2), 1 / (Z * Z) - 2 / Z)]
         )
+
+
+@st.composite
+def pole_integrands(draw):
+    """A polynomial of degree <= 2 plus up to three rational poles of order 1-3."""
+    f = RatFunc(draw(polys(2)))
+    for pole in draw(st.lists(st.integers(-3, 3), max_size=3, unique=True)):
+        order = draw(st.integers(1, 3))
+        cs = draw(st.lists(rational_constants, min_size=order - 1, max_size=order - 1))
+        cs.append(draw(nonzero_rational_constants))
+        linear = Poly((FieldConstant.of(-pole), ONE))
+        for k, c in enumerate(cs, 1):
+            f = f + RatFunc(Poly.const(c), linear.pow(k))
+    return f
+
+
+integration_rates = st.sampled_from([0, 1, -2, Fraction(1, 2)]).map(FieldConstant.of)
+
+
+class TestIntegrateExpPoles:
+    @given(pole_integrands(), integration_rates)
+    def test_antiderivative_differentiates_back(self, coeff, rate):
+        out = integrate_exp(coeff, rate)
+        if isinstance(out, ExpSum):
+            assert out.derivative() == ExpSum([(rate, coeff)])
+
+    @given(pole_integrands(), integration_rates)
+    def test_removing_the_reported_residue_lifts_the_obstruction(self, coeff, rate):
+        out, last = integrate_exp(coeff, rate), None
+        while isinstance(out, ObstructionReport):
+            pole = out.offending_pole
+            assert last is None or pole.sort_key() > last.sort_key()
+            coeff = coeff - RatFunc(Poly.const(out.residue_coefficient), Poly((-pole, ONE)))
+            out, last = integrate_exp(coeff, rate), pole
+        assert out.derivative() == ExpSum([(rate, coeff)])
 
 
 class TestLaurent:

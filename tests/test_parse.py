@@ -10,12 +10,13 @@ from hypothesis import given
 from merosolve.errors import (
     ExpressionSyntaxError,
     IncompatibleExtensionsError,
+    LimitExceededError,
     NestedExtensionError,
     ZeroDenominatorLiteralError,
 )
 from merosolve.expsum import ExpSum
 from merosolve.field import FieldConstant
-from merosolve.parse import parse_constant, parse_expsum, parse_ratfunc
+from merosolve.parse import MAX_NESTING_DEPTH, parse_constant, parse_expsum, parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc, ratfunc_to_str
 
 from conftest import expsums, ratfuncs
@@ -127,6 +128,17 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ExpressionSyntaxError, match="expected a value"):
             parse_ratfunc("")
+
+    def test_nesting_up_to_the_limit_parses(self):
+        nested = "(" * MAX_NESTING_DEPTH + "z" + ")" * MAX_NESTING_DEPTH
+        assert parse_ratfunc(nested) == RatFunc.z()
+
+    # parentheses, sqrt( and exp( each open one nesting level
+    @pytest.mark.parametrize("opener, inner", [("(", "z"), ("sqrt(", "4"), ("exp(", "z")])
+    def test_one_level_past_the_limit_is_a_limit_error(self, opener, inner):
+        text = opener + "(" * MAX_NESTING_DEPTH + inner + ")" * (MAX_NESTING_DEPTH + 1)
+        with pytest.raises(LimitExceededError, match="deeper than 100 levels"):
+            parse_expsum(text)
 
     def test_unknown_name(self):
         with pytest.raises(ExpressionSyntaxError, match="unknown name 'w'") as e:

@@ -15,9 +15,9 @@ from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.ratfunc import Poly, RatFunc
 from merosolve.series import (
     RESONANCE_CAP_DEFAULT,
+    branch_resonance,
     expand,
     leading_candidates,
-    read_resonance,
     resonance_report,
 )
 
@@ -303,8 +303,9 @@ class TestResonanceStatuses:
 
 
 class TestResonanceFromCallerExpansion:
-    """A caller that expands to order >= r + 2 reads the condition off its own
-    expansion; it must be what the order r + 2 probe reports."""
+    """branch_resonance reads the condition off the caller's expansion when it
+    reaches order r + 2, and expands to r + 2 itself only when it does not;
+    either way the record is resonance_report's."""
 
     # r = 5 with the condition satisfied; r = 4 with it violated (branch halts)
     FIXTURES = [
@@ -314,19 +315,25 @@ class TestResonanceFromCallerExpansion:
 
     @pytest.mark.parametrize("coeffs, z0", FIXTURES)
     @pytest.mark.parametrize("order", range(3, 10))
-    def test_same_report_as_the_probe(self, coeffs, z0, order):
-        probed = resonance_report(*coeffs, z0)
-        assert any(r.status == "evaluated" for r in probed)
-        unread = resonance_report(*coeffs, z0, order=order)
-        read = [
-            read_resonance(r, expand(*coeffs, z0, r.candidate.p, r.candidate.a0,
-                                     max(order, r.candidate.p + 2)))
-            for r in unread
-        ]
-        assert read == probed
-        for u, p in zip(unread, probed):
-            probe_skipped = p.status == "evaluated" and p.r.as_integer() + 2 <= order
-            assert (u != p) == probe_skipped
+    def test_same_report_as_the_probe(self, monkeypatch, coeffs, z0, order):
+        reports = resonance_report(*coeffs, z0)
+        assert any(r.status == "evaluated" for r in reports)
+        probes = []
+        real = series.expand
+
+        def counting(*args, **kwargs):
+            probes.append(args[6])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(series, "expand", counting)
+        for report in reports:
+            cand = report.candidate
+            given = expand(*coeffs, z0, cand.p, cand.a0, max(order, cand.p + 2))
+            probes.clear()
+            assert branch_resonance(*coeffs, z0, cand, expansion=given) == report
+            evaluated = report.status == "evaluated"
+            short = evaluated and given.truncation_order < report.r.as_integer() + 2
+            assert probes == ([report.r.as_integer() + 2] if short else [])
 
 
 class TestClosedFormAgreement:
