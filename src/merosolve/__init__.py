@@ -45,14 +45,12 @@ from .expsum import (
     ExpSum,
     ObstructionReport,
     guarded_sample_points,
-    integrate,
     integrate_exp,
     numeric_residual_bound_ok,
     residual,
 )
 from .field import (
     ExtensionContext,
-    ExtensionRequest,
     FieldConstant,
     format_constant,
     sqrt_constant,
@@ -90,7 +88,6 @@ __all__ = [
     "ExpSum",
     "ExpressionSyntaxError",
     "ExtensionContext",
-    "ExtensionRequest",
     "FieldConstant",
     "GammaIdenticallyZeroError",
     "IncompatibleExtensionsError",
@@ -126,7 +123,6 @@ __all__ = [
     "guarded_sample_points",
     "in_excluded_set",
     "instantiate",
-    "integrate",
     "integrate_exp",
     "leading_candidates",
     "linear_roots",

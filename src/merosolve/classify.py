@@ -234,38 +234,23 @@ def _verify(
     assignment order and all verify when failure is None."""
     records, members = [], []
     for assign in assignments:
+        failure = None
         try:
             w = builder(dict(assign))
         except _LIFT_ERRORS as exc:
-            records.append(VerificationRecord(_fmt_assignment(assign), False))
-            return tuple(records), members, (
-                f"instantiation ({_assignment_text(assign)}) leaves the constant "
-                f"field: {exc}"
-            )
+            failure = (f"instantiation ({_assignment_text(assign)}) leaves the constant "
+                       f"field: {exc}")
         except DomainViolationError as exc:
-            records.append(VerificationRecord(_fmt_assignment(assign), False))
-            return tuple(records), members, (
-                f"instantiation ({_assignment_text(assign)}) violates the domain: {exc}"
-            )
-        r = residual(alpha, beta, gamma, w)
-        ok = r.is_zero
-        records.append(VerificationRecord(_fmt_assignment(assign), ok))
-        if not ok:
-            return tuple(records), members, (
-                f"residual at ({_assignment_text(assign)}) is {r.to_text()}"
-            )
+            failure = f"instantiation ({_assignment_text(assign)}) violates the domain: {exc}"
+        else:
+            r = residual(alpha, beta, gamma, w)
+            if not r.is_zero:
+                failure = f"residual at ({_assignment_text(assign)}) is {r.to_text()}"
+        records.append(VerificationRecord(_fmt_assignment(assign), failure is None))
+        if failure is not None:
+            return tuple(records), members, failure
         members.append(w)
     return tuple(records), members, None
-
-
-def _cross_sign(base: list[dict]) -> list[dict]:
-    out = []
-    for sgn in ("+", "-"):
-        for a in base:
-            d = dict(a)
-            d["sign"] = sgn
-            out.append(d)
-    return out
 
 
 class _Collector:
@@ -327,11 +312,13 @@ class _Collector:
     ) -> None:
         """Gate a candidate family by the exact residual at every assignment.
 
-        A family containing a sign parameter is verified per sign; a sign
-        whose instantiations all fail is logged while the other may still
-        be emitted (with a note)."""
+        A family containing a sign parameter is verified per sign, + first:
+        each assignment is run with "sign" added.  A sign whose
+        instantiations fail is logged while the other may still be emitted
+        (with a note)."""
         signs = ("+", "-") if any(p.kind == "sign" for p in parameters) else (None,)
-        subsets = {sgn: [a for a in assignments if a.get("sign") == sgn] for sgn in signs}
+        subsets = {sgn: [a if sgn is None else {**a, "sign": sgn} for a in assignments]
+                   for sgn in signs}
         runs = {sgn: _verify(self.alpha, self.beta, self.gamma, builder, subsets[sgn])
                 for sgn in signs}
         good = [sgn for sgn in signs if runs[sgn][2] is None]
@@ -474,21 +461,19 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
     notes: list[str] = []
     allowed: tuple[FieldConstant, ...] | None = None
     if poles:
-        # residue of beta*exp(-c1*z) at each pole is a polynomial in -c1;
-        # admissible rates c1 are the common roots across all poles
+        # residue of beta*exp(-c1*z) at each pole, up to a unit, is a polynomial
+        # in c1 with c1^(k-1) coefficient c_k*(-1)^(k-1)/(k-1)!; admissible
+        # rates c1 are the common roots across all poles
         obstruction_polys = []
         for pole, orders in poles:
             coeffs = [ZERO] * max(orders)
             for order, c in orders.items():
-                coeffs[order - 1] = c / math.factorial(order - 1)
+                coeffs[order - 1] = (c if order % 2 else -c) / math.factorial(order - 1)
             opoly = Poly(coeffs)
             obstruction_polys.append(opoly)
-            in_c1 = Poly(
-                [c * (1 if i % 2 == 0 else -1) for i, c in enumerate(opoly.coeffs)]
-            )
             notes.append(
                 f"pole z = {format_constant(pole)}: residue vanishes iff "
-                f"{poly_to_str(in_c1, 'c1')} = 0"
+                f"{poly_to_str(opoly, 'c1')} = 0"
             )
         g = obstruction_polys[0]
         for p in obstruction_polys[1:]:
@@ -504,7 +489,7 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
         if split is None:
             return
         _, roots, rem = split
-        allowed = tuple(sorted((-r for r, _ in roots), key=lambda c: c.sort_key()))
+        allowed = tuple(r for r, _ in roots)
         if rem.degree > 0:
             notes.append(
                 f"additional residue roots of {poly_to_str(rem, 'c1')} = 0 lie "
@@ -658,7 +643,7 @@ def _case_Ea(col, ctx, Arf, Av, h0) -> None:
         ConstraintSet(A=Arf, B=_invariant_B(col, k1sqv, Av), g=k1sqv, h=h0,
                       k1_squared=k1sqv, k2_squared=k2sqv),
         build,
-        _cross_sign([{"C": ONE}, {"C": FieldConstant.of(2)}, {"C": FieldConstant.of(3)}]),
+        [{"C": ONE}, {"C": FieldConstant.of(2)}, {"C": FieldConstant.of(3)}],
     )
 
 
@@ -728,7 +713,7 @@ def _case_Ea_free(col, Arf) -> None:
         + f"({format_constant(gv)}))/k1^2 and k1 a free nonzero constant",
         ConstraintSet(A=Arf, h=RatFunc.const(-2 * av)),
         build,
-        _cross_sign(base),
+        base,
         notes=("k1 is a free parameter; k2 depends on k1 and may require the "
                "quadratic extension",),
     )
@@ -772,7 +757,7 @@ def _case_Eb(col, ctx, Arf, Av, h0, disc) -> None:
                       g=k1sqv - Av * Av / 4, h=h0, k1_squared=k1sqv,
                       k2_squared=ZERO, discriminant=disc),
         build,
-        _cross_sign([{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": FieldConstant.of(3)}]),
+        [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": FieldConstant.of(3)}],
     )
 
 
@@ -843,7 +828,7 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
         ConstraintSet(A=Arf, B=_invariant_B(col, ZERO, Av), g=ZERO,
                       h=RatFunc.of(0), k1_squared=k1sqv, discriminant=quarter_disc * 4),
         build,
-        _cross_sign([{"c1": ZERO}, {"c1": ONE}, {"c1": FieldConstant.of(2)}]),
+        [{"c1": ZERO}, {"c1": ONE}, {"c1": FieldConstant.of(2)}],
     )
 
 

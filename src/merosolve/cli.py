@@ -11,13 +11,12 @@ Timing goes to standard error as elapsed_ms=<n>, never into the payload.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
 from .classify import classify, transform_original
 from .errors import MerosolveError
-from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual
+from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
 from .field import FieldConstant
 from .parse import parse_constant, parse_expsum, parse_ratfunc
 from .report import (
@@ -170,19 +169,13 @@ def _cmd_verify(args) -> tuple[dict, int]:
     r = residual(alpha, beta, gamma, w)
     ok = r.is_zero
 
-    points = guarded_sample_points(alpha, beta, gamma, w, count=20)
     rows = []
     spot_ok = True
-    for z in points:
-        rv = bound = math.inf  # what an evaluation that overflows reports
+    for z in guarded_sample_points(alpha, beta, gamma, w):
         try:
-            rv = abs(r.eval_complex(z))
-            bound = SPOT_CHECK_TOL * (1 + abs(w.eval_complex(z)) ** 2)
+            rv, bound, row_ok = spot_check(r.eval_complex, w, z)
         except MerosolveError:
             continue
-        except OverflowError:
-            pass
-        row_ok = rv <= bound < math.inf
         spot_ok = spot_ok and row_ok
         rows.append(
             {

@@ -19,6 +19,7 @@ from .ratfunc import PartialFractionForm, Poly, RatFunc, poly_gcd, ratfunc_to_st
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
+SPOT_CHECK_POINTS = 20
 ABERTH_MAX_ITERATIONS = 200
 
 
@@ -90,10 +91,6 @@ class ExpSum:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def rates(self) -> tuple[FieldConstant, ...]:
-        return tuple(r for r, _ in self.terms)
 
     def has_nonzero_rate(self) -> bool:
         return any(not r.is_zero for r, _ in self.terms)
@@ -374,18 +371,6 @@ def integrate_exp(
     return ExpSum([(rate, PartialFractionForm(q, tuple(pieces)).recombine())])
 
 
-def integrate(x: ExpSum, ctx: ExtensionContext | None = None) -> ExpSum | ObstructionReport:
-    """Term-by-term antiderivative of an exponential sum."""
-    ctx = ctx or ExtensionContext()
-    total = ExpSum.zero()
-    for rate, coeff in x.terms:
-        part = integrate_exp(coeff, rate, ctx)
-        if isinstance(part, ObstructionReport):
-            return part
-        total = total + part
-    return total
-
-
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:
     """w*w'' - (w')**2 - alpha*w - beta*w' - gamma, exactly."""
     wp = w.derivative()
@@ -396,49 +381,46 @@ def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum
     return w * wpp - wp * wp - a * w - b * wp - g
 
 
-def numeric_residual_bound_ok(
-    alpha: RatFunc,
-    beta: RatFunc,
-    gamma: RatFunc,
-    w: ExpSum,
-    points: list[complex],
-    tol: float = SPOT_CHECK_TOL,
-) -> bool:
-    """Check |w w'' - w'^2 - alpha w - beta w' - gamma| <= tol*(1+|w|^2) numerically.
+def spot_check(value_at, w: ExpSum, z: complex) -> tuple[float, float, bool]:
+    """The numeric spot-check rule at z: (|r|, bound, |r| <= bound < inf),
+    r = value_at(z) and bound = SPOT_CHECK_TOL*(1 + |w(z)|^2).
 
-    A point whose evaluation overflows (an OverflowError or an infinite
-    bound) fails the check, by the same rule as the CLI's spot-check rows.
+    An evaluation that overflows reads inf and fails; a MerosolveError (a
+    point near a pole) propagates.
     """
+    rv = bound = math.inf
+    try:
+        rv = abs(value_at(z))
+        bound = SPOT_CHECK_TOL * (1 + abs(w.eval_complex(z)) ** 2)
+    except OverflowError:
+        pass
+    return rv, bound, rv <= bound < math.inf
+
+
+def numeric_residual_bound_ok(
+    alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum, points: list[complex]
+) -> bool:
+    """The spot check at every point, the residual evaluated from w, w', w''
+    and the coefficients rather than through residual()."""
     wp = w.derivative()
     wpp = wp.derivative()
-    ea = ExpSum.from_ratfunc(alpha)
-    eb = ExpSum.from_ratfunc(beta)
-    eg = ExpSum.from_ratfunc(gamma)
-    for z in points:
-        try:
-            wv = w.eval_complex(z)
-            r = (
-                wv * wpp.eval_complex(z)
-                - wp.eval_complex(z) ** 2
-                - ea.eval_complex(z) * wv
-                - eb.eval_complex(z) * wp.eval_complex(z)
-                - eg.eval_complex(z)
-            )
-            bound = tol * (1.0 + abs(wv) ** 2)
-        except OverflowError:
-            return False
-        if not abs(r) <= bound < math.inf:
-            return False
-    return True
+    ea, eb, eg = (ExpSum.from_ratfunc(f) for f in (alpha, beta, gamma))
+
+    def value_at(z: complex) -> complex:
+        wv, wpv = w.eval_complex(z), wp.eval_complex(z)
+        return (wv * wpp.eval_complex(z) - wpv ** 2 - ea.eval_complex(z) * wv
+                - eb.eval_complex(z) * wpv - eg.eval_complex(z))
+
+    return all(spot_check(value_at, w, z)[2] for z in points)
 
 
 def guarded_sample_points(
-    alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum, count: int = 20
+    alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum
 ) -> list[complex]:
     """Deterministic points with |z| <= 2, away from every coefficient pole."""
     candidates = []
-    for k in range(3 * count):
-        angle = 2 * cmath.pi * k / (3 * count)
+    for k in range(3 * SPOT_CHECK_POINTS):
+        angle = 2 * cmath.pi * k / (3 * SPOT_CHECK_POINTS)
         radius = 0.4 + 1.5 * ((k * 7) % 11) / 11.0
         candidates.append(radius * cmath.exp(1j * angle))
     funcs = [ExpSum.from_ratfunc(f) for f in (alpha, beta, gamma)] + [w]
@@ -452,6 +434,6 @@ def guarded_sample_points(
         except OverflowError:
             pass  # not near a pole; the spot check reports the overflow
         out.append(z)
-        if len(out) == count:
+        if len(out) == SPOT_CHECK_POINTS:
             break
     return out

@@ -280,22 +280,14 @@ def format_constant(c: FieldConstant) -> str:
     return f"{_frac_str(c.a)} {sign} {root.lstrip('-')}"
 
 
-@dataclass(frozen=True)
-class ExtensionRequest:
-    """Square root left Q: carries the square-free discriminant and the value."""
-
-    q: int
-    value: FieldConstant
-
-
-def sqrt_constant(c: FieldConstant) -> FieldConstant | ExtensionRequest:
+def sqrt_constant(c: FieldConstant) -> FieldConstant:
     """Exact square root of a field constant.
 
     Rational input: returns the nonnegative rational root when c is a perfect
-    square, otherwise an ExtensionRequest carrying the square-free part so the
-    caller can lift the computation into Q(sqrt(q')).  Input already in a
-    proper extension: returns an in-field root when one exists, otherwise
-    raises NestedExtensionError.
+    square, otherwise sqrt(n/d) = (s/d)*sqrt(m) in Q(sqrt(m)), m square-free;
+    the root's q tells the caller which extension it needs.  Input already
+    in a proper extension: returns an in-field root when one exists,
+    otherwise raises NestedExtensionError.
     """
     c = FieldConstant.of(c)
     if c.is_rational:
@@ -307,8 +299,7 @@ def sqrt_constant(c: FieldConstant) -> FieldConstant | ExtensionRequest:
         # sqrt(n/d) = sqrt(n*d)/d
         nd = c.a.numerator * c.a.denominator
         s, m = square_free_decomposition(nd)
-        value = _trusted(_F0, Fraction(s, c.a.denominator), m)
-        return ExtensionRequest(q=m, value=value)
+        return _trusted(_F0, Fraction(s, c.a.denominator), m)
     # Solve (x + y*sqrt(q))**2 = a + b*sqrt(q): x*x + q*y*y = a, 2*x*y = b.
     norm = c.a * c.a - c.q * c.b * c.b
     s1 = rational_sqrt(norm)
@@ -336,20 +327,15 @@ class ExtensionContext:
         self.q = q
 
     def sqrt(self, c: FieldConstant) -> FieldConstant:
-        """Square root lifted through the context's extension budget."""
-        result = sqrt_constant(c)
-        if isinstance(result, ExtensionRequest):
-            if self.q is None or self.q == result.q:
-                self.q = result.q
-                return result.value
-            raise UnsupportedExtensionError(self.q, result.q)
-        return result
+        """Square root lifted through the context's extension budget.
 
-    def admit(self, c: FieldConstant) -> FieldConstant:
-        """Record the extension a value already lives in; reject a second one."""
-        if c.q != 0:
-            if self.q is None:
-                self.q = c.q
-            elif self.q != c.q:
-                raise UnsupportedExtensionError(self.q, c.q)
-        return c
+        A rational c whose root is irrational opens the extension Q(sqrt(q));
+        that must be the context's one extension, or UnsupportedExtensionError
+        is raised.  A root of an element already in Q(sqrt(q)) stays there
+        and uses no budget."""
+        root = sqrt_constant(c)
+        if c.is_rational and root.q != 0:
+            if self.q is not None and self.q != root.q:
+                raise UnsupportedExtensionError(self.q, root.q)
+            self.q = root.q
+        return root

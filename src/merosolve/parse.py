@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, LimitExceededError, ZeroDenominatorLiteralError
 from .expsum import ExpSum
-from .field import ExtensionRequest, FieldConstant, sqrt_constant
+from .field import FieldConstant, sqrt_constant
 from .ratfunc import RatFunc
 
 # a level is five frames of recursive descent (six through sqrt( or exp():
@@ -181,10 +181,7 @@ class _Parser:
         c = arg.rate_zero_part().constant_value() if not arg.has_nonzero_rate() else None
         if c is None:
             raise ExpressionSyntaxError("sqrt argument must be a constant", t.pos)
-        root = sqrt_constant(c)
-        if isinstance(root, ExtensionRequest):
-            root = root.value
-        return ExpSum.from_ratfunc(RatFunc.const(root))
+        return ExpSum.from_ratfunc(RatFunc.const(sqrt_constant(c)))
 
     def _exp(self, t: _Token) -> ExpSum:
         if not self.allow_exp:

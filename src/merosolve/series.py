@@ -47,10 +47,6 @@ class BranchResonance:
     free_coefficient_index: int | None = None
 
 
-def coefficients_all_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> bool:
-    return alpha.is_zero and beta.is_zero and gamma.is_zero
-
-
 def leading_candidates(
     alpha: RatFunc,
     beta: RatFunc,
@@ -71,7 +67,7 @@ def leading_candidates(
     z0 = FieldConstant.of(z0)
     if in_excluded_set(alpha, beta, gamma, z0):
         raise PointInPhiError(z0)
-    if coefficients_all_zero(alpha, beta, gamma):
+    if alpha.is_zero and beta.is_zero and gamma.is_zero:
         return []
     ctx = ctx or ExtensionContext()
     if gamma.is_zero and beta.is_zero:

@@ -286,11 +286,9 @@ class TestAcceptance:
                             for k, v in record.assignment
                         }
                         w = instantiate(fam, values)
-                        pts = guarded_sample_points(alpha, beta, gamma, w, 20)
+                        pts = guarded_sample_points(alpha, beta, gamma, w)
                         assert len(pts) == 20
-                        assert numeric_residual_bound_ok(
-                            alpha, beta, gamma, w, pts, tol=1e-9
-                        )
+                        assert numeric_residual_bound_ok(alpha, beta, gamma, w, pts)
             ok = True
         finally:
             report(capsys, 8, ok)

@@ -11,7 +11,6 @@ from merosolve.classify import (
     ConstraintSet,
     Parameter,
     _Collector,
-    _cross_sign,
     applicable_labels,
     classify,
     compute_A,
@@ -219,10 +218,35 @@ class TestSignFamilies:
         rep = classify(0, 0, -1)
         fam = one(rep, "E.d")
         assert [p.name for p in fam.parameters][0] == "sign"
-        assert len(fam.verification) == 6
+        assert [r.assignment for r in fam.verification] == [
+            (("c1", c1), ("sign", s)) for s in "+-" for c1 in "012"
+        ]
         for s in ("+", "-"):
             w = instantiate(fam, {"sign": s, "c1": 2})
             assert residual(RF(0), RF(0), RF(-1), w).is_zero
+
+    def test_attempt_adds_the_sign_to_base_assignments(self):
+        # w = sign*z + c1 solves w*w'' - (w')^2 = -1 for either sign
+        col = _Collector(RF(0), RF(0), RF(-1))
+        seen = []
+
+        def build(v):
+            seen.append(dict(v))
+            return ExpSum.from_ratfunc(Z * RF(1 if v["sign"] == "+" else -1) + RF(v["c1"]))
+
+        base = [{"c1": FieldConstant.of(1)}, {"c1": FieldConstant.of(2)}]
+        col.attempt(
+            "X", (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
+            ConstraintSet(), build, base,
+        )
+        (fam,) = col.families
+        assert [list(v) for v in seen] == [["c1", "sign"]] * 4
+        assert [r.assignment for r in fam.verification] == [
+            (("c1", "1"), ("sign", "+")), (("c1", "2"), ("sign", "+")),
+            (("c1", "1"), ("sign", "-")), (("c1", "2"), ("sign", "-")),
+        ]
+        assert fam.parameters[0].domain == "{+, -}" and not col.rejected
+        assert base == [{"c1": FieldConstant.of(1)}, {"c1": FieldConstant.of(2)}]
 
     def test_ea_both_signs(self):
         rep = classify(0, 0, 1)
@@ -244,7 +268,7 @@ class TestSignFamilies:
 
         col.attempt(
             "X", (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
-            ConstraintSet(), build, _cross_sign([{"c1": FieldConstant.of(1)}]),
+            ConstraintSet(), build, [{"c1": FieldConstant.of(1)}],
         )
         (fam,) = col.families
         assert fam.parameters[0].domain == "{+}"
@@ -295,6 +319,18 @@ class TestCaseCObstructions:
         w = instantiate(fam, {"c1": 0, "c2": 3})
         assert w.to_text() == "((3*z + 1)/(z))"
         assert not fam.admissible  # rational in z, rational coefficients
+
+    def test_leftover_residue_factor_is_printed_in_c1(self):
+        # beta = 1/z + 1/z^2 + 6/z^4: the residue of beta*exp(-c1*z) at 0 is
+        # 1 - c1 - c1^3, so the factor left unsplit is c1^3 + c1 - 1
+        rep = classify((Z**3 + 2 * Z * Z + 24) / Z**5, (Z**3 + Z * Z + 6) / Z**4, 0)
+        assert "C" not in by_label(rep)
+        reasons = [r.reason for r in rep.rejected_branches if r.case_label == "C"]
+        assert reasons == [
+            "integral obstruction for every c1 in the constant field: pole z = 0:"
+            " residue vanishes iff -c1^3 - c1 + 1 = 0; additional residue roots of"
+            " c1^3 + c1 - 1 = 0 lie outside the constant field"
+        ]
 
     def test_mixed_pole_pins_c1_to_one(self):
         rep = classify(1 / (Z * Z) + 2 / Z**3, 1 / Z + 1 / (Z * Z), 0)

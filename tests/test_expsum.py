@@ -15,10 +15,10 @@ from merosolve.expsum import (
     ExpSum,
     ObstructionReport,
     guarded_sample_points,
-    integrate,
     integrate_exp,
     numeric_residual_bound_ok,
     residual,
+    spot_check,
 )
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.parse import parse_ratfunc
@@ -63,7 +63,7 @@ class TestRingLaws:
 
     @given(expsums())
     def test_canonical_form_is_sorted_and_clean(self, x):
-        keys = [r.sort_key() for r in x.rates]
+        keys = [r.sort_key() for r, _ in x.terms]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         assert all(not c.is_zero for _, c in x.terms)
 
@@ -83,8 +83,8 @@ class TestCalculus:
 
     @given(polynomial_expsums())
     def test_integrate_then_differentiate(self, x):
-        anti = integrate(x, ExtensionContext())
-        assert isinstance(anti, ExpSum)
+        ctx = ExtensionContext()
+        anti = sum((integrate_exp(c, r, ctx) for r, c in x.terms), ExpSum.zero())
         assert anti.derivative() == x
 
 
@@ -260,6 +260,19 @@ class TestNumeric:
         # and a wrong candidate fails the same bound
         bad = w + ExpSum.from_ratfunc(1)
         assert not numeric_residual_bound_ok(alpha, beta, gamma, bad, pts)
+
+    def test_spot_check_rule(self):
+        # |w|^2 = 9, so the bound is SPOT_CHECK_TOL * 10 and is met with equality
+        w = ExpSum.from_ratfunc(3)
+        bound = expsum.SPOT_CHECK_TOL * 10
+        assert spot_check(lambda z: bound, w, 0.5) == (bound, bound, True)
+        assert spot_check(lambda z: 1j * bound, w, 0.5)[2]
+        assert not spot_check(lambda z: bound * 1.01, w, 0.5)[2]
+
+        def overflows(z):
+            raise OverflowError
+
+        assert spot_check(overflows, w, 0.5) == (cmath.inf, cmath.inf, False)
 
     @pytest.mark.parametrize("rate", [1000, 400])
     def test_overflowing_points_fail_the_numeric_check(self, rate):

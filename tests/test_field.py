@@ -16,7 +16,6 @@ from merosolve.errors import (
 )
 from merosolve.field import (
     ExtensionContext,
-    ExtensionRequest,
     FieldConstant,
     format_constant,
     sqrt_constant,
@@ -119,8 +118,6 @@ class TestTrustedConstructor:
     @given(rational_constants, extended_constants)
     def test_square_roots_are_canonical(self, c, x):
         for root in (sqrt_constant(c), sqrt_constant(x * x)):
-            if isinstance(root, ExtensionRequest):
-                root = root.value
             assert _parts(root) == _parts(FieldConstant(root.a, root.b, root.q))
 
     def test_cancellation_drops_the_extension(self):
@@ -176,20 +173,18 @@ class TestSqrt:
     @given(rational_constants)
     def test_rational_square_roundtrip(self, c):
         root = sqrt_constant(c * c)
-        assert isinstance(root, FieldConstant)
+        assert root.q == 0
         assert root * root == c * c
 
     def test_extension_request(self):
-        out = sqrt_constant(FieldConstant.of(2))
-        assert isinstance(out, ExtensionRequest)
-        assert out.q == 2
-        assert out.value * out.value == FieldConstant.of(2)
+        root = sqrt_constant(FieldConstant.of(2))
+        assert root.q == 2
+        assert root * root == FieldConstant.of(2)
 
     def test_negative_discriminant(self):
-        out = sqrt_constant(FieldConstant.of(-4))
-        assert isinstance(out, ExtensionRequest)
-        assert out.q == -1
-        assert out.value * out.value == FieldConstant.of(-4)
+        root = sqrt_constant(FieldConstant.of(-4))
+        assert root.q == -1
+        assert root * root == FieldConstant.of(-4)
 
     @given(extended_constants)
     def test_extended_square_roundtrip(self, c):
@@ -232,12 +227,12 @@ class TestExtensionContext:
         assert ctx.sqrt(FieldConstant.of(Fraction(9, 4))) == FieldConstant.of(Fraction(3, 2))
         assert ctx.q is None
 
-    def test_admit(self):
+    def test_in_field_root_of_an_extension_element_does_not_consume_budget(self):
         ctx = ExtensionContext()
-        ctx.admit(FieldConstant(Fraction(0), Fraction(1), 7))
-        assert ctx.q == 7
-        with pytest.raises(UnsupportedExtensionError):
-            ctx.admit(FieldConstant(Fraction(0), Fraction(1), 3))
+        c = FieldConstant(Fraction(6), Fraction(2), 5)  # (1 + sqrt(5))^2
+        r = ctx.sqrt(c)
+        assert r.q == 5 and r * r == c
+        assert ctx.q is None
 
 
 class TestDisplay:
