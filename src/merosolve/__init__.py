@@ -48,6 +48,7 @@ from .expsum import (
     integrate_exp,
     numeric_residual_bound_ok,
     residual,
+    residual_is_zero,
 )
 from .field import (
     ExtensionContext,
@@ -134,6 +135,7 @@ __all__ = [
     "poly_to_str",
     "ratfunc_to_str",
     "residual",
+    "residual_is_zero",
     "resonance_report",
     "sqrt_constant",
     "transform_original",

@@ -23,7 +23,7 @@ from .errors import (
     NestedExtensionError,
     UnsupportedExtensionError,
 )
-from .expsum import ExpSum, ObstructionReport, _rate_str, integrate_exp, residual
+from .expsum import ExpSum, ObstructionReport, _rate_str, integrate_exp, residual, residual_is_zero
 from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
 from .ratfunc import (
     Poly,
@@ -243,8 +243,8 @@ def _verify(
         except DomainViolationError as exc:
             failure = f"instantiation ({_assignment_text(assign)}) violates the domain: {exc}"
         else:
-            r = residual(alpha, beta, gamma, w)
-            if not r.is_zero:
+            if not residual_is_zero(alpha, beta, gamma, w):
+                r = residual(alpha, beta, gamma, w)
                 failure = f"residual at ({_assignment_text(assign)}) is {r.to_text()}"
         records.append(VerificationRecord(_fmt_assignment(assign), failure is None))
         if failure is not None:

@@ -450,7 +450,8 @@ class RatFunc:
     def __pow__(self, n: int) -> RatFunc:
         if n < 0:
             return RatFunc.const(1) / (self ** (-n))
-        return RatFunc(self.num.pow(n), self.den.pow(n))
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        return RatFunc._reduced(self.num.pow(n), self.den.pow(n))
 
     def derivative(self) -> RatFunc:
         n, d = self.num, self.den

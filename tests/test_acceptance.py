@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import hypothesis
-import pytest
 
 from merosolve.classify import (
     classify,
@@ -31,7 +30,7 @@ from merosolve.expsum import (
 )
 from merosolve.field import FieldConstant, ONE
 from merosolve.parse import parse_constant, parse_ratfunc
-from merosolve.ratfunc import Poly, RatFunc
+from merosolve.ratfunc import RatFunc
 
 Z = RatFunc.z()
 RF = RatFunc.of

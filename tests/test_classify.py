@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+import importlib
 
 import pytest
 
+from merosolve import expsum, ratfunc
 from merosolve.classify import (
     CASE_ORDER,
     ConstraintSet,
     Parameter,
     _Collector,
+    _verify,
     applicable_labels,
     classify,
     compute_A,
@@ -19,9 +21,9 @@ from merosolve.classify import (
     transform_original,
 )
 from merosolve.errors import DomainViolationError, GammaIdenticallyZeroError
-from merosolve.expsum import ExpSum, residual
+from merosolve.expsum import ExpSum, residual, residual_is_zero
 from merosolve.field import FieldConstant
-from merosolve.ratfunc import RatFunc
+from merosolve.ratfunc import RatFunc, poly_gcd
 
 Z = RatFunc.z()
 RF = RatFunc.of
@@ -211,6 +213,69 @@ class TestAuditTotality:
             else:
                 expected = False
             assert fam.admissible == expected, fam.case_label
+
+
+class TestResidualGate:
+    # family D with a rational tail: w = c1*exp(z) + T solves the equation
+    # with beta = 0, alpha = T'' - 2T' + T, gamma = T*T'' - T'^2 - alpha*T
+    T = Z + RF(3) / ((Z - 1) * (Z - 1) * (Z + 2))
+    T1 = T.derivative()
+    T2 = T1.derivative()
+    ALPHA = T2 - 2 * T1 + T
+    BETA = RF(0)
+    GAMMA = T * T2 - T1 * T1 - ALPHA * T
+    ASSIGNMENTS = [{"c1": FieldConstant.of(c)} for c in (1, 2, -1)]
+
+    @classmethod
+    def member(cls, v) -> ExpSum:
+        return ExpSum([(FieldConstant.of(1), RF(v["c1"])), (FieldConstant.of(0), cls.T)])
+
+    def test_verifying_members_meet_no_gcd_and_no_residual(self, monkeypatch):
+        module = importlib.import_module("merosolve.classify")
+        in_gate, gcds, residuals = [0], [], []
+
+        def counting_gcd(a, b):
+            if in_gate[0]:
+                gcds.append((a, b))
+            return poly_gcd(a, b)
+
+        def gate(*args):
+            in_gate[0] += 1
+            try:
+                return residual_is_zero(*args)
+            finally:
+                in_gate[0] -= 1
+
+        def counting_residual(*args):
+            residuals.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(expsum, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(module, "residual_is_zero", gate)
+        monkeypatch.setattr(module, "residual", counting_residual)
+        records, members, failure = _verify(
+            self.ALPHA, self.BETA, self.GAMMA, self.member, self.ASSIGNMENTS
+        )
+        assert failure is None and [r.residual_zero for r in records] == [True] * 3
+        assert all(m.rate_zero_part().den.degree == 3 for m in members)
+        assert gcds == [] and residuals == []
+        # the gcd counter is live: the normalised residual does meet gcds
+        in_gate[0] = 1
+        assert residual(self.ALPHA, self.BETA, self.GAMMA, members[0]).is_zero
+        assert gcds
+
+    def test_failing_member_reason_is_the_residual_text(self):
+        def perturbed(v):
+            return self.member(v) + ExpSum.from_ratfunc(RF(1) / (Z - 1))
+
+        records, members, failure = _verify(
+            self.ALPHA, self.BETA, self.GAMMA, perturbed, self.ASSIGNMENTS
+        )
+        w = perturbed(self.ASSIGNMENTS[0])
+        text = residual(self.ALPHA, self.BETA, self.GAMMA, w).to_text()
+        assert failure == f"residual at (c1 = 1) is {text}"
+        assert [r.residual_zero for r in records] == [False] and members == []
 
 
 class TestSignFamilies:

@@ -403,6 +403,17 @@ class TestErrorEnvelope:
         assert doc["error"]["code"] == "LimitExceeded"
         assert "deeper than 100 levels" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--alpha", "z^100000", "--beta", "0", "--gamma", "1"),
+        ("classify", "--alpha", "((z+1)^100)^100", "--beta", "0", "--gamma", "1"),
+        ("verify", "--alpha", "0", "--beta", "0", "--gamma", "1",
+         "--solution", "(exp(z)+1)^100000"),
+    ])
+    def test_large_power_is_a_limit_error(self, capsys, argv):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 1
+        assert doc["error"]["code"] == "LimitExceeded"
+
 
 class TestDashFolding:
     def test_values_fold_only_for_value_flags(self):

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import cmath
+import importlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
 from merosolve import expsum
+from merosolve.cli import main
 from merosolve.errors import NearPoleError, TranscendentalShiftError
 from merosolve.expsum import (
     ExpSum,
@@ -18,6 +22,7 @@ from merosolve.expsum import (
     integrate_exp,
     numeric_residual_bound_ok,
     residual,
+    residual_is_zero,
     spot_check,
 )
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
@@ -26,6 +31,8 @@ from merosolve.ratfunc import Poly, RatFunc
 
 from conftest import (
     expsums,
+    extended_constants,
+    nonzero_polys,
     nonzero_rational_constants,
     polynomial_expsums,
     polys,
@@ -285,6 +292,68 @@ class TestNumeric:
         assert len(pts) == 20
         assert not numeric_residual_bound_ok(RF0, RF0, RF0, w, pts)
         assert numeric_residual_bound_ok(RF0, RF0, RF0, w, [0.001 + 0j])
+
+
+# (z - 1) and (z - 1)^2 repeat a factor; z^2 + 1 does not split over Q
+gate_denominators = st.sampled_from([RatFunc.const(1), Z - 1, (Z - 1) ** 2, Z + 2, Z * Z + 1])
+gate_coefficients = st.builds(lambda p, d: RatFunc(p) / d, nonzero_polys(2), gate_denominators)
+gate_rates = st.one_of(st.just(ZERO), rational_constants, extended_constants)
+
+
+@st.composite
+def gate_cases(draw):
+    """(alpha, beta, gamma, w, forced); when forced, gamma cancels the residual
+    of a w built so that every nonzero rate of it cancels already."""
+    if not draw(st.booleans()):
+        terms = st.lists(st.tuples(gate_rates, gate_coefficients), min_size=1, max_size=3,
+                         unique_by=lambda term: term[0].sort_key())
+        w = ExpSum(draw(terms))
+        return (*(draw(gate_coefficients) for _ in range(3)), w, False)
+    t = draw(gate_coefficients)
+    t1 = t.derivative()
+    t2 = t1.derivative()
+    rate = draw(gate_rates)
+    k = RatFunc.const(rate)
+    c, d = draw(extended_constants), draw(extended_constants)
+    shape = draw(st.sampled_from(["rational", "D", "two-sided"]))
+    if shape == "rational":  # w = T
+        terms = [(ZERO, t)]
+        alpha, beta = draw(gate_coefficients), draw(gate_coefficients)
+    elif shape == "D":  # w = c*exp(k*z) + T, any beta
+        terms = [(rate, c), (ZERO, t)]
+        beta = draw(gate_coefficients)
+        alpha = k * k * t - 2 * k * t1 + t2 - k * beta
+    else:  # w = c*exp(k*z) + d*exp(-k*z) + T
+        terms = [(rate, c), (-rate, d), (ZERO, t)]
+        alpha, beta = k * k * t + t2, -2 * t1
+    w = ExpSum(terms)
+    return alpha, beta, residual(alpha, beta, RF0, w).rate_zero_part(), w, True
+
+
+class TestResidualIsZero:
+    @given(gate_cases())
+    def test_agrees_with_the_normalised_residual(self, case):
+        alpha, beta, gamma, w, forced = case
+        zero = residual(alpha, beta, gamma, w).is_zero
+        assert residual_is_zero(alpha, beta, gamma, w) == zero
+        assert zero or not forced
+
+    def test_agrees_on_every_member_gated_for_the_classify_ladder_pool(self, monkeypatch, capsys):
+        module = importlib.import_module("merosolve.classify")
+        agreed = []
+
+        def gate(alpha, beta, gamma, w):
+            got = residual_is_zero(alpha, beta, gamma, w)
+            agreed.append(got == residual(alpha, beta, gamma, w).is_zero)
+            return got
+
+        monkeypatch.setattr(module, "residual_is_zero", gate)
+        data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+        entries = json.loads((data / "classify-ladder.json").read_text())["entries"]
+        for entry in entries:
+            assert main(entry["argv"]) == entry["exit"]
+        capsys.readouterr()
+        assert len(agreed) >= len(entries) and all(agreed)
 
 
 # non-split, complex, Q(sqrt 2), Q(sqrt -3) and repeated-root denominators

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from merosolve.errors import (
     ExpressionSyntaxError,
@@ -16,8 +16,15 @@ from merosolve.errors import (
 )
 from merosolve.expsum import ExpSum
 from merosolve.field import FieldConstant
-from merosolve.parse import MAX_NESTING_DEPTH, parse_constant, parse_expsum, parse_ratfunc
-from merosolve.ratfunc import Poly, RatFunc, ratfunc_to_str
+from merosolve.parse import (
+    MAX_EXPONENT,
+    MAX_NESTING_DEPTH,
+    MAX_POWER_SIZE,
+    parse_constant,
+    parse_expsum,
+    parse_ratfunc,
+)
+from merosolve.ratfunc import RatFunc, ratfunc_to_str
 
 from conftest import expsums, ratfuncs
 
@@ -138,6 +145,35 @@ class TestErrors:
     def test_one_level_past_the_limit_is_a_limit_error(self, opener, inner):
         text = opener + "(" * MAX_NESTING_DEPTH + inner + ")" * (MAX_NESTING_DEPTH + 1)
         with pytest.raises(LimitExceededError, match="deeper than 100 levels"):
+            parse_expsum(text)
+
+    @given(expsums(max_terms=2), st.integers(min_value=0, max_value=4))
+    def test_power_is_repeated_multiplication(self, x, n):
+        expected = ExpSum.from_ratfunc(RatFunc.const(1))
+        for _ in range(n):
+            expected = expected * x
+        assert parse_expsum(f"({x.to_text()})^{n}") == expected
+
+    def test_powers_at_the_caps_parse(self):
+        assert parse_constant(f"2^{MAX_EXPONENT}") == FieldConstant.of(2 ** MAX_EXPONENT)
+        assert parse_constant(f"2^000{MAX_EXPONENT}") == FieldConstant.of(2 ** MAX_EXPONENT)
+        # (z+1)^n has size n + 1, and (exp(z)+1)^n has n + 1 constant terms
+        assert parse_ratfunc(f"(z+1)^{MAX_POWER_SIZE - 1}").num.degree == MAX_POWER_SIZE - 1
+        assert len(parse_expsum(f"(exp(z)+1)^{MAX_POWER_SIZE - 1}").terms) == MAX_POWER_SIZE
+
+    @pytest.mark.parametrize("text, message", [
+        (f"2^{MAX_EXPONENT + 1}", "exponent exceeds"),
+        ("z^100000", "exponent exceeds"),
+        ("z^" + "9" * 5000, "exponent exceeds"),  # more digits than int() converts
+        (f"(z+1)^{MAX_POWER_SIZE}", "power of size"),
+        (f"(exp(z)+1)^{MAX_POWER_SIZE}", "power of size"),
+        ("(2*z+3)^1000", "power of size"),
+        ("(z^2+z+1)^500", "power of size"),
+        ("((z+1)^100)^100", "power of size 10001"),
+        ("(exp(z)+exp(2*z)+1)^20", "power of size 231"),  # comb(22, 2) terms
+    ])
+    def test_power_over_a_cap_is_a_limit_error(self, text, message):
+        with pytest.raises(LimitExceededError, match=message):
             parse_expsum(text)
 
     def test_unknown_name(self):
