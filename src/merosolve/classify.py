@@ -11,9 +11,9 @@ always accounts for every applicable case label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     DomainViolationError,
@@ -49,65 +49,63 @@ CASE_ORDER = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintSet:
-    """Exactly computed branch quantities; None marks not-applicable fields."""
+class _ByIdentity:
+    """Mixin for a record that compares and hashes by identity, like a plain object."""
 
-    A: RatFunc | None = None
-    B: RatFunc | None = None
-    g: FieldConstant | None = None
-    h: RatFunc | None = None
-    k1_squared: FieldConstant | None = None
-    k2_squared: FieldConstant | None = None
-    discriminant: RatFunc | None = None
-    case2_constraint: RatFunc | None = None
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-@dataclass(frozen=True)
-class Parameter:
-    """A family parameter: name, display domain, and validation kind."""
+class ConstraintSet(_ByIdentity, namedtuple(
+    "ConstraintSet",
+    "A B g h k1_squared k2_squared discriminant case2_constraint",
+    defaults=(None,) * 8,
+)):
+    """Exactly computed branch quantities; None marks not-applicable fields.
 
-    name: str
-    domain: str
-    kind: str = "any"  # "any" | "nonzero" | "sign" | "finite"
-    allowed_values: tuple[FieldConstant, ...] | None = None
+    A, B, h, discriminant and case2_constraint are RatFuncs; g, k1_squared
+    and k2_squared are FieldConstants."""
 
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    assignment: tuple[tuple[str, str], ...]
-    residual_zero: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionFamily:
-    case_label: str
-    parameters: tuple[Parameter, ...]
-    closed_form: str
-    constraints: ConstraintSet
-    admissible: bool
-    verified: bool
-    verification: tuple[VerificationRecord, ...]
-    builder: Callable[[dict], ExpSum] = field(repr=False)
-    generic_assignment: tuple[tuple[str, object], ...] = ()
-    notes: tuple[str, ...] = ()
+class Parameter(namedtuple("Parameter", "name domain kind allowed_values",
+                           defaults=("any", None))):
+    """A family parameter: name, display domain, and validation kind.
+
+    kind is "any", "nonzero", "sign" or "finite"; allowed_values is a tuple
+    of FieldConstants or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RejectedBranch:
-    case_label: str
-    reason: str
+class VerificationRecord(namedtuple("VerificationRecord", "assignment residual_zero")):
+    """One gate assignment, as ((name, value text), ...), and its verdict."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ClassificationReport:
-    alpha: RatFunc
-    beta: RatFunc
-    gamma: RatFunc
-    families: tuple[SolutionFamily, ...]
-    rejected_branches: tuple[RejectedBranch, ...]
-    extension_used: int | None
-    warnings: tuple[str, ...] = ()
+class SolutionFamily(_ByIdentity, namedtuple(
+    "SolutionFamily",
+    "case_label parameters closed_form constraints admissible verified "
+    "verification builder generic_assignment notes",
+    defaults=((), ()),
+)):
+    """One verified family; builder maps a parameter assignment to its ExpSum."""
+
+    __slots__ = ()
+
+
+class RejectedBranch(namedtuple("RejectedBranch", "case_label reason")):
+    __slots__ = ()
+
+
+class ClassificationReport(_ByIdentity, namedtuple(
+    "ClassificationReport",
+    "alpha beta gamma families rejected_branches extension_used warnings",
+    defaults=((),),
+)):
+    __slots__ = ()
 
 
 # -- coefficient transformations ---------------------------------------------------

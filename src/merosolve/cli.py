@@ -15,10 +15,10 @@ import sys
 import time
 
 from .classify import classify, transform_original
-from .errors import MerosolveError
+from .errors import LimitExceededError, MerosolveError
 from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
 from .field import FieldConstant
-from .parse import parse_constant, parse_expsum, parse_ratfunc
+from .parse import MAX_ORDER, parse_constant, parse_expsum, parse_ratfunc
 from .report import (
     branch_dict,
     classification_payload,
@@ -211,6 +211,8 @@ def _cmd_expand(args) -> tuple[dict, int]:
     for flag, value in (("--order", args.order), ("--cap", args.cap)):
         if value < 0:
             raise _UsageError(f"{flag} must be nonnegative, got {value}")
+        if value > MAX_ORDER:
+            raise LimitExceededError(f"{flag} exceeds {MAX_ORDER}, got {value}")
     alpha, beta, gamma = _parse_coefficients(args)
     z0 = parse_constant(args.at)
     order = args.order
@@ -289,9 +291,20 @@ def _fold_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+_parser: _ArgumentParser | None = None
+
+
+def _get_parser() -> _ArgumentParser:
+    """The argument parser, built on first use and reused by later calls."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    return _parser
+
+
 def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
-    parser = _build_parser()
+    parser = _get_parser()
     use_json = False
     try:
         if argv is None:

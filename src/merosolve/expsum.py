@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NearPoleError, TranscendentalShiftError
@@ -23,14 +23,13 @@ SPOT_CHECK_POINTS = 20
 ABERTH_MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(namedtuple("ObstructionReport",
+                                   "offending_pole rate residue_coefficient")):
     """A term whose antiderivative would need a logarithm: the integral of
-    residue_coefficient/(z - offending_pole) * exp(rate*z) after reduction."""
+    residue_coefficient/(z - offending_pole) * exp(rate*z) after reduction.
+    All three fields are FieldConstants."""
 
-    offending_pole: FieldConstant
-    rate: FieldConstant
-    residue_coefficient: FieldConstant
+    __slots__ = ()
 
     def describe(self) -> str:
         return (

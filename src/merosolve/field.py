@@ -9,7 +9,6 @@ values from different extensions raises IncompatibleExtensionsError.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -66,7 +65,6 @@ def _as_fraction(x) -> Fraction:
 _F0 = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
 class FieldConstant:
     """Immutable exact constant a + b*sqrt(q).
 
@@ -75,14 +73,11 @@ class FieldConstant:
     Arithmetic results skip that work (see _trusted).
     """
 
-    a: Fraction
-    b: Fraction = _F0
-    q: int = 0
+    __slots__ = ("a", "b", "q")
 
-    def __post_init__(self):
-        a = _as_fraction(self.a)
-        b = _as_fraction(self.b)
-        q = self.q
+    def __init__(self, a: Fraction, b: Fraction = _F0, q: int = 0):
+        a = _as_fraction(a)
+        b = _as_fraction(b)
         if not isinstance(q, int):
             raise TypeError("discriminant must be an integer")
         if b == 0 or q == 0:
@@ -96,9 +91,26 @@ class FieldConstant:
                 b, q = Fraction(0), 0
             else:
                 b, q = b * s, m
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_q(self, q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _trusted, (self.a, self.b, self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.q) == (other.a, other.b, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.q))
 
     # -- construction helpers -------------------------------------------------
 

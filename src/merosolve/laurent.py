@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .field import FieldConstant
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class ResonanceInfo:
+class ResonanceInfo(namedtuple(
+    "ResonanceInfo",
+    "r r_is_positive_integer index condition_satisfied free_coefficient_index",
+    defaults=(None, None, None),
+)):
     """How the recurrence's linear factor behaved along one expansion branch.
 
     r is the index where the factor vanishes per the closed formula
@@ -17,23 +18,20 @@ class ResonanceInfo:
     vanish, when it did within range.
     """
 
-    r: FieldConstant | None
-    r_is_positive_integer: bool
-    index: int | None = None
-    condition_satisfied: bool | None = None
-    free_coefficient_index: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
-    """Truncated exact expansion sum a_k * (z - z0)**(p + k), k = 0..N."""
+class LaurentExpansion(namedtuple(
+    "LaurentExpansion",
+    "z0 p coefficients truncation_order resonance alternate_coefficients halted_at",
+    defaults=(None, None, None),
+)):
+    """Truncated exact expansion sum a_k * (z - z0)**(p + k), k = 0..N.
 
-    z0: FieldConstant
-    p: int
-    coefficients: tuple[FieldConstant, ...]
-    truncation_order: int
-    resonance: ResonanceInfo | None = None
-    # Second continuation when a resonant coefficient is free: same list with
-    # the free coefficient instantiated at 1 instead of 0.
-    alternate_coefficients: tuple[FieldConstant, ...] | None = None
-    halted_at: int | None = None
+    coefficients holds a_0..a_N as FieldConstants.  When a resonant
+    coefficient is free, alternate_coefficients is the same list with it
+    instantiated at 1 instead of 0; halted_at is the index where a violated
+    resonance condition stopped the branch.
+    """
+
+    __slots__ = ()

@@ -16,7 +16,8 @@ literals like 1/2 arrive through exact division, which is equivalent.
 Division by anything identically zero raises ZeroDenominatorLiteralError
 with the position of the '/'.  Parentheses, sqrt( and exp( nest at most
 MAX_NESTING_DEPTH levels deep; a deeper input raises LimitExceededError, as
-does a power over MAX_EXPONENT or MAX_POWER_SIZE (see _power).
+does a power over MAX_EXPONENT or MAX_POWER_SIZE (see _power) and an integer
+literal of more than MAX_LITERAL_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ MAX_NESTING_DEPTH = 100
 # ((9*z + 8)/(7*z - 6))^149, parses in under 1 s on a 2-vCPU x86 machine
 MAX_EXPONENT = 1000
 MAX_POWER_SIZE = 150
+# a longer integer literal is refused before int() converts it; a product of
+# four literals at the cap still prints under Python's 4,300-digit int-to-str
+# limit
+MAX_LITERAL_DIGITS = 1000
+# expand refuses a truncation order or resonance cap above MAX_ORDER; the
+# slowest one-digit input measured at the cap, expand --alpha
+# (9*z^3+8)/(7*z^3-6) --beta (9*z^3-8)/(7*z^3+6) --gamma (9*z^3+7)/(8*z^3+9)
+# --at 9/7 --order 64, runs in about 3 s on a 2-vCPU x86 machine (12 s at
+# order 100)
+MAX_ORDER = 64
 
 
 class _Token:
@@ -155,6 +166,11 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
+            if len(t.text) > MAX_LITERAL_DIGITS:
+                raise LimitExceededError(
+                    f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
+                    f"(at position {t.pos})"
+                )
             return ExpSum.from_ratfunc(RatFunc.const(Fraction(int(t.text))))
         if t.kind == "(":
             self.advance()

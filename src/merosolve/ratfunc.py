@@ -9,7 +9,7 @@ splitting only; factors that would need more report themselves as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -91,10 +91,11 @@ class Poly:
         if self.degree == 0:
             return other.scale(self.coeffs[0])
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in right:
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
 
@@ -302,12 +303,12 @@ def linear_roots(p: Poly, ctx: ExtensionContext):
     return lc, roots, remainder
 
 
-@dataclass(frozen=True)
-class PartialFractionForm:
-    """f = polynomial_part + sum coeff/(z - pole)**order over the listed terms."""
+class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part pole_terms")):
+    """f = polynomial_part + sum coeff/(z - pole)**order over the listed terms.
 
-    polynomial_part: Poly
-    pole_terms: tuple[tuple[FieldConstant, int, FieldConstant], ...]
+    polynomial_part is a Poly; pole_terms is a tuple of (pole, order, coeff)."""
+
+    __slots__ = ()
 
     def poles(self) -> list[tuple[FieldConstant, dict[int, FieldConstant]]]:
         """(pole, {order: coeff}) for every pole, in canonical pole order."""

@@ -13,7 +13,7 @@ violated, no formal solution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PointInPhiError
 from .field import ZERO, ONE, ExtensionContext, FieldConstant
@@ -23,28 +23,29 @@ from .ratfunc import RatFunc, in_excluded_set
 RESONANCE_CAP_DEFAULT = 64
 
 
-@dataclass(frozen=True)
-class LeadingCandidate:
-    """One admissible leading behaviour a0*(z-z0)**p at an ordinary point z0."""
+class LeadingCandidate(namedtuple("LeadingCandidate", "p a0 note side_condition_satisfied",
+                                  defaults=(None, None))):
+    """One admissible leading behaviour a0*(z-z0)**p at an ordinary point z0.
 
-    p: int
-    a0: FieldConstant
-    note: str | None = None
-    # gamma == 0, beta != 0 branch only: whether alpha(z0) + beta'(z0) = 0,
-    # the compatibility condition attached to that expansion
-    side_condition_satisfied: bool | None = None
+    side_condition_satisfied is set on the gamma == 0, beta != 0 branch only:
+    whether alpha(z0) + beta'(z0) = 0, the compatibility condition attached
+    to that expansion.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BranchResonance:
-    """Resonance summary for one leading candidate."""
+class BranchResonance(namedtuple(
+    "BranchResonance",
+    "candidate status r r_is_positive_integer condition_satisfied free_coefficient_index",
+    defaults=(None, None),
+)):
+    """Resonance summary for one leading candidate.
 
-    candidate: LeadingCandidate
-    status: str  # "not-applicable" | "no-resonance" | "evaluated" | "cap-exceeded"
-    r: FieldConstant | None
-    r_is_positive_integer: bool
-    condition_satisfied: bool | None = None
-    free_coefficient_index: int | None = None
+    status is "not-applicable", "no-resonance", "evaluated" or "cap-exceeded".
+    """
+
+    __slots__ = ()
 
 
 def leading_candidates(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -326,6 +327,30 @@ class TestExpand:
         assert doc["error"]["code"] == "Usage"
         assert f"{flag} must be nonnegative" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--order", "100000"), ("--order", "65"), ("--cap", "65"), ("--cap", "10000000"),
+    ])
+    def test_order_or_cap_above_the_limit_is_a_limit_error(self, capsys, flag, value):
+        argv = {"--order": "3", "--cap": "5", flag: value}
+        code, doc, _ = run_json(
+            capsys, "expand",
+            "--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0",
+            "--order", argv["--order"], "--cap", argv["--cap"],
+        )
+        assert code == 1
+        assert doc["error"] == {
+            "code": "LimitExceeded", "message": f"{flag} exceeds 64, got {value}",
+        }
+
+    def test_order_and_cap_at_the_limit_expand(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "expand",
+            "--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0",
+            "--order", "64", "--cap", "64",
+        )
+        assert code == 0
+        assert [len(b["expansion"]["coefficients"]) for b in doc["branches"]] == [65, 65]
+
     def test_extension_point_expansion(self, capsys):
         code, doc, _ = run_json(
             capsys, "expand",
@@ -413,6 +438,48 @@ class TestErrorEnvelope:
         code, doc, _ = run_json(capsys, *argv)
         assert code == 1
         assert doc["error"]["code"] == "LimitExceeded"
+
+    def test_long_literal_is_a_limit_error(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "classify", "--alpha", "9" * 5000, "--beta", "0", "--gamma", "1"
+        )
+        assert code == 1
+        assert doc["error"] == {
+            "code": "LimitExceeded",
+            "message": "integer literal has more than 1000 digits (at position 0)",
+        }
+
+
+class TestParserReuse:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        real = cli._build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        for _ in range(2):
+            assert run_cli(capsys, "classify", "--alpha", "2", "--beta", "0", "--gamma", "0")[0] == 0
+        assert built == [1]
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--alpha", "2", "--beta", "0"),
+        ("expand", "--alpha", "0", "--beta", "0", "--gamma", "1", "--at", "0", "--order", "x"),
+        ("frobnicate",),
+    ])
+    def test_usage_error_after_a_call_matches_a_fresh_process(self, capsys, argv):
+        assert run_cli(capsys, "classify", "--alpha", "2", "--beta", "0", "--gamma", "0")[0] == 0
+        code, out, _ = run_cli(capsys, *argv)
+        src = str(Path(merosolve.__file__).resolve().parent.parent)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "merosolve.cli", *argv],
+            capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+        assert out.startswith("error [Usage]")
 
 
 class TestDashFolding:

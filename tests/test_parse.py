@@ -18,6 +18,7 @@ from merosolve.expsum import ExpSum
 from merosolve.field import FieldConstant
 from merosolve.parse import (
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING_DEPTH,
     MAX_POWER_SIZE,
     parse_constant,
@@ -175,6 +176,16 @@ class TestErrors:
     def test_power_over_a_cap_is_a_limit_error(self, text, message):
         with pytest.raises(LimitExceededError, match=message):
             parse_expsum(text)
+
+    def test_literal_at_the_cap_parses(self):
+        digits = "9" * MAX_LITERAL_DIGITS
+        assert parse_constant(f"z - z + {digits}") == FieldConstant.of(int(digits))
+
+    @pytest.mark.parametrize("length", [MAX_LITERAL_DIGITS + 1, 5000])
+    def test_longer_literal_is_a_limit_error(self, length):
+        with pytest.raises(LimitExceededError, match="more than 1000 digits") as e:
+            parse_ratfunc("z + " + "9" * length)
+        assert "(at position 4)" in str(e.value)
 
     def test_unknown_name(self):
         with pytest.raises(ExpressionSyntaxError, match="unknown name 'w'") as e:

@@ -1,0 +1,152 @@
+"""The record types: constructors, immutability, equality, and a light import path."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import merosolve
+from merosolve.classify import (
+    ClassificationReport,
+    ConstraintSet,
+    Parameter,
+    RejectedBranch,
+    SolutionFamily,
+    VerificationRecord,
+)
+from merosolve.expsum import ObstructionReport
+from merosolve.field import ONE, ZERO, FieldConstant
+from merosolve.laurent import LaurentExpansion, ResonanceInfo
+from merosolve.ratfunc import PartialFractionForm, Poly, RatFunc
+from merosolve.series import BranchResonance, LeadingCandidate
+
+
+def _builder(assignment):
+    return None
+
+
+def _records():
+    """Per record type, one field name and a factory; two calls of the
+    factory give equal but distinct records."""
+    z = RatFunc.z()
+
+    def half():
+        return FieldConstant(Fraction(1, 2), Fraction(3), 8)
+
+    def cand():
+        return LeadingCandidate(1, half())
+
+    return {
+        "FieldConstant": ("a", half),
+        "ConstraintSet": ("A", lambda: ConstraintSet(A=z, g=half())),
+        "Parameter": ("name", lambda: Parameter("C", "nonzero constant", "nonzero")),
+        "VerificationRecord": ("residual_zero", lambda: VerificationRecord((("c1", "1"),), True)),
+        "SolutionFamily": ("builder", lambda: SolutionFamily(
+            "B", (Parameter("c1", "C"),), "c1*exp(z)", ConstraintSet(), True, True,
+            (), _builder)),
+        "RejectedBranch": ("reason", lambda: RejectedBranch("D", "gamma is zero")),
+        "ClassificationReport": ("families",
+                                 lambda: ClassificationReport(z, z, z, (), (), None)),
+        "ObstructionReport": ("rate", lambda: ObstructionReport(half(), ONE, half())),
+        "PartialFractionForm": ("pole_terms",
+                                lambda: PartialFractionForm(Poly.z(), ((half(), 1, ONE),))),
+        "LeadingCandidate": ("a0", cand),
+        "BranchResonance": ("status",
+                            lambda: BranchResonance(cand(), "no-resonance", half(), False)),
+        "ResonanceInfo": ("index", lambda: ResonanceInfo(half(), False, 3)),
+        "LaurentExpansion": ("coefficients",
+                             lambda: LaurentExpansion(ZERO, 1, (half(), ONE), 1)),
+    }
+
+
+# records the package compares by identity, as plain objects
+IDENTITY = {"ConstraintSet", "SolutionFamily", "ClassificationReport"}
+RECORDS = sorted(_records())
+
+
+def test_every_record_type_is_covered():
+    assert len(RECORDS) == 13
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_immutable(name):
+    field, make = _records()[name]
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", [n for n in RECORDS if n not in IDENTITY])
+def test_value_records_compare_and_hash_by_value(name):
+    make = _records()[name][1]
+    x, y = make(), make()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY))
+def test_identity_records_compare_by_identity(name):
+    make = _records()[name][1]
+    x, y = make(), make()
+    assert x == x and x != y
+    assert len({x, y, x}) == 2
+
+
+def test_constructors_keep_their_defaults():
+    assert Parameter("c1", "C") == Parameter(name="c1", domain="C", kind="any",
+                                             allowed_values=None)
+    empty = ConstraintSet()
+    assert empty.A is None and empty.case2_constraint is None
+    family = SolutionFamily("B", (), "", ConstraintSet(), True, True, (), _builder)
+    assert family.generic_assignment == () and family.notes == ()
+    assert ClassificationReport(None, None, None, (), (), 2).warnings == ()
+    cand = LeadingCandidate(p=2, a0=ONE)
+    assert (cand.note, cand.side_condition_satisfied) == (None, None)
+    res = BranchResonance(cand, "not-applicable", None, False)
+    assert (res.condition_satisfied, res.free_coefficient_index) == (None, None)
+    assert ResonanceInfo(None, False) == ResonanceInfo(None, False, None, None, None)
+    exp = LaurentExpansion(ZERO, 1, (ONE,), 3)
+    assert (exp.resonance, exp.alternate_coefficients, exp.halted_at) == (None, None, None)
+    with pytest.raises(TypeError):
+        RejectedBranch("D")
+
+
+def test_field_constant_constructor_and_copies():
+    c = FieldConstant(Fraction(1), Fraction(2), 8)  # 1 + 2*sqrt(8) = 1 + 4*sqrt(2)
+    assert (c.a, c.b, c.q) == (1, 4, 2)
+    assert FieldConstant(a=Fraction(3)) == FieldConstant(3, 0, 0) == FieldConstant.of(3)
+    assert repr(c) == "FieldConstant(1 + 4*sqrt(2))"
+    assert c != (c.a, c.b, c.q)
+    for other in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert other == c and hash(other) == hash(c)
+
+
+def test_cli_imports_no_dataclasses_or_typing():
+    # a fresh interpreter without site, which would import some of these itself
+    script = (
+        "import sys\n"
+        "import merosolve.cli\n"
+        "code = merosolve.cli.main(['classify', '--alpha', '2', '--beta', '0',\n"
+        "                           '--gamma', '0', '--json'])\n"
+        "assert code == 0, code\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)\n"
+        "assert not heavy, sorted(heavy)\n"
+    )
+    src = str(Path(merosolve.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
