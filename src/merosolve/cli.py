@@ -28,7 +28,13 @@ from .report import (
     render_text,
     to_json,
 )
-from .series import RESONANCE_CAP_DEFAULT, branch_resonance, expand, leading_candidates
+from .series import (
+    RESONANCE_CAP_DEFAULT,
+    _request_taylor,
+    branch_resonance,
+    expand,
+    leading_candidates,
+)
 
 
 class _UsageError(Exception):
@@ -232,12 +238,15 @@ def _cmd_expand(args) -> tuple[dict, int]:
             )
         selected = [args.branch]
 
+    taylor = _request_taylor(alpha, beta, gamma, z0, [candidates[i] for i in selected],
+                             order, args.cap)
     branches = []
     for i in selected:
         cand = candidates[i]
         n = max(order, cand.p + 2)
-        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
-        res = branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion)
+        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n, _taylor=taylor)
+        res = branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion,
+                               _taylor=taylor)
         branches.append(branch_dict(res, expansion))
 
     payload = {

@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NearPoleError, TranscendentalShiftError
-from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
+from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant, integer_parts
 from .laurent import LaurentExpansion
 from .ratfunc import PartialFractionForm, Poly, RatFunc, poly_gcd, ratfunc_to_str
 
@@ -398,7 +398,7 @@ def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -
     q = qs.pop() if qs else 0
     (ea, eb, eg), e = _over_common_denominator((alpha, beta, gamma), q)
     us, d = _over_common_denominator([c for _, c in w.terms], q)
-    rates = {(r.a, r.b): _zpoly((r,), q) for r, _ in w.terms}
+    rates = {(r.a, r.b): integer_parts((r,), q) for r, _ in w.terms}
     u = dict(zip(rates, us))
     up = {k: _zadd(_zderiv(p), _zmul(rates[k], p, q)) for k, p in u.items()}
     upp = {k: _zadd(_zderiv(p), _zmul(rates[k], p, q)) for k, p in up.items()}
@@ -424,13 +424,6 @@ def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -
 _RATE0 = (Fraction(0), Fraction(0))
 
 
-def _zpoly(cs, q: int) -> tuple[list[int], list[int], int]:
-    den = math.lcm(*(c.a.denominator for c in cs), *(c.b.denominator for c in cs))
-    a = [c.a.numerator * (den // c.a.denominator) for c in cs]
-    b = [c.b.numerator * (den // c.b.denominator) for c in cs] if q else []
-    return a, b, den
-
-
 def _over_common_denominator(fs, q: int):
     """([f*D for f in fs], D) as integer polynomials, D the product of the
     distinct nonconstant (monic) denominators of fs."""
@@ -438,10 +431,10 @@ def _over_common_denominator(fs, q: int):
     for f in fs:
         if f.den.degree > 0 and f.den not in dens:
             dens.append(f.den)
-    zdens = [_zpoly(den.coeffs, q) for den in dens]
+    zdens = [integer_parts(den.coeffs, q) for den in dens]
     nums = []
     for f in fs:
-        n = _zpoly(f.num.coeffs, q)
+        n = integer_parts(f.num.coeffs, q)
         for den, zden in zip(dens, zdens):
             if den != f.den:
                 n = _zmul(n, zden, q)

@@ -10,18 +10,30 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (
     DivisionByZeroError,
     IncompatibleExtensionsError,
+    LimitExceededError,
     NestedExtensionError,
     UnsupportedExtensionError,
 )
 
 
+# square_free_decomposition trial-divides by the primes up to this bound; a
+# cofactor with no prime factor up to it is a square, square-free (at most two
+# prime factors when it is at most the bound cubed) or refused.  Every n up to
+# 10**15 is decided exactly.
+TRIAL_DIVISION_BOUND = 10**5
+
+
 def square_free_decomposition(n: int) -> tuple[int, int]:
-    """Write n = s**2 * m with m square-free.  Returns (s, m); sign stays on m."""
+    """Write n = s**2 * m with m square-free.  Returns (s, m); sign stays on m.
+
+    Raises LimitExceededError when deciding it would need an integer
+    factorisation past trial division (see TRIAL_DIVISION_BOUND).
+    """
     if n == 0:
         return 1, 0
     sign = 1 if n > 0 else -1
@@ -31,6 +43,18 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
         return r, sign
     s, m, p = 1, 1, 2
     while p * p <= n:
+        if p > TRIAL_DIVISION_BOUND:
+            # every prime factor of n exceeds the bound
+            r = isqrt(n)
+            if r * r == n:
+                return s * r, sign * m
+            if n > TRIAL_DIVISION_BOUND**3:
+                raise LimitExceededError(
+                    f"the square-free part of a {n.bit_length()}-bit integer needs "
+                    f"factoring past trial division by the primes up to "
+                    f"{TRIAL_DIVISION_BOUND}"
+                )
+            break  # one prime, or two distinct ones: n is square-free
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -270,6 +294,37 @@ def _coerce(x):
 
 ZERO = FieldConstant(Fraction(0))
 ONE = FieldConstant(Fraction(1))
+
+
+# -- integer views: Z[sqrt(q)] over one common denominator ----------------------------
+
+
+def common_discriminant(cs, q: int = 0) -> int:
+    """The discriminant that q and the constants cs share: 0 when all are rational.
+
+    Raises IncompatibleExtensionsError when two different extensions meet."""
+    for c in cs:
+        if c.q and c.q != q:
+            if q:
+                raise IncompatibleExtensionsError(q, c.q)
+            q = c.q
+    return q
+
+
+def integer_parts(cs, q: int) -> tuple[list[int], list[int], int]:
+    """(A, B, den) with cs[i] = (A[i] + B[i]*sqrt(q))/den, den the lcm of the
+    denominators; B is empty when q = 0.  q must be the discriminant of every
+    irrational constant in cs (see common_discriminant)."""
+    den = lcm(*(c.a.denominator for c in cs), *(c.b.denominator for c in cs))
+    a = [c.a.numerator * (den // c.a.denominator) for c in cs]
+    b = [c.b.numerator * (den // c.b.denominator) for c in cs] if q else []
+    return a, b, den
+
+
+def from_integers(u: int, v: int, den: int, q: int) -> FieldConstant:
+    """The canonical constant (u + v*sqrt(q))/den, den != 0: one exact
+    division (a gcd) per nonzero part."""
+    return _trusted(Fraction(u, den), Fraction(v, den) if v else _F0, q)
 
 
 def _frac_str(x: Fraction) -> str:

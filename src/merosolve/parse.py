@@ -16,8 +16,8 @@ literals like 1/2 arrive through exact division, which is equivalent.
 Division by anything identically zero raises ZeroDenominatorLiteralError
 with the position of the '/'.  Parentheses, sqrt( and exp( nest at most
 MAX_NESTING_DEPTH levels deep; a deeper input raises LimitExceededError, as
-does a power over MAX_EXPONENT or MAX_POWER_SIZE (see _power) and an integer
-literal of more than MAX_LITERAL_DIGITS digits.
+does a power over MAX_EXPONENT, MAX_POWER_SIZE or MAX_POWER_BITS (see
+_power) and an integer literal of more than MAX_LITERAL_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -43,11 +43,15 @@ MAX_POWER_SIZE = 150
 # four literals at the cap still prints under Python's 4,300-digit int-to-str
 # limit
 MAX_LITERAL_DIGITS = 1000
+# b^n is also refused when n times the bit length of b's largest coefficient
+# part exceeds the bits of the largest literal, so a power is never longer
+# than a literal at the cap: 2^1000 parses, 9999999^1000 does not
+MAX_POWER_BITS = (10**MAX_LITERAL_DIGITS - 1).bit_length()
 # expand refuses a truncation order or resonance cap above MAX_ORDER; the
 # slowest one-digit input measured at the cap, expand --alpha
 # (9*z^3+8)/(7*z^3-6) --beta (9*z^3-8)/(7*z^3+6) --gamma (9*z^3+7)/(8*z^3+9)
-# --at 9/7 --order 64, runs in about 3 s on a 2-vCPU x86 machine (12 s at
-# order 100)
+# --at 9/7 --order 64, runs in about 0.9 s on a 2-vCPU x86 machine (4.8 s at
+# order 100, where its coefficients pass Python's 4,300-digit int-to-str limit)
 MAX_ORDER = 64
 
 
@@ -245,9 +249,12 @@ def _power(value: ExpSum, t: _Token) -> ExpSum:
     """value^n for the exponent token t.
 
     Refused with LimitExceededError before any multiply when n exceeds
-    MAX_EXPONENT, or when the size bound of the power exceeds MAX_POWER_SIZE:
-    a power of a k-term sum has at most comb(n + k - 1, k - 1) terms, each of
-    degree at most n times the highest numerator or denominator degree of value.
+    MAX_EXPONENT, when the size bound of the power exceeds MAX_POWER_SIZE (a
+    power of a k-term sum has at most comb(n + k - 1, k - 1) terms, each of
+    degree at most n times the highest numerator or denominator degree of
+    value), or when n times the bit length of the largest numerator,
+    denominator or discriminant among value's coefficients exceeds
+    MAX_POWER_BITS.
     """
     digits = t.text.lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
@@ -258,6 +265,14 @@ def _power(value: ExpSum, t: _Token) -> ExpSum:
     if size > MAX_POWER_SIZE:
         raise LimitExceededError(
             f"power of size {size} exceeds {MAX_POWER_SIZE} (at position {t.pos})"
+        )
+    bits = max((x.bit_length() for _, c in value.terms for k in c.num.coeffs + c.den.coeffs
+                for x in (k.a.numerator, k.a.denominator, k.b.numerator, k.b.denominator, k.q)),
+               default=0)
+    if n * bits > MAX_POWER_BITS:
+        raise LimitExceededError(
+            f"power of {n} times {bits}-bit coefficients exceeds {MAX_POWER_BITS} bits "
+            f"(at position {t.pos})"
         )
     if k == 1:
         rate, coeff = value.terms[0]

@@ -19,7 +19,16 @@ from .errors import (
     PoleAtPointError,
     UnsupportedExtensionError,
 )
-from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
+from .field import (
+    ZERO,
+    ONE,
+    ExtensionContext,
+    FieldConstant,
+    common_discriminant,
+    format_constant,
+    from_integers,
+    integer_parts,
+)
 
 
 def _fc(x) -> FieldConstant:
@@ -326,17 +335,50 @@ class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part pol
 
 
 def _series_div(num: list[FieldConstant], den: list[FieldConstant], n: int):
-    """First n coefficients of the power series num/den, den[0] != 0."""
-    inv0 = den[0].inverse()
-    num = num + [ZERO] * (n - len(num))
-    den = den + [ZERO] * (n - len(den))
-    out = [ZERO] * n
+    """First n coefficients of the power series num/den, den[0] != 0, fraction-free.
+
+    num and den are scaled to integer vectors over Z[sqrt(q)]; when den[0] is
+    irrational both are multiplied by its conjugate, so that d0 = den[0] is a
+    nonzero integer.  With O_k = out_k * d0**(k+1) the division recurrence
+    out_k = (num_k - sum_j den_j*out_{k-j}) / d0 becomes the integer one
+        O_k = num_k*d0**k - sum_{j>=1} den_j*O_{k-j}*d0**(j-1),
+    and each out_k costs one exact division.
+    """
+    q = common_discriminant(num + den)
+    nx, ny, n_den = integer_parts(num, q)
+    dx, dy, d_den = integer_parts(den, q)
+    if q and dy[0]:
+        c, e = dx[0], -dy[0]  # the conjugate c + e*sqrt(q) of den[0]
+
+        def times_conjugate(xs, ys):
+            return ([x * c + q * y * e for x, y in zip(xs, ys)],
+                    [y * c + x * e for x, y in zip(xs, ys)])
+
+        nx, ny = times_conjugate(nx, ny)
+        dx, dy = times_conjugate(dx, dy)
+    d0 = dx[0]
+    # (j, den_j*d0**(j-1)) for the nonzero den_j, j >= 1
+    terms = [(j, dx[j] * d0 ** (j - 1), dy[j] * d0 ** (j - 1) if q else 0)
+             for j in range(1, len(dx)) if dx[j] or (q and dy[j])]
+    ox: list[int] = []
+    oy: list[int] = []
+    out = []
+    power = 1  # d0**k
     for k in range(n):
-        acc = num[k]
-        for j in range(1, k + 1):
-            if not den[j].is_zero:
-                acc = acc - den[j] * out[k - j]
-        out[k] = acc * inv0
+        u = nx[k] * power if k < len(nx) else 0
+        v = ny[k] * power if q and k < len(ny) else 0
+        for j, ex, ey in terms:
+            if j > k:
+                break
+            u -= ex * ox[k - j]
+            if q:
+                u -= q * ey * oy[k - j]
+                v -= ex * oy[k - j] + ey * ox[k - j]
+        ox.append(u)
+        oy.append(v)
+        power *= d0
+        # out_k = (O_k / d0**(k+1)) * (d_den / n_den)
+        out.append(from_integers(u * d_den, v * d_den, power * n_den, q))
     return out
 
 

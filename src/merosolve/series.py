@@ -9,14 +9,27 @@ few convolution terms that contain a_n, so no closed recurrence is
 hand-derived.  A vanishing slope is a resonance: the branch either gains a
 free coefficient (base = 0, condition satisfied) or terminates (condition
 violated, no formal solution).
+
+The matching runs on integers: the known coefficients and the Taylor lists
+are kept as vectors over Z[sqrt(q)], each over one common denominator, so an
+order costs integer convolutions and one exact division for a_n.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import lcm
 
 from .errors import PointInPhiError
-from .field import ZERO, ONE, ExtensionContext, FieldConstant
+from .field import (
+    ZERO,
+    ONE,
+    ExtensionContext,
+    FieldConstant,
+    common_discriminant,
+    from_integers,
+    integer_parts,
+)
 from .laurent import LaurentExpansion, ResonanceInfo
 from .ratfunc import RatFunc, in_excluded_set
 
@@ -85,16 +98,66 @@ def leading_candidates(
     return [LeadingCandidate(1, (-b0 + s) / 2), LeadingCandidate(1, (-b0 - s) / 2)]
 
 
-def _residual_order(
-    m: int,
-    a: list[FieldConstant],
-    p: int,
-    al: list[FieldConstant],
-    be: list[FieldConstant],
-    ga: list[FieldConstant],
-) -> tuple[FieldConstant, FieldConstant]:
+class _Taylor:
+    """The Taylor lists of alpha, beta and gamma at z0 as integers over one
+    common denominator den: coefficient k is (x[k] + y[k]*sqrt(q))/den.
+
+    The order-m equation meets alpha[k - 1] and beta[k] at the same k, so
+    alpha is kept shifted by one (ax[0] = 0) and padded to beta's length.
+    """
+
+    __slots__ = ("q", "den", "ax", "ay", "bx", "by", "gx", "gy")
+
+    def __init__(self, al: list[FieldConstant], be: list[FieldConstant],
+                 ga: list[FieldConstant]):
+        cs = al + be + ga
+        q = common_discriminant(cs)
+        xs, ys, self.den = integer_parts(cs, q)
+        ys = ys or [0] * len(xs)
+        i, j = len(al), len(al) + len(be)
+        width = max(i + 1, j - i)
+        pad = [0] * width
+        self.q = q
+        self.ax, self.ay = (([0] + v[:i] + pad)[:width] for v in (xs, ys))
+        self.bx, self.by = ((v[i:j] + pad)[:width] for v in (xs, ys))
+        self.gx, self.gy = xs[j:], ys[j:]
+
+
+def _taylor_set_up(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant,
+                   n: int) -> _Taylor:
+    # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
+    return _Taylor(*(f.taylor_at(z0, n)[1] for f in (alpha, beta, gamma)))
+
+
+class _Prefix:
+    """The known coefficients a_0..a_{n-1}: as constants (values) and as
+    integers (x[i] + y[i]*sqrt(q))/den over one common denominator."""
+
+    __slots__ = ("values", "q", "den", "x", "y")
+
+    def __init__(self, values: list[FieldConstant], q: int):
+        self.values = list(values)
+        self.q = q
+        self.x, y, self.den = integer_parts(self.values, q)
+        self.y = y or [0] * len(self.x)
+
+    def append(self, c: FieldConstant) -> None:
+        """Add c, a constant of Q(sqrt(q)); den grows to the lcm when needed."""
+        self.values.append(c)
+        a, b, den = c.a, c.b, self.den
+        if den % a.denominator or den % b.denominator:
+            new = lcm(den, a.denominator, b.denominator)
+            k = new // den
+            self.x = [v * k for v in self.x]
+            self.y = [v * k for v in self.y]
+            self.den = den = new
+        self.x.append(a.numerator * (den // a.denominator))
+        self.y.append(b.numerator * (den // b.denominator))
+
+
+def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tuple]:
     """Order-m coefficient of w*w'' - (w')**2 - alpha*w - beta*w' - gamma as
-    (base, slope) in the next unknown a_n, n = len(a).
+    (base, slope) in the next unknown a_n, with a holding a_0..a_{n-1}.
 
     w = sum a[k] zeta**(p+k) + a_n zeta**(p+n), and the coefficient is
     base + slope*a_n.  base is the direct convolution of the series with a_n
@@ -102,39 +165,52 @@ def _residual_order(
     (s-n, n) and (n, s-n) with s = m - 2p + 2, alpha[m-p-n]*a_n and
     beta[m-p-n+1]*(p+n)*a_n.  The coefficient is affine in a_n when s < 2n,
     which holds for every order expand matches (s = n there).
+
+    Everything is integer: with the prefix over L and the Taylor lists over T,
+    the quadratic part is P/L**2, the linear part Lin/(L*T) and gamma[m] G/T,
+    so base = (P*T - Lin*L - G*L**2)/(L**2*T); the a_n terms give
+    slope = (S*T - C*L)/(L*T).  Each comes back as (u, v, d), standing for
+    (u + v*sqrt(q))/d, both over d = L**2*T.
     """
-    n = len(a)
-    base = slope = ZERO
+    n, q = len(a.x), a.q
+    x, y, L, T = a.x, a.y, a.den, t.den
     s = m - 2 * p + 2
     # w*w'' - (w')**2 at order m: sum over i + j = s of
     # a_i*a_j*((p+j)*(p+j-1) - (p+i)*(p+j)); the weights of (i, j) and (j, i)
     # add up to (j-i)**2 - (2p+s), and the diagonal i = j weighs -(p+i).
+    pu = pv = 0
     for i in range(max(0, s - n + 1), s // 2 + 1):
         j = s - i
-        if a[i].is_zero or a[j].is_zero:
-            continue
         c = (j - i) ** 2 - (2 * p + s) if i < j else -(p + i)
-        if c:
-            base = base + a[i] * a[j] * c
+        pu += c * x[i] * x[j]
+        if q:
+            pu += c * q * y[i] * y[j]
+            pv += c * (x[i] * y[j] + y[i] * x[j])
+    su = sv = 0
     i = s - n
     if 0 <= i < n:
-        slope = a[i] * ((n - i) ** 2 - (2 * p + s))
-    # -alpha*w - beta*w' at order m: a_i meets alpha[m-p-i] and beta[m-p-i+1]
-    for i in range(n + 1):
-        if i < n and a[i].is_zero:
+        c = (n - i) ** 2 - (2 * p + s)
+        su, sv = c * x[i], c * y[i]
+    # -alpha*w - beta*w' at order m: a_i meets alpha[m-p-i] and beta[m-p-i+1],
+    # both at index k = m-p+1-i of the shifted lists; a_n's term joins the slope
+    top = m - p + 1
+    lu = lv = cu_n = cv_n = 0
+    for i in range(max(0, top - len(t.bx) + 1), min(n, top) + 1):
+        k = top - i
+        cu = t.ax[k] + t.bx[k] * (p + i)
+        cv = t.ay[k] + t.by[k] * (p + i)
+        if i == n:
+            cu_n, cv_n = cu, cv
             continue
-        l = m - p - i
-        c = al[l] if 0 <= l < len(al) else ZERO
-        if 0 <= l + 1 < len(be) and not be[l + 1].is_zero:
-            c = c + be[l + 1] * (p + i)
-        if c.is_zero:
-            continue
-        if i < n:
-            base = base - c * a[i]
-        else:
-            slope = slope - c
-    if 0 <= m < len(ga):
-        base = base - ga[m]
+        lu += cu * x[i]
+        if q:
+            lu += cv * q * y[i]
+            lv += cu * y[i] + cv * x[i]
+    gu = t.gx[m] if 0 <= m < len(t.gx) else 0
+    gv = t.gy[m] if 0 <= m < len(t.gy) else 0
+    d = L * L * T
+    base = (pu * T - lu * L - gu * L * L, pv * T - lv * L - gv * L * L, d)
+    slope = (L * (su * T - cu_n * L), L * (sv * T - cv_n * L), d)
     return base, slope
 
 
@@ -143,25 +219,42 @@ def _resonance_r(beta: RatFunc, z0: FieldConstant, a0: FieldConstant) -> FieldCo
     return beta.eval_at(z0) / a0 + 2
 
 
-def _match_orders(res, a: list[FieldConstant], order: int,
+def _resonance_status(beta: RatFunc, z0: FieldConstant, cand: LeadingCandidate,
+                      cap: int) -> tuple[str, FieldConstant | None]:
+    """(status, r) of cand, see BranchResonance; "evaluated" means the
+    condition is read off an expansion to order r + 2."""
+    if cand.p != 1:
+        return "not-applicable", None
+    r = _resonance_r(beta, z0, cand.a0)
+    if not r.is_positive_integer():
+        return "no-resonance", r
+    return ("cap-exceeded" if r.as_integer() > cap else "evaluated"), r
+
+
+def _match_orders(res, a: _Prefix, order: int,
                   free_value: FieldConstant) -> tuple[int | None, int | None]:
     """Extend the prefix a in place through a_order, one order at a time;
-    res(n, a) is a_n's equation as (base, slope).
+    res(n, a) is a_n's equation as (base, slope), see _residual_order.
 
     At the first vanishing slope a met condition frees a_n, set to free_value;
     at later ones it is set to 0.  A violated condition halts the branch.
     Returns (index of the first vanishing slope, index where the branch
     halted), each None when it did not happen.
     """
+    q = a.q
     first: int | None = None
-    for n in range(len(a), order + 1):
-        base, slope = res(n, a)
-        if not slope.is_zero:
-            a.append(-base / slope)
+    for n in range(len(a.values), order + 1):
+        (bu, bv, _), (su, sv, _) = res(n, a)
+        if sv:  # a_n = -base/slope, times the conjugate over the norm
+            a.append(from_integers(q * bv * sv - bu * su, bu * sv - bv * su,
+                                   su * su - q * sv * sv, q))
+            continue
+        if su:
+            a.append(from_integers(-bu, -bv, su, q))
             continue
         if first is None:
             first = n
-        if not base.is_zero:
+        if bu or bv:
             return first, n
         a.append(free_value if n == first else ZERO)
     return first, None
@@ -176,6 +269,8 @@ def expand(
     a0: FieldConstant,
     order: int,
     resonance_value: FieldConstant | None = None,
+    *,
+    _taylor: _Taylor | None = None,
 ) -> LaurentExpansion:
     """Coefficients a_1..a_order for the branch starting a0*(z-z0)**p.
 
@@ -183,7 +278,9 @@ def expand(
     the alternate continuation (value 1) recorded alongside, unless
     resonance_value pins it (used to compare against a known solution).
     A violated resonance halts the branch: halted_at is set and the
-    coefficient list stops before the impossible index.
+    coefficient list stops before the impossible index.  _taylor is a Taylor
+    set-up at z0 that the caller shares between the expansions of one
+    request (see _request_taylor); one that is too short is not used.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -194,29 +291,31 @@ def expand(
         raise ValueError("leading coefficient a0 must be nonzero")
     if order < p + 2:
         raise ValueError(f"truncation order must be at least p + 2 = {p + 2}")
-    # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
     n_taylor = order + 2 * p + 1
-    al, be, ga = (f.taylor_at(z0, n_taylor)[1] for f in (alpha, beta, gamma))
+    t = _taylor
+    if t is None or len(t.gx) < n_taylor:
+        t = _taylor_set_up(alpha, beta, gamma, z0, n_taylor)
+    free = ZERO if resonance_value is None else resonance_value
+    a = _Prefix([a0], common_discriminant((a0, free), t.q))
 
     for m in range(0, 2 * p - 1):
-        if not _residual_order(m, [a0], p, al, be, ga)[0].is_zero:
+        bu, bv, _ = _residual_order(m, a, p, t)[0]
+        if bu or bv:
             raise ValueError(
                 f"leading data (p={p}, a0={a0}) does not balance at order {m}"
             )
 
-    def res(n: int, a: list[FieldConstant]) -> tuple[FieldConstant, FieldConstant]:
-        return _residual_order(n + 2 * p - 2, a, p, al, be, ga)
+    def res(n: int, a: _Prefix) -> tuple[tuple, tuple]:
+        return _residual_order(n + 2 * p - 2, a, p, t)
 
-    a = [a0]
-    free = ZERO if resonance_value is None else resonance_value
     res_index, halted = _match_orders(res, a, order, free)
     condition = None if res_index is None else halted != res_index
     free_index = res_index if condition else None
     alternate = None
     if condition and resonance_value is None:
-        alt = a[:free_index] + [ONE]
+        alt = _Prefix(a.values[:free_index] + [ONE], a.q)
         if _match_orders(res, alt, order, ZERO)[1] is None:
-            alternate = tuple(alt)
+            alternate = tuple(alt.values)
 
     r = _resonance_r(beta, z0, a0) if p == 1 else None
     info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
@@ -224,12 +323,25 @@ def expand(
     return LaurentExpansion(
         z0=z0,
         p=p,
-        coefficients=tuple(a),
+        coefficients=tuple(a.values),
         truncation_order=order,
         resonance=info,
         alternate_coefficients=alternate,
         halted_at=halted,
     )
+
+
+def _request_taylor(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant,
+                    candidates: list[LeadingCandidate], order: int, cap: int) -> _Taylor | None:
+    """One Taylor set-up for an expand request, long enough for every
+    expansion it makes: each candidate to max(order, p + 2), and the probe of
+    each evaluated resonance to r + 2.  None when there is no candidate."""
+    n = 0
+    for cand in candidates:
+        status, r = _resonance_status(beta, z0, cand, cap)
+        probe = r.as_integer() + 2 if status == "evaluated" else 0
+        n = max(n, max(order, cand.p + 2, probe) + 2 * cand.p + 1)
+    return _taylor_set_up(alpha, beta, gamma, z0, n) if candidates else None
 
 
 def branch_resonance(
@@ -240,6 +352,8 @@ def branch_resonance(
     cand: LeadingCandidate,
     cap: int = RESONANCE_CAP_DEFAULT,
     expansion: LaurentExpansion | None = None,
+    *,
+    _taylor: _Taylor | None = None,
 ) -> BranchResonance:
     """Resonance location of one leading candidate and, when reachable, its condition.
 
@@ -248,20 +362,17 @@ def branch_resonance(
     positive integer r beyond the cap is a distinct reportable outcome, not
     an error: the condition sits too deep to evaluate.  The condition is read
     off an expansion of the branch to order r + 2: the caller's expansion of
-    this candidate when it reaches that far, else a fresh one.
+    this candidate when it reaches that far, else a fresh one, over the
+    Taylor set-up _taylor when the caller shares one.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
-    if cand.p != 1:
-        return BranchResonance(cand, "not-applicable", None, False)
-    r = _resonance_r(beta, z0, cand.a0)
-    if not r.is_positive_integer():
-        return BranchResonance(cand, "no-resonance", r, False)
+    status, r = _resonance_status(beta, z0, cand, cap)
+    if status != "evaluated":
+        return BranchResonance(cand, status, r, status == "cap-exceeded")
     n_r = r.as_integer()
-    if n_r > cap:
-        return BranchResonance(cand, "cap-exceeded", r, True)
     if expansion is None or expansion.truncation_order < n_r + 2:
-        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
+        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2, _taylor=_taylor)
     info = expansion.resonance
     return BranchResonance(cand, "evaluated", r, True, info.condition_satisfied,
                            info.free_coefficient_index)

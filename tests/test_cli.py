@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ import pytest
 import merosolve
 from merosolve import cli, series
 from merosolve.cli import _fold_dash_values, main
+from merosolve.ratfunc import RatFunc
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json")
@@ -293,6 +295,27 @@ class TestExpand:
         _, full, _ = run_json(capsys, *argv)
         assert doc["branches"] == [full["branches"][branch]]
 
+    @pytest.mark.parametrize("argv, sizes", [
+        # both branches to order 40: n = 40 + 2p + 1
+        (("--alpha", "1/(z+3)", "--beta", "z^2-2", "--gamma", "(z+2)/(z^2+3)",
+          "--at", "1", "--order", "40"), [43, 43, 43]),
+        # the a0 = -1 branch is probed to r + 2 = 7 past --order 4
+        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--order", "4"),
+         [10, 10, 10]),
+    ])
+    def test_taylor_set_up_once_per_request(self, capsys, monkeypatch, argv, sizes):
+        calls = []
+        real = RatFunc.taylor_at
+
+        def counting(self, z0, n):
+            calls.append(n)
+            return real(self, z0, n)
+
+        monkeypatch.setattr(RatFunc, "taylor_at", counting)
+        code, doc, _ = run_json(capsys, "expand", *argv)
+        assert code == 0 and len(doc["branches"]) == 2
+        assert calls == sizes
+
     def test_branch_selection(self, capsys):
         code, doc, _ = run_json(
             capsys, "expand",
@@ -448,6 +471,43 @@ class TestErrorEnvelope:
             "code": "LimitExceeded",
             "message": "integer literal has more than 1000 digits (at position 0)",
         }
+
+    def test_power_of_large_coefficients_is_a_limit_error(self, capsys):
+        # 9999999^1000 would print with more than 4,300 digits
+        code, doc, _ = run_json(
+            capsys, "classify", "--alpha", "9999999^1000", "--beta", "0", "--gamma", "1"
+        )
+        assert code == 1
+        assert doc["error"] == {
+            "code": "LimitExceeded",
+            "message": "power of 1000 times 24-bit coefficients exceeds 3322 bits "
+                       "(at position 8)",
+        }
+
+    A = "123456789012345678901234567890"
+    B = "987654321098765432109876543210"
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--alpha", f"{A}/({B}*z^3+4)", "--beta", f"({A}*z^3-8)/({B}*z^3+6)",
+         "--gamma", f"({A}*z^3+7)/({B}*z^3+9)", "--at", "9/7", "--order", "64"),
+        ("classify", "--alpha", "sqrt(1000000007*1000000009)", "--beta", "0", "--gamma", "1"),
+    ])
+    def test_square_free_part_past_trial_division_is_a_limit_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert doc["error"]["code"] == "LimitExceeded"
+        assert "trial division by the primes up to 100000" in doc["error"]["message"]
+
+    def test_extension_by_a_thirteen_digit_prime_expands(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "expand", "--alpha", "0", "--beta", "0", "--gamma", "-1000000000039",
+            "--at", "0", "--order", "4",
+        )
+        assert code == 0
+        assert [b["a0"] for b in doc["branches"]] == ["sqrt(1000000000039)",
+                                                     "-sqrt(1000000000039)"]
 
 
 class TestParserReuse:

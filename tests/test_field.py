@@ -11,6 +11,7 @@ from merosolve import field
 from merosolve.errors import (
     DivisionByZeroError,
     IncompatibleExtensionsError,
+    LimitExceededError,
     NestedExtensionError,
     UnsupportedExtensionError,
 )
@@ -46,6 +47,47 @@ class TestNormalization:
         assert square_free_decomposition(1) == (1, 1)
         assert square_free_decomposition(-18) == (3, -2)
         assert square_free_decomposition(0) == (1, 0)
+
+
+def _square_free_by_sympy(n: int) -> tuple[int, int]:
+    import sympy
+
+    s, m = 1, 1 if n > 0 else -1
+    for prime, e in sympy.factorint(abs(n)).items():
+        s *= prime ** (e // 2)
+        m *= prime ** (e % 2)
+    return s, m
+
+
+class TestBoundedSquareFree:
+    """Trial division stops at TRIAL_DIVISION_BOUND = 10**5; what is left is
+    a square, square-free (at most 10**15), or refused."""
+
+    @given(st.integers(min_value=-10**15, max_value=10**15).filter(bool))
+    def test_exact_up_to_ten_to_the_fifteen(self, n):
+        assert square_free_decomposition(n) == _square_free_by_sympy(n)
+
+    @pytest.mark.parametrize("n", [
+        10**12 + 39,                        # a prime
+        100003 * 1000003,                   # two primes above the bound
+        8 * 3 * 100003**2,                  # a square of a prime above the bound
+        7 * (100003 * 1000003) ** 2,        # a square cofactor above 10**15
+        2**200 * 3**7,                      # only small primes
+        -(10**15 - 11),
+    ])
+    def test_cofactors_past_the_bound(self, n):
+        assert square_free_decomposition(n) == _square_free_by_sympy(n)
+
+    @pytest.mark.parametrize("n", [
+        1000000007 * 1000000009,
+        100003**2 * 100019,                 # not square-free, and above 10**15
+        2**64 * (10**16 + 61),
+    ])
+    def test_undecided_cofactor_is_a_limit_error(self, n):
+        with pytest.raises(LimitExceededError, match="trial division"):
+            square_free_decomposition(n)
+        with pytest.raises(LimitExceededError):
+            sqrt_constant(FieldConstant.of(n))
 
 
 class TestFieldAxioms:

@@ -20,6 +20,7 @@ from merosolve.parse import (
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     MAX_NESTING_DEPTH,
+    MAX_POWER_BITS,
     MAX_POWER_SIZE,
     parse_constant,
     parse_expsum,
@@ -174,6 +175,24 @@ class TestErrors:
         ("(exp(z)+exp(2*z)+1)^20", "power of size 231"),  # comb(22, 2) terms
     ])
     def test_power_over_a_cap_is_a_limit_error(self, text, message):
+        with pytest.raises(LimitExceededError, match=message):
+            parse_expsum(text)
+
+    def test_powers_under_the_bit_cap_parse(self):
+        assert MAX_POWER_BITS == 3322  # the bit length of a 1000-digit literal
+        assert parse_constant("7^1000") == FieldConstant.of(7 ** 1000)  # 3 * 1000 bits
+        # 1234567 has 21 bits: 21 * 149 = 3129
+        assert parse_ratfunc("(1234567*z + 1)^149").num[149] == FieldConstant.of(1234567 ** 149)
+
+    @pytest.mark.parametrize("text, message", [
+        ("9999999^1000", "power of 1000 times 24-bit coefficients exceeds 3322 bits"),
+        ("9^1000", "power of 1000 times 4-bit"),
+        # 123456789/987654321 = 13717421/109739369, a 27-bit denominator
+        ("((123456789/987654321)*z+sqrt(7)/1234567)^149", "power of 149 times 27-bit"),
+        # the discriminant counts too: sqrt(q)^100 = q^50
+        ("(z + sqrt(999999999999989))^100", "power of 100 times 50-bit"),
+    ])
+    def test_power_of_large_coefficients_is_a_limit_error(self, text, message):
         with pytest.raises(LimitExceededError, match=message):
             parse_expsum(text)
 

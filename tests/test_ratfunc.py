@@ -19,6 +19,7 @@ from merosolve.ratfunc import (
     poly_to_str,
 )
 
+import reference_kernels
 from conftest import (
     extended_constants,
     nonzero_extended_constants,
@@ -129,6 +130,34 @@ class TestEvaluation:
             expected = sympy.diff(expr, z, k).subs(z, sympy.Rational(1, 2))
             expected = expected / sympy.factorial(k)
             assert Fraction(str(sympy.nsimplify(expected))) == c.a and c.b == 0
+
+
+@st.composite
+def _taylor_cases(draw):
+    """f, z0, n over Q or Q(sqrt(5)), with a pole of order 0-2 forced at z0."""
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    z0 = draw(constants)
+    num = draw(polys(3, constants))
+    den = draw(nonzero_polys(3, constants)) * Poly((-z0, ONE)).pow(draw(st.integers(0, 2)))
+    return RatFunc(num, den), z0, draw(st.integers(min_value=1, max_value=10))
+
+
+class TestTaylorAgainstReference:
+    @given(_taylor_cases())
+    def test_taylor_at_equals_the_field_constant_division(self, case):
+        f, z0, n = case
+        assert f.taylor_at(z0, n) == reference_kernels.taylor_at(f, z0, n)
+
+    def test_irrational_constant_term_and_pole(self):
+        # den(z0) = 1 + sqrt(5) at z0 = 0, and a double pole at z0 = 1/2
+        root5 = FieldConstant(Fraction(0), Fraction(1), 5)
+        f = RatFunc(Poly((ONE, root5)), Poly((ONE + root5, FieldConstant.of(3), ONE)))
+        assert f.taylor_at(ZERO, 12) == reference_kernels.taylor_at(f, ZERO, 12)
+        half = FieldConstant.of(Fraction(1, 2))
+        g = f / ((Z - half) * (Z - half))
+        offset, coeffs = g.taylor_at(half, 12)
+        assert offset == -2
+        assert (offset, coeffs) == reference_kernels.taylor_at(g, half, 12)
 
 
 class TestRoots:

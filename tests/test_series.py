@@ -11,8 +11,15 @@ from hypothesis import given, strategies as st
 from merosolve import series
 from merosolve.errors import PointInPhiError
 from merosolve.expsum import ExpSum
-from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
-from merosolve.ratfunc import Poly, RatFunc
+from merosolve.field import (
+    ONE,
+    ZERO,
+    ExtensionContext,
+    FieldConstant,
+    common_discriminant,
+    from_integers,
+)
+from merosolve.ratfunc import Poly, RatFunc, in_excluded_set
 from merosolve.series import (
     RESONANCE_CAP_DEFAULT,
     branch_resonance,
@@ -21,6 +28,7 @@ from merosolve.series import (
     resonance_report,
 )
 
+import reference_kernels
 from conftest import extended_constants, rational_constants, small_fractions
 
 Z = RatFunc.z()
@@ -403,11 +411,20 @@ def _truncated_series(draw):
     return m, a, p, al, be, ga
 
 
+def _kernel_pair(m, a, p, al, be, ga):
+    """series._residual_order on the integer views of a and of the Taylor
+    lists, its (u, v, d) triples read back as constants."""
+    t = series._Taylor(al, be, ga)
+    prefix = series._Prefix(a, common_discriminant(a, t.q))
+    return tuple(from_integers(u, v, d, prefix.q)
+                 for u, v, d in series._residual_order(m, prefix, p, t))
+
+
 class TestResidualOrder:
     @given(_truncated_series())
     def test_base_and_slope_match_the_two_evaluations(self, data):
         m, a, p, al, be, ga = data
-        assert series._residual_order(m, a, p, al, be, ga) == _reference_pair(m, a, p, al, be, ga)
+        assert _kernel_pair(m, a, p, al, be, ga) == _reference_pair(m, a, p, al, be, ga)
 
     @given(_truncated_series())
     def test_resonant_slope_vanishes(self, data):
@@ -421,7 +438,7 @@ class TestResidualOrder:
             slopes.append(_reference_pair(m, a, p, al, be, ga)[1])
         assert slopes[0] != slopes[1]
         be[p - 1] = -slopes[0] / (slopes[1] - slopes[0])
-        base, slope = series._residual_order(m, a, p, al, be, ga)
+        base, slope = _kernel_pair(m, a, p, al, be, ga)
         assert slope.is_zero
         assert (base, slope) == _reference_pair(m, a, p, al, be, ga)
 
@@ -441,3 +458,117 @@ class TestResidualOrder:
         assert len(e.coefficients) == order + 1
         # orders 0 .. order + 2p - 2, each evaluated exactly once
         assert sorted(seen) == list(range(order + 1))
+
+
+# -- the integer engine against the FieldConstant reference -------------------------
+
+
+@st.composite
+def _branches(draw):
+    """alpha, beta, gamma, z0, p, a0, order with a0*(z-z0)**p a leading balance.
+
+    Coefficients are polynomials in zeta = z - z0 plus a term with a pole
+    away from z0, over Q or Q(sqrt(5)).  For p = 1 half the draws put the
+    resonance r = beta(z0)/a0 + 2 at a positive integer inside the order; p = 2
+    (beta = gamma = 0) is resonant at n = 2.  A resonance's condition is then
+    met or violated at random: meeting it moves one Taylor coefficient of gamma
+    (p = 1) or alpha (p = 2) by the reference's base at that order.
+    """
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    nonzero = constants.filter(lambda c: not c.is_zero)
+    z0 = draw(constants)
+    zeta = Z - RatFunc.const(z0)
+    p = draw(st.sampled_from([1, 2]))
+    a0 = draw(nonzero)
+    order = draw(st.integers(min_value=p + 2, max_value=10))
+
+    def tail():
+        cs = draw(st.lists(constants, min_size=2, max_size=2))
+        return zeta * (RatFunc.const(cs[0]) + RatFunc.const(cs[1]) / (1 + 2 * zeta))
+
+    if p == 2:
+        alpha, beta, gamma = RatFunc.const(-2 * a0) + tail(), RF0, RF0
+    else:
+        alpha = draw(st.sampled_from([RF0, RatFunc.const(draw(nonzero)) + tail()]))
+        if draw(st.booleans()):
+            r = draw(st.integers(min_value=3, max_value=order))
+            b0 = (r - 2) * a0
+        else:
+            b0 = draw(nonzero)
+        beta = RatFunc.const(b0) + tail()
+        gamma = RatFunc.const(-(a0 * a0 + b0 * a0)) + tail()
+        if in_excluded_set(alpha, beta, gamma, z0):
+            alpha = RF0
+    coeffs, halted, _ = reference_kernels.expand(alpha, beta, gamma, z0, p, a0, order)
+    if halted is not None and draw(st.booleans()):
+        m = halted + 2 * p - 2
+        al, be, ga = (reference_kernels.taylor_at(f, z0, m + 1)[1] for f in (alpha, beta, gamma))
+        base, _ = reference_kernels.residual_order(m, list(coeffs), p, al, be, ga)
+        if p == 1:
+            gamma = gamma + RatFunc.const(base) * zeta ** m
+        else:
+            alpha = alpha + RatFunc.const(base / a0) * zeta ** 2
+    return alpha, beta, gamma, z0, p, a0, order
+
+
+class TestExpandAgainstReference:
+    @given(_branches())
+    def test_expand_equals_the_field_constant_recurrence(self, branch):
+        alpha, beta, gamma, z0, p, a0, order = branch
+        if in_excluded_set(alpha, beta, gamma, z0):
+            return
+        e = expand(alpha, beta, gamma, z0, p, a0, order)
+        expected = reference_kernels.expand(alpha, beta, gamma, z0, p, a0, order)
+        assert (e.coefficients, e.halted_at, e.alternate_coefficients) == expected
+
+    def test_draws_cover_met_and_violated_resonances(self):
+        seen = set()
+
+        @given(_branches())
+        def collect(branch):
+            alpha, beta, gamma, z0, p, a0, order = branch
+            if not in_excluded_set(alpha, beta, gamma, z0):
+                e = expand(alpha, beta, gamma, z0, p, a0, order)
+                met = e.alternate_coefficients is not None
+                seen.add((p, e.resonance.index is not None, met, not z0.is_rational))
+
+        collect()
+        for p in (1, 2):
+            assert (p, True, True) in {k[:3] for k in seen}
+            assert (p, True, False) in {k[:3] for k in seen}
+        assert (1, False, False) in {k[:3] for k in seen}
+        assert any(k[3] for k in seen)
+
+
+class TestOrderMatchingCost:
+    def test_rational_order_forty_makes_no_field_products(self, monkeypatch):
+        inside, products = [], []
+        real_mul, real_match = FieldConstant.__mul__, series._match_orders
+
+        def mul(self, other):
+            if inside:
+                products.append(other)
+            return real_mul(self, other)
+
+        def match(*args):
+            inside.append(True)
+            try:
+                return real_match(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(FieldConstant, "__mul__", mul)
+        monkeypatch.setattr(FieldConstant, "__rmul__", mul)
+        monkeypatch.setattr(series, "_match_orders", match)
+        alpha = 1 / (Z + 3)
+        beta = Z * Z - 2
+        gamma = (Z + 2) / (Z * Z + 3)
+        cands = leading_candidates(alpha, beta, gamma, ONE)
+        for cand in cands:
+            e = expand(alpha, beta, gamma, ONE, cand.p, cand.a0, 40)
+            assert len(e.coefficients) == 41
+        assert len(cands) == 2 and products == []
+        # the counter sees a product made inside the loop
+        inside.append(True)
+        fc(2) * fc(3)
+        assert len(products) == 1
