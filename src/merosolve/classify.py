@@ -862,12 +862,7 @@ def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
 
 
 def _coefficient_extension(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> int | None:
-    for f in (alpha, beta, gamma):
-        for p in (f.num, f.den):
-            for c in p.coeffs:
-                if c.q != 0:
-                    return c.q
-    return None
+    return next((p.q for f in (alpha, beta, gamma) for p in (f.num, f.den) if p.q), None)
 
 
 def _case_table(alpha: RatFunc, beta: RatFunc, gamma: RatFunc):

@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NearPoleError, TranscendentalShiftError
-from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant, integer_parts
+from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
 from .laurent import LaurentExpansion
 from .ratfunc import PartialFractionForm, Poly, RatFunc, poly_gcd, ratfunc_to_str
 
@@ -390,111 +390,39 @@ def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -
           - u'*(E*D**2*u' + E*beta*D**3) - E*gamma*D**4,
     an exponential sum with polynomial coefficients, held as integer vectors.
     """
-    qs = {c.q for f in (alpha, beta, gamma) for c in f.num.coeffs + f.den.coeffs}
-    qs.update(c.q for r, f in w.terms for c in (r, *f.num.coeffs, *f.den.coeffs))
-    qs.discard(0)
-    if len(qs) > 1:  # mixed extensions: residual raises as it always has
+    fs = (alpha, beta, gamma, *(f for _, f in w.terms))
+    qs = {p.q for f in fs for p in (f.num, f.den)} | {r.q for r, _ in w.terms}
+    if len(qs - {0}) > 1:  # mixed extensions: residual raises as it always has
         return residual(alpha, beta, gamma, w).is_zero
-    q = qs.pop() if qs else 0
-    (ea, eb, eg), e = _over_common_denominator((alpha, beta, gamma), q)
-    us, d = _over_common_denominator([c for _, c in w.terms], q)
-    rates = {(r.a, r.b): integer_parts((r,), q) for r, _ in w.terms}
-    u = dict(zip(rates, us))
-    up = {k: _zadd(_zderiv(p), _zmul(rates[k], p, q)) for k, p in u.items()}
-    upp = {k: _zadd(_zderiv(p), _zmul(rates[k], p, q)) for k, p in up.items()}
-    dp = _zderiv(d)
-    d2 = _zmul(d, d, q)
-    d3 = _zmul(d2, d, q)
-    e_d2 = _zmul(e, d2, q)
-    e_dd = _zmul(e, _zadd(_zmul(d, _zderiv(dp), q), _zmul(dp, dp, q), -1), q)
-    first = {k: _zadd(_zmul(e_d2, upp[k], q), _zmul(e_dd, p, q), -1) for k, p in u.items()}
-    _zaccumulate(first, _RATE0, _zadd(_zmul(_zmul(eb, d2, q), dp, q), _zmul(ea, d3, q), -1))
-    second = {k: _zmul(e_d2, p, q) for k, p in up.items()}
-    _zaccumulate(second, _RATE0, _zmul(eb, d3, q))
-    total = _zexp_product(u, first, q)
-    for k, p in _zexp_product(up, second, q).items():
-        _zaccumulate(total, k, p, -1)
-    _zaccumulate(total, _RATE0, _zmul(eg, _zmul(d2, d2, q), q), -1)
-    return not any(any(a) or any(b) for a, b, _ in total.values())
+    (ea, eb, eg), e = _over_common_denominator((alpha, beta, gamma))
+    us, d = _over_common_denominator([f for _, f in w.terms])
+    u = dict(zip((r for r, _ in w.terms), us))
+    up = {r: p.derivative() + p.scale(r) for r, p in u.items()}
+    upp = {r: p.derivative() + p.scale(r) for r, p in up.items()}
+    d2, dp = d * d, d.derivative()
+    d3, e_d2 = d2 * d, e * d2
+    e_dd = e * (d * dp.derivative() - dp * dp)
+    first = {r: e_d2 * upp[r] - e_dd * p for r, p in u.items()}
+    first[ZERO] = first.get(ZERO, Poly()) + eb * d2 * dp - ea * d3
+    second = {r: e_d2 * p for r, p in up.items()}
+    second[ZERO] = second.get(ZERO, Poly()) + eb * d3
+    total = {ZERO: -(eg * d2 * d2)}
+    for x, y in ((u, first), ({r: -p for r, p in up.items()}, second)):
+        for r1, f in x.items():
+            for r2, g in y.items():
+                total[r1 + r2] = total.get(r1 + r2, Poly()) + f * g
+    return all(p.is_zero for p in total.values())
 
 
-# A polynomial over Q(sqrt q) in the zero test is (A, B, den): integer lists,
-# low to high, for (A + B*sqrt(q))/den; B is empty when q = 0.  An exponential
-# sum of them is a dict from the rate's rational parts (a, b) to its coefficient.
-_RATE0 = (Fraction(0), Fraction(0))
-
-
-def _over_common_denominator(fs, q: int):
-    """([f*D for f in fs], D) as integer polynomials, D the product of the
-    distinct nonconstant (monic) denominators of fs."""
+def _over_common_denominator(fs):
+    """([f*D for f in fs], D), D the product of the distinct nonconstant
+    (monic) denominators of fs."""
     dens = []
     for f in fs:
         if f.den.degree > 0 and f.den not in dens:
             dens.append(f.den)
-    zdens = [integer_parts(den.coeffs, q) for den in dens]
-    nums = []
-    for f in fs:
-        n = integer_parts(f.num.coeffs, q)
-        for den, zden in zip(dens, zdens):
-            if den != f.den:
-                n = _zmul(n, zden, q)
-        nums.append(n)
-    prod = ([1], [], 1)
-    for zden in zdens:
-        prod = _zmul(prod, zden, q)
-    return nums, prod
-
-
-def _conv(x: list[int], y: list[int]) -> list[int]:
-    if not x or not y:
-        return []
-    out = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                out[i + j] += a * b
-    return out
-
-
-def _lin(x: list[int], m: int, y: list[int], n: int) -> list[int]:
-    """m*x + n*y."""
-    if len(x) < len(y):
-        x, m, y, n = y, n, x, m
-    out = [a * m for a in x]
-    for j, b in enumerate(y):
-        out[j] += b * n
-    return out
-
-
-def _zmul(f, g, q: int):
-    (a, b, den), (c, e, den2) = f, g
-    return (_lin(_conv(a, c), 1, _conv(b, e), q),
-            _lin(_conv(a, e), 1, _conv(b, c), 1), den * den2)
-
-
-def _zadd(f, g, sign: int = 1):
-    """f + sign*g over the lcm of the two denominators."""
-    (a, b, den), (c, e, den2) = f, g
-    lcm = math.lcm(den, den2)
-    m, n = lcm // den, sign * (lcm // den2)
-    return _lin(a, m, c, n), _lin(b, m, e, n), lcm
-
-
-def _zderiv(f):
-    a, b, den = f
-    return [i * x for i, x in enumerate(a)][1:], [i * x for i, x in enumerate(b)][1:], den
-
-
-def _zaccumulate(acc: dict, key, p, sign: int = 1) -> None:
-    acc[key] = _zadd(acc.get(key, ([], [], 1)), p, sign)
-
-
-def _zexp_product(x: dict, y: dict, q: int) -> dict:
-    out: dict = {}
-    for (a1, b1), f in x.items():
-        for (a2, b2), g in y.items():
-            _zaccumulate(out, (a1 + a2, b1 + b2), _zmul(f, g, q))
-    return out
+    nums = [math.prod((den for den in dens if den != f.den), start=f.num) for f in fs]
+    return nums, math.prod(dens, start=Poly.const(1))
 
 
 def spot_check(value_at, w: ExpSum, z: complex) -> tuple[float, float, bool]:

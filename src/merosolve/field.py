@@ -9,6 +9,7 @@ values from different extensions raises IncompatibleExtensionsError.
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -327,20 +328,33 @@ def from_integers(u: int, v: int, den: int, q: int) -> FieldConstant:
     return _trusted(Fraction(u, den), Fraction(v, den) if v else _F0, q)
 
 
+def _int_str(n: int) -> str:
+    """str(n), refused before str() meets Python's int-to-str digit limit
+    (at least 640 digits, so shorter integers skip the check)."""
+    limit = n.bit_length() > 2000 and sys.get_int_max_str_digits()
+    if limit and abs(n) >= 10**limit:
+        raise LimitExceededError(
+            f"a {n.bit_length()}-bit integer exceeds the {limit}-digit printing limit"
+        )
+    return str(n)
+
+
 def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    n = _int_str(x.numerator)
+    return n if x.denominator == 1 else f"{n}/{_int_str(x.denominator)}"
 
 
 def format_constant(c: FieldConstant) -> str:
     """Canonical exact rendering: "3/2", "sqrt(2)", "1/2*sqrt(2)", "1 + sqrt(-1)"."""
     if c.b == 0:
         return _frac_str(c.a)
+    q = _int_str(c.q)
     if c.b == 1:
-        root = f"sqrt({c.q})"
+        root = f"sqrt({q})"
     elif c.b == -1:
-        root = f"-sqrt({c.q})"
+        root = f"-sqrt({q})"
     else:
-        root = f"{_frac_str(c.b)}*sqrt({c.q})"
+        root = f"{_frac_str(c.b)}*sqrt({q})"
     if c.a == 0:
         return root
     sign = "-" if root.startswith("-") else "+"

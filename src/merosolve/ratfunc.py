@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import (
     DivisionByZeroError,
+    IncompatibleExtensionsError,
     IrreducibleDenominatorError,
     NestedExtensionError,
     PoleAtPointError,
@@ -31,86 +32,85 @@ from .field import (
 )
 
 
-def _fc(x) -> FieldConstant:
-    if isinstance(x, FieldConstant):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return FieldConstant.of(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a field constant")
-
-
 class Poly:
-    """Dense univariate polynomial, coefficients low to high degree."""
+    """Dense univariate polynomial over Q(sqrt(q)), coefficients low to high.
 
-    __slots__ = ("coeffs",)
+    Coefficient i is (a[i] + b[i]*sqrt(q))/d with int tuples a, b and an int
+    d > 0, gcd(d, *a, *b) = 1 and trailing zeros stripped; a rational
+    polynomial has b = () and q = 0.  The form is canonical, so equality and
+    hashing compare the vectors, and arithmetic runs on ints (Knuth, TAOCP
+    vol. 2, 4.6.1).  coeffs, [] and leading hand out FieldConstants.
+    """
+
+    __slots__ = ("a", "b", "d", "q")
 
     def __init__(self, coeffs=()):
-        cs = [_fc(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [FieldConstant.of(c) for c in coeffs]
+        q = common_discriminant(cs)
+        _poly(*integer_parts(cs, q), q, self)
 
     @staticmethod
     def const(c) -> Poly:
-        return Poly((_fc(c),))
+        return _poly((c,), (), 1, 0) if type(c) is int else Poly((c,))
 
     @staticmethod
     def z() -> Poly:
-        return Poly((ZERO, ONE))
+        return _poly((0, 1), (), 1, 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.a
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.a) - 1
+
+    @property
+    def coeffs(self) -> tuple[FieldConstant, ...]:
+        return tuple(self[k] for k in range(len(self.a)))
 
     @property
     def leading(self) -> FieldConstant:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def __getitem__(self, k: int) -> FieldConstant:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        if 0 <= k < len(self.a):
+            return from_integers(self.a[k], self.b[k] if self.q else 0, self.d, self.q)
+        return ZERO
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and (self.a, self.b, self.d, self.q) == (
+            other.a, other.b, other.d, other.q)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.a, self.b, self.d, self.q))
 
-    def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+    def __add__(self, other: Poly, sign: int = 1) -> Poly:
+        """self + sign*other over the lcm of the two denominators."""
+        q = _join(self, other)
+        g = math.gcd(self.d, other.d)
+        m, n = other.d // g, sign * (self.d // g)
+        (a, b), (c, e) = _parts(self, q), _parts(other, q)
+        return _poly(_lin(a, m, c, n), _lin(b, m, e, n), self.d * m, q)
 
     def __sub__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return self.__add__(other, -1)
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return _poly([-x for x in self.a], [-x for x in self.b], self.d, self.q)
 
     def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero or other.is_zero:
-            return Poly()
-        if other.degree == 0:
-            return self.scale(other.coeffs[0])
-        if self.degree == 0:
-            return other.scale(self.coeffs[0])
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in right:
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        q = _join(self, other)
+        (a, b), (c, e) = _parts(self, q), _parts(other, q)
+        if not q:
+            return _poly(_conv(a, c), (), self.d * other.d, 0)
+        return _poly(_lin(_conv(a, c), 1, _conv(b, e), q),
+                     _lin(_conv(a, e), 1, _conv(b, c), 1), self.d * other.d, q)
 
     def scale(self, c) -> Poly:
-        c = _fc(c)
-        return Poly([x * c for x in self.coeffs])
+        return self * Poly.const(c)
 
     def pow(self, n: int) -> Poly:
         result, base = Poly.const(1), self
@@ -124,51 +124,45 @@ class Poly:
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
-        num = list(self.coeffs)
-        d = other.degree
-        inv = other.leading.inverse()
-        q = [ZERO] * max(len(num) - d, 0)
-        for i in range(len(num) - 1, d - 1, -1):
-            c = num[i] * inv
-            if not c.is_zero:
-                q[i - d] = c
-                for j in range(d + 1):
-                    num[i - d + j] = num[i - d + j] - c * other.coeffs[j]
-        return Poly(q), Poly(num[:d] if d > 0 else [])
-
-    def __mod__(self, other: Poly) -> Poly:
-        return self.divmod(other)[1]
+        q = _join(self, other)
+        (qa, qb), (ra, rb), s, (c, e) = _pseudo_divide(_parts(self, q), _parts(other, q), q)
+        # s*self*self.d = quo*(c - e*sqrt(q))*other*other.d + rem on the vectors
+        qa, qb = _times(qa, qb, c * other.d, -e * other.d, q)
+        return _poly(qa, qb, self.d * s, q), _poly(ra, rb, self.d * s, q)
 
     def monic(self) -> Poly:
-        if self.is_zero:
-            return self
-        return self.scale(self.leading.inverse())
+        return self * _inverse_leading(self) if self.a else self
 
     def derivative(self) -> Poly:
-        return Poly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return _poly([i * x for i, x in enumerate(self.a)][1:],
+                     [i * x for i, x in enumerate(self.b)][1:], self.d, self.q)
 
     def eval(self, x: FieldConstant) -> FieldConstant:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner's rule on (x_a + x_b*sqrt(q))/x_d, homogenised in x_d."""
+        x = FieldConstant.of(x)
+        q = _join(self, x)
+        (xa,), xb, xd = integer_parts((x,), q)
+        xb = xb[0] if q else 0
+        a, b = _parts(self, q)
+        u, v, power = 0, 0, 1
+        for i in range(len(a) - 1, -1, -1):
+            u, v = u * xa + q * v * xb + a[i] * power, (u * xb + v * xa + b[i] * power) if q else 0
+            power *= xd
+        return from_integers(u * xd, v * xd, self.d * power, q)
 
     def shift(self, r: FieldConstant) -> Poly:
-        """Taylor shift: returns p(z + r) as a polynomial in z."""
-        cs = list(self.coeffs)
-        out = []
-        while cs:
-            q, rem = _synthetic_div(cs, r)
-            out.append(rem)
-            cs = q
-        return Poly(out)
+        """Taylor shift: returns p(z + r) as a polynomial in z (Horner's rule)."""
+        z_r, out = Poly((r, ONE)), Poly()
+        for i in range(self.degree, -1, -1):
+            out = out * z_r + _poly(self.a[i:i + 1], self.b[i:i + 1], self.d, self.q)
+        return out
 
     def deflate(self, r: FieldConstant) -> Poly:
         """Exact division by (z - r); asserts r is a root."""
-        q, rem = _synthetic_div(list(self.coeffs), r)
+        quo, rem = self.divmod(Poly((-FieldConstant.of(r), ONE)))
         if not rem.is_zero:
             raise ValueError(f"{r} is not a root")
-        return Poly(q)
+        return quo
 
     def __str__(self) -> str:
         return poly_to_str(self)
@@ -177,24 +171,112 @@ class Poly:
         return f"Poly({poly_to_str(self)})"
 
 
-def _synthetic_div(cs: list[FieldConstant], r: FieldConstant):
-    """Divide the polynomial with coefficients cs (low to high) by (z - r)."""
-    if not cs:
-        return [], ZERO
-    q = [ZERO] * (len(cs) - 1)
-    acc = cs[-1]
-    for i in range(len(cs) - 2, -1, -1):
-        q[i] = acc
-        acc = cs[i] + r * acc
-    return q, acc
+def _poly(a, b, d: int, q: int, p: Poly | None = None) -> Poly:
+    """The canonical form of (a + b*sqrt(q))/d, stored in p when given; b is
+    ignored when q = 0 and as long as a otherwise.  d = 0 stands for a bare
+    vector pair, which keeps d = 0 and has the content of a and b divided out."""
+    if p is None:
+        p = object.__new__(Poly)
+    n = len(a)
+    while n and not a[n - 1] and not (q and b[n - 1]):
+        n -= 1
+    a, b = a[:n], b[:n]
+    if not q or not any(b):
+        b, q = (), 0
+    g = math.gcd(d, *a, *b) or 1
+    if d < 0:
+        g = -g
+    if g == 1:
+        p.a, p.b = tuple(a), tuple(b)
+    else:
+        p.a, p.b = tuple([x // g for x in a]), tuple([x // g for x in b])
+    p.d, p.q = d // g, q
+    return p
+
+
+def _join(p, r) -> int:
+    """The discriminant p and r share (0 when both are rational)."""
+    if p.q and r.q and p.q != r.q:
+        raise IncompatibleExtensionsError(p.q, r.q)
+    return p.q or r.q
+
+
+def _parts(p: Poly, q: int):
+    """p's vectors (a, b) over Z[sqrt(q)]: b is padded with zeros when q is
+    live and p rational, and empty when q = 0."""
+    return p.a, (p.b or (0,) * len(p.a)) if q else ()
+
+
+def _conv(x, y) -> list[int]:
+    out = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                out[i + j] += u * v
+    return out
+
+
+def _lin(x, m: int, y, n: int) -> list[int]:
+    """m*x + n*y."""
+    if len(x) < len(y):
+        x, m, y, n = y, n, x, m
+    out = [v * m for v in x]
+    for j, v in enumerate(y):
+        out[j] += v * n
+    return out
+
+
+def _times(x, y, c: int, e: int, q: int):
+    """(x + y*sqrt(q))*(c + e*sqrt(q)) for vectors x, y and a scalar."""
+    if not q:
+        return [v * c for v in x], ()
+    return _lin(x, c, y, q * e), _lin(y, c, x, e)
+
+
+def _inverse_leading(p: Poly) -> Poly:
+    """1/lc(p) as a constant: d*(a - b*sqrt(q))/(a**2 - q*b**2)."""
+    la, lb = p.a[-1], p.b[-1] if p.q else 0
+    return _poly((p.d * la,), (-p.d * lb,) if p.q else (), la * la - p.q * lb * lb, p.q)
+
+
+def _pseudo_divide(f, g, q: int):
+    """Pseudo-division of f by g, vector pairs over Z[sqrt(q)], g nonzero
+    (Knuth's Algorithm R): returns (quo, rem, s, (c, e)) with
+    s*f = quo*g*(c - e*sqrt(q)) + rem, deg rem < deg g.  g is first
+    multiplied by c - e*sqrt(q), the conjugate of its leading coefficient
+    (or 1 when that is an integer), so that its leading coefficient N is an
+    integer; s = N**k with k = max(deg f - deg g + 1, 0).  quo and rem are not
+    normalised, and quo's second vector is zeros when q = 0."""
+    (u, uy), (v, vy) = f, g
+    n, k = len(v) - 1, max(len(u) - len(v) + 1, 0)
+    c, e = v[-1], vy[-1] if q else 0
+    if e:
+        v, vy = _times(v, vy, c, -e, q)
+    else:
+        c = 1
+    lead = v[-1]
+    qa, qb = [0] * k, [0] * k
+    for j in range(k - 1, -1, -1):
+        # u <- lead*u - u[n+j]*z**j*v, which drops u's top coefficient
+        qa[j], qb[j] = u[n + j], uy[n + j] if q else 0
+        x, y = _times(v[:n], vy[:n], qa[j], qb[j], q)
+        u = _lin(u[:n + j], lead, [0] * j + x, -1)
+        uy = _lin(uy[:n + j], lead, [0] * j + y, -1) if q else ()
+    quo = [x * lead ** j for j, x in enumerate(qa)], [x * lead ** j for j, x in enumerate(qb)]
+    return quo, (u, uy), lead ** k, (c, e)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the primitive remainder sequence (Collins, JACM 14, 1967):
+    pseudo-remainders over Z[sqrt(q)], each with its integer content divided
+    out, and the monic normal form taken once, at the end."""
     if a.degree == 0 or b.degree == 0:  # a nonzero constant is a unit
         return Poly.const(1)
-    while not b.is_zero:
-        a, b = b, (a % b.monic())
-    return a.monic() if not a.is_zero else a
+    q = _join(a, b)
+    f, g = _parts(a, q), _parts(b, q)
+    while g[0]:
+        f, g = g, _parts(_poly(*_pseudo_divide(f, g, q)[1], 0, q), q)
+    return _poly(*f, 1, q).monic()
 
 
 def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
@@ -235,20 +317,11 @@ def _divisors(n: int) -> list[int]:
 
 def _rational_root_candidates(p: Poly) -> list[Fraction]:
     """Candidate rational roots of a rational-coefficient polynomial, p(0) != 0."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.a.denominator // math.gcd(lcm, c.a.denominator)
-    ints = [int(c.a * lcm) for c in p.coeffs]
-    a0, an = ints[0], ints[-1]
+    a0, an = p.a[0], p.a[-1]
     if abs(a0) > 10**15 or abs(an) > 10**15:
         return []
-    cands = []
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            f = Fraction(num, den)
-            cands.append(f)
-            cands.append(-f)
-    return sorted(set(cands))
+    return sorted({Fraction(sign * num, den) for num in _divisors(a0)
+                   for den in _divisors(an) for sign in (1, -1)})
 
 
 def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):
@@ -278,14 +351,13 @@ def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):
             roots.append((-b - s) / 2)
             f = Poly.const(1)
             break
-        if all(c.is_rational for c in f.coeffs):
-            for cand in _rational_root_candidates(f):
-                r = FieldConstant.of(cand)
-                if f.eval(r).is_zero:
-                    roots.append(r)
-                    f = f.deflate(r)
-                    break
-            else:
+        if f.q:
+            break
+        for cand in _rational_root_candidates(f):
+            r = FieldConstant.of(cand)
+            if f.eval(r).is_zero:
+                roots.append(r)
+                f = f.deflate(r)
                 break
         else:
             break
@@ -334,28 +406,22 @@ class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part pol
         return total
 
 
-def _series_div(num: list[FieldConstant], den: list[FieldConstant], n: int):
+def _series_div(num: Poly, den: Poly, n: int):
     """First n coefficients of the power series num/den, den[0] != 0, fraction-free.
 
-    num and den are scaled to integer vectors over Z[sqrt(q)]; when den[0] is
+    num and den are integer vectors over Z[sqrt(q)]; when den[0] is
     irrational both are multiplied by its conjugate, so that d0 = den[0] is a
     nonzero integer.  With O_k = out_k * d0**(k+1) the division recurrence
     out_k = (num_k - sum_j den_j*out_{k-j}) / d0 becomes the integer one
         O_k = num_k*d0**k - sum_{j>=1} den_j*O_{k-j}*d0**(j-1),
     and each out_k costs one exact division.
     """
-    q = common_discriminant(num + den)
-    nx, ny, n_den = integer_parts(num, q)
-    dx, dy, d_den = integer_parts(den, q)
-    if q and dy[0]:
-        c, e = dx[0], -dy[0]  # the conjugate c + e*sqrt(q) of den[0]
-
-        def times_conjugate(xs, ys):
-            return ([x * c + q * y * e for x, y in zip(xs, ys)],
-                    [y * c + x * e for x, y in zip(xs, ys)])
-
-        nx, ny = times_conjugate(nx, ny)
-        dx, dy = times_conjugate(dx, dy)
+    q = _join(num, den)
+    (nx, ny), (dx, dy) = _parts(num, q), _parts(den, q)
+    n_den, d_den = num.d, den.d
+    if q and dy[0]:  # times the conjugate dx[0] - dy[0]*sqrt(q)
+        nx, ny = _times(nx, ny, dx[0], -dy[0], q)
+        dx, dy = _times(dx, dy, dx[0], -dy[0], q)
     d0 = dx[0]
     # (j, den_j*d0**(j-1)) for the nonzero den_j, j >= 1
     terms = [(j, dx[j] * d0 ** (j - 1), dy[j] * d0 ** (j - 1) if q else 0)
@@ -398,11 +464,10 @@ class RatFunc:
             if num.degree > 0 and den.degree > 0:  # a constant shares no factor
                 g = poly_gcd(num, den)
                 if g.degree > 0:
-                    num, _ = num.divmod(g)
-                    den, _ = den.divmod(g)
-            if den.leading != ONE:
-                lead = den.leading.inverse()
-                num, den = num.scale(lead), den.scale(lead)
+                    num, den = num.divmod(g)[0], den.divmod(g)[0]
+            if den.a[-1] != den.d or den.q and den.b[-1]:  # den is not monic
+                lead = _inverse_leading(den)
+                num, den = num * lead, den * lead
         self.num, self.den = num, den
 
     @staticmethod
@@ -416,7 +481,7 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> RatFunc:
-        return RatFunc(Poly.const(_fc(c)))
+        return RatFunc(Poly.const(c))
 
     @staticmethod
     def z() -> RatFunc:
@@ -514,7 +579,7 @@ class RatFunc:
         return self._split_pole(z0)[0]
 
     def eval_at(self, z0: FieldConstant) -> FieldConstant:
-        z0 = _fc(z0)
+        z0 = FieldConstant.of(z0)
         d = self.den.eval(z0)
         if d.is_zero:
             raise PoleAtPointError(z0, self.pole_order_at(z0))
@@ -528,9 +593,7 @@ class RatFunc:
         if self.is_zero:
             return 0, [ZERO] * n
         m, den = self._split_pole(z0)
-        ns = list(self.num.shift(z0).coeffs)
-        ds = list(den.shift(z0).coeffs)
-        return -m, _series_div(ns, ds, n)
+        return -m, _series_div(self.num.shift(z0), den.shift(z0), n)
 
     # -- decomposition ------------------------------------------------------------
 

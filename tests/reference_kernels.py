@@ -1,11 +1,86 @@
-"""Reference implementations of the series kernels in plain FieldConstant
-arithmetic: the Taylor division and the order-matching loop as they were
-written before the engine moved to integer vectors.  Tests compare the integer
+"""Reference implementations of the polynomial and series kernels in plain
+FieldConstant arithmetic, as they were written before merosolve moved them to
+integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
+Horner evaluation and the derivative on coefficient lists (low to high), the
+Taylor division and the order-matching loop.  Tests compare the integer
 kernels of merosolve against them; nothing in the package imports this."""
 
 from __future__ import annotations
 
 from merosolve.field import ONE, ZERO
+
+
+def strip(cs):
+    """cs without trailing zeros, as a tuple."""
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def mul(x, y):
+    """The coefficients of the product, by convolution."""
+    if not x or not y:
+        return ()
+    out = [ZERO] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = out[i + j] + a * b
+    return strip(out)
+
+
+def divmod_(x, y):
+    """(quotient, remainder) by schoolbook long division, y nonzero."""
+    x, y = list(strip(x)), strip(y)
+    d = len(y) - 1
+    inv = y[-1].inverse()
+    quo = [ZERO] * max(len(x) - d, 0)
+    for i in range(len(x) - 1, d - 1, -1):
+        c = x[i] * inv
+        quo[i - d] = c
+        for j in range(d + 1):
+            x[i - d + j] = x[i - d + j] - c * y[j]
+    return strip(quo), strip(x[:d])
+
+
+def monic(x):
+    x = strip(x)
+    if not x:
+        return x
+    inv = x[-1].inverse()
+    return tuple(c * inv for c in x)
+
+
+def gcd(x, y):
+    """Euclid's algorithm with monic remainders; the monic gcd (() for 0, 0)."""
+    x, y = strip(x), strip(y)
+    while y:
+        x, y = y, divmod_(x, monic(y))[1]
+    return monic(x)
+
+
+def horner(x, z0):
+    acc = ZERO
+    for c in reversed(x):
+        acc = acc * z0 + c
+    return acc
+
+
+def shift(x, r):
+    """The coefficients of p(z + r): repeated synthetic division by (z - r)."""
+    cs, out = list(strip(x)), []
+    while cs:
+        acc, quo = cs[-1], [ZERO] * (len(cs) - 1)
+        for i in range(len(cs) - 2, -1, -1):
+            quo[i] = acc
+            acc = cs[i] + r * acc
+        out.append(acc)
+        cs = quo
+    return strip(out)
+
+
+def derivative(x):
+    return strip([c * i for i, c in enumerate(x)][1:])
 
 
 def series_div(num, den, n):
@@ -27,8 +102,10 @@ def taylor_at(f, z0, n):
     """f.taylor_at(z0, n), through series_div."""
     if f.is_zero:
         return 0, [ZERO] * n
-    m, den = f._split_pole(z0)
-    return -m, series_div(list(f.num.shift(z0).coeffs), list(den.shift(z0).coeffs), n)
+    m, den = 0, f.den.coeffs
+    while horner(den, z0).is_zero:
+        den, m = divmod_(den, (-z0, ONE))[0], m + 1
+    return -m, series_div(shift(f.num.coeffs, z0), shift(den, z0), n)
 
 
 def residual_order(m, a, p, al, be, ga):

@@ -23,7 +23,8 @@ from merosolve.classify import (
 from merosolve.errors import DomainViolationError, GammaIdenticallyZeroError
 from merosolve.expsum import ExpSum, residual, residual_is_zero
 from merosolve.field import FieldConstant
-from merosolve.ratfunc import RatFunc, poly_gcd
+from merosolve.parse import parse_ratfunc
+from merosolve.ratfunc import Poly, RatFunc, poly_gcd
 
 Z = RatFunc.z()
 RF = RatFunc.of
@@ -515,3 +516,45 @@ class TestNonAdmissibleFamilies:
         assert all(not f.admissible for f in rep.families)
         w = instantiate(fam, {"sign": "+", "c1": 0})
         assert residual(rep.alpha, rep.beta, rep.gamma, w).is_zero
+
+
+class TestPolynomialArithmeticCost:
+    # the D-rational-3 input of perfbench/data/classify-ladder.json (id #104)
+    ALPHA = ("(4*z^5 - 10*z^4 - 61*z^3 + 115*z^2 + 205*z + 47)"
+             "/(z^3 - 9*z^2 + 27*z - 27)")
+    BETA = "z^2 + 2*z - 1"
+    GAMMA = ("(-12*z^8 + 12*z^7 + 243*z^6 - 64*z^5 - 1330*z^4 - 576*z^3 + 343*z^2"
+             " - 52*z + 8)/(z^4 - 12*z^3 + 54*z^2 - 108*z + 81)")
+
+    def test_gcd_and_divmod_make_no_field_products(self, monkeypatch):
+        inside, products, calls = [], [], []
+        real_mul, real_gcd, real_divmod = FieldConstant.__mul__, poly_gcd, Poly.divmod
+
+        def mul(self, other):
+            if inside:
+                products.append(other)
+            return real_mul(self, other)
+
+        def counted(real):
+            def wrapper(*args):
+                inside.append(True)
+                calls.append(real)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        monkeypatch.setattr(FieldConstant, "__mul__", mul)
+        monkeypatch.setattr(FieldConstant, "__rmul__", mul)
+        for module in (ratfunc, expsum, importlib.import_module("merosolve.classify")):
+            monkeypatch.setattr(module, "poly_gcd", counted(real_gcd))
+        monkeypatch.setattr(Poly, "divmod", counted(real_divmod))
+        alpha, beta, gamma = (parse_ratfunc(t) for t in (self.ALPHA, self.BETA, self.GAMMA))
+        rep = classify(alpha, beta, gamma)
+        assert [f.case_label for f in rep.families] == ["D"]
+        assert real_gcd in calls and real_divmod in calls and products == []
+        # the counter sees a product made inside either one
+        inside.append(True)
+        FieldConstant.of(2) * FieldConstant.of(3)
+        assert len(products) == 1

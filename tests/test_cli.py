@@ -510,6 +510,33 @@ class TestErrorEnvelope:
                                                      "-sqrt(1000000000039)"]
 
 
+    def test_integers_past_the_printing_limit_are_a_limit_error(self, capsys):
+        # alpha(0) = 1, beta(0) = B and gamma(0) = -B^2/4: a double root a0 = -B/2
+        # whose expansion coefficients pass Python's 4,300-digit int-to-str limit
+        big = str(10**900)
+        start = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys, "expand", "--alpha", f"{big}*z+1", "--beta", big,
+            "--gamma", f"-{big}/4*{big}+z", "--at", "0", "--order", "4",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert doc["error"]["code"] == "LimitExceeded"
+        assert doc["error"]["message"].endswith(
+            f"exceeds the {sys.get_int_max_str_digits()}-digit printing limit")
+
+    def test_two_extensions_in_one_coefficient(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "classify", "--alpha", "sqrt(2)*z + sqrt(3)", "--beta", "1",
+            "--gamma", "sqrt(3)",
+        )
+        assert code == 1
+        assert doc == {"error": {
+            "code": "IncompatibleExtensions",
+            "message": "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))",
+        }}
+
+
 class TestParserReuse:
     def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
         built = []

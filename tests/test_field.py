@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,15 @@ class TestExtensionContext:
 
 
 class TestDisplay:
+    def test_integers_past_the_printing_limit_are_refused(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10**limit  # limit + 1 digits
+        assert len(format_constant(FieldConstant.of(big - 1))) == limit
+        for c in (FieldConstant.of(big), FieldConstant.of(Fraction(1, big)),
+                  FieldConstant.of(-big), FieldConstant(Fraction(0), Fraction(big), 2)):
+            with pytest.raises(LimitExceededError, match=f"{limit}-digit printing limit"):
+                format_constant(c)
+
     def test_format_pure_rational(self):
         assert format_constant(FieldConstant.of(Fraction(-3, 2))) == "-3/2"
         assert format_constant(FieldConstant.of(0)) == "0"

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from merosolve import ratfunc
-from merosolve.errors import IrreducibleDenominatorError, PoleAtPointError
+from merosolve.errors import (
+    IncompatibleExtensionsError,
+    IrreducibleDenominatorError,
+    PoleAtPointError,
+)
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.ratfunc import (
     Poly,
@@ -28,6 +33,7 @@ from conftest import (
     polys,
     rational_constants,
     ratfuncs,
+    small_fractions,
 )
 
 Z = RatFunc.z()
@@ -287,21 +293,17 @@ class TestDisplay:
 constants = st.one_of(rational_constants, extended_constants)
 
 
-def _euclid(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        a, b = b, a % b.monic()
-    return a.monic() if not a.is_zero else a
-
-
 def reference(num: Poly, den: Poly):
-    """(num, den) coefficients of the normal form, by the unconditional route:
-    Euclid's gcd, exact division by it, then scaling by 1/lc(den)."""
+    """(num, den) coefficients of the normal form, by the unconditional route
+    in FieldConstant arithmetic: Euclid's gcd, exact division by it, then
+    scaling by 1/lc(den)."""
     if num.is_zero:
         return (), (ONE,)
-    g = _euclid(num, den)
-    num, den = num.divmod(g)[0], den.divmod(g)[0]
-    lead = den.leading.inverse()
-    return num.scale(lead).coeffs, den.scale(lead).coeffs
+    n, d = num.coeffs, den.coeffs
+    g = reference_kernels.gcd(n, d)
+    n, d = reference_kernels.divmod_(n, g)[0], reference_kernels.divmod_(d, g)[0]
+    lead = d[-1].inverse()
+    return tuple(c * lead for c in n), tuple(c * lead for c in d)
 
 
 def parts(f: RatFunc):
@@ -412,3 +414,132 @@ class TestGcdSkips:
     def test_gcd_with_a_nonzero_constant_is_one(self, c, p):
         one = Poly.const(1)
         assert poly_gcd(Poly.const(c), p) == one == poly_gcd(p, Poly.const(c))
+
+
+# -- the integer-vector Poly against the FieldConstant reference kernels ---------------
+
+root5 = FieldConstant(Fraction(0), Fraction(1), 5)
+root2 = FieldConstant(Fraction(0), Fraction(1), 2)
+root3 = FieldConstant(Fraction(0), Fraction(1), 3)
+fields = st.sampled_from([rational_constants, extended_constants])
+
+
+@st.composite
+def poly_pairs(draw, max_degree=6):
+    """Two polynomials of degree at most 6 over one field, Q or Q(sqrt 5)."""
+    constants = draw(fields)
+    return draw(polys(max_degree, constants)), draw(polys(max_degree, constants))
+
+
+@st.composite
+def irrational_divisors(draw):
+    """A polynomial of degree 1-6 over Q(sqrt 5) whose leading coefficient is
+    irrational."""
+    lower = draw(st.lists(extended_constants, min_size=1, max_size=6))
+    lead = FieldConstant(draw(small_fractions), draw(small_fractions.filter(bool)), 5)
+    return Poly(lower + [lead])
+
+
+def canonical(p: Poly) -> bool:
+    """The representation invariants of Poly."""
+    return (p.d > 0 and math.gcd(p.d, *p.a, *p.b) == 1
+            and (not p.a or p.a[-1] or (p.b and p.b[-1]))
+            and (p.b == () if p.q == 0 else len(p.b) == len(p.a) and any(p.b)))
+
+
+class TestKernelsAgainstReference:
+    @given(poly_pairs())
+    def test_product(self, pair):
+        p, q = pair
+        assert (p * q).coeffs == reference_kernels.mul(p.coeffs, q.coeffs)
+        assert canonical(p * q)
+
+    @given(poly_pairs())
+    def test_sum_and_difference(self, pair):
+        p, q = pair
+        for got, sign in ((p + q, ONE), (p - q, -ONE)):
+            n = max(len(p.coeffs), len(q.coeffs))
+            want = reference_kernels.strip(p[i] + sign * q[i] for i in range(n))
+            assert got.coeffs == want and canonical(got)
+
+    @given(poly_pairs())
+    def test_divmod(self, pair):
+        p, q = pair
+        if q.is_zero:
+            return
+        quo, rem = p.divmod(q)
+        assert (quo.coeffs, rem.coeffs) == reference_kernels.divmod_(p.coeffs, q.coeffs)
+        assert canonical(quo) and canonical(rem)
+
+    @given(polys(6, extended_constants), irrational_divisors())
+    def test_divmod_by_an_irrational_leading_coefficient(self, p, q):
+        assert not q.leading.is_rational
+        quo, rem = p.divmod(q)
+        assert (quo.coeffs, rem.coeffs) == reference_kernels.divmod_(p.coeffs, q.coeffs)
+        assert quo * q + rem == p
+
+    @given(poly_pairs(), fields.flatmap(lambda cs: polys(3, cs)))
+    def test_gcd(self, pair, h):
+        p, q = pair
+        p, q = p * h, q * h  # a common factor, so the gcd is not always 1
+        g = poly_gcd(p, q)
+        assert g.coeffs == reference_kernels.gcd(p.coeffs, q.coeffs)
+        assert canonical(g)
+
+    @given(irrational_divisors(), irrational_divisors(), polys(2, extended_constants))
+    def test_gcd_over_the_extension(self, p, q, h):
+        assert poly_gcd(p * h, q * h).coeffs == reference_kernels.gcd((p * h).coeffs,
+                                                                       (q * h).coeffs)
+
+    @given(fields.flatmap(lambda cs: st.tuples(polys(6, cs), cs)))
+    def test_shift_and_eval(self, case):
+        p, r = case
+        assert p.shift(r).coeffs == reference_kernels.shift(p.coeffs, r)
+        assert p.eval(r) == reference_kernels.horner(p.coeffs, r)
+        assert canonical(p.shift(r))
+
+    @given(fields.flatmap(lambda cs: polys(6, cs)))
+    def test_derivative_and_monic(self, p):
+        assert p.derivative().coeffs == reference_kernels.derivative(p.coeffs)
+        assert p.monic().coeffs == reference_kernels.monic(p.coeffs)
+        assert canonical(p.derivative()) and canonical(p.monic())
+
+
+class TestRepresentationEdges:
+    def test_two_extensions_are_incompatible(self):
+        with pytest.raises(IncompatibleExtensionsError):
+            Poly([root2, root3])
+        p2, p3 = Poly([ONE, root2]), Poly([root3, ONE])
+        for op in (Poly.__add__, Poly.__sub__, Poly.__mul__, Poly.divmod, poly_gcd):
+            with pytest.raises(IncompatibleExtensionsError):
+                op(p2, p3)
+        with pytest.raises(IncompatibleExtensionsError):
+            p2.eval(root3)
+
+    def test_zero_polynomial(self):
+        zero = Poly()
+        assert zero.degree == -1 and zero.is_zero and zero.coeffs == ()
+        assert (zero.a, zero.b, zero.d, zero.q) == ((), (), 1, 0)
+        assert poly_gcd(Poly(), Poly()) == Poly()
+        assert Poly([ZERO, ZERO]) == zero == Poly([ONE]) - Poly([ONE])
+        assert Poly([root5]) - Poly([root5]) == zero and zero * Poly([root5]) == zero
+
+    def test_rational_results_drop_the_extension(self):
+        p = Poly([root5, ONE]) * Poly([-root5, ONE])  # z^2 - 5
+        assert (p.a, p.b, p.d, p.q) == ((-5, 0, 1), (), 1, 0)
+
+    @given(poly_pairs(4))
+    def test_equal_polynomials_from_different_routes_hash_equal(self, pair):
+        p, q = pair
+        half = FieldConstant.of(Fraction(1, 2))
+        routes = [
+            p,
+            Poly(p.coeffs),
+            (p * q).divmod(q)[0] if not q.is_zero else p,
+            (p + q) - q,
+            p.scale(half).scale(2 * ONE),
+            -(-p),
+            p.shift(half).shift(-half),
+        ]
+        for other in routes:
+            assert other == p and hash(other) == hash(p)
