@@ -339,26 +339,29 @@ def _int_str(n: int) -> str:
     return str(n)
 
 
-def _frac_str(x: Fraction) -> str:
-    n = _int_str(x.numerator)
-    return n if x.denominator == 1 else f"{n}/{_int_str(x.denominator)}"
+def _frac_str(n: int, d: int) -> str:
+    s = _int_str(n)
+    return s if d == 1 else f"{s}/{_int_str(d)}"
+
+
+def format_parts(an: int, ad: int, bn: int, bd: int, q: int) -> str:
+    """The canonical text of an/ad + (bn/bd)*sqrt(q), each fraction in lowest
+    terms over a positive denominator: "3/2", "sqrt(2)", "1/2*sqrt(2)",
+    "1 + sqrt(-1)".  Every integer passes the printing guard of _int_str."""
+    if not bn:
+        return _frac_str(an, ad)
+    q = _int_str(q)
+    sign, bn = ("-", -bn) if bn < 0 else ("+", bn)
+    root = f"sqrt({q})" if bn == bd == 1 else f"{_frac_str(bn, bd)}*sqrt({q})"
+    if not an:
+        return root if sign == "+" else f"-{root}"
+    return f"{_frac_str(an, ad)} {sign} {root}"
 
 
 def format_constant(c: FieldConstant) -> str:
-    """Canonical exact rendering: "3/2", "sqrt(2)", "1/2*sqrt(2)", "1 + sqrt(-1)"."""
-    if c.b == 0:
-        return _frac_str(c.a)
-    q = _int_str(c.q)
-    if c.b == 1:
-        root = f"sqrt({q})"
-    elif c.b == -1:
-        root = f"-sqrt({q})"
-    else:
-        root = f"{_frac_str(c.b)}*sqrt({q})"
-    if c.a == 0:
-        return root
-    sign = "-" if root.startswith("-") else "+"
-    return f"{_frac_str(c.a)} {sign} {root.lstrip('-')}"
+    """Canonical exact rendering of c, see format_parts."""
+    a, b = c.a, c.b
+    return format_parts(a.numerator, a.denominator, b.numerator, b.denominator, c.q)
 
 
 def sqrt_constant(c: FieldConstant) -> FieldConstant:

@@ -1,5 +1,9 @@
 """Exact expression parsing for rational functions, constants, and ExpSums.
 
+A sub-expression is a RatFunc until an exp(...) term appears, and from there
+on both operands of an operator are ExpSums: parse_ratfunc and parse_constant
+never build an ExpSum, and parse_expsum wraps a rational result once.
+
 Grammar (whitespace insignificant)::
 
     expr    := term (('+'|'-') term)*
@@ -23,12 +27,11 @@ _power) and an integer literal of more than MAX_LITERAL_DIGITS digits.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, LimitExceededError, ZeroDenominatorLiteralError
 from .expsum import ExpSum
 from .field import FieldConstant, sqrt_constant
-from .ratfunc import RatFunc
+from .ratfunc import Poly, RatFunc
 
 # a level is five frames of recursive descent (six through sqrt( or exp():
 # 100 levels stay well inside Python's default recursion limit of 1000
@@ -94,7 +97,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive-descent evaluator producing exact ExpSum values."""
+    """Recursive-descent evaluator producing exact values: a RatFunc until an
+    exp(...) term appears, an ExpSum from there on (see _promote)."""
 
     def __init__(self, text: str, allow_exp: bool, params: dict[str, FieldConstant] | None):
         self.text = text
@@ -123,14 +127,14 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------------------
 
-    def parse(self) -> ExpSum:
+    def parse(self) -> RatFunc | ExpSum:
         value = self.expr()
         t = self.peek()
         if t.kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing '{t.text}'", t.pos)
         return value
 
-    def expr(self) -> ExpSum:
+    def expr(self) -> RatFunc | ExpSum:
         if self.depth > MAX_NESTING_DEPTH:
             raise LimitExceededError(
                 f"expression nests deeper than {MAX_NESTING_DEPTH} levels "
@@ -140,33 +144,33 @@ class _Parser:
         value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
+            value, rhs = _promote(value, self.term())
             value = value + rhs if op.kind == "+" else value - rhs
         self.depth -= 1
         return value
 
-    def term(self) -> ExpSum:
+    def term(self) -> RatFunc | ExpSum:
         value = self.unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            rhs = self.unary()
+            value, rhs = _promote(value, self.unary())
             value = value * rhs if op.kind == "*" else self._divide(value, rhs, op.pos)
         return value
 
-    def unary(self) -> ExpSum:
+    def unary(self) -> RatFunc | ExpSum:
         if self.peek().kind == "-":
             self.advance()
             return -self.factor()
         return self.factor()
 
-    def factor(self) -> ExpSum:
+    def factor(self) -> RatFunc | ExpSum:
         value = self.base()
         if self.peek().kind != "^":
             return value
         self.advance()
         return _power(value, self.expect("int"))
 
-    def base(self) -> ExpSum:
+    def base(self) -> RatFunc | ExpSum:
         t = self.peek()
         if t.kind == "int":
             self.advance()
@@ -175,7 +179,7 @@ class _Parser:
                     f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
                     f"(at position {t.pos})"
                 )
-            return ExpSum.from_ratfunc(RatFunc.const(Fraction(int(t.text))))
+            return RatFunc.const(int(t.text))
         if t.kind == "(":
             self.advance()
             value = self.expr()
@@ -184,27 +188,27 @@ class _Parser:
         if t.kind == "name":
             self.advance()
             if t.text == "z":
-                return ExpSum.from_ratfunc(RatFunc.z())
+                return RatFunc.z()
             if t.text == "sqrt":
                 return self._sqrt(t)
             if t.text == "exp":
                 return self._exp(t)
             if t.text in self.params:
-                return ExpSum.from_ratfunc(RatFunc.const(self.params[t.text]))
+                return RatFunc.const(self.params[t.text])
             raise ExpressionSyntaxError(f"unknown name '{t.text}'", t.pos)
         what = f"'{t.text}'" if t.kind != "end" else "end of input"
         raise ExpressionSyntaxError(f"expected a value but found {what}", t.pos)
 
     # -- function bases ----------------------------------------------------------------
 
-    def _sqrt(self, t: _Token) -> ExpSum:
+    def _sqrt(self, t: _Token) -> RatFunc:
         self.expect("(")
-        arg = self.expr()
+        part = _rational(self.expr())
         self.expect(")")
-        c = arg.rate_zero_part().constant_value() if not arg.has_nonzero_rate() else None
+        c = part.constant_value() if part is not None else None
         if c is None:
             raise ExpressionSyntaxError("sqrt argument must be a constant", t.pos)
-        return ExpSum.from_ratfunc(RatFunc.const(sqrt_constant(c)))
+        return RatFunc.const(sqrt_constant(c))
 
     def _exp(self, t: _Token) -> ExpSum:
         if not self.allow_exp:
@@ -222,30 +226,55 @@ class _Parser:
         return ExpSum.exponential(rate, 1)
 
     @staticmethod
-    def _linear_rate(arg: ExpSum) -> FieldConstant | None:
-        if arg.has_nonzero_rate():
+    def _linear_rate(arg: RatFunc | ExpSum) -> FieldConstant | None:
+        part = _rational(arg)
+        if part is None:
             return None
-        part = arg.rate_zero_part()
         num, den = part.num, part.den
         if den.degree != 0 or num.degree > 1 or not num[0].is_zero:
             return None
         return num[1] / den[0]
 
-    def _divide(self, lhs: ExpSum, rhs: ExpSum, pos: int) -> ExpSum:
+    def _divide(self, lhs: RatFunc | ExpSum, rhs: RatFunc | ExpSum,
+                pos: int) -> RatFunc | ExpSum:
         if rhs.is_zero:
             raise ZeroDenominatorLiteralError(pos)
+        if isinstance(rhs, RatFunc):  # and so is lhs, see _promote
+            return lhs / rhs
         if len(rhs.terms) > 1:
             raise ExpressionSyntaxError(
                 "cannot divide by a sum of exponential terms", pos
             )
         rate, coeff = rhs.terms[0]
-        scaled = ExpSum(
-            tuple((r - rate, c / coeff) for r, c in lhs.terms)
-        )
-        return scaled
+        return ExpSum(tuple((r - rate, c / coeff) for r, c in lhs.terms))
 
 
-def _power(value: ExpSum, t: _Token) -> ExpSum:
+def _promote(x: RatFunc | ExpSum, y: RatFunc | ExpSum) -> tuple:
+    """x and y as they are when both are RatFuncs, else both as ExpSums."""
+    if isinstance(x, RatFunc) and isinstance(y, RatFunc):
+        return x, y
+    return tuple(v if isinstance(v, ExpSum) else ExpSum.from_ratfunc(v) for v in (x, y))
+
+
+def _rational(x: RatFunc | ExpSum) -> RatFunc | None:
+    """x as a RatFunc, or None when it has a term with a nonzero rate."""
+    if isinstance(x, RatFunc):
+        return x
+    return None if x.has_nonzero_rate() else x.rate_zero_part()
+
+
+def _bits(p: Poly) -> int:
+    """The largest bit length of a reduced numerator, denominator or
+    discriminant among the coefficients of p, each coefficient reduced
+    on its own rather than read over p's common denominator."""
+    bits = p.q.bit_length()
+    for x in p.a + p.b:
+        g = math.gcd(x, p.d)
+        bits = max(bits, (x // g).bit_length(), (p.d // g).bit_length())
+    return bits
+
+
+def _power(value: RatFunc | ExpSum, t: _Token) -> RatFunc | ExpSum:
     """value^n for the exponent token t.
 
     Refused with LimitExceededError before any multiply when n exceeds
@@ -259,21 +288,23 @@ def _power(value: ExpSum, t: _Token) -> ExpSum:
     digits = t.text.lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
         raise LimitExceededError(f"exponent exceeds {MAX_EXPONENT} (at position {t.pos})")
-    n, k = int(digits), len(value.terms)
-    degree = max((max(c.num.degree, c.den.degree) for _, c in value.terms), default=0)
+    rational = isinstance(value, RatFunc)
+    coeffs = [value] * (not value.is_zero) if rational else [c for _, c in value.terms]
+    n, k = int(digits), len(coeffs)
+    degree = max((max(c.num.degree, c.den.degree) for c in coeffs), default=0)
     size = math.comb(n + k - 1, k - 1) * (n * degree + 1) if k else 1
     if size > MAX_POWER_SIZE:
         raise LimitExceededError(
             f"power of size {size} exceeds {MAX_POWER_SIZE} (at position {t.pos})"
         )
-    bits = max((x.bit_length() for _, c in value.terms for k in c.num.coeffs + c.den.coeffs
-                for x in (k.a.numerator, k.a.denominator, k.b.numerator, k.b.denominator, k.q)),
-               default=0)
+    bits = max((_bits(p) for c in coeffs for p in (c.num, c.den)), default=0)
     if n * bits > MAX_POWER_BITS:
         raise LimitExceededError(
             f"power of {n} times {bits}-bit coefficients exceeds {MAX_POWER_BITS} bits "
             f"(at position {t.pos})"
         )
+    if rational:
+        return value ** n
     if k == 1:
         rate, coeff = value.terms[0]
         return ExpSum.exponential(rate * n, coeff ** n)
@@ -285,19 +316,18 @@ def _power(value: ExpSum, t: _Token) -> ExpSum:
 
 def parse_expsum(text: str, params: dict[str, FieldConstant] | None = None) -> ExpSum:
     """Parse a finite exponential sum such as '1/2*exp(2*z) - z + 3'."""
-    return _Parser(text, allow_exp=True, params=params).parse()
+    value = _Parser(text, allow_exp=True, params=params).parse()
+    return value if isinstance(value, ExpSum) else ExpSum.from_ratfunc(value)
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an exact rational function of z such as '(z^2+1)/(z-2)'."""
-    value = _Parser(text, allow_exp=False, params=None).parse()
-    return value.rate_zero_part()
+    return _Parser(text, allow_exp=False, params=None).parse()
 
 
 def parse_constant(text: str) -> FieldConstant:
     """Parse an exact constant such as '-3/2' or '1/2*sqrt(-2)'."""
-    value = _Parser(text, allow_exp=False, params=None).parse()
-    c = value.rate_zero_part().constant_value()
+    c = _Parser(text, allow_exp=False, params=None).parse().constant_value()
     if c is None:
         raise ExpressionSyntaxError("expected a constant expression", 0)
     return c

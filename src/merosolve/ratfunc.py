@@ -26,7 +26,7 @@ from .field import (
     ExtensionContext,
     FieldConstant,
     common_discriminant,
-    format_constant,
+    format_parts,
     from_integers,
     integer_parts,
 )
@@ -117,8 +117,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
@@ -406,19 +407,18 @@ class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part pol
         return total
 
 
-def _series_div(num: Poly, den: Poly, n: int):
-    """First n coefficients of the power series num/den, den[0] != 0, fraction-free.
+def _series_div(num: Poly, den: Poly, n: int) -> Poly:
+    """The power series num/den truncated to n terms, den[0] != 0, fraction-free.
 
     num and den are integer vectors over Z[sqrt(q)]; when den[0] is
     irrational both are multiplied by its conjugate, so that d0 = den[0] is a
     nonzero integer.  With O_k = out_k * d0**(k+1) the division recurrence
     out_k = (num_k - sum_j den_j*out_{k-j}) / d0 becomes the integer one
         O_k = num_k*d0**k - sum_{j>=1} den_j*O_{k-j}*d0**(j-1),
-    and each out_k costs one exact division.
+    and the n terms share the denominator d0**n, reduced once, by _poly.
     """
     q = _join(num, den)
     (nx, ny), (dx, dy) = _parts(num, q), _parts(den, q)
-    n_den, d_den = num.d, den.d
     if q and dy[0]:  # times the conjugate dx[0] - dy[0]*sqrt(q)
         nx, ny = _times(nx, ny, dx[0], -dy[0], q)
         dx, dy = _times(dx, dy, dx[0], -dy[0], q)
@@ -428,7 +428,6 @@ def _series_div(num: Poly, den: Poly, n: int):
              for j in range(1, len(dx)) if dx[j] or (q and dy[j])]
     ox: list[int] = []
     oy: list[int] = []
-    out = []
     power = 1  # d0**k
     for k in range(n):
         u = nx[k] * power if k < len(nx) else 0
@@ -443,9 +442,12 @@ def _series_div(num: Poly, den: Poly, n: int):
         ox.append(u)
         oy.append(v)
         power *= d0
-        # out_k = (O_k / d0**(k+1)) * (d_den / n_den)
-        out.append(from_integers(u * d_den, v * d_den, power * n_den, q))
-    return out
+    # out_k = O_k*d0**(n-1-k)*den.d / (d0**n*num.d)
+    scale = den.d
+    for k in range(n - 1, -1, -1):
+        ox[k], oy[k] = ox[k] * scale, oy[k] * scale
+        scale *= d0
+    return _poly(ox, oy, power * num.d, q)
 
 
 class RatFunc:
@@ -559,7 +561,7 @@ class RatFunc:
         if n < 0:
             return RatFunc.const(1) / (self ** (-n))
         # powers of coprime polynomials stay coprime, and of a monic one monic
-        return RatFunc._reduced(self.num.pow(n), self.den.pow(n))
+        return RatFunc._reduced(self.num.pow(n), self.den.pow(n) if self.den.degree else self.den)
 
     def derivative(self) -> RatFunc:
         n, d = self.num, self.den
@@ -593,7 +595,8 @@ class RatFunc:
         if self.is_zero:
             return 0, [ZERO] * n
         m, den = self._split_pole(z0)
-        return -m, _series_div(self.num.shift(z0), den.shift(z0), n)
+        series = _series_div(self.num.shift(z0), den.shift(z0), n)
+        return -m, [series[k] for k in range(n)]
 
     # -- decomposition ------------------------------------------------------------
 
@@ -654,30 +657,31 @@ def in_excluded_set(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldCons
 # -- canonical text rendering ----------------------------------------------------
 
 
-def _coeff_str(c: FieldConstant, power: int, var: str = "z") -> str:
-    """Render coefficient c multiplying var**power, parenthesized when needed."""
-    if power == 0:
-        s = format_constant(c)
-        return f"({s})" if (c.a != 0 and c.b != 0) else s
+def _coeff_str(an: int, ad: int, bn: int, bd: int, q: int, power: int, var: str) -> str:
+    """Render coefficient an/ad + (bn/bd)*sqrt(q) multiplying var**power,
+    parenthesized when needed."""
     zpart = var if power == 1 else f"{var}^{power}"
-    if c.a != 0 and c.b != 0:
-        return f"({format_constant(c)})*{zpart}"
-    if c == ONE:
-        return zpart
-    if c == -ONE:
-        return f"-{zpart}"
-    return f"{format_constant(c)}*{zpart}"
+    if power and not bn and ad == 1 and an in (1, -1):
+        return zpart if an == 1 else f"-{zpart}"
+    s = format_parts(an, ad, bn, bd, q)
+    if an and bn:
+        s = f"({s})"
+    return f"{s}*{zpart}" if power else s
 
 
 def poly_to_str(p: Poly, var: str = "z") -> str:
+    """p highest power first, each coefficient read off the vectors and
+    reduced with a gcd."""
     if p.is_zero:
         return "0"
     parts = []
+    d, q = p.d, p.q
     for k in range(p.degree, -1, -1):
-        c = p[k]
-        if c.is_zero:
+        a, b = p.a[k], p.b[k] if q else 0
+        if not a and not b:
             continue
-        term = _coeff_str(c, k, var)
+        ga, gb = math.gcd(a, d), math.gcd(b, d)
+        term = _coeff_str(a // ga, d // ga, b // gb, d // gb, q, k, var)
         if not parts:
             parts.append(term)
         elif term.startswith("-"):

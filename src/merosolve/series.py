@@ -31,7 +31,7 @@ from .field import (
     integer_parts,
 )
 from .laurent import LaurentExpansion, ResonanceInfo
-from .ratfunc import RatFunc, in_excluded_set
+from .ratfunc import Poly, RatFunc, _series_div, in_excluded_set
 
 RESONANCE_CAP_DEFAULT = 64
 
@@ -108,25 +108,26 @@ class _Taylor:
 
     __slots__ = ("q", "den", "ax", "ay", "bx", "by", "gx", "gy")
 
-    def __init__(self, al: list[FieldConstant], be: list[FieldConstant],
-                 ga: list[FieldConstant]):
-        cs = al + be + ga
-        q = common_discriminant(cs)
-        xs, ys, self.den = integer_parts(cs, q)
-        ys = ys or [0] * len(xs)
-        i, j = len(al), len(al) + len(be)
-        width = max(i + 1, j - i)
-        pad = [0] * width
-        self.q = q
-        self.ax, self.ay = (([0] + v[:i] + pad)[:width] for v in (xs, ys))
-        self.bx, self.by = ((v[i:j] + pad)[:width] for v in (xs, ys))
-        self.gx, self.gy = xs[j:], ys[j:]
+    def __init__(self, al: Poly, be: Poly, ga: Poly, n: int):
+        """al, be and ga are the three series truncated to n terms."""
+        self.q = common_discriminant((al, be, ga))
+        self.den = den = lcm(al.d, be.d, ga.d)
+
+        def vectors(s: Poly, shift: int) -> tuple[list[int], list[int]]:
+            k, pad = den // s.d, [0] * (n + 1 - len(s.a) - shift)
+            return ([0] * shift + [x * k for x in s.a] + pad,
+                    [0] * shift + [y * k for y in s.b or (0,) * len(s.a)] + pad)
+
+        self.ax, self.ay = vectors(al, 1)
+        self.bx, self.by = vectors(be, 0)
+        self.gx, self.gy = (v[:n] for v in vectors(ga, 0))
 
 
 def _taylor_set_up(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant,
                    n: int) -> _Taylor:
     # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
-    return _Taylor(*(f.taylor_at(z0, n)[1] for f in (alpha, beta, gamma)))
+    return _Taylor(*(_series_div(f.num.shift(z0), f.den.shift(z0), n)
+                     for f in (alpha, beta, gamma)), n)
 
 
 class _Prefix:

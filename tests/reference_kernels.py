@@ -2,12 +2,13 @@
 FieldConstant arithmetic, as they were written before merosolve moved them to
 integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
-Taylor division and the order-matching loop.  Tests compare the integer
-kernels of merosolve against them; nothing in the package imports this."""
+Taylor division, the order-matching loop and the polynomial printer.  Tests
+compare the integer kernels of merosolve against them; nothing in the package
+imports this."""
 
 from __future__ import annotations
 
-from merosolve.field import ONE, ZERO
+from merosolve.field import ONE, ZERO, format_constant
 
 
 def strip(cs):
@@ -173,3 +174,37 @@ def expand(alpha, beta, gamma, z0, p, a0, order):
         if match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt)
     return tuple(a), halted, alternate
+
+
+def coeff_str(c, power, var="z"):
+    """Render coefficient c multiplying var**power, parenthesized when needed."""
+    if power == 0:
+        s = format_constant(c)
+        return f"({s})" if (c.a != 0 and c.b != 0) else s
+    zpart = var if power == 1 else f"{var}^{power}"
+    if c.a != 0 and c.b != 0:
+        return f"({format_constant(c)})*{zpart}"
+    if c == ONE:
+        return zpart
+    if c == -ONE:
+        return f"-{zpart}"
+    return f"{format_constant(c)}*{zpart}"
+
+
+def poly_to_str(p, var="z"):
+    """ratfunc.poly_to_str, one FieldConstant per coefficient."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p[k]
+        if c.is_zero:
+            continue
+        term = coeff_str(c, k, var)
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(" - " + term[1:])
+        else:
+            parts.append(" + " + term)
+    return "".join(parts)

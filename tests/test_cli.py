@@ -15,7 +15,6 @@ import pytest
 import merosolve
 from merosolve import cli, series
 from merosolve.cli import _fold_dash_values, main
-from merosolve.ratfunc import RatFunc
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json")
@@ -305,13 +304,14 @@ class TestExpand:
     ])
     def test_taylor_set_up_once_per_request(self, capsys, monkeypatch, argv, sizes):
         calls = []
-        real = RatFunc.taylor_at
+        real = series._series_div
 
-        def counting(self, z0, n):
+        def counting(num, den, n):
             calls.append(n)
-            return real(self, z0, n)
+            return real(num, den, n)
 
-        monkeypatch.setattr(RatFunc, "taylor_at", counting)
+        # one Taylor division per coefficient, alpha, beta and gamma
+        monkeypatch.setattr(series, "_series_div", counting)
         code, doc, _ = run_json(capsys, "expand", *argv)
         assert code == 0 and len(doc["branches"]) == 2
         assert calls == sizes

@@ -285,3 +285,225 @@ class TestRoundTrip:
         rate = FieldConstant(Fraction(0), Fraction(-1, 2), -2)
         x = ExpSum.exponential(rate, 1)
         assert parse_expsum(x.to_text()) == x
+
+
+# -- the parser against values built directly -------------------------------------------
+
+ROOT5 = FieldConstant(Fraction(0), Fraction(1), 5)
+
+
+@st.composite
+def expression_trees(draw, allow_exp: bool, depth: int = 3):
+    """(text, value) of a random expression: ints, z, sqrt of a constant in
+    Q(sqrt 5), + - * / ^ and unary minus, and exp(c*z) when allow_exp.  Every
+    node is parenthesized; value is built with RatFunc arithmetic, or with
+    ExpSum arithmetic throughout when allow_exp."""
+    lift = ExpSum.from_ratfunc if allow_exp else (lambda f: f)
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        kind = draw(st.sampled_from(["int", "z", "sqrt"] + ["exp"] * allow_exp))
+        if kind == "int":
+            n = draw(st.integers(0, 12))
+            return str(n), lift(RatFunc.const(n))
+        if kind == "z":
+            return "z", lift(Z)
+        if kind == "sqrt":
+            k, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            five = draw(st.booleans())
+            c = Fraction(k, m) * ROOT5 if five else FieldConstant.of(Fraction(k, m))
+            return f"sqrt({5 if five else 1}*{k}^2/{m}^2)", lift(RatFunc.const(c))
+        c = draw(st.sampled_from([-2, -1, 0, 1, 2, "sqrt(5)"]))
+        rate = ROOT5 if c == "sqrt(5)" else FieldConstant.of(c)
+        return f"exp(({c})*z)", ExpSum.exponential(rate, 1)
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^", "neg"]))
+    a_text, a = draw(expression_trees(allow_exp, depth - 1))
+    if op == "neg":
+        return f"-({a_text})", -a
+    if op == "^":
+        coeffs = [c for _, c in a.terms] if allow_exp else [a] * (not a.is_zero)
+        degree = max((max(c.num.degree, c.den.degree) for c in coeffs), default=0)
+        n = draw(st.integers(0, 3 if len(coeffs) < 3 and degree < 5 else 1))
+        power = lift(RatFunc.const(1))
+        for _ in range(n):
+            power = power * a
+        return f"({a_text})^{n}", power
+    b_text, b = draw(expression_trees(allow_exp, depth - 1))
+    if op == "/" and (b.is_zero or allow_exp and len(b.terms) > 1):
+        op = "*"  # division by zero or by a sum of exponentials is an error
+    text = f"({a_text}){op}({b_text})"
+    if op == "+":
+        return text, a + b
+    if op == "-":
+        return text, a - b
+    if op == "*":
+        return text, a * b
+    if not allow_exp:
+        return text, a / b
+    rate, coeff = b.terms[0]
+    return text, a * ExpSum.exponential(-rate, 1 / coeff)
+
+
+class TestParserAgainstDirectValues:
+    @given(expression_trees(allow_exp=False))
+    def test_parse_ratfunc_and_constant(self, case):
+        text, value = case
+        assert parse_ratfunc(text) == value
+        c = value.constant_value()
+        if c is None:
+            with pytest.raises(ExpressionSyntaxError, match="expected a constant expression"):
+                parse_constant(text)
+        else:
+            assert parse_constant(text) == c
+
+    @given(expression_trees(allow_exp=True))
+    def test_parse_expsum(self, case):
+        text, value = case
+        assert parse_expsum(text) == value
+
+    @pytest.mark.parametrize("text, value", [
+        ("(z+1)*exp(2*z)/z", ExpSum.exponential(2, (Z + 1) / Z)),
+        ("z - exp(z)*z^2", ExpSum.from_ratfunc(Z) + ExpSum.exponential(1, -Z * Z)),
+        ("exp(z)^3", ExpSum.exponential(3, 1)),
+        ("(exp(z)+z)^2", ExpSum.exponential(2, 1) + ExpSum.exponential(1, 2 * Z)
+         + ExpSum.from_ratfunc(Z * Z)),
+        ("1/exp(z)", ExpSum.exponential(-1, 1)),
+        ("0^0", ExpSum.from_ratfunc(RatFunc.const(1))),
+        ("(z-z)^3", ExpSum.zero()),
+        ("exp(z)^0", ExpSum.from_ratfunc(RatFunc.const(1))),
+        ("exp(z)/exp(z) + z", ExpSum.from_ratfunc(Z + 1)),
+        ("exp(z) - exp(z)", ExpSum.zero()),
+        ("sqrt(exp(z) - exp(z) + 4)*z", ExpSum.from_ratfunc(2 * Z)),
+        ("exp((exp(z) - exp(z) + 2)*z)", ExpSum.exponential(2, 1)),
+    ])
+    def test_type_changes_mid_expression(self, text, value):
+        assert parse_expsum(text) == value
+
+    def test_rational_results_keep_their_type(self):
+        assert type(parse_ratfunc("(z+1)^2/(z-1)")) is RatFunc
+        assert type(parse_constant("sqrt(5)/2 + 1")) is FieldConstant
+        assert type(parse_expsum("z + 1")) is ExpSum
+
+
+# (function, text, error type, message, position) for every refusal of the
+# parser, as the ExpSum-based parser gave them; the nesting cases are built
+# from MAX_NESTING_DEPTH = 100
+_DEEP = "(" * (MAX_NESTING_DEPTH + 1) + "z" + ")" * (MAX_NESTING_DEPTH + 1)
+ERROR_CASES = [
+    (parse_ratfunc, "z @ 1", ExpressionSyntaxError, "unexpected character '@' (at position 2)", 2),
+    (parse_ratfunc, "z z", ExpressionSyntaxError, "unexpected trailing 'z' (at position 2)", 2),
+    (parse_ratfunc, "1 + ", ExpressionSyntaxError,
+     "expected a value but found end of input (at position 4)", 4),
+    (parse_ratfunc, "", ExpressionSyntaxError,
+     "expected a value but found end of input (at position 0)", 0),
+    (parse_expsum, _DEEP, LimitExceededError,
+     "expression nests deeper than 100 levels (at position 101)", None),
+    (parse_expsum, "sqrt(" + _DEEP[1:-1] + ")", LimitExceededError,
+     "expression nests deeper than 100 levels (at position 105)", None),
+    (parse_expsum, "exp(" + _DEEP[1:-1] + ")", LimitExceededError,
+     "expression nests deeper than 100 levels (at position 104)", None),
+    (parse_expsum, "2^1001", LimitExceededError, "exponent exceeds 1000 (at position 2)", None),
+    (parse_ratfunc, "z^0001001", LimitExceededError, "exponent exceeds 1000 (at position 2)", None),
+    (parse_expsum, "(z+1)^150", LimitExceededError,
+     "power of size 151 exceeds 150 (at position 6)", None),
+    (parse_expsum, "(exp(z)+1)^150", LimitExceededError,
+     "power of size 151 exceeds 150 (at position 11)", None),
+    (parse_expsum, "(exp(z)+exp(2*z)+1)^20", LimitExceededError,
+     "power of size 231 exceeds 150 (at position 20)", None),
+    (parse_ratfunc, "((z+1)^100)^100", LimitExceededError,
+     "power of size 10001 exceeds 150 (at position 12)", None),
+    (parse_expsum, "(exp(z)*z^3)^50", LimitExceededError,
+     "power of size 151 exceeds 150 (at position 13)", None),
+    (parse_expsum, "9999999^1000", LimitExceededError,
+     "power of 1000 times 24-bit coefficients exceeds 3322 bits (at position 8)", None),
+    (parse_ratfunc, "(z/8388607 + 1/8388605)^145", LimitExceededError,
+     "power of 145 times 23-bit coefficients exceeds 3322 bits (at position 24)", None),
+    (parse_expsum, "(exp(z)/8388607 + 1/8388605)^145", LimitExceededError,
+     "power of 145 times 23-bit coefficients exceeds 3322 bits (at position 29)", None),
+    (parse_expsum, "((123456789/987654321)*z+sqrt(7)/1234567)^149", LimitExceededError,
+     "power of 149 times 27-bit coefficients exceeds 3322 bits (at position 42)", None),
+    (parse_expsum, "(z + sqrt(999999999999989))^100", LimitExceededError,
+     "power of 100 times 50-bit coefficients exceeds 3322 bits (at position 28)", None),
+    (parse_ratfunc, "z + " + "9" * 1001, LimitExceededError,
+     "integer literal has more than 1000 digits (at position 4)", None),
+    (parse_ratfunc, "w + 1", ExpressionSyntaxError, "unknown name 'w' (at position 0)", 0),
+    (parse_expsum, "exp(z) + w", ExpressionSyntaxError, "unknown name 'w' (at position 9)", 9),
+    (parse_ratfunc, "(z + 1", ExpressionSyntaxError,
+     "expected ')' but found end of input (at position 6)", 6),
+    (parse_ratfunc, "z^x", ExpressionSyntaxError, "expected 'int' but found 'x' (at position 2)", 2),
+    (parse_ratfunc, "1/0", ZeroDenominatorLiteralError,
+     "division by an expression that is identically zero (at position 1)", 1),
+    (parse_ratfunc, "z/(z - z)", ZeroDenominatorLiteralError,
+     "division by an expression that is identically zero (at position 1)", 1),
+    (parse_expsum, "exp(z)/(exp(z)-exp(z))", ZeroDenominatorLiteralError,
+     "division by an expression that is identically zero (at position 6)", 6),
+    (parse_expsum, "exp(z)/0", ZeroDenominatorLiteralError,
+     "division by an expression that is identically zero (at position 6)", 6),
+    (parse_ratfunc, "exp(z)", ExpressionSyntaxError,
+     "exp(...) is not allowed in a rational function (at position 0)", 0),
+    (parse_constant, "1 + exp(0*z)", ExpressionSyntaxError,
+     "exp(...) is not allowed in a rational function (at position 4)", 4),
+    (parse_expsum, "exp(z + 1)", ExpressionSyntaxError,
+     "exp argument must be a constant multiple of z (at position 0)", 0),
+    (parse_expsum, "exp(1/z)", ExpressionSyntaxError,
+     "exp argument must be a constant multiple of z (at position 0)", 0),
+    (parse_expsum, "exp(exp(z))", ExpressionSyntaxError,
+     "exp argument must be a constant multiple of z (at position 0)", 0),
+    (parse_expsum, "sqrt(exp(z))", ExpressionSyntaxError,
+     "sqrt argument must be a constant (at position 0)", 0),
+    (parse_constant, "2 + sqrt(z)", ExpressionSyntaxError,
+     "sqrt argument must be a constant (at position 4)", 4),
+    (parse_expsum, "(z+1)/(exp(z)+z)", ExpressionSyntaxError,
+     "cannot divide by a sum of exponential terms (at position 5)", 5),
+    (parse_constant, "sqrt(1 + sqrt(5))", NestedExtensionError,
+     "1 + sqrt(5) lies in Q(sqrt(5)) and is not a square there", None),
+    (parse_constant, "sqrt(2) + sqrt(3)", IncompatibleExtensionsError,
+     "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))", None),
+    (parse_constant, "1/z", ExpressionSyntaxError,
+     "expected a constant expression (at position 0)", 0),
+]
+
+
+class TestErrorsUnchanged:
+    @pytest.mark.parametrize("parse, text, error, message, position", ERROR_CASES,
+                             ids=[f"{case[0].__name__}:{case[1][:40]}" for case in ERROR_CASES])
+    def test_message_and_position(self, parse, text, error, message, position):
+        with pytest.raises(error) as e:
+            parse(text)
+        assert type(e.value) is error and str(e.value) == message
+        assert getattr(e.value, "position", None) == position
+
+    def test_bit_cap_reads_each_coefficient_reduced_on_its_own(self):
+        # z/8388607 + 1/8388605 has two 23-bit denominators over a common
+        # denominator of 46 bits; 144 * 23 = 3312 and 145 * 23 = 3335 bits
+        p = parse_ratfunc("z/8388607 + 1/8388605").num
+        assert p.d.bit_length() == 46 and p.d != 8388607 and p.d != 8388605
+        assert parse_ratfunc("(z/8388607 + 1/8388605)^144").num.degree == 144
+        with pytest.raises(LimitExceededError, match="power of 145 times 23-bit"):
+            parse_ratfunc("(z/8388607 + 1/8388605)^145")
+        assert parse_constant("(1/8388607 + sqrt(5)/8388605)^144").q == 5
+        with pytest.raises(LimitExceededError, match="power of 145 times 23-bit"):
+            parse_constant("(1/8388607 + sqrt(5)/8388605)^145")
+
+
+class TestParserCost:
+    # the D-poly-6 input of perfbench/data/classify-ladder.json (id #80)
+    ALPHA = "-4*z^6 - 26*z^5 - 44*z^4 + 6*z^3 + 28*z^2 + 14*z + 2"
+    BETA = "z^5 + z^4 + z^3 - 2*z^2 + 3*z"
+    GAMMA = ("-4*z^12 - 30*z^11 - 66*z^10 - 3*z^9 + 134*z^8 + 93*z^7 - 30*z^6 - 28*z^5"
+             " - 27*z^4 - 29*z^3 - 6*z^2 - 3*z - 1")
+
+    def test_parse_ratfunc_builds_no_expsum(self, monkeypatch):
+        built = []
+        real_init = ExpSum.__init__
+
+        def init(self, terms=()):
+            built.append(terms)
+            real_init(self, terms)
+
+        monkeypatch.setattr(ExpSum, "__init__", init)
+        for text in (self.ALPHA, self.BETA, self.GAMMA):
+            assert ratfunc_to_str(parse_ratfunc(text)) == text
+        assert parse_constant("(1 + sqrt(5))^3/2") == FieldConstant.of(8) + 4 * ROOT5
+        assert built == []
+        # the counter is live: parse_expsum wraps a rational result once
+        parse_expsum(self.BETA)
+        assert len(built) == 1

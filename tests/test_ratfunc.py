@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from merosolve import ratfunc
+from merosolve import field, ratfunc
 from merosolve.errors import (
     IncompatibleExtensionsError,
     IrreducibleDenominatorError,
+    LimitExceededError,
     PoleAtPointError,
 )
+from merosolve.parse import parse_ratfunc
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.ratfunc import (
     Poly,
@@ -22,6 +25,7 @@ from merosolve.ratfunc import (
     linear_roots,
     poly_gcd,
     poly_to_str,
+    ratfunc_to_str,
 )
 
 import reference_kernels
@@ -543,3 +547,85 @@ class TestRepresentationEdges:
         ]
         for other in routes:
             assert other == p and hash(other) == hash(p)
+
+
+# -- the printer: vectors against the FieldConstant reference ---------------------------
+
+# rational parts that exercise the printer's shapes: unit and zero coefficients,
+# signs, fractions, and integers of 40 digits
+render_parts = st.one_of(
+    st.sampled_from([0, 0, 1, -1]).map(Fraction),
+    small_fractions,
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def render_polys(draw):
+    """(p, var): p over Q or Q(sqrt 5) with up to 7 coefficients."""
+    if draw(st.booleans()):
+        constants = render_parts.map(FieldConstant.of)
+    else:
+        constants = st.builds(lambda a, b: FieldConstant(a, b, 5), render_parts, render_parts)
+    return Poly(draw(st.lists(constants, max_size=7))), draw(st.sampled_from(["z", "c1"]))
+
+
+class TestRendererAgainstReference:
+    @given(render_polys())
+    def test_poly_to_str_equals_the_field_constant_printer(self, case):
+        p, var = case
+        assert poly_to_str(p, var) == reference_kernels.poly_to_str(p, var)
+
+    def test_fixed_shapes(self):
+        half = FieldConstant.of(Fraction(1, 2))
+        cases = {
+            "-z^3 + z": Poly([ZERO, ONE, ZERO, -ONE]),
+            "-sqrt(5)*z^2 - 1": Poly([-ONE, ZERO, -root5]),
+            "(1/2 - sqrt(5))*z + (1 + 1/2*sqrt(5))": Poly([ONE + half * root5, half - root5]),
+            "-1/2*z^4 + 123456789012345678901234567890": Poly(
+                [FieldConstant.of(123456789012345678901234567890), ZERO, ZERO, ZERO, -half]),
+        }
+        for text, p in cases.items():
+            assert poly_to_str(p) == reference_kernels.poly_to_str(p) == text
+
+    def test_printing_refusal_is_the_same(self):
+        limit = sys.get_int_max_str_digits()
+        big = FieldConstant.of(10**limit)
+        for cs in ([big, ONE], [ONE, ZERO, 1 / big], [-big * root2], [ONE, big + root2]):
+            p = Poly(cs)
+            with pytest.raises(LimitExceededError) as got:
+                poly_to_str(p)
+            with pytest.raises(LimitExceededError) as want:
+                reference_kernels.poly_to_str(p)
+            assert str(got.value) == str(want.value)
+            assert f"{limit}-digit printing limit" in str(got.value)
+
+
+class TestRendererCost:
+    # the gamma input of the D-poly-6 entries of perfbench/data/classify-ladder.json
+    GAMMA = ("-4*z^12 - 30*z^11 - 66*z^10 - 3*z^9 + 134*z^8 + 93*z^7 - 30*z^6 - 28*z^5"
+             " - 27*z^4 - 29*z^3 - 6*z^2 - 3*z - 1")
+
+    def test_poly_to_str_builds_no_field_constant(self, monkeypatch):
+        p = RatFunc.z() ** 12 * 4 - RatFunc.z() * 30 + Fraction(-1, 3)
+        q = Poly([FieldConstant(Fraction(1, 2), Fraction(-3), 5), ZERO, -ONE])
+        made = []
+        real_trusted, real_init = field._trusted, FieldConstant.__init__
+
+        def trusted(*args):
+            made.append(args)
+            return real_trusted(*args)
+
+        def init(self, *args):
+            made.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(field, "_trusted", trusted)
+        monkeypatch.setattr(FieldConstant, "__init__", init)
+        assert poly_to_str(p.num) == "4*z^12 - 30*z - 1/3"
+        assert poly_to_str(q) == "-z^2 + (1/2 - 3*sqrt(5))"
+        assert ratfunc_to_str(parse_ratfunc(self.GAMMA)) == self.GAMMA  # parse makes none either
+        assert made == []
+        # the counter is live: a coefficient handed out as a constant is one
+        assert p.num[0] == FieldConstant.of(Fraction(-1, 3))
+        assert len(made) == 2

@@ -414,7 +414,7 @@ def _truncated_series(draw):
 def _kernel_pair(m, a, p, al, be, ga):
     """series._residual_order on the integer views of a and of the Taylor
     lists, its (u, v, d) triples read back as constants."""
-    t = series._Taylor(al, be, ga)
+    t = series._Taylor(Poly(al), Poly(be), Poly(ga), len(ga))
     prefix = series._Prefix(a, common_discriminant(a, t.q))
     return tuple(from_integers(u, v, d, prefix.q)
                  for u, v, d in series._residual_order(m, prefix, p, t))
