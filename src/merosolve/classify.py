@@ -135,17 +135,10 @@ def compute_A(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> RatFunc:
 def eq3_residual(
     k0: RatFunc, k1: RatFunc, k2: RatFunc, k3: RatFunc, f: ExpSum
 ) -> ExpSum:
-    """f*f'' - (f')**2 - k0 - k1*f - k2*f' - k3*f'', computed directly."""
-    fp = f.derivative()
-    fpp = fp.derivative()
-    return (
-        f * fpp
-        - fp * fp
-        - ExpSum.from_ratfunc(RatFunc.of(k0))
-        - ExpSum.from_ratfunc(RatFunc.of(k1)) * f
-        - ExpSum.from_ratfunc(RatFunc.of(k2)) * fp
-        - ExpSum.from_ratfunc(RatFunc.of(k3)) * fpp
-    )
+    """f*f'' - (f')**2 - k0 - k1*f - k2*f' - k3*f'': the residual with
+    (alpha, beta, gamma) = (k1, k2, k0), less k3*f''."""
+    k0, k1, k2, k3 = (RatFunc.of(k) for k in (k0, k1, k2, k3))
+    return residual(k1, k2, k0, f) - f.derivative().derivative() * k3
 
 
 def applicable_labels(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> tuple[str, ...]:

@@ -3,6 +3,12 @@
 The class is closed under ring operations and differentiation; integration is
 closed except for logarithmic obstructions, which are returned as a typed
 report (a normal outcome, not an exception).
+
+The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
+integer-vector numerators over one denominator (_residual_numerators):
+residual_is_zero asks whether every numerator vanishes, and residual reduces
+each nonzero one to the unique RatFunc normal form, which is why its text is
+the one the expanded ExpSum products would print.
 """
 
 from __future__ import annotations
@@ -371,29 +377,31 @@ def integrate_exp(
 
 
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:
-    """w*w'' - (w')**2 - alpha*w - beta*w' - gamma, exactly."""
-    wp = w.derivative()
-    wpp = wp.derivative()
-    a = ExpSum.from_ratfunc(alpha)
-    b = ExpSum.from_ratfunc(beta)
-    g = ExpSum.from_ratfunc(gamma)
-    return w * wpp - wp * wp - a * w - b * wp - g
+    """w*w'' - (w')**2 - alpha*w - beta*w' - gamma, exactly.
+
+    Each nonzero numerator of _residual_numerators over E*D**4 is put in
+    RatFunc normal form.  That form is unique, so the terms and the text are
+    those the expanded ExpSum products give; a zero residual builds no
+    RatFunc and meets no gcd, a nonzero one at most one gcd per rate."""
+    nums, den = _residual_numerators(alpha, beta, gamma, w)
+    return ExpSum([(r, RatFunc(p, den)) for r, p in nums.items() if not p.is_zero])
 
 
 def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> bool:
-    """residual(alpha, beta, gamma, w).is_zero, decided with no gcd.
+    """residual(alpha, beta, gamma, w).is_zero, decided with no gcd."""
+    return all(p.is_zero for p in _residual_numerators(alpha, beta, gamma, w)[0].values())
+
+
+def _residual_numerators(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum):
+    """({rate: numerator}, E*D**4): the residual of w as polynomial
+    numerators over one denominator, held as integer vectors.
 
     By Hayman's identity w*w'' - (w')**2 = w**2*(log w)'', with D the product
     of the distinct term denominators of w, u = D*w and E that of alpha, beta
     and gamma, E*D**4 times the residual is
         u*(E*D**2*u'' - E*(D*D'' - D'**2)*u - E*alpha*D**3 + E*beta*D**2*D')
-          - u'*(E*D**2*u' + E*beta*D**3) - E*gamma*D**4,
-    an exponential sum with polynomial coefficients, held as integer vectors.
+          - u'*(E*D**2*u' + E*beta*D**3) - E*gamma*D**4.
     """
-    fs = (alpha, beta, gamma, *(f for _, f in w.terms))
-    qs = {p.q for f in fs for p in (f.num, f.den)} | {r.q for r, _ in w.terms}
-    if len(qs - {0}) > 1:  # mixed extensions: residual raises as it always has
-        return residual(alpha, beta, gamma, w).is_zero
     (ea, eb, eg), e = _over_common_denominator((alpha, beta, gamma))
     us, d = _over_common_denominator([f for _, f in w.terms])
     u = dict(zip((r for r, _ in w.terms), us))
@@ -411,7 +419,7 @@ def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -
         for r1, f in x.items():
             for r2, g in y.items():
                 total[r1 + r2] = total.get(r1 + r2, Poly()) + f * g
-    return all(p.is_zero for p in total.values())
+    return total, e_d2 * d2
 
 
 def _over_common_denominator(fs):

@@ -165,18 +165,11 @@ class FieldConstant:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _join(self, other: FieldConstant) -> int:
-        if self.q == 0:
-            return other.q
-        if other.q == 0 or other.q == self.q:
-            return self.q
-        raise IncompatibleExtensionsError(self.q, other.q)
-
     def __add__(self, other) -> FieldConstant:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        q = self._join(other)
+        q = common_discriminant((other,), self.q)
         return _trusted(self.a + other.a, self.b + other.b, q)
 
     __radd__ = __add__
@@ -185,7 +178,7 @@ class FieldConstant:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        q = self._join(other)
+        q = common_discriminant((other,), self.q)
         return _trusted(self.a - other.a, self.b - other.b, q)
 
     def __rsub__(self, other) -> FieldConstant:
@@ -207,7 +200,7 @@ class FieldConstant:
             return _trusted(self.a * other.a, self.b * other.a, self.q)
         if not self.b:
             return _trusted(self.a * other.a, self.a * other.b, other.q)
-        q = self._join(other)
+        q = common_discriminant((other,), self.q)
         a = self.a * other.a + self.b * other.b * q
         b = self.a * other.b + self.b * other.a
         return _trusted(a, b, q)
@@ -301,9 +294,11 @@ ONE = FieldConstant(Fraction(1))
 
 
 def common_discriminant(cs, q: int = 0) -> int:
-    """The discriminant that q and the constants cs share: 0 when all are rational.
+    """The discriminant that q and cs share: 0 when all are rational.
 
-    Raises IncompatibleExtensionsError when two different extensions meet."""
+    cs holds anything with a q (constants, polynomials).  This is the one rule
+    for joining extensions: when two different ones meet it raises
+    IncompatibleExtensionsError(first, second)."""
     for c in cs:
         if c.q and c.q != q:
             if q:

@@ -73,9 +73,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import (
     DivisionByZeroError,
-    IncompatibleExtensionsError,
     IrreducibleDenominatorError,
     NestedExtensionError,
     PoleAtPointError,
@@ -89,7 +88,7 @@ class Poly:
 
     def __add__(self, other: Poly, sign: int = 1) -> Poly:
         """self + sign*other over the lcm of the two denominators."""
-        q = _join(self, other)
+        q = common_discriminant((other,), self.q)
         g = math.gcd(self.d, other.d)
         m, n = other.d // g, sign * (self.d // g)
         (a, b), (c, e) = _parts(self, q), _parts(other, q)
@@ -102,7 +101,7 @@ class Poly:
         return _poly([-x for x in self.a], [-x for x in self.b], self.d, self.q)
 
     def __mul__(self, other: Poly) -> Poly:
-        q = _join(self, other)
+        q = common_discriminant((other,), self.q)
         (a, b), (c, e) = _parts(self, q), _parts(other, q)
         if not q:
             return _poly(_conv(a, c), (), self.d * other.d, 0)
@@ -125,7 +124,7 @@ class Poly:
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
-        q = _join(self, other)
+        q = common_discriminant((other,), self.q)
         (qa, qb), (ra, rb), s, (c, e) = _pseudo_divide(_parts(self, q), _parts(other, q), q)
         # s*self*self.d = quo*(c - e*sqrt(q))*other*other.d + rem on the vectors
         qa, qb = _times(qa, qb, c * other.d, -e * other.d, q)
@@ -141,7 +140,7 @@ class Poly:
     def eval(self, x: FieldConstant) -> FieldConstant:
         """Horner's rule on (x_a + x_b*sqrt(q))/x_d, homogenised in x_d."""
         x = FieldConstant.of(x)
-        q = _join(self, x)
+        q = common_discriminant((x,), self.q)
         (xa,), xb, xd = integer_parts((x,), q)
         xb = xb[0] if q else 0
         a, b = _parts(self, q)
@@ -193,13 +192,6 @@ def _poly(a, b, d: int, q: int, p: Poly | None = None) -> Poly:
         p.a, p.b = tuple([x // g for x in a]), tuple([x // g for x in b])
     p.d, p.q = d // g, q
     return p
-
-
-def _join(p, r) -> int:
-    """The discriminant p and r share (0 when both are rational)."""
-    if p.q and r.q and p.q != r.q:
-        raise IncompatibleExtensionsError(p.q, r.q)
-    return p.q or r.q
 
 
 def _parts(p: Poly, q: int):
@@ -269,14 +261,18 @@ def _pseudo_divide(f, g, q: int):
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the primitive remainder sequence (Collins, JACM 14, 1967):
-    pseudo-remainders over Z[sqrt(q)], each with its integer content divided
-    out, and the monic normal form taken once, at the end."""
+    pseudo-remainders over Z[sqrt(q)], each made to lead with an integer (times
+    the conjugate of its leading coefficient) and with its integer content
+    divided out, and the monic normal form taken once, at the end."""
     if a.degree == 0 or b.degree == 0:  # a nonzero constant is a unit
         return Poly.const(1)
-    q = _join(a, b)
+    q = common_discriminant((b,), a.q)
     f, g = _parts(a, q), _parts(b, q)
     while g[0]:
-        f, g = g, _parts(_poly(*_pseudo_divide(f, g, q)[1], 0, q), q)
+        r = _poly(*_pseudo_divide(f, g, q)[1], 0, q)
+        if r.q and r.b[-1]:  # else conjugate factors pile up along the sequence
+            r = _poly(*_times(r.a, r.b, r.a[-1], -r.b[-1], q), 0, q)
+        f, g = g, _parts(r, q)
     return _poly(*f, 1, q).monic()
 
 
@@ -417,7 +413,7 @@ def _series_div(num: Poly, den: Poly, n: int) -> Poly:
         O_k = num_k*d0**k - sum_{j>=1} den_j*O_{k-j}*d0**(j-1),
     and the n terms share the denominator d0**n, reduced once, by _poly.
     """
-    q = _join(num, den)
+    q = common_discriminant((den,), num.q)
     (nx, ny), (dx, dy) = _parts(num, q), _parts(den, q)
     if q and dy[0]:  # times the conjugate dx[0] - dy[0]*sqrt(q)
         nx, ny = _times(nx, ny, dx[0], -dy[0], q)

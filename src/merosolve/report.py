@@ -27,14 +27,8 @@ def coefficients_dict(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> dict:
 
 
 def _constraints_dict(family: SolutionFamily) -> dict:
-    out = {}
-    c = family.constraints
-    for name in ("A", "B", "g", "h", "k1_squared", "k2_squared",
-                 "discriminant", "case2_constraint"):
-        v = getattr(c, name)
-        if v is not None:
-            out[name] = str(v)  # a RatFunc or FieldConstant in canonical text
-    return out
+    # each field that applies, a RatFunc or FieldConstant in canonical text
+    return {name: str(v) for name, v in family.constraints._asdict().items() if v is not None}
 
 
 def _family_dict(family: SolutionFamily) -> dict:

@@ -2,13 +2,16 @@
 FieldConstant arithmetic, as they were written before merosolve moved them to
 integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
-Taylor division, the order-matching loop and the polynomial printer.  Tests
-compare the integer kernels of merosolve against them; nothing in the package
-imports this."""
+Taylor division, the order-matching loop and the polynomial printer; and the
+residuals of both equations as expanded ExpSum products.  Tests compare the
+integer kernels of merosolve against them; nothing in the package imports
+this."""
 
 from __future__ import annotations
 
+from merosolve.expsum import ExpSum
 from merosolve.field import ONE, ZERO, format_constant
+from merosolve.ratfunc import RatFunc
 
 
 def strip(cs):
@@ -208,3 +211,19 @@ def poly_to_str(p, var="z"):
         else:
             parts.append(" + " + term)
     return "".join(parts)
+
+
+def residual(alpha, beta, gamma, w):
+    """w*w'' - (w')**2 - alpha*w - beta*w' - gamma from ExpSum products."""
+    wp = w.derivative()
+    wpp = wp.derivative()
+    a, b, g = (ExpSum.from_ratfunc(f) for f in (alpha, beta, gamma))
+    return w * wpp - wp * wp - a * w - b * wp - g
+
+
+def eq3_residual(k0, k1, k2, k3, f):
+    """f*f'' - (f')**2 - k0 - k1*f - k2*f' - k3*f'' from ExpSum products."""
+    fp = f.derivative()
+    fpp = fp.derivative()
+    k0, k1, k2, k3 = (ExpSum.from_ratfunc(RatFunc.of(k)) for k in (k0, k1, k2, k3))
+    return f * fpp - fp * fp - k0 - k1 * f - k2 * fp - k3 * fpp

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 
 import pytest
+from hypothesis import given
 
 from merosolve import expsum, ratfunc
 from merosolve.classify import (
@@ -25,6 +26,9 @@ from merosolve.expsum import ExpSum, residual, residual_is_zero
 from merosolve.field import FieldConstant
 from merosolve.parse import parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc, poly_gcd
+
+import reference_kernels
+from conftest import expsums, ratfuncs
 
 Z = RatFunc.z()
 RF = RatFunc.of
@@ -261,9 +265,10 @@ class TestResidualGate:
         assert failure is None and [r.residual_zero for r in records] == [True] * 3
         assert all(m.rate_zero_part().den.degree == 3 for m in members)
         assert gcds == [] and residuals == []
-        # the gcd counter is live: the normalised residual does meet gcds
+        # the gcd counter is live: a nonzero residual does meet gcds
+        w = members[0] + ExpSum.from_ratfunc(RF(1) / (Z - 1))
         in_gate[0] = 1
-        assert residual(self.ALPHA, self.BETA, self.GAMMA, members[0]).is_zero
+        assert not residual(self.ALPHA, self.BETA, self.GAMMA, w).is_zero
         assert gcds
 
     def test_failing_member_reason_is_the_residual_text(self):
@@ -505,6 +510,12 @@ class TestTransformPipeline:
             w = instantiate(fam, dict(fam.generic_assignment))
             f = w + ExpSum.from_ratfunc(k3)
             assert eq3_residual(k0, k1, k2, k3, f).is_zero
+
+
+class TestEq3Residual:
+    @given(ratfuncs(2), ratfuncs(2), ratfuncs(2), ratfuncs(2), expsums(max_terms=2))
+    def test_equals_the_product_formula(self, k0, k1, k2, k3, f):
+        assert eq3_residual(k0, k1, k2, k3, f) == reference_kernels.eq3_residual(k0, k1, k2, k3, f)
 
 
 class TestNonAdmissibleFamilies:

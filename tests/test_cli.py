@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import merosolve
 from merosolve import cli, series
@@ -535,6 +539,87 @@ class TestErrorEnvelope:
             "code": "IncompatibleExtensions",
             "message": "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))",
         }}
+
+    @pytest.mark.parametrize("argv", [
+        ("--beta", "z", "--gamma", "sqrt(5)", "--solution", "exp(sqrt(3)*z)/(z-sqrt(2))"),
+        # the residual keeps the two extensions in different terms
+        ("--beta", "0", "--gamma", "sqrt(2)", "--solution", "exp(sqrt(3)*z)/(z-sqrt(3))"),
+    ])
+    def test_two_extensions_in_the_residual(self, capsys, argv):
+        code, doc, _ = run_json(capsys, "verify", "--alpha", "0", *argv)
+        assert code == 1
+        assert doc == {"error": {
+            "code": "IncompatibleExtensions",
+            "message": "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))",
+        }}
+
+
+class TestGcdGrowth:
+    # remainder sequences over Z[sqrt(2)] whose conjugate factors once piled
+    # up (131 s and 12 s on a 2-vCPU x86 machine); the MD5 of the stdout they
+    # gave then
+    @pytest.mark.parametrize("argv, digest", [
+        (("classify", "--alpha", "1/z", "--beta", "1+1/(z^2-2)+sqrt(2)-1/(z^3-2)-z^64",
+          "--gamma", "1"), "306ff2dc1801c1a9a07a584b9b512bb6"),
+        (("transform", "--k0", "sqrt(2)", "--k1", "2*1+z", "--k2", "z^2+1", "--k3", "z^64",
+          "--then-classify"), "371db75dd14347be660c8911d1a46b63"),
+    ])
+    def test_same_bytes_in_bounded_time(self, capsys, argv, digest):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and hashlib.md5(out.encode()).hexdigest() == digest
+
+
+# the grammar's atoms, with superscript and Arabic-Indic digits beside ASCII ones
+_ATOMS = ["z", "0", "1", "2", "7", "1/2", "sqrt(2)", "sqrt(-3)", "¹", "²", "٣"]
+
+
+def _expressions(rates: bool):
+    """Expression text over _ATOMS: sums, products, quotients, juxtaposition,
+    signs, powers up to 8 and, when rates, exp(...*z)."""
+    def grow(inner):
+        shapes = [
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", ""]), inner).map("".join),
+            inner.map(lambda x: f"-({x})"),
+            st.tuples(inner, st.integers(0, 8)).map(lambda t: f"({t[0]})^{t[1]}"),
+        ]
+        if rates:
+            shapes.append(inner.map(lambda x: f"exp({x}*z)"))
+        return st.one_of(shapes)
+
+    return st.recursive(st.sampled_from(_ATOMS), grow, max_leaves=5)
+
+
+@st.composite
+def _argvs(draw):
+    """A --json command line for one of the four verbs."""
+    verb = draw(st.sampled_from(["classify", "transform", "verify", "expand"]))
+    e = _expressions(rates=False)
+    if verb == "transform":
+        argv = [verb] + [x for k in ("k0", "k1", "k2", "k3") for x in (f"--{k}", draw(e))]
+        if draw(st.booleans()):
+            argv.append("--then-classify")
+    else:
+        argv = [verb, "--alpha", draw(e), "--beta", draw(e), "--gamma", draw(e)]
+    if verb == "verify":
+        argv += ["--solution", draw(_expressions(rates=True))]
+    if verb == "expand":
+        argv += ["--at", draw(e), "--order", str(draw(st.integers(0, 8)))]
+    return argv + ["--json"]
+
+
+class TestGrammarGate:
+    @settings(max_examples=150)
+    @given(_argvs())
+    def test_every_input_ends_in_a_typed_document(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        doc = json.loads(out.getvalue())
+        jsonschema.validate(doc, SCHEMA)
+        assert code in (0, 1, 2)
+        assert doc.get("error", {}).get("code") != "Internal", argv
 
 
 class TestParserReuse:

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from merosolve import expsum
+from merosolve import expsum, ratfunc
 from merosolve.cli import main
 from merosolve.errors import NearPoleError, TranscendentalShiftError
 from merosolve.expsum import (
@@ -29,6 +29,7 @@ from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.parse import parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc
 
+import reference_kernels
 from conftest import (
     expsums,
     extended_constants,
@@ -334,9 +335,10 @@ class TestResidualIsZero:
     @given(gate_cases())
     def test_agrees_with_the_normalised_residual(self, case):
         alpha, beta, gamma, w, forced = case
-        zero = residual(alpha, beta, gamma, w).is_zero
-        assert residual_is_zero(alpha, beta, gamma, w) == zero
-        assert zero or not forced
+        want = reference_kernels.residual(alpha, beta, gamma, w)
+        assert residual(alpha, beta, gamma, w) == want
+        assert residual_is_zero(alpha, beta, gamma, w) == want.is_zero
+        assert want.is_zero or not forced
 
     def test_agrees_on_every_member_gated_for_the_classify_ladder_pool(self, monkeypatch, capsys):
         module = importlib.import_module("merosolve.classify")
@@ -344,7 +346,8 @@ class TestResidualIsZero:
 
         def gate(alpha, beta, gamma, w):
             got = residual_is_zero(alpha, beta, gamma, w)
-            agreed.append(got == residual(alpha, beta, gamma, w).is_zero)
+            want = reference_kernels.residual(alpha, beta, gamma, w)
+            agreed.append(got == want.is_zero and residual(alpha, beta, gamma, w) == want)
             return got
 
         monkeypatch.setattr(module, "residual_is_zero", gate)
@@ -354,6 +357,33 @@ class TestResidualIsZero:
             assert main(entry["argv"]) == entry["exit"]
         capsys.readouterr()
         assert len(agreed) >= len(entries) and all(agreed)
+
+
+class TestResidualGcds:
+    """residual reduces each nonzero numerator once; a zero residual meets no gcd."""
+
+    @given(gate_cases())
+    def test_at_most_one_gcd_per_nonzero_rate(self, case):
+        alpha, beta, gamma, w, _ = case
+        calls = []
+        real = ratfunc.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratfunc, "poly_gcd", counting)
+            r = residual(alpha, beta, gamma, w)
+        assert len(calls) <= len(r.terms)  # so a zero residual meets none
+
+    def test_gcd_counter_is_live(self, monkeypatch):
+        calls = []
+        real = ratfunc.poly_gcd
+        w = ExpSum([(ONE, RatFunc.const(2)), (ZERO, Z + 3 / ((Z - 1) ** 2 * (Z + 2)))])
+        monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append(a) or real(a, b))
+        r = residual(RF0, RF0, RF0, w)
+        assert r.terms and len(calls) == len(r.terms)
 
 
 # non-split, complex, Q(sqrt 2), Q(sqrt -3) and repeated-root denominators

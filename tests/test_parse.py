@@ -117,6 +117,11 @@ class TestConstants:
         with pytest.raises(ExpressionSyntaxError, match="constant expression"):
             parse_constant("z")
 
+    def test_decimal_digits_of_any_script(self):
+        # int() reads every Unicode decimal digit; superscripts are refused below
+        assert parse_constant("٣") == FieldConstant.of(3)
+        assert parse_ratfunc("z^٣") == Z ** 3
+
 
 class TestErrors:
     def test_unexpected_character(self):
@@ -390,6 +395,10 @@ _DEEP = "(" * (MAX_NESTING_DEPTH + 1) + "z" + ")" * (MAX_NESTING_DEPTH + 1)
 ERROR_CASES = [
     (parse_ratfunc, "z @ 1", ExpressionSyntaxError, "unexpected character '@' (at position 2)", 2),
     (parse_ratfunc, "z z", ExpressionSyntaxError, "unexpected trailing 'z' (at position 2)", 2),
+    # superscripts are digits to str.isdigit but not decimal, and int() refuses them
+    (parse_ratfunc, "2¹", ExpressionSyntaxError, "unexpected character '¹' (at position 1)", 1),
+    (parse_ratfunc, "1²", ExpressionSyntaxError, "unexpected character '²' (at position 1)", 1),
+    (parse_ratfunc, "z^²", ExpressionSyntaxError, "unexpected character '²' (at position 2)", 2),
     (parse_ratfunc, "1 + ", ExpressionSyntaxError,
      "expected a value but found end of input (at position 4)", 4),
     (parse_ratfunc, "", ExpressionSyntaxError,
