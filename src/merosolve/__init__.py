@@ -6,137 +6,73 @@ for the decision procedure, residual / integrate_exp and the ExpSum algebra
 for verification, and leading_candidates / expand / branch_resonance /
 resonance_report for local series analysis.  All arithmetic is exact over
 Q, extendable to a single quadratic field Q(sqrt(q)).
+
+Each module loads on first use of a name it exports (PEP 562), so
+``import merosolve`` loads none of them.  ``merosolve.classify`` is the
+function, also after ``import merosolve.classify``.
 """
 
 from __future__ import annotations
 
-from .classify import (
-    ClassificationReport,
-    ConstraintSet,
-    Parameter,
-    RejectedBranch,
-    SolutionFamily,
-    VerificationRecord,
-    applicable_labels,
-    classify,
-    compute_A,
-    eq3_residual,
-    instantiate,
-    transform_original,
-)
-from .errors import (
-    DivisionByZeroError,
-    DomainViolationError,
-    ExpressionSyntaxError,
-    GammaIdenticallyZeroError,
-    IncompatibleExtensionsError,
-    IrreducibleDenominatorError,
-    LimitExceededError,
-    MerosolveError,
-    NearPoleError,
-    NestedExtensionError,
-    PointInPhiError,
-    PoleAtPointError,
-    TranscendentalShiftError,
-    UnsupportedExtensionError,
-    ZeroDenominatorLiteralError,
-)
-from .expsum import (
-    ExpSum,
-    ObstructionReport,
-    guarded_sample_points,
-    integrate_exp,
-    numeric_residual_bound_ok,
-    residual,
-    residual_is_zero,
-)
-from .field import (
-    ExtensionContext,
-    FieldConstant,
-    format_constant,
-    sqrt_constant,
-)
-from .laurent import LaurentExpansion, ResonanceInfo
-from .parse import parse_constant, parse_expsum, parse_ratfunc
-from .ratfunc import (
-    PartialFractionForm,
-    Poly,
-    RatFunc,
-    in_excluded_set,
-    linear_roots,
-    poly_gcd,
-    poly_to_str,
-    ratfunc_to_str,
-)
-from .series import (
-    RESONANCE_CAP_DEFAULT,
-    BranchResonance,
-    LeadingCandidate,
-    branch_resonance,
-    expand,
-    leading_candidates,
-    resonance_report,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchResonance",
-    "ClassificationReport",
-    "ConstraintSet",
-    "DivisionByZeroError",
-    "DomainViolationError",
-    "ExpSum",
-    "ExpressionSyntaxError",
-    "ExtensionContext",
-    "FieldConstant",
-    "GammaIdenticallyZeroError",
-    "IncompatibleExtensionsError",
-    "IrreducibleDenominatorError",
-    "LaurentExpansion",
-    "LeadingCandidate",
-    "LimitExceededError",
-    "MerosolveError",
-    "NearPoleError",
-    "NestedExtensionError",
-    "ObstructionReport",
-    "Parameter",
-    "PartialFractionForm",
-    "PointInPhiError",
-    "Poly",
-    "PoleAtPointError",
-    "RESONANCE_CAP_DEFAULT",
-    "RatFunc",
-    "RejectedBranch",
-    "ResonanceInfo",
-    "SolutionFamily",
-    "TranscendentalShiftError",
-    "UnsupportedExtensionError",
-    "VerificationRecord",
-    "ZeroDenominatorLiteralError",
-    "applicable_labels",
-    "branch_resonance",
-    "classify",
-    "compute_A",
-    "eq3_residual",
-    "expand",
-    "format_constant",
-    "guarded_sample_points",
-    "in_excluded_set",
-    "instantiate",
-    "integrate_exp",
-    "leading_candidates",
-    "linear_roots",
-    "numeric_residual_bound_ok",
-    "parse_constant",
-    "parse_expsum",
-    "parse_ratfunc",
-    "poly_gcd",
-    "poly_to_str",
-    "ratfunc_to_str",
-    "residual",
-    "residual_is_zero",
-    "resonance_report",
-    "sqrt_constant",
-    "transform_original",
-]
+# module -> the public names it exports; __all__ and the lazy lookup read this
+_EXPORTS = {
+    "classify": (
+        "ClassificationReport", "ConstraintSet", "Parameter", "RejectedBranch",
+        "SolutionFamily", "VerificationRecord", "applicable_labels", "classify",
+        "compute_A", "eq3_residual", "instantiate", "transform_original",
+    ),
+    "errors": (
+        "DivisionByZeroError", "DomainViolationError", "ExpressionSyntaxError",
+        "GammaIdenticallyZeroError", "IncompatibleExtensionsError",
+        "IrreducibleDenominatorError", "LimitExceededError", "MerosolveError",
+        "NearPoleError", "NestedExtensionError", "PointInPhiError",
+        "PoleAtPointError", "TranscendentalShiftError", "UnsupportedExtensionError",
+        "ZeroDenominatorLiteralError",
+    ),
+    "expsum": (
+        "ExpSum", "ObstructionReport", "guarded_sample_points", "integrate_exp",
+        "numeric_residual_bound_ok", "residual", "residual_is_zero",
+    ),
+    "field": ("ExtensionContext", "FieldConstant", "format_constant", "sqrt_constant"),
+    "laurent": ("LaurentExpansion", "ResonanceInfo"),
+    "parse": ("RESONANCE_CAP_DEFAULT", "parse_constant", "parse_expsum", "parse_ratfunc"),
+    "ratfunc": (
+        "PartialFractionForm", "Poly", "RatFunc", "in_excluded_set", "linear_roots",
+        "poly_gcd", "poly_to_str", "ratfunc_to_str",
+    ),
+    "series": (
+        "BranchResonance", "LeadingCandidate", "branch_resonance", "expand",
+        "leading_candidates", "resonance_report",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+class _Package(types.ModuleType):
+    """Binds a submodule's exports onto the package as the import system binds
+    the submodule itself, so the classify function overwrites the classify
+    module and a name is bound when its module loads, never when it is read."""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in _EXPORTS and isinstance(value, types.ModuleType):
+            for export in _EXPORTS[name]:
+                super().__setattr__(export, getattr(value, export))
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib import import_module
 
-from .classify import classify, transform_original
 from .errors import LimitExceededError, MerosolveError
-from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
 from .field import FieldConstant
-from .parse import MAX_ORDER, parse_constant, parse_expsum, parse_ratfunc
+from .parse import MAX_ORDER, RESONANCE_CAP_DEFAULT, parse_constant, parse_expsum, parse_ratfunc
 from .report import (
     branch_dict,
     classification_payload,
@@ -27,13 +26,6 @@ from .report import (
     error_document,
     render_text,
     to_json,
-)
-from .series import (
-    RESONANCE_CAP_DEFAULT,
-    _request_taylor,
-    branch_resonance,
-    expand,
-    leading_candidates,
 )
 
 
@@ -129,6 +121,8 @@ def _parse_coefficients(args):
 
 
 def _cmd_classify(args) -> tuple[dict, int]:
+    from .classify import classify
+
     rep = classify(*_parse_coefficients(args))
     payload = classification_payload(rep)
     doc = document(
@@ -142,6 +136,8 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 
 def _cmd_transform(args) -> tuple[dict, int]:
+    from .classify import classify, transform_original
+
     kappas = [parse_ratfunc(getattr(args, k)) for k in ("k0", "k1", "k2", "k3")]
     alpha, beta, gamma = transform_original(*kappas)
     payload = {"coefficients": coefficients_dict(alpha, beta, gamma)}
@@ -168,6 +164,8 @@ def _format_complex(z: complex) -> str:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
+
     alpha, beta, gamma = _parse_coefficients(args)
     params = _parse_params(args.params)
     constants = {k: v for k, v in params.items() if isinstance(v, FieldConstant)}
@@ -214,6 +212,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_expand(args) -> tuple[dict, int]:
+    from .series import _request_taylor, branch_resonance, expand, leading_candidates
+
     for flag, value in (("--order", args.order), ("--cap", args.cap)):
         if value < 0:
             raise _UsageError(f"{flag} must be nonnegative, got {value}")
@@ -264,6 +264,14 @@ def _cmd_expand(args) -> tuple[dict, int]:
         warnings,
     )
     return doc, 0
+
+
+def __getattr__(name: str):
+    # each verb imports its modules when it runs; these two names stay readable
+    # here, as whatever the classify module binds at the time of reading
+    if name in ("classify", "transform_original"):
+        return getattr(import_module(f"{__package__}.classify"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _COMMANDS = {

@@ -56,6 +56,9 @@ MAX_POWER_BITS = (10**MAX_LITERAL_DIGITS - 1).bit_length()
 # --at 9/7 --order 64, runs in about 0.9 s on a 2-vCPU x86 machine (4.8 s at
 # order 100, where its coefficients pass Python's 4,300-digit int-to-str limit)
 MAX_ORDER = 64
+# expand's --cap default; it lives here, not in series, so the flag's default
+# loads no series code
+RESONANCE_CAP_DEFAULT = 64
 
 
 class _Token:
@@ -82,7 +85,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if c.isalpha() or c == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 
-from .classify import ClassificationReport, SolutionFamily
 from .field import format_constant
-from .laurent import LaurentExpansion
 from .ratfunc import RatFunc, ratfunc_to_str
-from .series import BranchResonance
+
+# the annotations also name classify's and series's record types; they are
+# never evaluated, and importing those modules here would load them for every
+# verb
 
 SCHEMA_VERSION = "1"
 

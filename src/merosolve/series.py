@@ -31,9 +31,8 @@ from .field import (
     integer_parts,
 )
 from .laurent import LaurentExpansion, ResonanceInfo
+from .parse import RESONANCE_CAP_DEFAULT
 from .ratfunc import Poly, RatFunc, _series_div, in_excluded_set
-
-RESONANCE_CAP_DEFAULT = 64
 
 
 class LeadingCandidate(namedtuple("LeadingCandidate", "p a0 note side_condition_satisfied",

@@ -50,7 +50,6 @@ def expand_orders(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(series, "expand", counting)
-    monkeypatch.setattr(cli, "expand", counting)
     return orders
 
 
@@ -571,8 +570,12 @@ class TestGcdGrowth:
         assert code == 2 and hashlib.md5(out.encode()).hexdigest() == digest
 
 
-# the grammar's atoms, with superscript and Arabic-Indic digits beside ASCII ones
-_ATOMS = ["z", "0", "1", "2", "7", "1/2", "sqrt(2)", "sqrt(-3)", "¹", "²", "٣"]
+# the grammar's atoms, with superscript and Arabic-Indic digits beside ASCII ones,
+# and a high power, an irrational power and a long literal to reach the slow paths
+_ATOMS = ["z", "0", "1", "2", "7", "1/2", "sqrt(2)", "sqrt(-3)", "¹", "²", "٣",
+          "z^64", "(z+sqrt(2))^8", "123456789"]
+# the wall time one command line may take in-process
+_EXAMPLE_BUDGET_S = 10.0
 
 
 def _expressions(rates: bool):
@@ -615,7 +618,10 @@ class TestGrammarGate:
     def test_every_input_ends_in_a_typed_document(self, argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            started = time.perf_counter()
             code = main(argv)
+            elapsed = time.perf_counter() - started
+        assert elapsed < _EXAMPLE_BUDGET_S, (elapsed, argv)
         doc = json.loads(out.getvalue())
         jsonschema.validate(doc, SCHEMA)
         assert code in (0, 1, 2)

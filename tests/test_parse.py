@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,13 +18,15 @@ from merosolve.errors import (
     ZeroDenominatorLiteralError,
 )
 from merosolve.expsum import ExpSum
-from merosolve.field import FieldConstant
+from merosolve.field import TRIAL_DIVISION_BOUND, FieldConstant
 from merosolve.parse import (
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     MAX_NESTING_DEPTH,
+    MAX_ORDER,
     MAX_POWER_BITS,
     MAX_POWER_SIZE,
+    RESONANCE_CAP_DEFAULT,
     parse_constant,
     parse_expsum,
     parse_ratfunc,
@@ -399,6 +404,10 @@ ERROR_CASES = [
     (parse_ratfunc, "2¹", ExpressionSyntaxError, "unexpected character '¹' (at position 1)", 1),
     (parse_ratfunc, "1²", ExpressionSyntaxError, "unexpected character '²' (at position 1)", 1),
     (parse_ratfunc, "z^²", ExpressionSyntaxError, "unexpected character '²' (at position 2)", 2),
+    # a name stops before a superscript, which is alphanumeric but neither a
+    # letter nor a decimal digit
+    (parse_ratfunc, "z²", ExpressionSyntaxError, "unexpected character '²' (at position 1)", 1),
+    (parse_ratfunc, "z¹ + 1", ExpressionSyntaxError, "unexpected character '¹' (at position 1)", 1),
     (parse_ratfunc, "1 + ", ExpressionSyntaxError,
      "expected a value but found end of input (at position 4)", 4),
     (parse_ratfunc, "", ExpressionSyntaxError,
@@ -516,3 +525,44 @@ class TestParserCost:
         # the counter is live: parse_expsum wraps a rational result once
         parse_expsum(self.BETA)
         assert len(built) == 1
+
+
+# README's "Inputs past a fixed limit" list, one bullet per entry, whitespace folded
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+_LIMIT_BULLETS = [
+    " ".join(item.split())
+    for item in _README[_README.index("Inputs past a fixed limit"):].split("\n\n")[1].split("\n* ")
+]
+# (bullet index, pattern whose one group is a figure, the constant it states)
+_README_FIGURES = [
+    (0, r"nested more than (\S+) levels deep", MAX_NESTING_DEPTH),
+    (1, r"literal of more than (\S+) digits", MAX_LITERAL_DIGITS),
+    (2, r"with `n` above (\S+),", MAX_EXPONENT),
+    (2, r"plus one\) is above (\S+):", MAX_POWER_SIZE),
+    (3, r"is above (\S+) \(the bits", MAX_POWER_BITS),
+    (3, r"the bits of a (\S+)-digit literal", MAX_LITERAL_DIGITS),
+    (4, r"the primes up to (\S+) cannot", TRIAL_DIVISION_BOUND),
+    (4, r"or at most (\S+)\.", TRIAL_DIVISION_BOUND**3),
+    (4, r"every integer radicand up to (\S+) works", TRIAL_DIVISION_BOUND**3),
+    (5, r"`expand --cap` above (\S+);", MAX_ORDER),
+    (5, r"`expand --cap` above (\S+);", RESONANCE_CAP_DEFAULT),
+    (6, r"`sys.get_int_max_str_digits\(\)`, (\S+) by default", sys.int_info.default_max_str_digits),
+]
+
+
+def _figure(text: str) -> int:
+    base, _, power = text.replace(",", "").partition("^")
+    return int(base) ** int(power) if power else int(base)
+
+
+class TestReadmeLimits:
+    @pytest.mark.parametrize("bullet, pattern, value", _README_FIGURES,
+                             ids=[f"{i}:{value}" for i, _, value in _README_FIGURES])
+    def test_figure_is_the_constant(self, bullet, pattern, value):
+        match = re.search(pattern, _LIMIT_BULLETS[bullet])
+        assert match, (pattern, _LIMIT_BULLETS[bullet])
+        assert _figure(match[1]) == value
+
+    def test_every_bullet_is_checked(self):
+        assert _LIMIT_BULLETS[0].startswith("* parentheses")
+        assert {i for i, _, _ in _README_FIGURES} == set(range(len(_LIMIT_BULLETS)))

@@ -133,10 +133,24 @@ def test_field_constant_constructor_and_copies():
         assert other == c and hash(other) == hash(c)
 
 
+def _run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter without site, which would import some
+    modules itself; loaded() is the set of merosolve submodules loaded so far."""
+    src = str(Path(merosolve.__file__).resolve().parent.parent)
+    preamble = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "def loaded():\n"
+        "    return {m.split('.')[1] for m in sys.modules if m.startswith('merosolve.')}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", preamble + script],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_imports_no_dataclasses_or_typing():
-    # a fresh interpreter without site, which would import some of these itself
-    script = (
-        "import sys\n"
+    _run_fresh(
         "import merosolve.cli\n"
         "code = merosolve.cli.main(['classify', '--alpha', '2', '--beta', '0',\n"
         "                           '--gamma', '0', '--json'])\n"
@@ -144,9 +158,60 @@ def test_cli_imports_no_dataclasses_or_typing():
         "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)\n"
         "assert not heavy, sorted(heavy)\n"
     )
-    src = str(Path(merosolve.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
-        capture_output=True, text=True, timeout=60,
+
+
+def test_importing_the_package_or_the_cli_loads_no_verb_module():
+    _run_fresh(
+        "import merosolve\n"
+        "assert not loaded(), sorted(loaded())\n"
+        "import merosolve.cli\n"
+        "assert not {'classify', 'series'} & loaded(), sorted(loaded())\n"
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+_CLASSIFY = ["--alpha", "2", "--beta", "0", "--gamma", "0"]
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["classify", *_CLASSIFY], {"series"}),
+    (["transform", "--k0", "0", "--k1", "2", "--k2", "0", "--k3", "0", "--then-classify"],
+     {"series"}),
+    (["verify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--solution", "exp(z)"],
+     {"classify", "series"}),
+    (["expand", *_CLASSIFY, "--at", "1", "--order", "3"], {"classify"}),
+], ids=["classify", "transform", "verify", "expand"])
+def test_each_verb_loads_only_its_modules(argv, skipped):
+    _run_fresh(
+        "import io, contextlib\n"
+        "import merosolve.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = merosolve.cli.main({[*argv, '--json']!r})\n"
+        "assert code == 0, code\n"
+        f"assert not {skipped!r} & loaded(), sorted(loaded())\n"
+    )
+
+
+def test_the_package_binds_the_classify_function_not_the_module():
+    _run_fresh(
+        "import merosolve.classify\n"
+        "assert callable(merosolve.classify), merosolve.classify\n"
+        "assert merosolve.classify is sys.modules['merosolve.classify'].classify\n"
+    )
+    _run_fresh(
+        "import io, contextlib\n"
+        "import merosolve, merosolve.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    merosolve.cli.main({['classify', *_CLASSIFY]!r})\n"
+        "assert callable(vars(merosolve)['classify'])\n"
+    )
+
+
+def test_star_import_binds_every_exported_name():
+    _run_fresh(
+        "import merosolve\n"
+        "namespace = {}\n"
+        "exec('from merosolve import *', namespace)\n"
+        "missing = set(merosolve.__all__) - set(namespace)\n"
+        "assert not missing, sorted(missing)\n"
+        "assert namespace['classify'] is merosolve.classify and callable(namespace['classify'])\n"
+    )
