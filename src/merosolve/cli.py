@@ -212,7 +212,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_expand(args) -> tuple[dict, int]:
-    from .series import _request_taylor, branch_resonance, expand, leading_candidates
+    from .series import branch_resonance, expand, leading_candidates
 
     for flag, value in (("--order", args.order), ("--cap", args.cap)):
         if value < 0:
@@ -238,15 +238,12 @@ def _cmd_expand(args) -> tuple[dict, int]:
             )
         selected = [args.branch]
 
-    taylor = _request_taylor(alpha, beta, gamma, z0, [candidates[i] for i in selected],
-                             order, args.cap)
     branches = []
     for i in selected:
         cand = candidates[i]
         n = max(order, cand.p + 2)
-        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n, _taylor=taylor)
-        res = branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion,
-                               _taylor=taylor)
+        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
+        res = branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion)
         branches.append(branch_dict(res, expansion))
 
     payload = {

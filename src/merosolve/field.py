@@ -112,8 +112,6 @@ class FieldConstant:
             s, m = square_free_decomposition(q)
             if m == 1:
                 a, b, q = a + b * s, Fraction(0), 0
-            elif m == 0:
-                b, q = Fraction(0), 0
             else:
                 b, q = b * s, m
         _set_a(self, a)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (
     DivisionByZeroError,
     IrreducibleDenominatorError,
+    LimitExceededError,
     NestedExtensionError,
     PoleAtPointError,
     UnsupportedExtensionError,
@@ -151,11 +152,26 @@ class Poly:
         return from_integers(u * xd, v * xd, self.d * power, q)
 
     def shift(self, r: FieldConstant) -> Poly:
-        """Taylor shift: returns p(z + r) as a polynomial in z (Horner's rule)."""
-        z_r, out = Poly((r, ONE)), Poly()
-        for i in range(self.degree, -1, -1):
-            out = out * z_r + _poly(self.a[i:i + 1], self.b[i:i + 1], self.d, self.q)
-        return out
+        """Taylor shift: returns p(z + r) as a polynomial in z, by Horner's rule
+        on the vectors (von zur Gathen & Gerhard, ISSAC 1997).  With
+        r = (u + v*sqrt(q))/e, each step multiplies by e*z + u + v*sqrt(q) and
+        adds the next coefficient times the power of e that keeps the steps
+        homogeneous; the result is over d*e**(n+1), reduced once."""
+        r = FieldConstant.of(r)
+        q = common_discriminant((r,), self.q)
+        (u,), v, e = integer_parts((r,), q)
+        v = v[0] if q else 0
+        a, b = _parts(self, q)
+        x, y, power = [], [], 1
+        for i in range(len(a) - 1, -1, -1):
+            power *= e
+            if q:
+                x, y = _lin(_conv(x, (u, e)), 1, y, q * v), _lin(_conv(y, (u, e)), 1, x, v)
+                y[0] += b[i] * power
+            else:
+                x = _conv(x, (u, e))
+            x[0] += a[i] * power
+        return _poly(x, y, self.d * power, q)
 
     def deflate(self, r: FieldConstant) -> Poly:
         """Exact division by (z - r); asserts r is a root."""
@@ -312,13 +328,23 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# _rational_root_candidates tests every +-u/v with u | a0 and v | an by exact
+# evaluation; past this many pairs (u, v) (about a second of tests) it refuses
+RATIONAL_ROOT_PAIRS = 10**5
+
+
 def _rational_root_candidates(p: Poly) -> list[Fraction]:
     """Candidate rational roots of a rational-coefficient polynomial, p(0) != 0."""
     a0, an = p.a[0], p.a[-1]
     if abs(a0) > 10**15 or abs(an) > 10**15:
         return []
-    return sorted({Fraction(sign * num, den) for num in _divisors(a0)
-                   for den in _divisors(an) for sign in (1, -1)})
+    nums, dens = _divisors(a0), _divisors(an)
+    if len(nums) * len(dens) > RATIONAL_ROOT_PAIRS:
+        raise LimitExceededError(
+            f"the rational roots of a degree-{p.degree} factor need "
+            f"{len(nums) * len(dens)} divisor pairs, above {RATIONAL_ROOT_PAIRS}")
+    return sorted({Fraction(sign * num, den) for num in nums for den in dens
+                   for sign in (1, -1)})
 
 
 def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):

@@ -83,17 +83,14 @@ def expansion_dict(exp: LaurentExpansion) -> dict:
         "truncation_order": exp.truncation_order,
         "coefficients": [format_constant(c) for c in exp.coefficients],
     }
-    if exp.resonance is not None:
-        r = exp.resonance
-        out["resonance"] = {
-            "r": None if r.r is None else format_constant(r.r),
-            "r_is_positive_integer": r.r_is_positive_integer,
-            "index": r.index,
-            "condition_satisfied": r.condition_satisfied,
-            "free_coefficient_index": r.free_coefficient_index,
-        }
-    else:
-        out["resonance"] = None
+    r = exp.resonance
+    out["resonance"] = {
+        "r": None if r.r is None else format_constant(r.r),
+        "r_is_positive_integer": r.r_is_positive_integer,
+        "index": r.index,
+        "condition_satisfied": r.condition_satisfied,
+        "free_coefficient_index": r.free_coefficient_index,
+    }
     out["alternate_coefficients"] = (
         None
         if exp.alternate_coefficients is None
@@ -103,7 +100,7 @@ def expansion_dict(exp: LaurentExpansion) -> dict:
     return out
 
 
-def branch_dict(res: BranchResonance, expansion: LaurentExpansion | None) -> dict:
+def branch_dict(res: BranchResonance, expansion: LaurentExpansion) -> dict:
     cand = res.candidate
     return {
         "leading_power": cand.p,
@@ -115,7 +112,7 @@ def branch_dict(res: BranchResonance, expansion: LaurentExpansion | None) -> dic
         "r_is_positive_integer": res.r_is_positive_integer,
         "condition_satisfied": res.condition_satisfied,
         "free_coefficient_index": res.free_coefficient_index,
-        "expansion": None if expansion is None else expansion_dict(expansion),
+        "expansion": expansion_dict(expansion),
     }
 
 
@@ -189,13 +186,12 @@ def _text_expansion(exp: dict, lines: list[str], indent: str) -> None:
     lines.append(f"{indent}  w = " + (" + ".join(terms) if terms else "0") + " + ...")
     lines.append(f"{indent}  coefficients: " + ", ".join(
         f"a{k} = {c}" for k, c in enumerate(exp["coefficients"])))
-    if exp["resonance"] is not None:
-        r = exp["resonance"]
-        lines.append(
-            f"{indent}  resonance: r = {r['r']}, positive integer: "
-            f"{r['r_is_positive_integer']}, condition satisfied: {r['condition_satisfied']}, "
-            f"free coefficient index: {r['free_coefficient_index']}"
-        )
+    r = exp["resonance"]
+    lines.append(
+        f"{indent}  resonance: r = {r['r']}, positive integer: "
+        f"{r['r_is_positive_integer']}, condition satisfied: {r['condition_satisfied']}, "
+        f"free coefficient index: {r['free_coefficient_index']}"
+    )
     if exp["alternate_coefficients"] is not None:
         lines.append(f"{indent}  alternate continuation (free coefficient = 1): " + ", ".join(
             f"a{k} = {c}" for k, c in enumerate(exp["alternate_coefficients"])))
@@ -217,8 +213,7 @@ def _text_expand(doc: dict, lines: list[str]) -> None:
             lines.append(f"    side condition satisfied: {b['side_condition_satisfied']}")
         lines.append(f"    resonance status: {b['resonance_status']}"
                      + (f", r = {b['r']}" if b["r"] is not None else ""))
-        if b["expansion"] is not None:
-            _text_expansion(b["expansion"], lines, "    ")
+        _text_expansion(b["expansion"], lines, "    ")
 
 
 def _text_transform(doc: dict, lines: list[str]) -> None:
@@ -240,15 +235,14 @@ def _text_verify(doc: dict, lines: list[str]) -> None:
     if not res["identically_zero"]:
         lines.append(f"  residual = {res['text']}")
     spot = doc["numeric_spot_check"]
-    if spot is not None:
-        lines.append(f"numeric spot check (|residual| <= {spot['tolerance_rule']}):")
-        for row in spot["points"]:
-            ok = "ok" if row["ok"] else "FAIL"
-            lines.append(
-                f"  z = {row['z']:>24}  |residual| = {row['residual_abs']:>12}  "
-                f"bound = {row['bound']:>12}  {ok}"
-            )
-        lines.append(f"points checked: {len(spot['points'])}")
+    lines.append(f"numeric spot check (|residual| <= {spot['tolerance_rule']}):")
+    for row in spot["points"]:
+        ok = "ok" if row["ok"] else "FAIL"
+        lines.append(
+            f"  z = {row['z']:>24}  |residual| = {row['residual_abs']:>12}  "
+            f"bound = {row['bound']:>12}  {ok}"
+        )
+    lines.append(f"points checked: {len(spot['points'])}")
 
 
 def render_text(doc: dict) -> str:

@@ -122,13 +122,6 @@ class _Taylor:
         self.gx, self.gy = (v[:n] for v in vectors(ga, 0))
 
 
-def _taylor_set_up(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant,
-                   n: int) -> _Taylor:
-    # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
-    return _Taylor(*(_series_div(f.num.shift(z0), f.den.shift(z0), n)
-                     for f in (alpha, beta, gamma)), n)
-
-
 class _Prefix:
     """The known coefficients a_0..a_{n-1}: as constants (values) and as
     integers (x[i] + y[i]*sqrt(q))/den over one common denominator."""
@@ -269,8 +262,6 @@ def expand(
     a0: FieldConstant,
     order: int,
     resonance_value: FieldConstant | None = None,
-    *,
-    _taylor: _Taylor | None = None,
 ) -> LaurentExpansion:
     """Coefficients a_1..a_order for the branch starting a0*(z-z0)**p.
 
@@ -278,9 +269,7 @@ def expand(
     the alternate continuation (value 1) recorded alongside, unless
     resonance_value pins it (used to compare against a known solution).
     A violated resonance halts the branch: halted_at is set and the
-    coefficient list stops before the impossible index.  _taylor is a Taylor
-    set-up at z0 that the caller shares between the expansions of one
-    request (see _request_taylor); one that is too short is not used.
+    coefficient list stops before the impossible index.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -291,10 +280,10 @@ def expand(
         raise ValueError("leading coefficient a0 must be nonzero")
     if order < p + 2:
         raise ValueError(f"truncation order must be at least p + 2 = {p + 2}")
+    # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
     n_taylor = order + 2 * p + 1
-    t = _taylor
-    if t is None or len(t.gx) < n_taylor:
-        t = _taylor_set_up(alpha, beta, gamma, z0, n_taylor)
+    t = _Taylor(*(_series_div(f.num.shift(z0), f.den.shift(z0), n_taylor)
+                  for f in (alpha, beta, gamma)), n_taylor)
     free = ZERO if resonance_value is None else resonance_value
     a = _Prefix([a0], common_discriminant((a0, free), t.q))
 
@@ -331,19 +320,6 @@ def expand(
     )
 
 
-def _request_taylor(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant,
-                    candidates: list[LeadingCandidate], order: int, cap: int) -> _Taylor | None:
-    """One Taylor set-up for an expand request, long enough for every
-    expansion it makes: each candidate to max(order, p + 2), and the probe of
-    each evaluated resonance to r + 2.  None when there is no candidate."""
-    n = 0
-    for cand in candidates:
-        status, r = _resonance_status(beta, z0, cand, cap)
-        probe = r.as_integer() + 2 if status == "evaluated" else 0
-        n = max(n, max(order, cand.p + 2, probe) + 2 * cand.p + 1)
-    return _taylor_set_up(alpha, beta, gamma, z0, n) if candidates else None
-
-
 def branch_resonance(
     alpha: RatFunc,
     beta: RatFunc,
@@ -352,8 +328,6 @@ def branch_resonance(
     cand: LeadingCandidate,
     cap: int = RESONANCE_CAP_DEFAULT,
     expansion: LaurentExpansion | None = None,
-    *,
-    _taylor: _Taylor | None = None,
 ) -> BranchResonance:
     """Resonance location of one leading candidate and, when reachable, its condition.
 
@@ -362,8 +336,7 @@ def branch_resonance(
     positive integer r beyond the cap is a distinct reportable outcome, not
     an error: the condition sits too deep to evaluate.  The condition is read
     off an expansion of the branch to order r + 2: the caller's expansion of
-    this candidate when it reaches that far, else a fresh one, over the
-    Taylor set-up _taylor when the caller shares one.
+    this candidate when it reaches that far, else a fresh one.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -372,7 +345,7 @@ def branch_resonance(
         return BranchResonance(cand, status, r, status == "cap-exceeded")
     n_r = r.as_integer()
     if expansion is None or expansion.truncation_order < n_r + 2:
-        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2, _taylor=_taylor)
+        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
     info = expansion.resonance
     return BranchResonance(cand, "evaluated", r, True, info.condition_satisfied,
                            info.free_coefficient_index)

@@ -2,8 +2,9 @@
 FieldConstant arithmetic, as they were written before merosolve moved them to
 integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
-Taylor division, the order-matching loop and the polynomial printer; and the
-residuals of both equations as expanded ExpSum products.  Tests compare the
+Taylor division, the order-matching loop and the polynomial printer; the
+Taylor shift once more as Horner's rule on whole Polys; and the residuals of
+both equations as expanded ExpSum products.  Tests compare the
 integer kernels of merosolve against them; nothing in the package imports
 this."""
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from merosolve.expsum import ExpSum
 from merosolve.field import ONE, ZERO, format_constant
-from merosolve.ratfunc import RatFunc
+from merosolve.ratfunc import Poly, RatFunc
 
 
 def strip(cs):
@@ -70,7 +71,7 @@ def horner(x, z0):
     return acc
 
 
-def shift(x, r):
+def synthetic_shift(x, r):
     """The coefficients of p(z + r): repeated synthetic division by (z - r)."""
     cs, out = list(strip(x)), []
     while cs:
@@ -81,6 +82,15 @@ def shift(x, r):
         out.append(acc)
         cs = quo
     return strip(out)
+
+
+def shift(p, r):
+    """The Poly p(z + r) by Horner's rule on whole Polys, one product and one
+    sum per coefficient, as Poly.shift was written before it ran on vectors."""
+    z_r, out = Poly((r, ONE)), Poly()
+    for i in range(p.degree, -1, -1):
+        out = out * z_r + Poly.const(p[i])
+    return out
 
 
 def derivative(x):
@@ -109,7 +119,7 @@ def taylor_at(f, z0, n):
     m, den = 0, f.den.coeffs
     while horner(den, z0).is_zero:
         den, m = divmod_(den, (-z0, ONE))[0], m + 1
-    return -m, series_div(shift(f.num.coeffs, z0), shift(den, z0), n)
+    return -m, series_div(synthetic_shift(f.num.coeffs, z0), synthetic_shift(den, z0), n)
 
 
 def residual_order(m, a, p, al, be, ga):

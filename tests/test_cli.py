@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -298,14 +299,14 @@ class TestExpand:
         assert doc["branches"] == [full["branches"][branch]]
 
     @pytest.mark.parametrize("argv, sizes", [
-        # both branches to order 40: n = 40 + 2p + 1
+        # both branches to order 40: n = 40 + 2p + 1 for each
         (("--alpha", "1/(z+3)", "--beta", "z^2-2", "--gamma", "(z+2)/(z^2+3)",
-          "--at", "1", "--order", "40"), [43, 43, 43]),
-        # the a0 = -1 branch is probed to r + 2 = 7 past --order 4
+          "--at", "1", "--order", "40"), [43] * 6),
+        # both branches to --order 4, then the a0 = -1 branch is probed to r + 2 = 7
         (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--order", "4"),
-         [10, 10, 10]),
+         [7] * 6 + [10] * 3),
     ])
-    def test_taylor_set_up_once_per_request(self, capsys, monkeypatch, argv, sizes):
+    def test_taylor_set_up_once_per_expansion(self, capsys, monkeypatch, argv, sizes):
         calls = []
         real = series._series_div
 
@@ -503,6 +504,39 @@ class TestErrorEnvelope:
         assert doc["error"]["code"] == "LimitExceeded"
         assert "trial division by the primes up to 100000" in doc["error"]["message"]
 
+    @staticmethod
+    def _cubic_denominator(c: str) -> tuple[str, ...]:
+        # beta's denominator z^3 + z/c + 1 has no rational root; its rational-root
+        # search tries every pair of divisors of c, d(c)**2 of them
+        den = f"(z^3 + z/{c} + 1)"
+        return ("classify", "--alpha", f"(3*z^2+1/{c})/{den}^2", "--beta", f"1/{den}",
+                "--gamma", "0")
+
+    def test_rational_root_search_past_the_pair_budget_is_a_limit_error(self, capsys):
+        # 963761198400 has 6,720 divisors: 45,158,400 pairs, where the search ran
+        # for minutes
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, *self._cubic_denominator("963761198400"))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert doc["error"] == {
+            "code": "LimitExceeded",
+            "message": "the rational roots of a degree-3 factor need 45158400 divisor "
+                       "pairs, above 100000",
+        }
+
+    def test_rational_root_search_within_the_pair_budget_still_runs(self, capsys):
+        # 720720 has 240 divisors: 57,600 pairs, all tested
+        code, doc, _ = run_json(capsys, *self._cubic_denominator("720720"))
+        assert code == 2
+        assert doc["rejected_branches"][1] == {
+            "case_label": "C",
+            "reason": "beta cannot be decomposed over the constant field: denominator "
+                      "factor does not split over the field: z^3 + 1/720720*z + 1",
+        }
+        code, doc, _ = run_json(capsys, *self._cubic_denominator("73513440"))
+        assert code == 1 and doc["error"]["code"] == "LimitExceeded"
+
     def test_extension_by_a_thirteen_digit_prime_expands(self, capsys):
         code, doc, _ = run_json(
             capsys, "expand", "--alpha", "0", "--beta", "0", "--gamma", "-1000000000039",
@@ -674,3 +708,16 @@ class TestDashFolding:
     def test_non_dash_values_pass_through(self):
         argv = ["verify", "--params", "k1=-2"]
         assert _fold_dash_values(argv) == argv
+
+
+class TestPublicNames:
+    def test_cli_imports_only_public_names_of_the_package(self):
+        # the CLI is a client of the library: whatever it needs from another
+        # module is part of that module's public surface
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = [(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("merosolve"))
+                    for alias in node.names]
+        assert ("series", "expand") in imported
+        assert [pair for pair in imported if pair[1].startswith("_")] == []

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from merosolve import field, ratfunc
 from merosolve.errors import (
@@ -498,7 +498,7 @@ class TestKernelsAgainstReference:
     @given(fields.flatmap(lambda cs: st.tuples(polys(6, cs), cs)))
     def test_shift_and_eval(self, case):
         p, r = case
-        assert p.shift(r).coeffs == reference_kernels.shift(p.coeffs, r)
+        assert p.shift(r).coeffs == reference_kernels.synthetic_shift(p.coeffs, r)
         assert p.eval(r) == reference_kernels.horner(p.coeffs, r)
         assert canonical(p.shift(r))
 
@@ -507,6 +507,51 @@ class TestKernelsAgainstReference:
         assert p.derivative().coeffs == reference_kernels.derivative(p.coeffs)
         assert p.monic().coeffs == reference_kernels.monic(p.coeffs)
         assert canonical(p.derivative()) and canonical(p.monic())
+
+
+@st.composite
+def shift_cases(draw):
+    """(p, r): p of degree -1..8 and r, each over Q or over one Q(sqrt q) for
+    q in {2, 3, 5, -1}; r's parts may have 12-digit denominators."""
+    q = draw(st.sampled_from([2, 3, 5, -1]))
+    wide = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+    def constants(extended, parts):
+        return st.builds(lambda a, b: FieldConstant(a, b if extended else 0, q), parts, parts)
+
+    p = draw(polys(8, constants(draw(st.booleans()), small_fractions)))
+    return p, draw(constants(draw(st.booleans()), st.one_of(small_fractions, wide)))
+
+
+class TestShiftOnVectors:
+    @given(shift_cases())
+    @example((Poly(), root2 / 3))
+    @example((Poly.const(3), FieldConstant(Fraction(1, 2), Fraction(1, 3), -1)))
+    @example((Poly([-2 * ONE, ZERO, ONE]), root2))
+    def test_agrees_with_horner_on_polys(self, case):
+        p, r = case
+        assert p.shift(r) == reference_kernels.shift(p, r)
+        assert canonical(p.shift(r))
+
+    def test_no_poly_products_or_sums(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(Poly, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("__mul__", "__add__"):
+            monkeypatch.setattr(Poly, name, counting(name))
+        p = Poly([ONE, root5, 3 * ONE, -ONE])
+        for r in (ONE / 7, root5 / 2, FieldConstant.of(Fraction(10**12 + 1, 10**12))):
+            p.shift(r)
+        assert calls == []
+        assert (p * p + p).degree == 6  # the counters are live
+        assert calls == ["__mul__", "__add__"]
 
 
 class TestRepresentationEdges:
@@ -519,6 +564,8 @@ class TestRepresentationEdges:
                 op(p2, p3)
         with pytest.raises(IncompatibleExtensionsError):
             p2.eval(root3)
+        with pytest.raises(IncompatibleExtensionsError):
+            p2.shift(root3)
 
     def test_zero_polynomial(self):
         zero = Poly()
