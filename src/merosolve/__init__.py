@@ -32,7 +32,7 @@ _EXPORTS = {
         "GammaIdenticallyZeroError", "IncompatibleExtensionsError",
         "IrreducibleDenominatorError", "LimitExceededError", "MerosolveError",
         "NearPoleError", "NestedExtensionError", "PointInPhiError",
-        "PoleAtPointError", "TranscendentalShiftError", "UnsupportedExtensionError",
+        "PoleAtPointError", "UnsupportedExtensionError",
         "ZeroDenominatorLiteralError",
     ),
     "expsum": (

@@ -81,12 +81,6 @@ class NearPoleError(MerosolveError):
         )
 
 
-class TranscendentalShiftError(MerosolveError):
-    """Series about z0 would need exp(rate*z0), which is not a field constant."""
-
-    code = "TranscendentalShift"
-
-
 class PointInPhiError(MerosolveError):
     """Expansion point is a zero or pole of a nonzero coefficient."""
 

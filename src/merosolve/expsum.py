@@ -5,10 +5,11 @@ closed except for logarithmic obstructions, which are returned as a typed
 report (a normal outcome, not an exception).
 
 The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
-integer-vector numerators over one denominator (_residual_numerators):
-residual_is_zero asks whether every numerator vanishes, and residual reduces
-each nonzero one to the unique RatFunc normal form, which is why its text is
-the one the expanded ExpSum products would print.
+integer-vector numerators over one denominator (_residual_numerators), keyed
+by rates held as integer pairs over one denominator until the end:
+residual_is_zero asks whether any numerator is left, and residual reduces
+each one to the unique RatFunc normal form, which is why its text is the one
+the expanded ExpSum products would print.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import NearPoleError, TranscendentalShiftError
-from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
-from .laurent import LaurentExpansion
+from .errors import IncompatibleExtensionsError, NearPoleError
+from .field import (ZERO, ONE, ExtensionContext, FieldConstant, format_constant,
+                    from_integers, integer_parts)
 from .ratfunc import PartialFractionForm, Poly, RatFunc, poly_gcd, ratfunc_to_str
 
 POLE_GUARD = 1e-6
@@ -167,65 +168,6 @@ class ExpSum:
             den_v = _poly_eval_complex(coeff.den, z)
             total += num_v / den_v * cmath.exp(rate.embed() * z)
         return total
-
-    def laurent_at(self, z0: FieldConstant, order: int) -> LaurentExpansion:
-        """Exact expansion about z0: coefficients a_0..a_order from leading power p.
-
-        Every nonzero rate must satisfy rate*z0 = 0 (otherwise exp(rate*z0) is
-        not a field constant and the expansion cannot stay exact).  The zero
-        sum degenerates to p = 0 with all-zero coefficients.
-        """
-        z0 = FieldConstant.of(z0) if not isinstance(z0, FieldConstant) else z0
-        for rate, _ in self.terms:
-            if not rate.is_zero and not z0.is_zero:
-                raise TranscendentalShiftError(
-                    f"expansion about z0 = {z0} needs exp({rate}*z0), "
-                    "which is not an exact field constant"
-                )
-        if self.is_zero:
-            return LaurentExpansion(z0, 0, tuple([ZERO] * (order + 1)), order)
-        low = -max(c.pole_order_at(z0) for _, c in self.terms)
-        high = low + order
-        p = None
-        for _ in range(12):
-            acc = self._window_series(z0, low, high)
-            p = next((low + i for i, c in enumerate(acc) if not c.is_zero), None)
-            if p is not None:
-                break
-            high += order + 8
-        if p is None:
-            raise RuntimeError("leading power search did not terminate")
-        if p + order > high:
-            high = p + order
-            acc = self._window_series(z0, low, high)
-        coeffs = tuple(acc[p - low : p - low + order + 1])
-        return LaurentExpansion(z0, p, coeffs, order)
-
-    def _window_series(self, z0: FieldConstant, low: int, high: int):
-        """Exact sum of term series over absolute exponents low .. high."""
-        acc = [ZERO] * (high - low + 1)
-        for rate, coeff in self.terms:
-            m = coeff.pole_order_at(z0)
-            n_t = high + m + 1  # term exponents run from -m upward
-            if n_t <= 0:
-                continue
-            off, cs = coeff.taylor_at(z0, n_t)
-            # exp(rate*(z0+t)) = exp(rate*t) exactly since rate*z0 = 0
-            er = [ONE]
-            fact = Fraction(1)
-            for j in range(1, n_t):
-                fact *= j
-                er.append(rate ** j / FieldConstant.of(fact))
-            for i, c in enumerate(cs):
-                if c.is_zero:
-                    continue
-                for j, e in enumerate(er):
-                    exp_abs = off + i + j
-                    if exp_abs > high:
-                        break
-                    if exp_abs >= low:
-                        acc[exp_abs - low] = acc[exp_abs - low] + c * e
-        return acc
 
     # -- display --------------------------------------------------------------------
 
@@ -379,47 +321,59 @@ def integrate_exp(
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:
     """w*w'' - (w')**2 - alpha*w - beta*w' - gamma, exactly.
 
-    Each nonzero numerator of _residual_numerators over E*D**4 is put in
-    RatFunc normal form.  That form is unique, so the terms and the text are
-    those the expanded ExpSum products give; a zero residual builds no
-    RatFunc and meets no gcd, a nonzero one at most one gcd per rate."""
+    Each numerator of _residual_numerators over E*D**4 is put in RatFunc
+    normal form.  That form is unique, so the terms and the text are those
+    the expanded ExpSum products give; a zero residual builds no RatFunc and
+    meets no gcd, a nonzero one at most one gcd per rate."""
     nums, den = _residual_numerators(alpha, beta, gamma, w)
-    return ExpSum([(r, RatFunc(p, den)) for r, p in nums.items() if not p.is_zero])
+    return ExpSum([(r, RatFunc(p, den)) for r, p in nums.items()])
 
 
 def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> bool:
     """residual(alpha, beta, gamma, w).is_zero, decided with no gcd."""
-    return all(p.is_zero for p in _residual_numerators(alpha, beta, gamma, w)[0].values())
+    return not _residual_numerators(alpha, beta, gamma, w)[0]
 
 
 def _residual_numerators(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum):
-    """({rate: numerator}, E*D**4): the residual of w as polynomial
-    numerators over one denominator, held as integer vectors.
+    """({rate: numerator}, E*D**4): the nonzero numerators of the residual of
+    w over one denominator, held as integer vectors.
 
     By Hayman's identity w*w'' - (w')**2 = w**2*(log w)'', with D the product
     of the distinct term denominators of w, u = D*w and E that of alpha, beta
     and gamma, E*D**4 times the residual is
         u*(E*D**2*u'' - E*(D*D'' - D'**2)*u - E*alpha*D**3 + E*beta*D**2*D')
           - u'*(E*D**2*u' + E*beta*D**3) - E*gamma*D**4.
+    The rates of w are read once as integer pairs (x_i + y_i*sqrt(q))/R, the
+    sum of two rates is keyed by (x_i + x_j, y_i + y_j), and a FieldConstant
+    is built once per distinct nonzero numerator.  Each rate keeps its own
+    discriminant too, so two rates from different extensions raise
+    IncompatibleExtensionsError at the pair a FieldConstant sum would.
     """
     (ea, eb, eg), e = _over_common_denominator((alpha, beta, gamma))
     us, d = _over_common_denominator([f for _, f in w.terms])
-    u = dict(zip((r for r, _ in w.terms), us))
-    up = {r: p.derivative() + p.scale(r) for r, p in u.items()}
-    upp = {r: p.derivative() + p.scale(r) for r, p in up.items()}
+    rates = [r for r, _ in w.terms]
+    up = [p.derivative() + p.scale(r) for p, r in zip(us, rates)]
+    upp = [p.derivative() + p.scale(r) for p, r in zip(up, rates)]
     d2, dp = d * d, d.derivative()
     d3, e_d2 = d2 * d, e * d2
     e_dd = e * (d * dp.derivative() - dp * dp)
-    first = {r: e_d2 * upp[r] - e_dd * p for r, p in u.items()}
-    first[ZERO] = first.get(ZERO, Poly()) + eb * d2 * dp - ea * d3
-    second = {r: e_d2 * p for r, p in up.items()}
-    second[ZERO] = second.get(ZERO, Poly()) + eb * d3
-    total = {ZERO: -(eg * d2 * d2)}
-    for x, y in ((u, first), ({r: -p for r, p in up.items()}, second)):
-        for r1, f in x.items():
-            for r2, g in y.items():
-                total[r1 + r2] = total.get(r1 + r2, Poly()) + f * g
-    return total, e_d2 * d2
+    q = next((r.q for r in rates if r.q), 0)
+    xs, ys, den = integer_parts(rates, q)
+    keys = list(zip(xs, ys or [0] * len(xs), (r.q for r in rates)))
+    first = {k: e_d2 * b - e_dd * p for k, p, b in zip(keys, us, upp)}
+    first[0, 0, 0] = first.get((0, 0, 0), Poly()) + eb * d2 * dp - ea * d3
+    second = {k: e_d2 * p for k, p in zip(keys, up)}
+    second[0, 0, 0] = second.get((0, 0, 0), Poly()) + eb * d3
+    total = {(0, 0): -(eg * d2 * d2)}
+    for x, y in ((us, first), ([-p for p in up], second)):
+        for (x1, y1, q1), f in zip(keys, x):
+            for (x2, y2, q2), g in y.items():
+                if q1 and q2 and q1 != q2:
+                    raise IncompatibleExtensionsError(q1, q2)
+                k, fg = (x1 + x2, y1 + y2), f * g
+                total[k] = total[k] + fg if k in total else fg
+    nums = {from_integers(x, y, den, q): p for (x, y), p in total.items() if not p.is_zero}
+    return nums, e_d2 * d2
 
 
 def _over_common_denominator(fs):

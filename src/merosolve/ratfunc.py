@@ -102,6 +102,11 @@ class Poly:
         return _poly([-x for x in self.a], [-x for x in self.b], self.d, self.q)
 
     def __mul__(self, other: Poly) -> Poly:
+        # a zero polynomial and the integer 1 are rational, so no extension clash is missed
+        if not self.a or other.a == (1,) and other.d == 1 and not other.b:
+            return self
+        if not other.a or self.a == (1,) and self.d == 1 and not self.b:
+            return other
         q = common_discriminant((other,), self.q)
         (a, b), (c, e) = _parts(self, q), _parts(other, q)
         if not q:
@@ -110,7 +115,10 @@ class Poly:
                      _lin(_conv(a, e), 1, _conv(b, c), 1), self.d * other.d, q)
 
     def scale(self, c) -> Poly:
-        return self * Poly.const(c)
+        c = FieldConstant.of(c)
+        q = common_discriminant((c,), self.q)
+        (x,), y, e = integer_parts((c,), q)
+        return _poly(*_times(*_parts(self, q), x, y[0] if q else 0, q), self.d * e, q)
 
     def pow(self, n: int) -> Poly:
         result, base = Poly.const(1), self

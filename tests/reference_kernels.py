@@ -3,15 +3,18 @@ FieldConstant arithmetic, as they were written before merosolve moved them to
 integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
 Taylor division, the order-matching loop and the polynomial printer; the
-Taylor shift once more as Horner's rule on whole Polys; and the residuals of
-both equations as expanded ExpSum products.  Tests compare the
-integer kernels of merosolve against them; nothing in the package imports
-this."""
+Taylor shift once more as Horner's rule on whole Polys; the residuals of
+both equations as expanded ExpSum products; and the exact Laurent expansion
+of an exponential sum.  Tests compare the integer kernels of merosolve
+against them; nothing in the package imports this."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from merosolve.expsum import ExpSum
-from merosolve.field import ONE, ZERO, format_constant
+from merosolve.field import ONE, ZERO, FieldConstant, format_constant
+from merosolve.laurent import LaurentExpansion
 from merosolve.ratfunc import Poly, RatFunc
 
 
@@ -237,3 +240,70 @@ def eq3_residual(k0, k1, k2, k3, f):
     fpp = fp.derivative()
     k0, k1, k2, k3 = (ExpSum.from_ratfunc(RatFunc.of(k)) for k in (k0, k1, k2, k3))
     return f * fpp - fp * fp - k0 - k1 * f - k2 * fp - k3 * fpp
+
+
+class TranscendentalShift(Exception):
+    """A series about z0 would need exp(rate*z0), which is not a field constant."""
+
+
+def laurent_at(w, z0, order):
+    """Exact expansion of the ExpSum w about z0: coefficients a_0..a_order from
+    the leading power p.
+
+    Every nonzero rate must satisfy rate*z0 = 0 (otherwise exp(rate*z0) is
+    not a field constant and the expansion cannot stay exact).  The zero
+    sum degenerates to p = 0 with all-zero coefficients.
+    """
+    z0 = FieldConstant.of(z0)
+    for rate, _ in w.terms:
+        if not rate.is_zero and not z0.is_zero:
+            raise TranscendentalShift(
+                f"expansion about z0 = {z0} needs exp({rate}*z0), "
+                "which is not an exact field constant"
+            )
+    if w.is_zero:
+        return LaurentExpansion(z0, 0, tuple([ZERO] * (order + 1)), order)
+    low = -max(c.pole_order_at(z0) for _, c in w.terms)
+    high = low + order
+    p = None
+    for _ in range(12):
+        acc = window_series(w, z0, low, high)
+        p = next((low + i for i, c in enumerate(acc) if not c.is_zero), None)
+        if p is not None:
+            break
+        high += order + 8
+    if p is None:
+        raise RuntimeError("leading power search did not terminate")
+    if p + order > high:
+        high = p + order
+        acc = window_series(w, z0, low, high)
+    coeffs = tuple(acc[p - low : p - low + order + 1])
+    return LaurentExpansion(z0, p, coeffs, order)
+
+
+def window_series(w, z0, low, high):
+    """Exact sum of the term series of w about z0 over absolute exponents
+    low .. high."""
+    acc = [ZERO] * (high - low + 1)
+    for rate, coeff in w.terms:
+        m = coeff.pole_order_at(z0)
+        n_t = high + m + 1  # term exponents run from -m upward
+        if n_t <= 0:
+            continue
+        off, cs = coeff.taylor_at(z0, n_t)
+        # exp(rate*(z0+t)) = exp(rate*t) exactly since rate*z0 = 0
+        er = [ONE]
+        fact = Fraction(1)
+        for j in range(1, n_t):
+            fact *= j
+            er.append(rate ** j / FieldConstant.of(fact))
+        for i, c in enumerate(cs):
+            if c.is_zero:
+                continue
+            for j, e in enumerate(er):
+                exp_abs = off + i + j
+                if exp_abs > high:
+                    break
+                if exp_abs >= low:
+                    acc[exp_abs - low] = acc[exp_abs - low] + c * e
+    return acc

@@ -32,6 +32,8 @@ from merosolve.field import FieldConstant, ONE
 from merosolve.parse import parse_constant, parse_ratfunc
 from merosolve.ratfunc import RatFunc
 
+import reference_kernels
+
 Z = RatFunc.z()
 RF = RatFunc.of
 
@@ -227,7 +229,7 @@ class TestAcceptance:
 
             w = ExpSum.from_ratfunc(-(Z + 3) * (Z + 3) / 2 - 1)
             z0 = FieldConstant(Fraction(-3), Fraction(1), -2)
-            es = w.laurent_at(z0, 12)
+            es = reference_kernels.laurent_at(w, z0, 12)
             e = expand(
                 RF(1), RF(0), RF(2), z0, 1, es.coefficients[0], 12,
                 resonance_value=es.coefficients[2],

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from merosolve import expsum, ratfunc
 from merosolve.cli import main
-from merosolve.errors import NearPoleError, TranscendentalShiftError
+from merosolve.errors import IncompatibleExtensionsError, NearPoleError
 from merosolve.expsum import (
     ExpSum,
     ObstructionReport,
@@ -26,13 +26,14 @@ from merosolve.expsum import (
     spot_check,
 )
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
-from merosolve.parse import parse_ratfunc
+from merosolve.parse import parse_expsum, parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc
 
 import reference_kernels
 from conftest import (
     expsums,
     extended_constants,
+    nonzero_extended_constants,
     nonzero_polys,
     nonzero_rational_constants,
     polynomial_expsums,
@@ -184,9 +185,9 @@ class TestLaurent:
         if x.is_zero or y.is_zero:
             return
         n = 6
-        ex = x.laurent_at(ZERO, n)
-        ey = y.laurent_at(ZERO, n)
-        exy = (x * y).laurent_at(ZERO, n)
+        ex = reference_kernels.laurent_at(x, ZERO, n)
+        ey = reference_kernels.laurent_at(y, ZERO, n)
+        exy = reference_kernels.laurent_at(x * y, ZERO, n)
         assert exy.p == ex.p + ey.p
         for k in range(n + 1):
             conv = sum(
@@ -196,12 +197,12 @@ class TestLaurent:
             assert exy.coefficients[k] == conv
 
     def test_zero_sum_convention(self):
-        e = ExpSum.zero().laurent_at(ZERO, 4)
+        e = reference_kernels.laurent_at(ExpSum.zero(), ZERO, 4)
         assert e.p == 0
         assert e.coefficients == tuple([ZERO] * 5)
 
     def test_exponential_series_at_origin(self):
-        e = exp_of(1).laurent_at(ZERO, 5)
+        e = reference_kernels.laurent_at(exp_of(1), ZERO, 5)
         assert e.p == 0
         fact = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6),
                 Fraction(1, 24), Fraction(1, 120)]
@@ -209,7 +210,7 @@ class TestLaurent:
 
     def test_pole_shifts_leading_power(self):
         x = ExpSum([(ONE, 1 / (Z * Z))])
-        e = x.laurent_at(ZERO, 3)
+        e = reference_kernels.laurent_at(x, ZERO, 3)
         assert e.p == -2
         # exp(z)/z^2 = z^-2 + z^-1 + 1/2 + z/6 + ...
         assert [c.a for c in e.coefficients] == [
@@ -218,12 +219,12 @@ class TestLaurent:
 
     def test_nonzero_rate_away_from_origin_raises(self):
         x = exp_of(1)
-        with pytest.raises(TranscendentalShiftError):
-            x.laurent_at(FieldConstant.of(2), 3)
+        with pytest.raises(reference_kernels.TranscendentalShift):
+            reference_kernels.laurent_at(x, FieldConstant.of(2), 3)
 
     def test_rate_zero_part_expands_anywhere(self):
         x = ExpSum.from_ratfunc(1 / (Z - 1))
-        e = x.laurent_at(FieldConstant.of(1), 3)
+        e = reference_kernels.laurent_at(x, FieldConstant.of(1), 3)
         assert e.p == -1 and e.coefficients[0] == ONE
 
 
@@ -304,11 +305,19 @@ gate_rates = st.one_of(st.just(ZERO), rational_constants, extended_constants)
 @st.composite
 def gate_cases(draw):
     """(alpha, beta, gamma, w, forced); when forced, gamma cancels the residual
-    of a w built so that every nonzero rate of it cancels already."""
-    if not draw(st.booleans()):
+    of a w built so that every nonzero rate of it cancels already.  Unforced
+    cases take random rates, or rates whose pairwise sums collide: {0, k, 2k}
+    (0 + 2k = k + k) and {k, -k, 0}, with k over Q or over Q(sqrt 5)."""
+    kind = draw(st.sampled_from(["random", "colliding", "forced"]))
+    if kind == "random":
         terms = st.lists(st.tuples(gate_rates, gate_coefficients), min_size=1, max_size=3,
                          unique_by=lambda term: term[0].sort_key())
         w = ExpSum(draw(terms))
+        return (*(draw(gate_coefficients) for _ in range(3)), w, False)
+    if kind == "colliding":
+        k = draw(st.one_of(nonzero_rational_constants, nonzero_extended_constants))
+        rates = draw(st.sampled_from([(ZERO, k, 2 * k), (k, -k, ZERO)]))
+        w = ExpSum([(r, draw(gate_coefficients)) for r in rates])
         return (*(draw(gate_coefficients) for _ in range(3)), w, False)
     t = draw(gate_coefficients)
     t1 = t.derivative()
@@ -340,7 +349,10 @@ class TestResidualIsZero:
         assert residual_is_zero(alpha, beta, gamma, w) == want.is_zero
         assert want.is_zero or not forced
 
-    def test_agrees_on_every_member_gated_for_the_classify_ladder_pool(self, monkeypatch, capsys):
+    @staticmethod
+    def agree_over_pool(monkeypatch, capsys, pool, verbs):
+        """Run the pool's entries for verbs through main, checking every gate
+        call against the reference residual."""
         module = importlib.import_module("merosolve.classify")
         agreed = []
 
@@ -352,11 +364,49 @@ class TestResidualIsZero:
 
         monkeypatch.setattr(module, "residual_is_zero", gate)
         data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
-        entries = json.loads((data / "classify-ladder.json").read_text())["entries"]
+        entries = json.loads((data / f"{pool}.json").read_text())["entries"]
+        entries = [entry for entry in entries if entry["argv"][0] in verbs]
         for entry in entries:
             assert main(entry["argv"]) == entry["exit"]
         capsys.readouterr()
-        assert len(agreed) >= len(entries) and all(agreed)
+        assert entries and len(agreed) >= len(entries) and all(agreed)
+
+    def test_agrees_on_every_member_gated_for_the_classify_ladder_pool(self, monkeypatch, capsys):
+        self.agree_over_pool(monkeypatch, capsys, "classify-ladder", ("classify",))
+
+    def test_agrees_on_every_member_gated_for_the_cli_oneshot_pool(self, monkeypatch, capsys):
+        # the README and acceptance fixtures: irrational and two-sided rates
+        self.agree_over_pool(monkeypatch, capsys, "cli-oneshot", ("classify", "transform"))
+
+    def test_rates_are_summed_as_integers(self, monkeypatch):
+        # rates {0, k, 2k} with k in Q(sqrt 5): 0 + 2k = k + k, and every pair is summed
+        k = FieldConstant(Fraction(1, 2), Fraction(3, 4), 5)
+        w = ExpSum([(ZERO, Z + 1), (k, 1 / (Z - 1)), (2 * k, RatFunc.const(3))])
+        calls = []
+        real = FieldConstant.__add__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(FieldConstant, "__add__", counting)
+        monkeypatch.setattr(FieldConstant, "__radd__", counting)
+        alpha, beta, gamma = RatFunc.const(2), Z, 1 / (Z + 2)
+        assert not residual_is_zero(alpha, beta, gamma, w)
+        assert calls == []
+        assert k + k == 2 * k and len(calls) == 1  # the counter is live
+
+    @pytest.mark.parametrize("solution, operands", [
+        ("exp(sqrt(2)*z) + exp(sqrt(3)*z)", (2, 3)),
+        # the coefficient sqrt(5) meets Q(sqrt(2)) before the two rates meet
+        ("sqrt(5) + sqrt(2)*exp(sqrt(2)*z) + exp(sqrt(3)*z)", (5, 2)),
+    ])
+    def test_two_extensions_among_the_rates(self, solution, operands):
+        w = parse_expsum(solution)
+        for gate in (residual, residual_is_zero):
+            with pytest.raises(IncompatibleExtensionsError) as caught:
+                gate(RF0, RF0, RF0, w)
+            assert (caught.value.q1, caught.value.q2) == operands
 
 
 class TestResidualGcds:

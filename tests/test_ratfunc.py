@@ -509,6 +509,38 @@ class TestKernelsAgainstReference:
         assert canonical(p.derivative()) and canonical(p.monic())
 
 
+# factors near the shortcuts of Poly.__mul__: only zero and the integer 1 take them
+SHORTCUT_FACTORS = {
+    "zero": Poly(),
+    "one": Poly.const(1),
+    "1 + sqrt(5)": Poly([ONE + root5]),  # a == (1,) but b is not empty
+    "1/2": Poly.const(Fraction(1, 2)),  # a == (1,) but d == 2
+    "sqrt(5)": Poly([root5]),
+    "-1": Poly.const(-1),
+}
+
+
+class TestProductShortcuts:
+    @given(fields.flatmap(lambda cs: polys(6, cs)),
+           st.one_of(st.sampled_from(list(SHORTCUT_FACTORS.values())),
+                     fields.flatmap(lambda cs: polys(2, cs))))
+    def test_agrees_with_convolution(self, p, f):
+        for got in (p * f, f * p):
+            assert got.coeffs == reference_kernels.mul(p.coeffs, f.coeffs) and canonical(got)
+
+    @pytest.mark.parametrize("name", list(SHORTCUT_FACTORS))
+    def test_named_factor(self, name):
+        f = SHORTCUT_FACTORS[name]
+        for p in (Poly([root5, -ONE, 3 * ONE]), Poly([Fraction(2, 3), 5 * ONE]), Poly.const(1)):
+            for got in (p * f, f * p):
+                assert got.coeffs == reference_kernels.mul(p.coeffs, f.coeffs) and canonical(got)
+
+    def test_zero_factor_gives_the_zero_polynomial(self):
+        for p in (Poly([root5, ONE]), Poly.z(), Poly(), Poly([ONE + root5])):
+            for got in (p * Poly(), Poly() * p):
+                assert got == Poly() and got.q == 0 and canonical(got)
+
+
 @st.composite
 def shift_cases(draw):
     """(p, r): p of degree -1..8 and r, each over Q or over one Q(sqrt q) for
