@@ -3,9 +3,9 @@ w*w'' - (w')^2 = alpha*w + beta*w' + gamma over rational function coefficients.
 
 The public surface mirrors the four CLI verbs: classify / transform_original
 for the decision procedure, residual / integrate_exp and the ExpSum algebra
-for verification, and leading_candidates / expand / branch_resonance /
-resonance_report for local series analysis.  All arithmetic is exact over
-Q, extendable to a single quadratic field Q(sqrt(q)).
+for verification, and leading_candidates / expand / expand_branches /
+branch_resonance / resonance_report for local series analysis.  All
+arithmetic is exact over Q, extendable to a single quadratic field Q(sqrt(q)).
 
 Each module loads on first use of a name it exports (PEP 562), so
 ``import merosolve`` loads none of them.  ``merosolve.classify`` is the
@@ -48,7 +48,7 @@ _EXPORTS = {
     ),
     "series": (
         "BranchResonance", "LeadingCandidate", "branch_resonance", "expand",
-        "leading_candidates", "resonance_report",
+        "expand_branches", "leading_candidates", "resonance_report",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

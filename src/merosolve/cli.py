@@ -212,7 +212,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_expand(args) -> tuple[dict, int]:
-    from .series import branch_resonance, expand, leading_candidates
+    from .series import branch_resonance, expand_branches, leading_candidates
 
     for flag, value in (("--order", args.order), ("--cap", args.cap)):
         if value < 0:
@@ -230,21 +230,20 @@ def _cmd_expand(args) -> tuple[dict, int]:
             "all coefficients vanish identically; every nonzero constant solves "
             "the equation and no leading-power analysis applies"
         )
-    selected = list(range(len(candidates)))
+    selected = candidates
     if args.branch is not None:
         if not 0 <= args.branch < len(candidates):
             raise _UsageError(
                 f"--branch {args.branch} out of range; {len(candidates)} branch(es)"
             )
-        selected = [args.branch]
+        selected = [candidates[args.branch]]
 
-    branches = []
-    for i in selected:
-        cand = candidates[i]
-        n = max(order, cand.p + 2)
-        expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
-        res = branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion)
-        branches.append(branch_dict(res, expansion))
+    expansions = expand_branches(alpha, beta, gamma, z0, selected, order)
+    branches = [
+        branch_dict(branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion),
+                    expansion)
+        for cand, expansion in zip(selected, expansions)
+    ]
 
     payload = {
         "coefficients": coefficients_dict(alpha, beta, gamma),

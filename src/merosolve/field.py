@@ -188,6 +188,10 @@ class FieldConstant:
     def __neg__(self) -> FieldConstant:
         return _trusted(-self.a, -self.b, self.q)
 
+    def conjugate(self) -> FieldConstant:
+        """a - b*sqrt(q): the image under sqrt(q) -> -sqrt(q), which fixes Q."""
+        return _trusted(self.a, -self.b, self.q) if self.b else self
+
     def __mul__(self, other) -> FieldConstant:
         other = _coerce(other)
         if other is NotImplemented:

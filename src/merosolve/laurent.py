@@ -35,3 +35,17 @@ class LaurentExpansion(namedtuple(
     """
 
     __slots__ = ()
+
+    def conjugate(self) -> LaurentExpansion:
+        """The expansion with every constant c replaced by c.conjugate()."""
+        info, alternate = self.resonance, self.alternate_coefficients
+        if info is not None and info.r is not None:
+            info = info._replace(r=info.r.conjugate())
+        if alternate is not None:
+            alternate = tuple(c.conjugate() for c in alternate)
+        return self._replace(
+            z0=self.z0.conjugate(),
+            coefficients=tuple(c.conjugate() for c in self.coefficients),
+            resonance=info,
+            alternate_coefficients=alternate,
+        )

@@ -2,7 +2,9 @@
 
 A sub-expression is a RatFunc until an exp(...) term appears, and from there
 on both operands of an operator are ExpSums: parse_ratfunc and parse_constant
-never build an ExpSum, and parse_expsum wraps a rational result once.
+never build an ExpSum, and parse_expsum wraps a rational result once.  The
+expsum module is imported by the functions that build an ExpSum, so parsing
+rational input never loads it.
 
 Grammar (whitespace insignificant)::
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 
 from .errors import ExpressionSyntaxError, LimitExceededError, ZeroDenominatorLiteralError
-from .expsum import ExpSum
 from .field import FieldConstant, sqrt_constant
 from .ratfunc import Poly, RatFunc
 
@@ -53,8 +54,9 @@ MAX_POWER_BITS = (10**MAX_LITERAL_DIGITS - 1).bit_length()
 # expand refuses a truncation order or resonance cap above MAX_ORDER; the
 # slowest one-digit input measured at the cap, expand --alpha
 # (9*z^3+8)/(7*z^3-6) --beta (9*z^3-8)/(7*z^3+6) --gamma (9*z^3+7)/(8*z^3+9)
-# --at 9/7 --order 64, runs in about 0.9 s on a 2-vCPU x86 machine (4.8 s at
-# order 100, where its coefficients pass Python's 4,300-digit int-to-str limit)
+# --at 9/7 --order 64, runs in about 0.5 s on a 2-vCPU x86 machine, its two
+# conjugate branches expanded once (its series take 1.6 s at order 100, where
+# its coefficients pass Python's 4,300-digit int-to-str limit)
 MAX_ORDER = 64
 # expand's --cap default; it lives here, not in series, so the flag's default
 # loads no series code
@@ -226,6 +228,8 @@ class _Parser:
             raise ExpressionSyntaxError(
                 "exp argument must be a constant multiple of z", t.pos
             )
+        from .expsum import ExpSum
+
         return ExpSum.exponential(rate, 1)
 
     @staticmethod
@@ -248,6 +252,8 @@ class _Parser:
             raise ExpressionSyntaxError(
                 "cannot divide by a sum of exponential terms", pos
             )
+        from .expsum import ExpSum
+
         rate, coeff = rhs.terms[0]
         return ExpSum(tuple((r - rate, c / coeff) for r, c in lhs.terms))
 
@@ -256,6 +262,8 @@ def _promote(x: RatFunc | ExpSum, y: RatFunc | ExpSum) -> tuple:
     """x and y as they are when both are RatFuncs, else both as ExpSums."""
     if isinstance(x, RatFunc) and isinstance(y, RatFunc):
         return x, y
+    from .expsum import ExpSum
+
     return tuple(v if isinstance(v, ExpSum) else ExpSum.from_ratfunc(v) for v in (x, y))
 
 
@@ -308,6 +316,8 @@ def _power(value: RatFunc | ExpSum, t: _Token) -> RatFunc | ExpSum:
         )
     if rational:
         return value ** n
+    from .expsum import ExpSum
+
     if k == 1:
         rate, coeff = value.terms[0]
         return ExpSum.exponential(rate * n, coeff ** n)
@@ -319,6 +329,8 @@ def _power(value: RatFunc | ExpSum, t: _Token) -> RatFunc | ExpSum:
 
 def parse_expsum(text: str, params: dict[str, FieldConstant] | None = None) -> ExpSum:
     """Parse a finite exponential sum such as '1/2*exp(2*z) - z + 3'."""
+    from .expsum import ExpSum
+
     value = _Parser(text, allow_exp=True, params=params).parse()
     return value if isinstance(value, ExpSum) else ExpSum.from_ratfunc(value)
 

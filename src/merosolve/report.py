@@ -7,8 +7,6 @@ byte-identical documents.  No timestamps live inside the payload.
 
 from __future__ import annotations
 
-import json
-
 from .field import format_constant
 from .ratfunc import RatFunc, ratfunc_to_str
 
@@ -128,6 +126,8 @@ def error_document(code: str, message: str) -> dict:
 
 
 def to_json(doc: dict) -> str:
+    import json  # here, so a --text request never loads it
+
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -13,6 +13,12 @@ violated, no formal solution).
 The matching runs on integers: the known coefficients and the Taylor lists
 are kept as vectors over Z[sqrt(q)], each over one common denominator, so an
 order costs integer convolutions and one exact division for a_n.
+
+expand_branches expands several leading candidates at one point.  Over
+rational coefficients and a rational z0 the two p = 1 roots of an irrational
+leading equation are conjugate in Q(sqrt(q)), and so are their branches:
+each conjugate pair is expanded once and the second branch is read off the
+first by sqrt(q) -> -sqrt(q).
 """
 
 from __future__ import annotations
@@ -318,6 +324,38 @@ def expand(
         alternate_coefficients=alternate,
         halted_at=halted,
     )
+
+
+def expand_branches(
+    alpha: RatFunc,
+    beta: RatFunc,
+    gamma: RatFunc,
+    z0: FieldConstant,
+    candidates: list[LeadingCandidate],
+    order: int,
+) -> list[LaurentExpansion]:
+    """expand(..., cand.p, cand.a0, max(order, cand.p + 2)) for each candidate, in order.
+
+    When the coefficients and z0 are rational, sqrt(q) -> -sqrt(q) fixes every
+    input of expand but a0, and expand only adds, multiplies, divides and tests
+    for zero, so the branch of a0's conjugate is the conjugate of a0's branch:
+    a candidate whose conjugate was expanded already reuses that expansion.
+    """
+    alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
+    z0 = FieldConstant.of(z0)
+    rational = not z0.q and not any(f.num.q or f.den.q for f in (alpha, beta, gamma))
+    done: dict[tuple[int, FieldConstant], LaurentExpansion] = {}
+    out = []
+    for cand in candidates:
+        a0 = FieldConstant.of(cand.a0)
+        twin = done.get((cand.p, a0.conjugate())) if rational else None
+        if twin is None:
+            expansion = expand(alpha, beta, gamma, z0, cand.p, a0, max(order, cand.p + 2))
+        else:
+            expansion = twin.conjugate()
+        done[cand.p, a0] = expansion
+        out.append(expansion)
+    return out
 
 
 def branch_resonance(

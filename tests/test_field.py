@@ -129,6 +129,16 @@ class TestFieldAxioms:
         assert x ** 0 == FieldConstant.of(1)
 
     @given(extended_constants, extended_constants)
+    def test_conjugation_is_a_field_automorphism(self, x, y):
+        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        assert x.conjugate().conjugate() == x
+        assert (x.conjugate() == x) == x.is_rational
+        c = x.conjugate()
+        assert _parts(c) == _parts(FieldConstant(c.a, c.b, c.q))
+        assert (c.a, c.b) == (x.a, -x.b)
+
+    @given(extended_constants, extended_constants)
     def test_embedding_is_homomorphic(self, x, y):
         scale = max(1.0, abs(x.embed()), abs(y.embed()))
         assert abs((x + y).embed() - (x.embed() + y.embed())) <= 1e-14 * scale

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -214,4 +215,39 @@ def test_star_import_binds_every_exported_name():
         "missing = set(merosolve.__all__) - set(namespace)\n"
         "assert not missing, sorted(missing)\n"
         "assert namespace['classify'] is merosolve.classify and callable(namespace['classify'])\n"
+    )
+
+
+def test_expand_leaves_expsum_unloaded():
+    # parse imports expsum only to build an ExpSum, which expand never does
+    _run_fresh(
+        "import io, contextlib\n"
+        "import merosolve.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = merosolve.cli.main(['expand', '--alpha', '1/(z+3)', '--beta', 'z^2-2',\n"
+        "                               '--gamma', '(z+2)/(z^2+3)', '--at', '1',\n"
+        "                               '--order', '6', '--json'])\n"
+        "assert code == 0, code\n"
+        "assert 'series' in loaded() and 'expsum' not in loaded(), sorted(loaded())\n"
+    )
+
+
+def test_text_reports_load_no_json():
+    # the README's first classify example, whose --json bytes the cli-oneshot
+    # pool pins; json loads with the first --json report and not before
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cli-oneshot.json"
+    argv = ["classify", "--alpha", "2", "--beta", "0", "--gamma", "0"]
+    golden = next(e["sha256"] for e in json.loads(pool.read_text(encoding="utf-8"))["entries"]
+                  if e["argv"] == [*argv, "--json"])
+    _run_fresh(
+        "import io, contextlib, hashlib\n"
+        "import merosolve.cli\n"
+        "for mode in ('--text', '--json'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        code = merosolve.cli.main({argv!r} + [mode])\n"
+        "    assert code == 0, code\n"
+        "    assert ('json' in sys.modules) == (mode == '--json'), mode\n"
+        "digest = hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()\n"
+        f"assert digest == {golden!r}, digest\n"
     )

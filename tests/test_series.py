@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from merosolve import series
 from merosolve.errors import PointInPhiError
@@ -24,6 +24,7 @@ from merosolve.series import (
     RESONANCE_CAP_DEFAULT,
     branch_resonance,
     expand,
+    expand_branches,
     leading_candidates,
     resonance_report,
 )
@@ -572,3 +573,118 @@ class TestOrderMatchingCost:
         inside.append(True)
         fc(2) * fc(3)
         assert len(products) == 1
+
+
+# -- conjugate branches: one expansion per pair over rational data --------------------
+
+
+@st.composite
+def _conjugate_pairs(draw):
+    """alpha, beta, gamma, z0, order over Q whose two leading roots are
+    conjugate in Q(sqrt(q)), q > 0 or q < 0.
+
+    Numerators have degree 0-2 and integer coefficients in -3..3, over 1 or a
+    linear denominator.  In one stratum beta = 0 (beta(z0) = 0 would put z0 in
+    the excluded set), so r = 2 on both branches and the condition at a_2 is
+    met or violated; a constant gamma over alpha = 0 meets it.
+    """
+    def ratfunc() -> RatFunc:  # nonzero
+        cs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        assume(any(cs))
+        den = draw(st.sampled_from([1, Z + 1, 2 * Z - 3]))
+        return RatFunc(Poly([fc(c) for c in cs])) / den
+
+    z0 = FieldConstant.of(draw(small_fractions))
+    order = draw(st.integers(min_value=3, max_value=14))
+    alpha = draw(st.sampled_from([RF0, ratfunc()]))
+    if draw(st.booleans()):
+        beta = RF0
+        gamma = draw(st.sampled_from([RatFunc.const(draw(st.integers(1, 9))), ratfunc()]))
+    else:
+        beta, gamma = ratfunc(), ratfunc()
+    assume(not in_excluded_set(alpha, beta, gamma, z0))
+    cands = leading_candidates(alpha, beta, gamma, z0)
+    assume(len(cands) == 2 and not cands[0].a0.is_rational)
+    return alpha, beta, gamma, z0, order
+
+
+def _direct(alpha, beta, gamma, z0, cands, order):
+    return [expand(alpha, beta, gamma, z0, c.p, c.a0, max(order, c.p + 2)) for c in cands]
+
+
+# expand_branches must expand every branch of these: an irrational z0 (the
+# README's fixture), a coefficient in Q(sqrt(2)) with roots +-sqrt(2), and
+# rational roots 4 and -1
+_CONTROLS = {
+    "irrational-z0": ((RatFunc.const(1), RF0, RatFunc.const(2)),
+                      FieldConstant(Fraction(-3), Fraction(1), -2)),
+    "irrational-coefficient": ((RatFunc.const(FieldConstant(0, 1, 2)) * Z, RF0,
+                                RatFunc.const(-2)), ONE),
+    "rational-roots": ((RF0, RatFunc.const(-3), RatFunc.const(-4)), ZERO),
+}
+
+
+class TestConjugateBranches:
+    @given(_conjugate_pairs())
+    def test_equals_expanding_each_branch(self, data):
+        alpha, beta, gamma, z0, order = data
+        cands = leading_candidates(alpha, beta, gamma, z0)
+        assert cands[1].a0 == cands[0].a0.conjugate()
+        got = expand_branches(alpha, beta, gamma, z0, cands, order)
+        assert got == _direct(alpha, beta, gamma, z0, cands, order)
+
+    def test_draws_cover_both_signs_and_both_outcomes_at_r_2(self):
+        seen = set()
+
+        @given(_conjugate_pairs())
+        def collect(data):
+            alpha, beta, gamma, z0, order = data
+            cands = leading_candidates(alpha, beta, gamma, z0)
+            e = expand_branches(alpha, beta, gamma, z0, cands, order)[0]
+            if beta.is_zero:
+                assert e.resonance.r == fc(2) and e.resonance.index == 2
+                seen.add(("met" if e.alternate_coefficients else "violated", e.halted_at))
+            seen.add(cands[0].a0.q > 0)
+
+        collect()
+        assert {True, False, ("met", None), ("violated", 2)} <= seen
+
+    @pytest.mark.parametrize("name", sorted(_CONTROLS))
+    def test_controls_expand_every_branch(self, name):
+        coeffs, z0 = _CONTROLS[name]
+        cands = leading_candidates(*coeffs, z0)
+        got = expand_branches(*coeffs, z0, cands, 9)
+        assert len(cands) == 2 and got == _direct(*coeffs, z0, cands, 9)
+        # conjugating the first branch would not give the second
+        assert got[1] != got[0].conjugate()
+
+    @pytest.mark.parametrize("name", ["conjugate-pair", *sorted(_CONTROLS)])
+    def test_expand_runs_once_per_conjugate_pair(self, monkeypatch, name):
+        if name == "conjugate-pair":
+            coeffs, z0 = (1 / (Z + 3), Z * Z - 2, (Z + 2) / (Z * Z + 3)), ONE
+        else:
+            coeffs, z0 = _CONTROLS[name]
+        calls = []
+        real = series.expand
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(series, "expand", counting)
+        cands = leading_candidates(*coeffs, z0)
+        expand_branches(*coeffs, z0, cands, 40)
+        expanded = 1 if name == "conjugate-pair" else 2
+        assert calls == [c.a0 for c in cands][:expanded]
+
+    def test_any_candidate_list_in_its_order(self):
+        # roots (1 +- sqrt(-3))/2: the second first, a repeat, then the p = 2
+        # balance of beta = gamma = 0, which needs order p + 2 = 4
+        coeffs, z0 = (RatFunc.const(2), RatFunc.const(-1), RatFunc.const(1)), ONE
+        c0, c1 = leading_candidates(*coeffs, z0)
+        double_zero = (coeffs[0], RF0, RF0)
+        for cands, eq in (([c1, c0, c1], coeffs),
+                          (leading_candidates(*double_zero, z0), double_zero)):
+            got = expand_branches(*eq, z0, cands, 3)
+            assert got == _direct(*eq, z0, cands, 3)
+            assert [e.truncation_order for e in got] == [max(3, c.p + 2) for c in cands]
