@@ -1,9 +1,15 @@
 """Polynomials and normalized rational functions over the exact constant field.
 
 A RatFunc is kept reduced (gcd of numerator and denominator is 1) with a monic
-denominator, so equality, zero tests and constancy are syntactic.  Square
-roots and partial fractions use square-free decomposition and linear/quadratic
-splitting only; factors that would need more report themselves as such.
+denominator, so equality, zero tests and constancy are syntactic.  A monic
+constant denominator is exactly 1, and a sum, difference, product or
+derivative of two polynomials is a polynomial, already in that normal form:
+such operations are plain Poly arithmetic over one shared unit and skip the
+gcd and the monic step (Henrici, JACM 3(1), 1956, skips them for sums with
+one unit denominator).  Zero and unit operands of Poly arithmetic cost one
+test.  Square roots and partial fractions use square-free decomposition and
+linear/quadratic splitting only; factors that would need more report
+themselves as such.
 """
 
 from __future__ import annotations
@@ -51,7 +57,10 @@ class Poly:
 
     @staticmethod
     def const(c) -> Poly:
-        return _poly((c,), (), 1, 0) if type(c) is int else Poly((c,))
+        r = _rational(c)
+        if r is None:
+            return Poly((c,))
+        return _UNIT if r == 1 else _poly((r.numerator,), (), r.denominator, 0)
 
     @staticmethod
     def z() -> Poly:
@@ -89,6 +98,11 @@ class Poly:
 
     def __add__(self, other: Poly, sign: int = 1) -> Poly:
         """self + sign*other over the lcm of the two denominators."""
+        # zero is rational, so returning the other operand misses no extension clash
+        if not other.a:
+            return self
+        if not self.a:
+            return other if sign == 1 else -other
         q = common_discriminant((other,), self.q)
         g = math.gcd(self.d, other.d)
         m, n = other.d // g, sign * (self.d // g)
@@ -115,12 +129,19 @@ class Poly:
                      _lin(_conv(a, e), 1, _conv(b, c), 1), self.d * other.d, q)
 
     def scale(self, c) -> Poly:
+        r = _rational(c)
+        if r is not None:  # the numerator multiplies the vectors, the denominator d
+            n = r.numerator
+            return _poly([x * n for x in self.a], [x * n for x in self.b], self.d * r.denominator,
+                         self.q)
         c = FieldConstant.of(c)
         q = common_discriminant((c,), self.q)
         (x,), y, e = integer_parts((c,), q)
         return _poly(*_times(*_parts(self, q), x, y[0] if q else 0, q), self.d * e, q)
 
     def pow(self, n: int) -> Poly:
+        if self.a and not self.q and not any(self.a[:-1]):  # c*z**k -> c**n*z**(k*n)
+            return _poly([0] * (self.degree * n) + [self.a[-1] ** n], (), self.d ** n, 0)
         result, base = Poly.const(1), self
         while n:
             if n & 1:
@@ -143,6 +164,8 @@ class Poly:
         return self * _inverse_leading(self) if self.a else self
 
     def derivative(self) -> Poly:
+        if len(self.a) <= 1:
+            return _ZERO
         return _poly([i * x for i, x in enumerate(self.a)][1:],
                      [i * x for i, x in enumerate(self.b)][1:], self.d, self.q)
 
@@ -216,6 +239,16 @@ def _poly(a, b, d: int, q: int, p: Poly | None = None) -> Poly:
         p.a, p.b = tuple([x // g for x in a]), tuple([x // g for x in b])
     p.d, p.q = d // g, q
     return p
+
+
+_UNIT, _ZERO = _poly((1,), (), 1, 0), _poly((), (), 1, 0)  # shared: a Poly is never mutated
+
+
+def _rational(c) -> int | Fraction | None:
+    """c as an int or a Fraction when it is a rational scalar, else None."""
+    if isinstance(c, FieldConstant):
+        return None if c.b else c.a
+    return c if isinstance(c, (int, Fraction)) else None
 
 
 def _parts(p: Poly, q: int):
@@ -487,11 +520,11 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.const(1)
+            den = _UNIT
         if den.is_zero:
             raise DivisionByZeroError("zero denominator")
         if num.is_zero:
-            num, den = Poly(), Poly.const(1)
+            num, den = _ZERO, _UNIT
         else:
             if num.degree > 0 and den.degree > 0:  # a constant shares no factor
                 g = poly_gcd(num, den)
@@ -513,18 +546,18 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> RatFunc:
-        return RatFunc(Poly.const(c))
+        return RatFunc._reduced(Poly.const(c), _UNIT)
 
     @staticmethod
     def z() -> RatFunc:
-        return RatFunc(Poly.z())
+        return RatFunc._reduced(Poly.z(), _UNIT)
 
     @staticmethod
     def of(x) -> RatFunc:
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, Poly):
-            return RatFunc(x)
+            return RatFunc._reduced(x, _UNIT)
         return RatFunc.const(x)
 
     # -- structure -------------------------------------------------------------
@@ -549,9 +582,14 @@ class RatFunc:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other) -> RatFunc:
+    def __add__(self, other, sign: int = 1) -> RatFunc:
+        """self + sign*other."""
         other = RatFunc.of(other)
         a, b, c, d = self.num, self.den, other.num, other.den
+        if b.degree == 0 and d.degree == 0:  # two polynomials
+            return RatFunc._reduced(a.__add__(c, sign), _UNIT)
+        if sign < 0:
+            c = -c
         # Henrici: when b = 1, gcd(a*d + c, d) = gcd(c, d) = 1 (and symmetrically);
         # a zero sum has d | c, so d = 1 and the result is already 0/1
         if b.degree == 0:
@@ -563,8 +601,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other) -> RatFunc:
-        other = RatFunc.of(other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> RatFunc:
         return RatFunc.of(other) - self
@@ -574,6 +611,8 @@ class RatFunc:
 
     def __mul__(self, other) -> RatFunc:
         other = RatFunc.of(other)
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RatFunc._reduced(self.num * other.num, _UNIT)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -595,6 +634,8 @@ class RatFunc:
 
     def derivative(self) -> RatFunc:
         n, d = self.num, self.den
+        if d.degree == 0:
+            return RatFunc._reduced(n.derivative(), _UNIT)
         return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
 
     # -- evaluation and expansion ------------------------------------------------

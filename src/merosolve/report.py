@@ -172,7 +172,9 @@ def _text_classification(doc: dict, lines: list[str]) -> None:
     lines.append(f"admissible families: {doc['admissible_family_count']}")
 
 
-def _text_expansion(exp: dict, lines: list[str], indent: str) -> None:
+def _text_expansion(exp: dict, lines: list[str], indent: str, verdict: dict | None = None) -> None:
+    """verdict, when given, supplies the resonance condition in place of exp's own
+    (an evaluated branch may have probed past the expansion's order)."""
     lines.append(f"{indent}expansion at z0 = {exp['z0']}, leading power {exp['leading_power']}, "
                  f"order {exp['truncation_order']}:")
     p = exp["leading_power"]
@@ -187,10 +189,11 @@ def _text_expansion(exp: dict, lines: list[str], indent: str) -> None:
     lines.append(f"{indent}  coefficients: " + ", ".join(
         f"a{k} = {c}" for k, c in enumerate(exp["coefficients"])))
     r = exp["resonance"]
+    v = verdict or r
     lines.append(
         f"{indent}  resonance: r = {r['r']}, positive integer: "
-        f"{r['r_is_positive_integer']}, condition satisfied: {r['condition_satisfied']}, "
-        f"free coefficient index: {r['free_coefficient_index']}"
+        f"{r['r_is_positive_integer']}, condition satisfied: {v['condition_satisfied']}, "
+        f"free coefficient index: {v['free_coefficient_index']}"
     )
     if exp["alternate_coefficients"] is not None:
         lines.append(f"{indent}  alternate continuation (free coefficient = 1): " + ", ".join(
@@ -213,7 +216,8 @@ def _text_expand(doc: dict, lines: list[str]) -> None:
             lines.append(f"    side condition satisfied: {b['side_condition_satisfied']}")
         lines.append(f"    resonance status: {b['resonance_status']}"
                      + (f", r = {b['r']}" if b["r"] is not None else ""))
-        _text_expansion(b["expansion"], lines, "    ")
+        _text_expansion(b["expansion"], lines, "    ",
+                        b if b["resonance_status"] == "evaluated" else None)
 
 
 def _text_transform(doc: dict, lines: list[str]) -> None:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings, strategies as st
 
-from merosolve import expsum, ratfunc
+from merosolve import cli, expsum, ratfunc
 from merosolve.classify import (
     CASE_ORDER,
     ConstraintSet,
@@ -28,7 +31,14 @@ from merosolve.parse import parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc, poly_gcd
 
 import reference_kernels
-from conftest import expsums, ratfuncs
+from conftest import (
+    expsums,
+    extended_constants,
+    nonzero_polys,
+    polys,
+    rational_constants,
+    ratfuncs,
+)
 
 Z = RatFunc.z()
 RF = RatFunc.of
@@ -569,3 +579,71 @@ class TestPolynomialArithmeticCost:
         inside.append(True)
         FieldConstant.of(2) * FieldConstant.of(3)
         assert len(products) == 1
+
+
+# -- an inverse-problem oracle: equations built from a known case D solution -----------
+
+
+def d_equation(k, beta: RatFunc, t: RatFunc):
+    """(alpha, gamma) for which w = c*exp(k*z) + t solves the equation with beta."""
+    t1 = t.derivative()
+    t2 = t1.derivative()
+    alpha = k * k * t + t2 - 2 * k * t1 - k * beta
+    return alpha, t * t2 - t1 * t1 - alpha * t - beta * t1
+
+
+@st.composite
+def d_draws(draw, splitting: bool):
+    """(k, beta, t) over K = Q or Q(sqrt 5): t = num/den with den a product of at
+    most two factors z - r, r in K, or (not splitting) an integer cubic
+    z^3 + a*z + b with no rational root, which is irreducible over K."""
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    k = draw(constants.filter(lambda c: not c.is_zero))
+    beta = RatFunc(draw(polys(1, constants)))
+    if splitting:
+        den = Poly.const(1)
+        for r in draw(st.lists(constants, max_size=2)):
+            den = den * Poly((-r, FieldConstant.of(1)))
+    else:
+        a, b = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+            lambda ab: all(r**3 + ab[0] * r + ab[1] for r in range(-9, 10))))
+        den = Poly([FieldConstant.of(b), FieldConstant.of(a), FieldConstant.of(0),
+                    FieldConstant.of(1)])
+    return k, beta, RatFunc(draw(nonzero_polys(2, constants)), den)
+
+
+def classify_cli(alpha, beta, gamma) -> tuple[int, list[str]]:
+    """The exit code and family labels of the classify verb on the printed coefficients."""
+    argv = ["classify", "--alpha", str(alpha), "--beta", str(beta), "--gamma", str(gamma),
+            "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, [f["case_label"] for f in json.loads(out.getvalue()).get("families", [])]
+
+
+class TestCaseDOracle:
+    def check(self, draw):
+        k, beta, t = draw
+        alpha, gamma = d_equation(k, beta, t)
+        w = ExpSum.exponential(k, 1) + ExpSum.from_ratfunc(t)
+        assert residual(alpha, beta, gamma, w).is_zero  # the builder is right
+        code, labels = classify_cli(alpha, beta, gamma)
+        # D needs gamma != 0; with gamma = 0 case C's family holds w
+        assert code == 0 and ("D" if not gamma.is_zero else "C") in labels
+
+    @settings(max_examples=100)
+    @given(d_draws(splitting=True))
+    def test_splitting_denominators_give_d(self, draw):
+        self.check(draw)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 10: integrate_exp goes through partial fractions, so D"
+        " rejects with 'does not split' when t's denominator has no root in K",
+    )
+    @settings(max_examples=10, phases=[Phase.generate])  # no shrinking: every draw fails today
+    @given(d_draws(splitting=False))
+    def test_non_splitting_denominators_give_d(self, draw):
+        self.check(draw)

@@ -271,6 +271,21 @@ class TestExpand:
         assert exp["coefficients"][0] == "-1"
         assert exp["alternate_coefficients"][5] == "1"
 
+    @pytest.mark.parametrize("order", ["1", "8"])
+    def test_text_shows_the_branch_verdict(self, capsys, order):
+        # at --order 1 the expansion stops short of r + 2 = 7, where the branch's
+        # probe read the resonance condition; text must agree with JSON
+        argv = ("expand", "--alpha", "0", "--beta", "-3", "--gamma", "-4",
+                "--at", "0", "--order", order)
+        code, out, _ = run_cli(capsys, *argv, "--text")
+        assert code == 0
+        lines = [line.strip() for line in out.splitlines() if "resonance:" in line]
+        assert lines[1] == ("resonance: r = 5, positive integer: True, "
+                            "condition satisfied: True, free coefficient index: 5")
+        _, doc, _ = run_json(capsys, *argv)
+        b = doc["branches"][1]
+        assert (b["condition_satisfied"], b["free_coefficient_index"]) == (True, 5)
+
     @pytest.mark.parametrize("order, expansions", [(7, 2), (6, 3)])
     def test_resonant_branch_expanded_once(self, capsys, expand_orders, order, expansions):
         # r = 5 on the a0 = -1 branch: from --order r + 2 = 7 on, the condition

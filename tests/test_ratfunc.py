@@ -541,6 +541,109 @@ class TestProductShortcuts:
                 assert got == Poly() and got.q == 0 and canonical(got)
 
 
+# scalars for Poly.scale: the rational ones take the shortcut, sqrt(5) multiples do not
+scalars = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    small_fractions,
+    rational_constants,
+    extended_constants,
+)
+
+
+def _const(c) -> tuple:
+    """The coefficients of the constant polynomial c."""
+    return reference_kernels.strip((FieldConstant.of(c),))
+
+
+class TestTrivialOperandShortcuts:
+    @given(fields.flatmap(lambda cs: polys(6, cs)))
+    def test_sum_and_difference_with_zero(self, p):
+        zero = Poly()
+        for got, sign in ((p + zero, 1), (zero + p, 1), (p - zero, 1), (zero - p, -1)):
+            assert got.coeffs == reference_kernels.mul(p.coeffs, _const(sign))
+            assert canonical(got)
+
+    @given(constants)
+    def test_derivative_of_a_constant(self, c):
+        got = Poly.const(c).derivative()
+        assert got.coeffs == reference_kernels.mul(_const(c), ()) == ()
+        assert got == Poly() and canonical(got)
+
+    @given(fields.flatmap(lambda cs: polys(6, cs)), scalars)
+    def test_scale(self, p, c):
+        got = p.scale(c)
+        assert got.coeffs == reference_kernels.mul(p.coeffs, _const(c)) and canonical(got)
+        assert got == p * Poly.const(c)
+
+    @given(small_fractions, st.integers(min_value=0, max_value=4),
+           st.sampled_from([0, 1, 7]))
+    def test_power_of_one_term(self, c, k, n):
+        p = Poly([ZERO] * k + [FieldConstant.of(c)])
+        want = _const(1)
+        for _ in range(n):
+            want = reference_kernels.mul(want, p.coeffs)
+        got = p.pow(n)
+        assert got.coeffs == want and canonical(got)
+
+    @given(fields.flatmap(lambda cs: st.tuples(polys(4, cs), polys(4, cs))),
+           st.one_of(nonzero_rational_constants, nonzero_extended_constants))
+    def test_polynomial_ratfuncs_match_the_constructor(self, pair, c):
+        # over the constant denominator c the constructor takes its general path
+        p, q = pair
+        f, g = RatFunc(p), RatFunc(q)
+        cases = [
+            (f + g, p + q),
+            (f - g, p - q),
+            (f * g, p * q),
+            (f.derivative(), p.derivative()),
+        ]
+        for got, num in cases:
+            assert parts(got) == parts(RatFunc(num.scale(c), Poly.const(c)))
+            assert parts(got) == reference(num, Poly.const(1))
+
+    def test_polynomial_operands_meet_no_constructor_and_no_gcd(self, monkeypatch):
+        init, gcds = [], []
+        original = RatFunc.__init__
+
+        def counting_init(self, *args):
+            init.append(args)
+            original(self, *args)
+
+        def counting_gcd(a, b):
+            gcds.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(RatFunc, "__init__", counting_init)
+        monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
+        ps = [Poly([ONE, 2 * ONE, ONE]), Poly([root5, ONE]), Poly.z(), Poly.const(3), Poly()]
+        fs = [RatFunc.of(p) for p in ps] + [RatFunc.z(), RatFunc.const(Fraction(2, 3))]
+        for f in fs:
+            f.derivative()
+            for g in fs:
+                f + g
+                f - g
+                f * g
+        assert init == [] and gcds == []
+        assert Poly.const(1) is Poly.const(1) is RatFunc.const(1).num
+        # the counters are live: a rational function with a pole meets both
+        RatFunc(ps[0], ps[1]) * fs[1]
+        assert len(init) == 2 and len(gcds) == 2
+
+    def test_trivial_operands_never_raise_and_clashes_still_do(self):
+        p2, p3 = Poly([root2]), Poly([root3, ONE])
+        zero, one = Poly(), Poly.const(1)
+        for p in (p2, p3):
+            assert p + zero == p == zero + p == p - zero == -(zero - p)
+            assert p * one == p == one * p and (p * zero).is_zero
+            assert RatFunc(p) + RatFunc(zero) == RatFunc(p) == RatFunc(p) * RatFunc(one)
+        with pytest.raises(IncompatibleExtensionsError) as err:
+            p2 + p3
+        assert (err.value.q1, err.value.q2) == (2, 3)
+        with pytest.raises(IncompatibleExtensionsError) as err:
+            RatFunc(p2) * RatFunc(p3)
+        assert (err.value.q1, err.value.q2) == (2, 3)
+
+
 @st.composite
 def shift_cases(draw):
     """(p, r): p of degree -1..8 and r, each over Q or over one Q(sqrt q) for
