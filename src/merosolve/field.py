@@ -22,11 +22,29 @@ from .errors import (
 )
 
 
-# square_free_decomposition trial-divides by the primes up to this bound; a
-# cofactor with no prime factor up to it is a square, square-free (at most two
-# prime factors when it is at most the bound cubed) or refused.  Every n up to
-# 10**15 is decided exactly.
+# trial_division divides by the primes up to this bound; a cofactor with no
+# prime factor up to it is a square, square-free (at most two prime factors
+# when it is at most the bound cubed) or refused.  Every n up to 10**15 is
+# decided exactly.
 TRIAL_DIVISION_BOUND = 10**5
+
+
+def trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
+    """Split n > 0 into [(p, e), ...] for its primes p up to TRIAL_DIVISION_BOUND
+    and the cofactor left: 1, a prime, or a number whose prime factors all
+    exceed the bound."""
+    factors, p = [], 2
+    while p * p <= n:
+        if p > TRIAL_DIVISION_BOUND:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    return factors, n
 
 
 def square_free_decomposition(n: int) -> tuple[int, int]:
@@ -42,31 +60,23 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     r = isqrt(n)
     if r * r == n:
         return r, sign
-    s, m, p = 1, 1, 2
-    while p * p <= n:
-        if p > TRIAL_DIVISION_BOUND:
-            # every prime factor of n exceeds the bound
-            r = isqrt(n)
-            if r * r == n:
-                return s * r, sign * m
-            if n > TRIAL_DIVISION_BOUND**3:
-                raise LimitExceededError(
-                    f"the square-free part of a {n.bit_length()}-bit integer needs "
-                    f"factoring past trial division by the primes up to "
-                    f"{TRIAL_DIVISION_BOUND}"
-                )
-            break  # one prime, or two distinct ones: n is square-free
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                m *= p
-        p += 1 if p == 2 else 2
-    m *= n
-    return s, sign * m
+    factors, n = trial_division(n)
+    s, m = 1, 1
+    for p, e in factors:
+        s *= p ** (e // 2)
+        if e % 2:
+            m *= p
+    r = isqrt(n)
+    if r * r == n:
+        return s * r, sign * m
+    if n > TRIAL_DIVISION_BOUND**3:
+        raise LimitExceededError(
+            f"the square-free part of a {n.bit_length()}-bit integer needs "
+            f"factoring past trial division by the primes up to "
+            f"{TRIAL_DIVISION_BOUND}"
+        )
+    # one prime, or two distinct ones past the bound: the cofactor is square-free
+    return s, sign * m * n
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

@@ -1,13 +1,15 @@
 """Polynomials and normalized rational functions over the exact constant field.
 
 A RatFunc is kept reduced (gcd of numerator and denominator is 1) with a monic
-denominator, so equality, zero tests and constancy are syntactic.  A monic
-constant denominator is exactly 1, and a sum, difference, product or
-derivative of two polynomials is a polynomial, already in that normal form:
-such operations are plain Poly arithmetic over one shared unit and skip the
-gcd and the monic step (Henrici, JACM 3(1), 1956, skips them for sums with
-one unit denominator).  Zero and unit operands of Poly arithmetic cost one
-test.  Square roots and partial fractions use square-free decomposition and
+denominator, so equality, zero tests and constancy are syntactic.  Arithmetic
+builds each result in that normal form from gcds of the operands' own factors
+(Henrici, JACM 3(1), 1956; Knuth, TAOCP vol. 2, 4.5.1), never from a gcd of
+the full products: a product cancels gcd(a, d) and gcd(c, b) of a/b and c/d,
+a sum only the factors of gcd(b, d), and a derivative raises each pole order by
+one.  A gcd with a constant operand is skipped, so sums, products and
+derivatives of polynomials are plain Poly arithmetic and a division by a
+constant is a scaling.  Square roots take the monic polynomial root of
+numerator and denominator; partial fractions use square-free decomposition and
 linear/quadratic splitting only; factors that would need more report
 themselves as such.
 """
@@ -35,6 +37,7 @@ from .field import (
     format_parts,
     from_integers,
     integer_parts,
+    trial_division,
 )
 
 
@@ -356,17 +359,62 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for n = 2 or an odd n > 2, with the prime bases up to 23,
+    which is exact below 3.8*10**18."""
+    if n < 25:
+        return n in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A nontrivial factor of a composite n that is not a prime power, by
+    Pollard's rho on x -> x**2 + c with Brent's cycle search (BIT 20, 1980)."""
+    for c in range(1, n):
+        x = y = 2
+        power = steps = g = 1
+        while g == 1:
+            if power == steps:  # move the tortoise to the hare, double the stride
+                x, power, steps = y, 2 * power, 0
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(abs(x - y), n)
+        if g != n:
+            return g
+    raise ValueError(f"no factor of {n} found")
+
+
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    """The positive divisors of n != 0, |n| <= 10**15 (the trial-division bound
+    cubed), in increasing order.  After trial division the cofactor has at most two
+    prime factors, so it is 1, a prime, a prime square, or split by _rho."""
+    factors, rest = trial_division(abs(n))
+    if rest > 1:
+        root = math.isqrt(rest)
+        if root * root == rest:
+            factors.append((root, 2))
+        elif _is_prime(rest):
+            factors.append((rest, 1))
+        else:
+            p = _rho(rest)
+            factors += [(p, 1), (rest // p, 1)]
+    divisors = [1]
+    for p, e in factors:
+        divisors = [x * p**i for x in divisors for i in range(e + 1)]
+    return sorted(divisors)
 
 
 # _rational_root_candidates tests every +-u/v with u | a0 and v | an by exact
@@ -513,6 +561,56 @@ def _series_div(num: Poly, den: Poly, n: int) -> Poly:
     return _poly(ox, oy, power * num.d, q)
 
 
+def _gcd(x: Poly, y: Poly) -> Poly:
+    """poly_gcd, skipped when an operand is constant: a constant shares no factor
+    (x and y are nonzero)."""
+    return poly_gcd(x, y) if x.degree > 0 and y.degree > 0 else _UNIT
+
+
+def _exquo(p: Poly, g: Poly) -> Poly:
+    """p/g for a monic g that divides p."""
+    return p if g.degree == 0 else p.divmod(g)[0]
+
+
+def _monic_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den scaled by 1/lc(den), so that den is monic."""
+    if den.a[-1] != den.d or den.q and den.b[-1]:
+        lead = _inverse_leading(den)
+        return num * lead, den * lead
+    return num, den
+
+
+def _monic_sqrt(m: Poly) -> Poly | None:
+    """The monic r with r*r = m for a monic m, or None when there is none.
+
+    Coefficient 2k - j of r*r is 2*r[k-j] plus the products r[k-i]*r[k-j+i],
+    0 < i < j, so r follows top-down from m, dividing only by 2.  On m's
+    vectors c = (a + b*sqrt(q))/d, with T = 4*d, r[k-j] = 2*X_j/T**j for the
+    integers X_j = T**(j-1)*c[2k-j]*d - sum X_i*X_{j-i}: no division at all
+    until the one normal form.  An m that r does not square back to is no
+    square."""
+    if m.degree % 2:
+        return None
+    k, q, t = m.degree // 2, m.q, 4 * m.d
+    a, b = _parts(m, q)
+    xs, ys = [0], [0]
+    scale = 1  # T**(j-1)
+    for j in range(1, k + 1):
+        x, y = a[2 * k - j] * scale, (b[2 * k - j] * scale if q else 0)
+        for i in range(1, j):
+            x -= xs[i] * xs[j - i] + q * ys[i] * ys[j - i]
+            y -= xs[i] * ys[j - i] + ys[i] * xs[j - i]
+        xs.append(x)
+        ys.append(y)
+        scale *= t
+    # over T**k: r[i] = 2*X_{k-i}*T**i below the leading T**k
+    powers = [t**i for i in range(k + 1)]
+    ra = [2 * xs[k - i] * powers[i] for i in range(k)] + [powers[k]]
+    rb = ([2 * ys[k - i] * powers[i] for i in range(k)] + [0]) if q else ()
+    root = _poly(ra, rb, powers[k], q)
+    return root if root * root == m else None
+
+
 class RatFunc:
     """Reduced rational function num/den with monic denominator."""
 
@@ -526,13 +624,8 @@ class RatFunc:
         if num.is_zero:
             num, den = _ZERO, _UNIT
         else:
-            if num.degree > 0 and den.degree > 0:  # a constant shares no factor
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num.divmod(g)[0], den.divmod(g)[0]
-            if den.a[-1] != den.d or den.q and den.b[-1]:  # den is not monic
-                lead = _inverse_leading(den)
-                num, den = num * lead, den * lead
+            g = _gcd(num, den)
+            num, den = _monic_pair(_exquo(num, g), _exquo(den, g))
         self.num, self.den = num, den
 
     @staticmethod
@@ -580,7 +673,15 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def _join(self, other: RatFunc) -> None:
+        """Raise IncompatibleExtensionsError(self's q, other's q) on a clash,
+        before a gcd could meet the two in the other order."""
+        common_discriminant((other.num, other.den),
+                            common_discriminant((self.num, self.den)))
+
     # -- arithmetic ------------------------------------------------------------
+    # Henrici (JACM 3(1), 1956; Knuth, TAOCP vol. 2, 4.5.1): each result is built
+    # in normal form from gcds of the operands' coprime factors, never of a product.
 
     def __add__(self, other, sign: int = 1) -> RatFunc:
         """self + sign*other."""
@@ -590,13 +691,24 @@ class RatFunc:
             return RatFunc._reduced(a.__add__(c, sign), _UNIT)
         if sign < 0:
             c = -c
-        # Henrici: when b = 1, gcd(a*d + c, d) = gcd(c, d) = 1 (and symmetrically);
+        # when b = 1, gcd(a*d + c, d) = gcd(c, d) = 1 (and symmetrically);
         # a zero sum has d | c, so d = 1 and the result is already 0/1
         if b.degree == 0:
             return RatFunc._reduced(a * d + c, d)
         if d.degree == 0:
             return RatFunc._reduced(a + c * b, b)
-        return RatFunc(a * d + c * b, b * d)
+        self._join(other)
+        g = poly_gcd(b, d)
+        if g.degree == 0:  # no factor of b*d can divide a*d + c*b
+            return RatFunc._reduced(a * d + c * b, b * d)
+        bg, dg = b.divmod(g)[0], d.divmod(g)[0]
+        t = a * dg + c * bg
+        if t.is_zero:
+            return RatFunc._reduced(_ZERO, _UNIT)
+        # only factors of g can cancel; t mod g keeps the gcd within the inputs' degrees
+        rem = t.divmod(g)[1] if t.degree >= g.degree else t
+        g2 = g if rem.is_zero else _gcd(g, rem)
+        return RatFunc._reduced(_exquo(t, g2), bg * _exquo(d, g2))
 
     __radd__ = __add__
 
@@ -611,9 +723,15 @@ class RatFunc:
 
     def __mul__(self, other) -> RatFunc:
         other = RatFunc.of(other)
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RatFunc._reduced(self.num * other.num, _UNIT)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.degree == 0 and d.degree == 0:
+            return RatFunc._reduced(a * c, _UNIT)
+        self._join(other)
+        if a.is_zero or c.is_zero:
+            return RatFunc._reduced(_ZERO, _UNIT)
+        g1, g2 = _gcd(a, d), _gcd(b, c)
+        # quotients of monic polynomials by monic ones are monic
+        return RatFunc._reduced(_exquo(a, g1) * _exquo(c, g2), _exquo(b, g2) * _exquo(d, g1))
 
     __rmul__ = __mul__
 
@@ -621,7 +739,15 @@ class RatFunc:
         other = RatFunc.of(other)
         if other.is_zero:
             raise DivisionByZeroError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        self._join(other)
+        if c.degree == 0 and d.degree == 0:  # a constant divisor
+            return RatFunc._reduced(a * _inverse_leading(c), b)
+        if a.is_zero:
+            return RatFunc._reduced(_ZERO, _UNIT)
+        g1, g2 = _gcd(a, c), _gcd(b, d)
+        return RatFunc._reduced(*_monic_pair(_exquo(a, g1) * _exquo(d, g2),
+                                             _exquo(b, g2) * _exquo(c, g1)))
 
     def __rtruediv__(self, other) -> RatFunc:
         return RatFunc.of(other) / self
@@ -636,7 +762,12 @@ class RatFunc:
         n, d = self.num, self.den
         if d.degree == 0:
             return RatFunc._reduced(n.derivative(), _UNIT)
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
+        # with g = gcd(d, d') and r = d/g, (n/d)' = (n'*r - n*d'/g)/(d*r); in
+        # characteristic 0 each pole order rises by exactly one, so it is reduced
+        dp = d.derivative()
+        g = _gcd(d, dp)
+        r = _exquo(d, g)
+        return RatFunc._reduced(n.derivative() * r - n * _exquo(dp, g), d * r)
 
     # -- evaluation and expansion ------------------------------------------------
 
@@ -694,19 +825,14 @@ class RatFunc:
         """
         ctx = ctx or ExtensionContext()
         if self.is_zero:
-            return RatFunc(Poly())
-        num_root, den_root = Poly.const(1), Poly.const(1)
-        for factor, mult in squarefree_factors(self.num.monic()):
-            if mult % 2:
-                return None
-            num_root = num_root * factor.pow(mult // 2)
-        for factor, mult in squarefree_factors(self.den):
-            if mult % 2:
-                return None
-            den_root = den_root * factor.pow(mult // 2)
-        lc = self.num.leading
-        root_lc = ctx.sqrt(lc)  # may raise NestedExtension/Unsupported
-        return RatFunc(num_root.scale(root_lc), den_root)
+            return self
+        num_root = _monic_sqrt(self.num.monic())
+        den_root = _monic_sqrt(self.den) if num_root is not None else None
+        if den_root is None:
+            return None
+        root_lc = ctx.sqrt(self.num.leading)  # may raise NestedExtension/Unsupported
+        # roots of coprime polynomials are coprime, and the root of a monic one monic
+        return RatFunc._reduced(num_root.scale(root_lc), den_root)
 
     def __str__(self) -> str:
         return ratfunc_to_str(self)

@@ -552,6 +552,22 @@ class TestErrorEnvelope:
         code, doc, _ = run_json(capsys, *self._cubic_denominator("73513440"))
         assert code == 1 and doc["error"]["code"] == "LimitExceeded"
 
+    # a constant term with no prime factor up to the trial-division bound: the
+    # prime 10^15 - 11 and the semiprime 9999991*99999989 (below 10^15, so
+    # searched).  Listing their divisors by trial up to the square root took 4 s;
+    # the MD5 of the stdout they gave then
+    @pytest.mark.parametrize("c, digest", [
+        ("999999999999989", "c4abcdd765516eb7ec21c3909196270a"),
+        (str(9999991 * 99999989), "d33d89b081cf25913d944cf2bfabcff6"),
+    ])
+    def test_divisors_of_a_large_constant_term(self, capsys, c, digest):
+        den = f"(z^3+z+{c})"
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "classify", "--alpha", f"(3*z^2+1)/{den}^2",
+                               "--beta", f"1/{den}", "--gamma", "0", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and hashlib.md5(out.encode()).hexdigest() == digest
+
     def test_extension_by_a_thirteen_digit_prime_expands(self, capsys):
         code, doc, _ = run_json(
             capsys, "expand", "--alpha", "0", "--beta", "0", "--gamma", "-1000000000039",

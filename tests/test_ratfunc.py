@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -195,6 +196,18 @@ class TestRoots:
         p = Poly([FieldConstant.of(-2), ZERO, ZERO, ONE])  # z^3 - 2
         _, roots, rem = linear_roots(p, ctx)
         assert roots == [] and rem.degree == 3
+
+    @pytest.mark.parametrize("n", [
+        1, 2, -3, -12, 49, 720720, 2**49, 10**15,
+        999999999999989,             # a prime past the trial-division bound
+        9999991 * 99999989,          # two primes past it
+        100003**2, 8 * 100003**2,    # the square of one
+        -3 * 100003 * 1000003,
+    ])
+    def test_divisors_match_sympy(self, n):
+        import sympy
+
+        assert ratfunc._divisors(n) == sorted(sympy.divisors(n))
 
     def test_poly_gcd(self):
         a = Poly([FieldConstant.of(-1), ONE]).pow(2)  # (z-1)^2
@@ -625,9 +638,10 @@ class TestTrivialOperandShortcuts:
                 f * g
         assert init == [] and gcds == []
         assert Poly.const(1) is Poly.const(1) is RatFunc.const(1).num
-        # the counters are live: a rational function with a pole meets both
+        # the counters are live: building a rational function with a pole meets
+        # both, and its product with a polynomial meets one gcd of the factors
         RatFunc(ps[0], ps[1]) * fs[1]
-        assert len(init) == 2 and len(gcds) == 2
+        assert len(init) == 1 and len(gcds) == 2
 
     def test_trivial_operands_never_raise_and_clashes_still_do(self):
         p2, p3 = Poly([root2]), Poly([root3, ONE])
@@ -642,6 +656,206 @@ class TestTrivialOperandShortcuts:
         with pytest.raises(IncompatibleExtensionsError) as err:
             RatFunc(p2) * RatFunc(p3)
         assert (err.value.q1, err.value.q2) == (2, 3)
+
+
+# -- Henrici arithmetic: results built from gcds of the operands' factors ---------------
+
+
+def _draw_poly(rng, field, low, high, monic=False):
+    """A polynomial of degree low..high with small coefficients over Q or Q(sqrt 5)."""
+    def const():
+        a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return FieldConstant.of(a) if field == 0 else FieldConstant(a, Fraction(rng.randint(-3, 3), 2), 5)
+
+    n = rng.randint(low, high)
+    cs = [const() for _ in range(n)] + [ONE if monic else const()]
+    return Poly(cs) if not cs[-1].is_zero else Poly(cs[:-1] + [ONE])
+
+
+def _henrici_operands(rng, field):
+    """(f, g) in normal form over one field, from one of five strata with shared
+    factors: h and k cross over (f = a*h/(b*k**e), g = c*k/(d*h)), h and k are
+    shared by the numerators and the denominators (g = c*h/(d*k)), k is a
+    repeated or a shared denominator factor, g cancels f's pole k in f + g, or
+    no factor is forced."""
+    a, b, c, d = (_draw_poly(rng, field, 0, 2) for _ in range(4))
+    h, k = (_draw_poly(rng, field, 1, 1, monic=True) for _ in range(2))
+    e = rng.randint(1, 2)
+    stratum = rng.choice(["cross", "parallel", "shared", "cancel", "plain"])
+    if stratum == "cross":
+        return RatFunc(a * h, b * k.pow(e)), RatFunc(c * k, d * h)
+    if stratum == "parallel":
+        return RatFunc(a * h, b * k.pow(e)), RatFunc(c * h, d * k)
+    if stratum == "shared":
+        return RatFunc(a, b * k.pow(e)), RatFunc(c, d * k)
+    if stratum == "cancel":  # f + g = c/d
+        return RatFunc(a, b * k), RatFunc(c * b * k - a * d, d * b * k)
+    return RatFunc(a, b), RatFunc(c, d)
+
+
+def _gcd_degree(x: Poly, y: Poly) -> int:
+    return len(reference_kernels.gcd(x.coeffs, y.coeffs)) - 1
+
+
+def _branches(f: RatFunc, g: RatFunc) -> set[str]:
+    """The branches f*g, f/g, f + g and f' take, read off the operands with the
+    reference gcd: g1 and g2 of the product and the quotient, g and g2 of the
+    sum, and gcd(den, den') of the derivative."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+    out = set()
+    if a.degree > 0 and d.degree > 0 and _gcd_degree(a, d) > 0:
+        out.add("mul g1")
+    if c.degree > 0 and b.degree > 0 and _gcd_degree(c, b) > 0:
+        out.add("mul g2")
+    if c.degree == 0 and d.degree == 0:
+        out.add("div by a constant")
+    elif a.degree > 0 and c.degree > 0 and _gcd_degree(a, c) > 0:
+        out.add("div g1")
+    if b.degree > 0 and d.degree > 0 and _gcd_degree(b, d) > 0:
+        out.add("div g2")
+        big = Poly(reference_kernels.gcd(b.coeffs, d.coeffs))
+        t = a * d.divmod(big)[0] + c * b.divmod(big)[0]
+        if t.is_zero:
+            out.add("add zero")
+        elif t.degree > 0 and _gcd_degree(t, big) > 0:
+            out.add("add g2")
+        else:
+            out.add("add g only")
+    elif b.degree > 0 and d.degree > 0:
+        out.add("add g = 1")
+    if b.degree > 1 and _gcd_degree(b, b.derivative()) > 0:
+        out.add("derivative g")
+    return out
+
+
+_ALL_BRANCHES = {"mul g1", "mul g2", "div by a constant", "div g1", "div g2", "add zero",
+                 "add g2", "add g only", "add g = 1", "derivative g"}
+
+
+class TestHenriciArithmetic:
+    """Every result equals the normal form that the reference Euclid gcd gives
+    from the unreduced expression."""
+
+    @pytest.mark.parametrize("field", [0, 5], ids=["Q", "Q(sqrt 5)"])
+    def test_operations_match_the_reference(self, field):
+        rng = random.Random(field)
+        seen = set()
+        for _ in range(150):
+            f, g = _henrici_operands(rng, field)
+            seen |= _branches(f, g) | _branches(f, -f)
+            if rng.random() < 0.15:
+                g = RatFunc.of(_draw_poly(rng, field, 0, 0))  # a nonzero constant
+                seen |= _branches(f, g)
+            a, b, c, d = f.num, f.den, g.num, g.den
+            cases = [
+                (f * g, a * c, b * d),
+                (f + g, a * d + c * b, b * d),
+                (f - g, a * d - c * b, b * d),
+                (f - f, a * b - a * b, b * b),
+                (f.derivative(), a.derivative() * b - a * b.derivative(), b * b),
+            ]
+            if not g.is_zero:
+                cases.append((f / g, a * d, b * c))
+            for got, num, den in cases:
+                assert parts(got) == reference(num, den)
+        assert seen == _ALL_BRANCHES
+
+    @pytest.mark.parametrize("field", [0, 5], ids=["Q", "Q(sqrt 5)"])
+    def test_sqrt_matches_the_reference(self, field):
+        rng = random.Random(10 + field)
+        for _ in range(40):
+            n = _draw_poly(rng, field, 0, 3, monic=True).scale(rng.randint(1, 4))
+            m = _draw_poly(rng, field, 0, 3, monic=True)
+            root = reference(n, m)
+            got = RatFunc(n * n, m * m).sqrt(ExtensionContext())
+            assert parts(got) == root or parts(-got) == root
+            # a square times a square-free s is no square, for s of odd and of even degree
+            odd = _draw_poly(rng, field, 1, 1, monic=True)
+            for s in (odd, odd * (odd + Poly.const(1))):
+                assert RatFunc(n * n * s, m * m).sqrt() is None
+                assert RatFunc(n * n, m * m * s).sqrt() is None
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+    def test_extension_clash_names_the_left_operand_first(self, op):
+        # gcd(f.den, g.num) and gcd(f.num, g.den) each meet the two extensions;
+        # a gcd on swapped operands would name sqrt(3) first
+        f = RatFunc(Poly([ONE, ONE]), Poly([root2, ONE]))  # (z + 1)/(z + sqrt 2)
+        g = RatFunc(Poly([root3, ONE]), Poly([-ONE, ONE]))  # (z + sqrt 3)/(z - 1)
+        for x, y, want in ((f, g, (2, 3)), (g, f, (3, 2))):
+            with pytest.raises(IncompatibleExtensionsError) as err:
+                getattr(x, op)(y)
+            assert (err.value.q1, err.value.q2) == want
+
+
+def _counting(monkeypatch):
+    """Record RatFunc.__init__ and poly_gcd calls: (init args, gcd operand pairs)."""
+    init, gcds = [], []
+    original = RatFunc.__init__
+
+    def counting_init(self, *args):
+        init.append(args)
+        original(self, *args)
+
+    def counting_gcd(a, b):
+        gcds.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
+    return init, gcds
+
+
+def _henrici_counter_operands():
+    """Rational functions with poles, repeated and shared factors, over Q and Q(sqrt 5)."""
+    rng = random.Random(3)
+    fs = []
+    for field in (0, 5):
+        for _ in range(6):
+            fs.extend(_henrici_operands(rng, field))
+    return fs
+
+
+class TestHenriciCost:
+    def test_no_constructor_call(self, monkeypatch):
+        fs = _henrici_counter_operands()
+        squares = [RatFunc(f.num * f.num, f.den * f.den) for f in fs[:6]]
+        init, _ = _counting(monkeypatch)
+        for f in fs:
+            f.derivative()
+            for g in fs[:8]:
+                f * g
+                f + g
+                f - g
+                if not g.is_zero:
+                    f / g
+        for s in squares:
+            assert s.sqrt() is not None
+        assert init == []
+        RatFunc(fs[0].num, fs[1].den)  # the counter is live
+        assert len(init) == 1
+
+    def test_division_by_a_constant_takes_no_gcd(self, monkeypatch):
+        f = RatFunc(Poly([ONE, ZERO, 3 * ONE]), Poly([root5, ONE]))  # (3z^2 + 1)/(z + sqrt 5)
+        _, gcds = _counting(monkeypatch)
+        for c in (3, Fraction(-2, 7), root5, RatFunc.const(1 + root5)):
+            assert (f / c) * c == f  # a product with a constant takes none either
+        assert gcds == []
+        f / f.num  # the counter is live
+        assert len(gcds) == 1
+
+    def test_gcd_operands_stay_within_the_inputs_degrees(self, monkeypatch):
+        fs = _henrici_counter_operands()
+        _, gcds = _counting(monkeypatch)
+        for f in fs:
+            for g in fs[:8]:
+                top = max(f.num.degree, f.den.degree, g.num.degree, g.den.degree)
+                ops = [lambda: f * g, lambda: f + g, lambda: f - g, lambda: f.derivative()]
+                if not g.is_zero:
+                    ops.append(lambda: f / g)
+                for op in ops:
+                    gcds.clear()
+                    op()
+                    assert all(max(x.degree, y.degree) <= top for x, y in gcds)
 
 
 @st.composite
