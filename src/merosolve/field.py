@@ -22,29 +22,11 @@ from .errors import (
 )
 
 
-# trial_division divides by the primes up to this bound; a cofactor with no
-# prime factor up to it is a square, square-free (at most two prime factors
-# when it is at most the bound cubed) or refused.  Every n up to 10**15 is
-# decided exactly.
+# square_free_decomposition divides by the primes up to this bound; a cofactor
+# with no prime factor up to it is a square, square-free (at most two prime
+# factors when it is at most the bound cubed) or refused.  Every n up to 10**15
+# is decided exactly.
 TRIAL_DIVISION_BOUND = 10**5
-
-
-def trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Split n > 0 into [(p, e), ...] for its primes p up to TRIAL_DIVISION_BOUND
-    and the cofactor left: 1, a prime, or a number whose prime factors all
-    exceed the bound."""
-    factors, p = [], 2
-    while p * p <= n:
-        if p > TRIAL_DIVISION_BOUND:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    return factors, n
 
 
 def square_free_decomposition(n: int) -> tuple[int, int]:
@@ -60,12 +42,17 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     r = isqrt(n)
     if r * r == n:
         return r, sign
-    factors, n = trial_division(n)
-    s, m = 1, 1
-    for p, e in factors:
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
+    s, m, p = 1, 1, 2
+    while p * p <= n and p <= TRIAL_DIVISION_BOUND:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                m *= p
+        p += 1 if p == 2 else 2
     r = isqrt(n)
     if r * r == n:
         return s * r, sign * m

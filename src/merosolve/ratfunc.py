@@ -9,9 +9,10 @@ a sum only the factors of gcd(b, d), and a derivative raises each pole order by
 one.  A gcd with a constant operand is skipped, so sums, products and
 derivatives of polynomials are plain Poly arithmetic and a division by a
 constant is a scaling.  Square roots take the monic polynomial root of
-numerator and denominator; partial fractions use square-free decomposition and
-linear/quadratic splitting only; factors that would need more report
-themselves as such.
+numerator and denominator.  Partial fractions use square-free decomposition,
+the rational roots of a rational factor, found by p-adic lifting with no
+integer factoring and no cap, and the quadratic formula; a factor that would
+need more reports itself as such.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from fractions import Fraction
 from .errors import (
     DivisionByZeroError,
     IrreducibleDenominatorError,
-    LimitExceededError,
     NestedExtensionError,
     PoleAtPointError,
     UnsupportedExtensionError,
@@ -37,7 +37,6 @@ from .field import (
     format_parts,
     from_integers,
     integer_parts,
-    trial_division,
 )
 
 
@@ -359,81 +358,61 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for n = 2 or an odd n > 2, with the prime bases up to 23,
-    which is exact below 3.8*10**18."""
-    if n < 25:
-        return n in (2, 3, 5, 7, 11, 13, 17, 19, 23)
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+def _horner(a, x: int, m: int) -> int:
+    """The integer polynomial a (low to high) at x, modulo m."""
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % m
+    return v
+
+
+def _coprime_mod(f, g, p: int) -> bool:
+    """Whether the integer vectors f and g share no factor over GF(p), p prime."""
+    f, g = [x % p for x in f], [x % p for x in g]
+    while g and not g[-1]:
+        g.pop()
+    while g:  # Euclid: f <- f mod g, then swap
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, k = f.pop() * inv % p, len(f) - len(g) + 1
+            for i, x in enumerate(g[:-1]):
+                f[k + i] = (f[k + i] - c * x) % p
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
+def _rational_roots(f: Poly) -> list[FieldConstant]:
+    """The rational roots of a square-free rational f with f(0) != 0, by p-adic
+    lifting (Loos, SIAM J. Comput. 12(2), 1983; von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 15), with no integer factoring.
+
+    On f's integer vector a, p is the least prime dividing neither a[-1] nor
+    disc(f), so the roots mod p are simple.  Newton's iteration lifts each to a
+    modulus M > 2*|a[0]*a[-1]|.  A root u/v has v | a[-1] and |u| <= |a[0]|, so
+    a[-1]*u/v is the symmetric residue of a[-1]*r mod M; every candidate read
+    off that way is checked exactly."""
+    a = f.a
+    da = [i * x for i, x in enumerate(a)][1:]
+    p = 2
+    while a[-1] % p == 0 or not _coprime_mod(a, da, p):
+        p += 1
+        while any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            p += 1
+    bound, roots = 2 * abs(a[0] * a[-1]), []
+    for r in range(p):
+        if _horner(a, r, p):
             continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """A nontrivial factor of a composite n that is not a prime power, by
-    Pollard's rho on x -> x**2 + c with Brent's cycle search (BIT 20, 1980)."""
-    for c in range(1, n):
-        x = y = 2
-        power = steps = g = 1
-        while g == 1:
-            if power == steps:  # move the tortoise to the hare, double the stride
-                x, power, steps = y, 2 * power, 0
-            y = (y * y + c) % n
-            steps += 1
-            g = math.gcd(abs(x - y), n)
-        if g != n:
-            return g
-    raise ValueError(f"no factor of {n} found")
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, |n| <= 10**15 (the trial-division bound
-    cubed), in increasing order.  After trial division the cofactor has at most two
-    prime factors, so it is 1, a prime, a prime square, or split by _rho."""
-    factors, rest = trial_division(abs(n))
-    if rest > 1:
-        root = math.isqrt(rest)
-        if root * root == rest:
-            factors.append((root, 2))
-        elif _is_prime(rest):
-            factors.append((rest, 1))
-        else:
-            p = _rho(rest)
-            factors += [(p, 1), (rest // p, 1)]
-    divisors = [1]
-    for p, e in factors:
-        divisors = [x * p**i for x in divisors for i in range(e + 1)]
-    return sorted(divisors)
-
-
-# _rational_root_candidates tests every +-u/v with u | a0 and v | an by exact
-# evaluation; past this many pairs (u, v) (about a second of tests) it refuses
-RATIONAL_ROOT_PAIRS = 10**5
-
-
-def _rational_root_candidates(p: Poly) -> list[Fraction]:
-    """Candidate rational roots of a rational-coefficient polynomial, p(0) != 0."""
-    a0, an = p.a[0], p.a[-1]
-    if abs(a0) > 10**15 or abs(an) > 10**15:
-        return []
-    nums, dens = _divisors(a0), _divisors(an)
-    if len(nums) * len(dens) > RATIONAL_ROOT_PAIRS:
-        raise LimitExceededError(
-            f"the rational roots of a degree-{p.degree} factor need "
-            f"{len(nums) * len(dens)} divisor pairs, above {RATIONAL_ROOT_PAIRS}")
-    return sorted({Fraction(sign * num, den) for num in nums for den in dens
-                   for sign in (1, -1)})
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(a, r, m) * pow(_horner(da, r, m), -1, m)) % m
+        t = a[-1] * r % m
+        root = FieldConstant.of(Fraction(t - m if 2 * t > m else t, a[-1]))
+        if f.eval(root).is_zero:
+            roots.append(root)
+    return roots
 
 
 def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):
@@ -443,37 +422,23 @@ def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):
     whose roots were not reachable with at most one quadratic extension.
     """
     roots: list[FieldConstant] = []
-    while f.degree > 0:
-        if f[0].is_zero:
-            roots.append(ZERO)
-            f = f.deflate(ZERO)
-            continue
-        if f.degree == 1:
-            roots.append(-f[0])
-            f = Poly.const(1)
-            break
-        if f.degree == 2:
-            b, c = f[1], f[0]
-            disc = b * b - 4 * c
-            try:
-                s = ctx.sqrt(disc)
-            except (NestedExtensionError, UnsupportedExtensionError):
-                break
-            roots.append((-b + s) / 2)
-            roots.append((-b - s) / 2)
-            f = Poly.const(1)
-            break
-        if f.q:
-            break
-        for cand in _rational_root_candidates(f):
-            r = FieldConstant.of(cand)
-            if f.eval(r).is_zero:
-                roots.append(r)
-                f = f.deflate(r)
-                break
-        else:
-            break
-    return roots, (f if f.degree > 0 else Poly.const(1))
+    if f[0].is_zero:
+        roots.append(ZERO)
+        f = f.deflate(ZERO)
+    if f.degree > 2 and not f.q:
+        for r in _rational_roots(f):
+            roots.append(r)
+            f = f.deflate(r)
+    if f.degree == 1:
+        return roots + [-f[0]], _UNIT
+    if f.degree == 2:
+        b, c = f[1], f[0]
+        try:
+            s = ctx.sqrt(b * b - 4 * c)
+        except (NestedExtensionError, UnsupportedExtensionError):
+            return roots, f
+        return roots + [(-b + s) / 2, (-b - s) / 2], _UNIT
+    return roots, f
 
 
 def linear_roots(p: Poly, ctx: ExtensionContext):
@@ -624,6 +589,7 @@ class RatFunc:
         if num.is_zero:
             num, den = _ZERO, _UNIT
         else:
+            common_discriminant((num, den))  # a clash raises before the gcd hides it
             g = _gcd(num, den)
             num, den = _monic_pair(_exquo(num, g), _exquo(den, g))
         self.num, self.den = num, den

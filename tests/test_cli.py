@@ -20,11 +20,13 @@ from hypothesis import given, settings, strategies as st
 import merosolve
 from merosolve import cli, series
 from merosolve.cli import _fold_dash_values, main
+from merosolve.ratfunc import RatFunc, ratfunc_to_str
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json")
     .read_text()
 )
+Z = RatFunc.z()
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +122,24 @@ class TestClassify:
             for _ in range(3)
         }
         assert len(outs) == 1
+
+    def test_case_c_with_a_seventeen_digit_pole(self, capsys):
+        # beta = (f + f')/f^2 and alpha = -beta' give case C with c1 = 1 and
+        # w = 2*exp(z) + 1/f.  Splitting f means finding a 17-digit rational root
+        f = (Z - (10**16 + 3)) * (Z - 1) * (Z + 2)
+        beta = (f + f.derivative()) / (f * f)
+        coefficients = ("--alpha", ratfunc_to_str(-beta.derivative()),
+                        "--beta", ratfunc_to_str(beta), "--gamma", "0")
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "classify", *coefficients)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        family = next(fam for fam in doc["families"] if fam["case_label"] == "C")
+        assert family["admissible"] and family["verified"]
+        assert family["parameters"][0]["allowed_values"] == ["1"]
+        code, doc, _ = run_json(capsys, "verify", *coefficients,
+                                "--solution", f"2*exp(z) + 1/({ratfunc_to_str(f)})")
+        assert code == 0
 
 
 class TestTransform:
@@ -519,38 +539,22 @@ class TestErrorEnvelope:
         assert doc["error"]["code"] == "LimitExceeded"
         assert "trial division by the primes up to 100000" in doc["error"]["message"]
 
-    @staticmethod
-    def _cubic_denominator(c: str) -> tuple[str, ...]:
-        # beta's denominator z^3 + z/c + 1 has no rational root; its rational-root
-        # search tries every pair of divisors of c, d(c)**2 of them
+    @pytest.mark.parametrize("c", ["963761198400", "73513440", "720720"])
+    def test_cubic_denominator_is_rejected_without_a_divisor_search(self, capsys, c):
+        # beta's denominator z^3 + z/c + 1 has no rational root.  Its constant
+        # c has up to 6,720 divisors, so a search over divisor pairs would
+        # need up to 45,158,400 tests; p-adic lifting needs none
         den = f"(z^3 + z/{c} + 1)"
-        return ("classify", "--alpha", f"(3*z^2+1/{c})/{den}^2", "--beta", f"1/{den}",
-                "--gamma", "0")
-
-    def test_rational_root_search_past_the_pair_budget_is_a_limit_error(self, capsys):
-        # 963761198400 has 6,720 divisors: 45,158,400 pairs, where the search ran
-        # for minutes
         start = time.perf_counter()
-        code, doc, _ = run_json(capsys, *self._cubic_denominator("963761198400"))
+        code, doc, _ = run_json(capsys, "classify", "--alpha", f"(3*z^2+1/{c})/{den}^2",
+                                "--beta", f"1/{den}", "--gamma", "0")
         assert time.perf_counter() - start < 2.0
-        assert code == 1
-        assert doc["error"] == {
-            "code": "LimitExceeded",
-            "message": "the rational roots of a degree-3 factor need 45158400 divisor "
-                       "pairs, above 100000",
-        }
-
-    def test_rational_root_search_within_the_pair_budget_still_runs(self, capsys):
-        # 720720 has 240 divisors: 57,600 pairs, all tested
-        code, doc, _ = run_json(capsys, *self._cubic_denominator("720720"))
         assert code == 2
         assert doc["rejected_branches"][1] == {
             "case_label": "C",
             "reason": "beta cannot be decomposed over the constant field: denominator "
-                      "factor does not split over the field: z^3 + 1/720720*z + 1",
+                      f"factor does not split over the field: z^3 + 1/{c}*z + 1",
         }
-        code, doc, _ = run_json(capsys, *self._cubic_denominator("73513440"))
-        assert code == 1 and doc["error"]["code"] == "LimitExceeded"
 
     # a constant term with no prime factor up to the trial-division bound: the
     # prime 10^15 - 11 and the semiprime 9999991*99999989 (below 10^15, so

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import merosolve
 
@@ -25,3 +29,54 @@ def test_names_without_a_caller_in_the_package_are_gone():
     assert "TranscendentalShiftError" not in merosolve.__all__
     assert not hasattr(errors, "TranscendentalShiftError")
     assert not hasattr(expsum.ExpSum, "laurent_at")
+
+
+# -- every module-level name in the package has a use ------------------------------------
+
+_SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(merosolve.__file__).parent.glob("*.py"))}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names a tree reads: loaded names, attribute names and names imported by name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("module", sorted(_SOURCES))
+def test_no_module_level_import_is_unused(module):
+    tree = _SOURCES[module]
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    assert sorted(imported - _loaded_names(tree)) == []
+
+
+@pytest.mark.parametrize("module", sorted(_SOURCES))
+def test_no_private_module_level_name_is_unreferenced(module):
+    defined = set()
+    for node in _SOURCES[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    used = set().union(*map(_used_names, _SOURCES.values()))
+    assert sorted(private - used) == []

@@ -31,7 +31,7 @@ from merosolve.parse import (
     parse_expsum,
     parse_ratfunc,
 )
-from merosolve.ratfunc import RATIONAL_ROOT_PAIRS, RatFunc, ratfunc_to_str
+from merosolve.ratfunc import RatFunc, ratfunc_to_str
 
 from conftest import expsums, ratfuncs
 
@@ -547,7 +547,6 @@ _README_FIGURES = [
     (5, r"`expand --cap` above (\S+);", MAX_ORDER),
     (5, r"`expand --cap` above (\S+);", RESONANCE_CAP_DEFAULT),
     (6, r"`sys.get_int_max_str_digits\(\)`, (\S+) by default", sys.int_info.default_max_str_digits),
-    (7, r"more than (\S+) pairs", RATIONAL_ROOT_PAIRS),
 ]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,34 @@ class TestTaylorAgainstReference:
         assert (offset, coeffs) == reference_kernels.taylor_at(g, half, 12)
 
 
+# Eisenstein at 2, 3, 5 or 7 (Eisenstein 1850): lc prime to p, every other
+# coefficient a multiple of p, the constant not of p^2.  So it has no rational root
+@st.composite
+def _eisenstein(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    big = st.integers(-10**30, 10**30)
+    lead = draw(big.filter(lambda x: x % p))
+    middle = [p * draw(big) for _ in range(draw(st.integers(2, 4)))]
+    low = p * draw(big.filter(lambda x: x % p))
+    return Poly([FieldConstant.of(c) for c in [low, *middle, lead]])
+
+
+@st.composite
+def _planted_roots(draw):
+    """(p, {root: multiplicity}, irreducible factor): p the product of factors
+    v*z - u, |u|, |v| <= 10**30, to a power, times an Eisenstein factor of
+    degree 3 to 5, so its rational roots are known without a factoriser."""
+    irreducible = draw(_eisenstein())
+    p, planted = irreducible, {}
+    for _ in range(draw(st.integers(0, 4))):
+        u = draw(st.integers(-10**30, 10**30))
+        v = draw(st.integers(1, 10**30))
+        m = draw(st.integers(1, 3))
+        p = p * Poly([FieldConstant.of(-u), FieldConstant.of(v)]).pow(m)
+        planted[Fraction(u, v)] = planted.get(Fraction(u, v), 0) + m
+    return p, planted, irreducible
+
+
 class TestRoots:
     def test_linear_roots_with_multiplicities(self):
         ctx = ExtensionContext()
@@ -197,17 +226,28 @@ class TestRoots:
         _, roots, rem = linear_roots(p, ctx)
         assert roots == [] and rem.degree == 3
 
-    @pytest.mark.parametrize("n", [
-        1, 2, -3, -12, 49, 720720, 2**49, 10**15,
-        999999999999989,             # a prime past the trial-division bound
-        9999991 * 99999989,          # two primes past it
-        100003**2, 8 * 100003**2,    # the square of one
-        -3 * 100003 * 1000003,
-    ])
-    def test_divisors_match_sympy(self, n):
-        import sympy
+    @given(_planted_roots())
+    def test_rational_roots_are_exactly_the_planted_ones(self, case):
+        p, planted, irreducible = case
+        lc, roots, rem = linear_roots(p, ExtensionContext())
+        assert lc == p.leading
+        assert [(r.a, m) for r, m in roots] == sorted(planted.items())
+        assert rem == irreducible.monic()
 
-        assert ratfunc._divisors(n) == sorted(sympy.divisors(n))
+    def test_wall_time_on_thirty_digit_coefficients(self):
+        # five roots u/v with 30-digit u and v times z^3 + 2*z + 2*(10^30 + 1),
+        # which is Eisenstein at 2
+        rng = random.Random(20)
+        big = 10**30
+        p, want = Poly([FieldConstant.of(2 * big + 2), FieldConstant.of(2), ZERO, ONE]), []
+        for _ in range(5):
+            u, v = rng.randint(-big, big), rng.randint(big // 10, big)
+            p = p * Poly([FieldConstant.of(-u), FieldConstant.of(v)])
+            want.append(Fraction(u, v))
+        start = time.perf_counter()
+        _, roots, rem = linear_roots(p, ExtensionContext())
+        assert time.perf_counter() - start < 2.0
+        assert sorted(r.a for r, _ in roots) == sorted(want) and rem.degree == 3
 
     def test_poly_gcd(self):
         a = Poly([FieldConstant.of(-1), ONE]).pow(2)  # (z-1)^2
@@ -904,6 +944,14 @@ class TestShiftOnVectors:
 
 
 class TestRepresentationEdges:
+    def test_constructor_refuses_two_fields(self):
+        # a constant numerator takes no gcd and a monic denominator no scaling
+        for num, den, qs in [(Poly([root2]), Poly([-root3, ONE]), (2, 3)),
+                             (Poly([-root3, ONE]), Poly([root2]), (3, 2))]:
+            with pytest.raises(IncompatibleExtensionsError) as err:
+                RatFunc(num, den)
+            assert (err.value.q1, err.value.q2) == qs
+
     def test_two_extensions_are_incompatible(self):
         with pytest.raises(IncompatibleExtensionsError):
             Poly([root2, root3])
