@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "expsum": (
         "ExpSum", "ObstructionReport", "guarded_sample_points", "integrate_exp",
-        "numeric_residual_bound_ok", "residual", "residual_is_zero",
+        "numeric_residual_bound_ok", "residual",
     ),
     "field": ("ExtensionContext", "FieldConstant", "format_constant", "sqrt_constant"),
     "laurent": ("LaurentExpansion", "ResonanceInfo"),

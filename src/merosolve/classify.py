@@ -23,7 +23,7 @@ from .errors import (
     NestedExtensionError,
     UnsupportedExtensionError,
 )
-from .expsum import ExpSum, ObstructionReport, _rate_str, integrate_exp, residual, residual_is_zero
+from .expsum import ExpSum, ObstructionReport, _rate_str, integrate_exp, residual
 from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
 from .ratfunc import (
     Poly,
@@ -33,21 +33,6 @@ from .ratfunc import (
     poly_to_str,
     ratfunc_to_str,
 )
-
-CASE_ORDER = (
-    "trivial-all-zero",
-    "A-cosh",
-    "A-quadratic",
-    "B",
-    "C",
-    "D",
-    "E.a",
-    "E.b",
-    "E.c",
-    "E.d",
-    "E.e",
-)
-
 
 class _ByIdentity:
     """Mixin for a record that compares and hashes by identity, like a plain object."""
@@ -234,8 +219,8 @@ def _verify(
         except DomainViolationError as exc:
             failure = f"instantiation ({_assignment_text(assign)}) violates the domain: {exc}"
         else:
-            if not residual_is_zero(alpha, beta, gamma, w):
-                r = residual(alpha, beta, gamma, w)
+            r = residual(alpha, beta, gamma, w)
+            if not r.is_zero:
                 failure = f"residual at ({_assignment_text(assign)}) is {r.to_text()}"
         records.append(VerificationRecord(_fmt_assignment(assign), failure is None))
         if failure is not None:

@@ -6,10 +6,10 @@ report (a normal outcome, not an exception).
 
 The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
 integer-vector numerators over one denominator (_residual_numerators), keyed
-by rates held as integer pairs over one denominator until the end:
-residual_is_zero asks whether any numerator is left, and residual reduces
-each one to the unique RatFunc normal form, which is why its text is the one
-the expanded ExpSum products would print.
+by rates held as integer pairs over one denominator until the end: residual
+reduces each nonzero numerator to the unique RatFunc normal form, which is
+why its text is the one the expanded ExpSum products would print, and a zero
+residual builds no RatFunc at all.
 """
 
 from __future__ import annotations
@@ -329,11 +329,6 @@ def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum
     return ExpSum([(r, RatFunc(p, den)) for r, p in nums.items()])
 
 
-def residual_is_zero(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> bool:
-    """residual(alpha, beta, gamma, w).is_zero, decided with no gcd."""
-    return not _residual_numerators(alpha, beta, gamma, w)[0]
-
-
 def _residual_numerators(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum):
     """({rate: numerator}, E*D**4): the nonzero numerators of the residual of
     w over one denominator, held as integer vectors.
@@ -388,19 +383,14 @@ def _over_common_denominator(fs):
 
 
 def spot_check(value_at, w: ExpSum, z: complex) -> tuple[float, float, bool]:
-    """The numeric spot-check rule at z: (|r|, bound, |r| <= bound < inf),
-    r = value_at(z) and bound = SPOT_CHECK_TOL*(1 + |w(z)|^2).
+    """The numeric spot-check rule at z: (|r|, bound, |r| <= bound), r =
+    value_at(z) and bound = SPOT_CHECK_TOL*(1 + |w(z)|^2).
 
-    An evaluation that overflows reads inf and fails; a MerosolveError (a
-    point near a pole) propagates.
+    An OverflowError and a MerosolveError (a point near a pole) propagate.
     """
-    rv = bound = math.inf
-    try:
-        rv = abs(value_at(z))
-        bound = SPOT_CHECK_TOL * (1 + abs(w.eval_complex(z)) ** 2)
-    except OverflowError:
-        pass
-    return rv, bound, rv <= bound < math.inf
+    rv = abs(value_at(z))
+    bound = SPOT_CHECK_TOL * (1 + abs(w.eval_complex(z)) ** 2)
+    return rv, bound, rv <= bound
 
 
 def numeric_residual_bound_ok(
@@ -423,22 +413,22 @@ def numeric_residual_bound_ok(
 def guarded_sample_points(
     alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum
 ) -> list[complex]:
-    """Deterministic points with |z| <= 2, away from every coefficient pole."""
+    """Deterministic points with |z| <= 2, away from every coefficient pole,
+    where w and the spot check's bound |w(z)|^2 are finite floats."""
     candidates = []
     for k in range(3 * SPOT_CHECK_POINTS):
         angle = 2 * cmath.pi * k / (3 * SPOT_CHECK_POINTS)
         radius = 0.4 + 1.5 * ((k * 7) % 11) / 11.0
         candidates.append(radius * cmath.exp(1j * angle))
-    funcs = [ExpSum.from_ratfunc(f) for f in (alpha, beta, gamma)] + [w]
+    funcs = [ExpSum.from_ratfunc(f) for f in (alpha, beta, gamma)]
     out = []
     for z in candidates:
         try:
             for f in funcs:
                 f.eval_complex(z)
-        except NearPoleError:
+            abs(w.eval_complex(z)) ** 2
+        except (NearPoleError, OverflowError):
             continue
-        except OverflowError:
-            pass  # not near a pole; the spot check reports the overflow
         out.append(z)
         if len(out) == SPOT_CHECK_POINTS:
             break

@@ -61,6 +61,8 @@ MAX_ORDER = 64
 # expand's --cap default; it lives here, not in series, so the flag's default
 # loads no series code
 RESONANCE_CAP_DEFAULT = 64
+# the names base reads before the params mapping, which can therefore bind none
+RESERVED_NAMES = ("z", "sqrt", "exp")
 
 
 class _Token:

@@ -705,15 +705,8 @@ class RatFunc:
         other = RatFunc.of(other)
         if other.is_zero:
             raise DivisionByZeroError("division by the zero rational function")
-        a, b, c, d = self.num, self.den, other.num, other.den
-        self._join(other)
-        if c.degree == 0 and d.degree == 0:  # a constant divisor
-            return RatFunc._reduced(a * _inverse_leading(c), b)
-        if a.is_zero:
-            return RatFunc._reduced(_ZERO, _UNIT)
-        g1, g2 = _gcd(a, c), _gcd(b, d)
-        return RatFunc._reduced(*_monic_pair(_exquo(a, g1) * _exquo(d, g2),
-                                             _exquo(b, g2) * _exquo(c, g1)))
+        # the reciprocal of a reduced fraction is reduced once its denominator is monic
+        return self * RatFunc._reduced(*_monic_pair(other.den, other.num))
 
     def __rtruediv__(self, other) -> RatFunc:
         return RatFunc.of(other) / self

@@ -7,6 +7,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -221,21 +222,33 @@ class TestVerify:
         assert code == 1
         assert out.startswith("error [Usage]")
 
+    @pytest.mark.parametrize("name", ["z", "sqrt", "exp"])
+    def test_params_cannot_bind_a_reserved_name(self, capsys, name):
+        code, doc, _ = run_json(
+            capsys, "verify",
+            "--alpha", "0", "--beta", "0", "--gamma", "0",
+            "--solution", "z", "--params", f"{name}=3",
+        )
+        assert code == 1
+        assert doc["error"]["code"] == "Usage"
+        assert repr(name) in doc["error"]["message"]
+
     @pytest.mark.parametrize("solution", ["exp(1000*z)", "exp(400*z)"])
-    def test_overflowing_points_fail_their_rows(self, capsys, solution):
-        # exp(1000*z) overflows while sampling points, exp(400*z) in the bound
+    def test_overflowing_points_are_left_out(self, capsys, solution):
+        # exp(1000*z) overflows at some candidate points, exp(400*z) in the
+        # bound |w|^2 at some; neither kind is sampled, and the exit code
+        # follows the exact residual
         code, doc, _ = run_json(
             capsys, "verify",
             "--alpha", "0", "--beta", "0", "--gamma", "0",
             "--solution", solution,
         )
-        assert code == 2
+        assert code == 0
         assert doc["residual"]["identically_zero"] is True
         points = doc["numeric_spot_check"]["points"]
         assert len(points) == 20
-        failed = [row for row in points if not row["ok"]]
-        assert failed
-        assert all(row["bound"] == "inf" for row in failed)
+        assert all(row["ok"] for row in points)
+        assert all(math.isfinite(float(row["bound"])) for row in points)
 
 
     def test_point_on_a_triple_pole_is_not_sampled(self, capsys):
@@ -267,6 +280,43 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["residual"]["identically_zero"] is True
+
+
+_POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+class TestPrintedEqualsProved:
+    """The closed form classify prints, fed back through verify at each
+    verified assignment, solves the equation: the gate checks the ExpSum the
+    classifier built, so this catches a printer that says something else."""
+
+    # C prints an integral I(z); E.a and E.b print a second definition
+    NO_SINGLE_EXPRESSION = {"C", "E.a", "E.b"}
+    SIGNS = {"+": "1", "-": "-1"}
+
+    @pytest.mark.parametrize("pool", ["classify-ladder", "cli-oneshot"])
+    def test_every_printed_family_verifies(self, capsys, pool):
+        entries = json.loads((_POOLS / f"{pool}.json").read_text())["entries"]
+        checked = []
+        for entry in entries:
+            if entry["argv"][0] != "classify":
+                continue
+            main([a for a in entry["argv"] if a not in ("--json", "--text")] + ["--json"])
+            doc = json.loads(capsys.readouterr().out)
+            coeffs = [x for k in ("alpha", "beta", "gamma") for x in (f"--{k}", doc["inputs"][k])]
+            for fam in doc["families"]:
+                if fam["case_label"] in self.NO_SINGLE_EXPRESSION:
+                    continue
+                solution = fam["closed_form"].removeprefix("w = ")
+                for record in fam["verification"]:
+                    assert record["residual_zero"]
+                    params = [x for name, value in record["assignment"]
+                              for x in ("--params", f"{name}={self.SIGNS.get(value, value)}")]
+                    code = main(["verify", *coeffs, "--solution", solution, *params])
+                    capsys.readouterr()
+                    assert code == 0, (entry["id"], solution, record["assignment"])
+                    checked.append(fam["case_label"])
+        assert {"B", "D", "E.d"} <= set(checked)
 
 
 class TestExpand:

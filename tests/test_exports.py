@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -29,6 +30,9 @@ def test_names_without_a_caller_in_the_package_are_gone():
     assert "TranscendentalShiftError" not in merosolve.__all__
     assert not hasattr(errors, "TranscendentalShiftError")
     assert not hasattr(expsum.ExpSum, "laurent_at")
+    assert "residual_is_zero" not in merosolve.__all__
+    assert not hasattr(expsum, "residual_is_zero")
+    assert not hasattr(importlib.import_module("merosolve.classify"), "CASE_ORDER")
 
 
 # -- every module-level name in the package has a use ------------------------------------

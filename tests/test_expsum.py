@@ -22,7 +22,6 @@ from merosolve.expsum import (
     integrate_exp,
     numeric_residual_bound_ok,
     residual,
-    residual_is_zero,
     spot_check,
 )
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
@@ -281,18 +280,25 @@ class TestNumeric:
         def overflows(z):
             raise OverflowError
 
-        assert spot_check(overflows, w, 0.5) == (cmath.inf, cmath.inf, False)
+        # an overflow in the value or in the bound propagates
+        with pytest.raises(OverflowError):
+            spot_check(overflows, w, 0.5)
+        with pytest.raises(OverflowError):
+            spot_check(lambda z: 0, ExpSum.from_ratfunc(10**200), 0.5)
 
     @pytest.mark.parametrize("rate", [1000, 400])
     def test_overflowing_points_fail_the_numeric_check(self, rate):
-        # exp(rate*z) solves the all-zero equation exactly, but its numeric
-        # residual or bound overflows at some sample points, which the CLI
-        # reports as failing rows
+        # exp(rate*z) solves the all-zero equation exactly; where w or its
+        # bound overflows the spot check raises, so no such point is sampled
         w = exp_of(rate)
-        assert residual(RF0, RF0, RF0, w).is_zero
+        r = residual(RF0, RF0, RF0, w)
+        assert r.is_zero
+        with pytest.raises(OverflowError):
+            spot_check(r.eval_complex, w, 1.9)
         pts = guarded_sample_points(RF0, RF0, RF0, w)
         assert len(pts) == 20
-        assert not numeric_residual_bound_ok(RF0, RF0, RF0, w, pts)
+        checks = [spot_check(r.eval_complex, w, z) for z in pts]
+        assert all(ok and bound < cmath.inf for _, bound, ok in checks)
         assert numeric_residual_bound_ok(RF0, RF0, RF0, w, [0.001 + 0j])
 
 
@@ -346,7 +352,6 @@ class TestResidualIsZero:
         alpha, beta, gamma, w, forced = case
         want = reference_kernels.residual(alpha, beta, gamma, w)
         assert residual(alpha, beta, gamma, w) == want
-        assert residual_is_zero(alpha, beta, gamma, w) == want.is_zero
         assert want.is_zero or not forced
 
     @staticmethod
@@ -357,12 +362,11 @@ class TestResidualIsZero:
         agreed = []
 
         def gate(alpha, beta, gamma, w):
-            got = residual_is_zero(alpha, beta, gamma, w)
-            want = reference_kernels.residual(alpha, beta, gamma, w)
-            agreed.append(got == want.is_zero and residual(alpha, beta, gamma, w) == want)
+            got = residual(alpha, beta, gamma, w)
+            agreed.append(got == reference_kernels.residual(alpha, beta, gamma, w))
             return got
 
-        monkeypatch.setattr(module, "residual_is_zero", gate)
+        monkeypatch.setattr(module, "residual", gate)
         data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
         entries = json.loads((data / f"{pool}.json").read_text())["entries"]
         entries = [entry for entry in entries if entry["argv"][0] in verbs]
@@ -392,7 +396,7 @@ class TestResidualIsZero:
         monkeypatch.setattr(FieldConstant, "__add__", counting)
         monkeypatch.setattr(FieldConstant, "__radd__", counting)
         alpha, beta, gamma = RatFunc.const(2), Z, 1 / (Z + 2)
-        assert not residual_is_zero(alpha, beta, gamma, w)
+        assert not residual(alpha, beta, gamma, w).is_zero
         assert calls == []
         assert k + k == 2 * k and len(calls) == 1  # the counter is live
 
@@ -403,10 +407,9 @@ class TestResidualIsZero:
     ])
     def test_two_extensions_among_the_rates(self, solution, operands):
         w = parse_expsum(solution)
-        for gate in (residual, residual_is_zero):
-            with pytest.raises(IncompatibleExtensionsError) as caught:
-                gate(RF0, RF0, RF0, w)
-            assert (caught.value.q1, caught.value.q2) == operands
+        with pytest.raises(IncompatibleExtensionsError) as caught:
+            residual(RF0, RF0, RF0, w)
+        assert (caught.value.q1, caught.value.q2) == operands
 
 
 class TestResidualGcds:
