@@ -17,8 +17,8 @@ from importlib import import_module
 
 from .errors import LimitExceededError, MerosolveError
 from .field import FieldConstant
-from .parse import (MAX_ORDER, RESERVED_NAMES, RESONANCE_CAP_DEFAULT, parse_constant,
-                    parse_expsum, parse_ratfunc)
+from .parse import (MAX_ORDER, RESERVED_NAMES, RESONANCE_CAP_DEFAULT, is_name, names_read,
+                    parse_constant, parse_expsum, parse_ratfunc)
 from .report import (
     branch_dict,
     classification_payload,
@@ -105,7 +105,8 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _parse_params(items: list[str]) -> dict[str, FieldConstant]:
+def _parse_params(items: list[str], solution: str) -> dict[str, FieldConstant]:
+    """The --params bindings; each must name a parameter the solution reads."""
     out: dict[str, FieldConstant] = {}
     for item in items:
         name, eq, value = item.partition("=")
@@ -114,7 +115,13 @@ def _parse_params(items: list[str]) -> dict[str, FieldConstant]:
             raise _UsageError(f"--params expects NAME=VALUE, got {item!r}")
         if name in RESERVED_NAMES:
             raise _UsageError(f"--params cannot bind {name!r}, a name the grammar reserves")
+        if not is_name(name):
+            raise _UsageError(f"--params cannot bind {name!r}, which is not a name")
         out[name] = parse_constant(value.strip())
+    read = names_read(solution)
+    for name in out:
+        if name not in read:
+            raise _UsageError(f"--params binds {name!r}, which the solution never reads")
     return out
 
 
@@ -169,7 +176,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
 
     alpha, beta, gamma = _parse_coefficients(args)
-    params = _parse_params(args.params)
+    params = _parse_params(args.params, args.solution)
     w = parse_expsum(args.solution, params=params)
     r = residual(alpha, beta, gamma, w)
 

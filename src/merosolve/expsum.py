@@ -22,7 +22,8 @@ from fractions import Fraction
 from .errors import IncompatibleExtensionsError, NearPoleError
 from .field import (ZERO, ONE, ExtensionContext, FieldConstant, format_constant,
                     from_integers, integer_parts)
-from .ratfunc import PartialFractionForm, Poly, RatFunc, poly_gcd, ratfunc_to_str
+from .ratfunc import (PartialFractionForm, Poly, RatFunc, over_common_denominator, poly_gcd,
+                      ratfunc_to_str)
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
@@ -344,8 +345,8 @@ def _residual_numerators(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSu
     discriminant too, so two rates from different extensions raise
     IncompatibleExtensionsError at the pair a FieldConstant sum would.
     """
-    (ea, eb, eg), e = _over_common_denominator((alpha, beta, gamma))
-    us, d = _over_common_denominator([f for _, f in w.terms])
+    (ea, eb, eg), e = over_common_denominator((alpha, beta, gamma))
+    us, d = over_common_denominator([f for _, f in w.terms])
     rates = [r for r, _ in w.terms]
     up = [p.derivative() + p.scale(r) for p, r in zip(us, rates)]
     upp = [p.derivative() + p.scale(r) for p, r in zip(up, rates)]
@@ -369,17 +370,6 @@ def _residual_numerators(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSu
                 total[k] = total[k] + fg if k in total else fg
     nums = {from_integers(x, y, den, q): p for (x, y), p in total.items() if not p.is_zero}
     return nums, e_d2 * d2
-
-
-def _over_common_denominator(fs):
-    """([f*D for f in fs], D), D the product of the distinct nonconstant
-    (monic) denominators of fs."""
-    dens = []
-    for f in fs:
-        if f.den.degree > 0 and f.den not in dens:
-            dens.append(f.den)
-    nums = [math.prod((den for den in dens if den != f.den), start=f.num) for f in fs]
-    return nums, math.prod(dens, start=Poly.const(1))
 
 
 def spot_check(value_at, w: ExpSum, z: complex) -> tuple[float, float, bool]:

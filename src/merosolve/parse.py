@@ -54,9 +54,9 @@ MAX_POWER_BITS = (10**MAX_LITERAL_DIGITS - 1).bit_length()
 # expand refuses a truncation order or resonance cap above MAX_ORDER; the
 # slowest one-digit input measured at the cap, expand --alpha
 # (9*z^3+8)/(7*z^3-6) --beta (9*z^3-8)/(7*z^3+6) --gamma (9*z^3+7)/(8*z^3+9)
-# --at 9/7 --order 64, runs in about 0.5 s on a 2-vCPU x86 machine, its two
-# conjugate branches expanded once (its series take 1.6 s at order 100, where
-# its coefficients pass Python's 4,300-digit int-to-str limit)
+# --at 9/7 --order 64, runs in about 0.43 s on a 2-vCPU x86 machine, its two
+# conjugate branches expanded once (its series take about 1.9 s at order 100,
+# where its coefficients pass Python's 4,300-digit int-to-str limit)
 MAX_ORDER = 64
 # expand's --cap default; it lives here, not in series, so the flag's default
 # loads no series code
@@ -340,6 +340,19 @@ def parse_expsum(text: str, params: dict[str, FieldConstant] | None = None) -> E
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an exact rational function of z such as '(z^2+1)/(z-2)'."""
     return _Parser(text, allow_exp=False, params=None).parse()
+
+
+def names_read(text: str) -> set[str]:
+    """The names an expression reads: the texts of its name tokens."""
+    return {t.text for t in _tokenize(text) if t.kind == "name"}
+
+
+def is_name(text: str) -> bool:
+    """True when text is exactly one name token of the grammar."""
+    try:
+        return names_read(text) == {text}
+    except ExpressionSyntaxError:
+        return False
 
 
 def parse_constant(text: str) -> FieldConstant:

@@ -810,6 +810,17 @@ def in_excluded_set(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldCons
     return False
 
 
+def over_common_denominator(fs):
+    """([f*D for f in fs], D), D the product of the distinct nonconstant
+    (monic) denominators of fs."""
+    dens = []
+    for f in fs:
+        if f.den.degree > 0 and f.den not in dens:
+            dens.append(f.den)
+    nums = [math.prod((den for den in dens if den != f.den), start=f.num) for f in fs]
+    return nums, math.prod(dens, start=Poly.const(1))
+
+
 # -- canonical text rendering ----------------------------------------------------
 
 

@@ -1,18 +1,26 @@
 """Local Frobenius-style analysis at a zero z0 of a would-be solution.
 
 The engine substitutes a truncated series w = sum a_k (z-z0)**(p+k) into
-w*w'' - (w')**2 = alpha*w + beta*w' + gamma with the coefficients Taylor
-expanded at z0, and matches orders one at a time.  The unknown a_n enters
-the order n + 2p - 2 equation affinely, as base + slope*a_n: one pass of the
-series convolution over a_0..a_{n-1} gives base, and slope is read off the
-few convolution terms that contain a_n, so no closed recurrence is
-hand-derived.  A vanishing slope is a resonance: the branch either gains a
-free coefficient (base = 0, condition satisfied) or terminates (condition
-violated, no formal solution).
+the equation cleared of denominators,
+E*(w*w'' - (w')**2) = E*alpha*w + E*beta*w' + E*gamma, E the product of the
+coefficients' distinct denominators, and matches orders one at a time.  E
+and the three products are polynomials, shifted to z0 once, so the linear
+part of an order meets at most deg + 2 of their coefficients, not every
+earlier a_i (Bostan, Chyzak, Ollivier, Salvy, Schost & Sedoglavic, SODA
+2007).  Clearing changes no answer: when an order is matched every lower
+order of the residual R is zero, so that order of E*R is E(z0) != 0 times
+the one of R.  The unknown a_n enters the order n + 2p - 2 equation
+affinely, as base + slope*a_n: one pass of the series convolution over
+a_0..a_{n-1} gives base, and slope is read off the few convolution terms
+that contain a_n, so no closed recurrence is hand-derived.  A vanishing
+slope is a resonance: the branch either gains a free coefficient (base = 0,
+condition satisfied) or terminates (condition violated, no formal
+solution).
 
-The matching runs on integers: the known coefficients and the Taylor lists
-are kept as vectors over Z[sqrt(q)], each over one common denominator, so an
-order costs integer convolutions and one exact division for a_n.
+The matching runs on integers: the known coefficients and the shifted
+polynomials are kept as vectors over Z[sqrt(q)], each over one common
+denominator, so an order costs integer convolutions and one exact division
+for a_n.
 
 expand_branches expands several leading candidates at one point.  Over
 rational coefficients and a rational z0 the two p = 1 roots of an irrational
@@ -38,7 +46,7 @@ from .field import (
 )
 from .laurent import LaurentExpansion, ResonanceInfo
 from .parse import RESONANCE_CAP_DEFAULT
-from .ratfunc import Poly, RatFunc, _series_div, in_excluded_set
+from .ratfunc import Poly, RatFunc, in_excluded_set, over_common_denominator
 
 
 class LeadingCandidate(namedtuple("LeadingCandidate", "p a0 note side_condition_satisfied",
@@ -104,79 +112,49 @@ def leading_candidates(
 
 
 class _Taylor:
-    """The Taylor lists of alpha, beta and gamma at z0 as integers over one
-    common denominator den: coefficient k is (x[k] + y[k]*sqrt(q))/den.
+    """The equation times E, the product of the coefficients' distinct
+    denominators (over_common_denominator), as Taylor lists at z0: E, E*alpha,
+    E*beta and E*gamma are polynomials, so each list is finite, the shifted
+    polynomial's coefficients.  All are integers over one common denominator
+    den: coefficient k is (x[k] + y[k]*sqrt(q))/den.  E = 1 for polynomial
+    coefficients.
 
-    The order-m equation meets alpha[k - 1] and beta[k] at the same k, so
-    alpha is kept shifted by one (ax[0] = 0) and padded to beta's length.
+    The order-m equation meets (E*alpha)[k - 1] and (E*beta)[k] at the same k,
+    so E*alpha is kept shifted by one (ax[0] = 0) and the two are padded to
+    one length: the linear part of an order meets at most deg + 2 terms.
     """
 
-    __slots__ = ("q", "den", "ax", "ay", "bx", "by", "gx", "gy")
+    __slots__ = ("q", "den", "ex", "ey", "ax", "ay", "bx", "by", "gx", "gy")
 
-    def __init__(self, al: Poly, be: Poly, ga: Poly, n: int):
-        """al, be and ga are the three series truncated to n terms."""
-        self.q = common_discriminant((al, be, ga))
-        self.den = den = lcm(al.d, be.d, ga.d)
+    def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant):
+        nums, e = over_common_denominator((alpha, beta, gamma))
+        e, al, be, ga = polys = [f.shift(z0) for f in (e, *nums)]
+        self.q = common_discriminant(polys)
+        self.den = den = lcm(*(f.d for f in polys))
+        n = max(len(al.a) + 1, len(be.a))
 
-        def vectors(s: Poly, shift: int) -> tuple[list[int], list[int]]:
-            k, pad = den // s.d, [0] * (n + 1 - len(s.a) - shift)
-            return ([0] * shift + [x * k for x in s.a] + pad,
-                    [0] * shift + [y * k for y in s.b or (0,) * len(s.a)] + pad)
+        def vectors(f: Poly, shift: int = 0, size: int = 0) -> tuple[list[int], list[int]]:
+            k, pad = den // f.d, [0] * (size - len(f.a) - shift)
+            return ([0] * shift + [x * k for x in f.a] + pad,
+                    [0] * shift + [y * k for y in f.b or (0,) * len(f.a)] + pad)
 
-        self.ax, self.ay = vectors(al, 1)
-        self.bx, self.by = vectors(be, 0)
-        self.gx, self.gy = (v[:n] for v in vectors(ga, 0))
-
-
-class _Prefix:
-    """The known coefficients a_0..a_{n-1}: as constants (values) and as
-    integers (x[i] + y[i]*sqrt(q))/den over one common denominator."""
-
-    __slots__ = ("values", "q", "den", "x", "y")
-
-    def __init__(self, values: list[FieldConstant], q: int):
-        self.values = list(values)
-        self.q = q
-        self.x, y, self.den = integer_parts(self.values, q)
-        self.y = y or [0] * len(self.x)
-
-    def append(self, c: FieldConstant) -> None:
-        """Add c, a constant of Q(sqrt(q)); den grows to the lcm when needed."""
-        self.values.append(c)
-        a, b, den = c.a, c.b, self.den
-        if den % a.denominator or den % b.denominator:
-            new = lcm(den, a.denominator, b.denominator)
-            k = new // den
-            self.x = [v * k for v in self.x]
-            self.y = [v * k for v in self.y]
-            self.den = den = new
-        self.x.append(a.numerator * (den // a.denominator))
-        self.y.append(b.numerator * (den // b.denominator))
+        self.ex, self.ey = vectors(e)
+        self.ax, self.ay = vectors(al, 1, n)
+        self.bx, self.by = vectors(be, 0, n)
+        self.gx, self.gy = vectors(ga)
 
 
-def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tuple]:
-    """Order-m coefficient of w*w'' - (w')**2 - alpha*w - beta*w' - gamma as
-    (base, slope) in the next unknown a_n, with a holding a_0..a_{n-1}.
+def _square(s: int, a: _Prefix, p: int) -> tuple[int, int, int, int]:
+    """Order s + 2p - 2 of w*w'' - (w')**2, with a holding a_0..a_{n-1}, as
+    (pu, pv, su, sv): (pu + pv*sqrt(q))/den**2 from the known coefficients
+    plus (su + sv*sqrt(q))/den times a_n.
 
-    w = sum a[k] zeta**(p+k) + a_n zeta**(p+n), and the coefficient is
-    base + slope*a_n.  base is the direct convolution of the series with a_n
-    left out.  slope collects the terms that contain a_n: the quadratic pairs
-    (s-n, n) and (n, s-n) with s = m - 2p + 2, alpha[m-p-n]*a_n and
-    beta[m-p-n+1]*(p+n)*a_n.  The coefficient is affine in a_n when s < 2n,
-    which holds for every order expand matches (s = n there).
-
-    Everything is integer: with the prefix over L and the Taylor lists over T,
-    the quadratic part is P/L**2, the linear part Lin/(L*T) and gamma[m] G/T,
-    so base = (P*T - Lin*L - G*L**2)/(L**2*T); the a_n terms give
-    slope = (S*T - C*L)/(L*T).  Each comes back as (u, v, d), standing for
-    (u + v*sqrt(q))/d, both over d = L**2*T.
+    The order meets the pairs i + j = s of a_i*a_j with weight
+    (p+j)*(p+j-1) - (p+i)*(p+j); the weights of (i, j) and (j, i) add up to
+    (j-i)**2 - (2p+s), and the diagonal i = j weighs -(p+i).  a_n appears only
+    in the pairs (s-n, n) and (n, s-n), affinely when s < 2n.
     """
-    n, q = len(a.x), a.q
-    x, y, L, T = a.x, a.y, a.den, t.den
-    s = m - 2 * p + 2
-    # w*w'' - (w')**2 at order m: sum over i + j = s of
-    # a_i*a_j*((p+j)*(p+j-1) - (p+i)*(p+j)); the weights of (i, j) and (j, i)
-    # add up to (j-i)**2 - (2p+s), and the diagonal i = j weighs -(p+i).
+    n, q, x, y = len(a.x), a.q, a.x, a.y
     pu = pv = 0
     for i in range(max(0, s - n + 1), s // 2 + 1):
         j = s - i
@@ -185,19 +163,103 @@ def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tupl
         if q:
             pu += c * q * y[i] * y[j]
             pv += c * (x[i] * y[j] + y[i] * x[j])
-    su = sv = 0
     i = s - n
     if 0 <= i < n:
         c = (n - i) ** 2 - (2 * p + s)
-        su, sv = c * x[i], c * y[i]
-    # -alpha*w - beta*w' at order m: a_i meets alpha[m-p-i] and beta[m-p-i+1],
-    # both at index k = m-p+1-i of the shifted lists; a_n's term joins the slope
+        return pu, pv, c * x[i], c * y[i]
+    return pu, pv, 0, 0
+
+
+class _Prefix:
+    """The known coefficients a_0..a_{n-1} of a branch with leading power p: as
+    constants (values) and as integers (x[i] + y[i]*sqrt(q))/den over one
+    common denominator.
+
+    window holds the last width completed orders s = n-width .. n-1 of
+    w*w'' - (w')**2 (see _square), each as (u, v) over den**2 and 0 for
+    s < 0: the orders E's higher coefficients meet, width = deg E.
+    """
+
+    __slots__ = ("values", "q", "den", "x", "y", "window")
+
+    def __init__(self, values: list[FieldConstant], q: int, p: int, width: int):
+        self.values = list(values)
+        self.q = q
+        self.x, y, self.den = integer_parts(self.values, q)
+        self.y = y or [0] * len(self.x)
+        n = len(self.x)
+        self.window = [_square(s, self, p)[:2] if s >= 0 else (0, 0)
+                       for s in range(n - width, n)]
+
+    def append(self, c: FieldConstant, square: tuple[int, int, int, int]) -> None:
+        """Add c, a constant of Q(sqrt(q)), as a_n; den grows to the lcm when
+        needed.  square is _square(n, ...) before c was known: it completes
+        order n in the window."""
+        self.values.append(c)
+        a, b, den = c.a, c.b, self.den
+        k = 1
+        if den % a.denominator or den % b.denominator:
+            new = lcm(den, a.denominator, b.denominator)
+            k = new // den
+            self.x = [v * k for v in self.x]
+            self.y = [v * k for v in self.y]
+            self.den = den = new
+        u, v = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        self.x.append(u)
+        self.y.append(v)
+        if self.window:
+            pu, pv, su, sv = square
+            kk, q, window = k * k, self.q, self.window[1:]
+            if k > 1:
+                window = [(wu * kk, wv * kk) for wu, wv in window]
+            window.append((pu * kk + k * (su * u + q * sv * v), pv * kk + k * (su * v + sv * u)))
+            self.window = window
+
+
+def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tuple, tuple]:
+    """Order-m coefficient of E*(w*w'' - (w')**2) - E*alpha*w - E*beta*w' -
+    E*gamma as (base, slope) in the next unknown a_n, with a holding
+    a_0..a_{n-1}, and the order's _square.
+
+    w = sum a[k] zeta**(p+k) + a_n zeta**(p+n), and the coefficient is
+    base + slope*a_n.  m is a matched order, m = n + 2p - 2 (s = n), or a
+    balance order, m <= 2p - 2.  When m is matched every lower order of the
+    residual R is zero, so this is E(z0)*R_m: E(z0) != 0 scales base and
+    slope alike.  The quadratic part is e_0 times the order's _square plus
+    e_k times the completed order s - k of a's window; the linear part meets
+    at most deg + 2 Taylor terms.
+
+    Everything is integer: with the prefix over L and the Taylor lists over T,
+    the quadratic part is P/(L**2*T), the linear part Lin/(L*T) and E*gamma
+    G/T, so base = (P - Lin*L - G*L**2)/(L**2*T); the a_n terms give
+    slope = (S - C*L)/(L*T).  Each comes back as (u, v, d), standing for
+    (u + v*sqrt(q))/d, both over d = L**2*T.
+    """
+    n, q = len(a.x), a.q
+    x, y, L, T = a.x, a.y, a.den, t.den
+    s = m - 2 * p + 2
+    square = pu, pv, su, sv = _square(s, a, p)
+    ex, ey = t.ex, t.ey
+    e0, f0 = ex[0], ey[0] if q else 0
+    qu, qv = e0 * pu, e0 * pv
+    if f0:
+        qu += q * f0 * pv
+        qv += f0 * pu
+    if s == n:
+        for k, (wu, wv) in enumerate(reversed(a.window), 1):
+            qu += ex[k] * wu
+            if q:
+                qu += q * ey[k] * wv
+                qv += ex[k] * wv + ey[k] * wu
+    # -E*alpha*w - E*beta*w' at order m: a_i meets alpha[m-p-i] and
+    # beta[m-p-i+1], both at index k = m-p+1-i of the shifted lists; a_n's term
+    # joins the slope
     top = m - p + 1
     lu = lv = cu_n = cv_n = 0
     for i in range(max(0, top - len(t.bx) + 1), min(n, top) + 1):
         k = top - i
         cu = t.ax[k] + t.bx[k] * (p + i)
-        cv = t.ay[k] + t.by[k] * (p + i)
+        cv = t.ay[k] + t.by[k] * (p + i) if q else 0
         if i == n:
             cu_n, cv_n = cu, cv
             continue
@@ -206,11 +268,15 @@ def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tupl
             lu += cv * q * y[i]
             lv += cu * y[i] + cv * x[i]
     gu = t.gx[m] if 0 <= m < len(t.gx) else 0
-    gv = t.gy[m] if 0 <= m < len(t.gy) else 0
+    gv = t.gy[m] if q and 0 <= m < len(t.gy) else 0
     d = L * L * T
-    base = (pu * T - lu * L - gu * L * L, pv * T - lv * L - gv * L * L, d)
-    slope = (L * (su * T - cu_n * L), L * (sv * T - cv_n * L), d)
-    return base, slope
+    base = (qu - lu * L - gu * L * L, qv - lv * L - gv * L * L, d)
+    tu, tv = e0 * su, e0 * sv
+    if f0:
+        tu += q * f0 * sv
+        tv += f0 * su
+    slope = (L * (tu - cu_n * L), L * (tv - cv_n * L), d)
+    return base, slope, square
 
 
 def _resonance_r(beta: RatFunc, z0: FieldConstant, a0: FieldConstant) -> FieldConstant:
@@ -233,7 +299,7 @@ def _resonance_status(beta: RatFunc, z0: FieldConstant, cand: LeadingCandidate,
 def _match_orders(res, a: _Prefix, order: int,
                   free_value: FieldConstant) -> tuple[int | None, int | None]:
     """Extend the prefix a in place through a_order, one order at a time;
-    res(n, a) is a_n's equation as (base, slope), see _residual_order.
+    res(n, a) is a_n's equation as (base, slope, square), see _residual_order.
 
     At the first vanishing slope a met condition frees a_n, set to free_value;
     at later ones it is set to 0.  A violated condition halts the branch.
@@ -243,19 +309,19 @@ def _match_orders(res, a: _Prefix, order: int,
     q = a.q
     first: int | None = None
     for n in range(len(a.values), order + 1):
-        (bu, bv, _), (su, sv, _) = res(n, a)
+        (bu, bv, _), (su, sv, _), square = res(n, a)
         if sv:  # a_n = -base/slope, times the conjugate over the norm
             a.append(from_integers(q * bv * sv - bu * su, bu * sv - bv * su,
-                                   su * su - q * sv * sv, q))
+                                   su * su - q * sv * sv, q), square)
             continue
         if su:
-            a.append(from_integers(-bu, -bv, su, q))
+            a.append(from_integers(-bu, -bv, su, q), square)
             continue
         if first is None:
             first = n
         if bu or bv:
             return first, n
-        a.append(free_value if n == first else ZERO)
+        a.append(free_value if n == first else ZERO, square)
     return first, None
 
 
@@ -286,12 +352,10 @@ def expand(
         raise ValueError("leading coefficient a0 must be nonzero")
     if order < p + 2:
         raise ValueError(f"truncation order must be at least p + 2 = {p + 2}")
-    # z0 is no pole of a coefficient, so each series starts at (z-z0)**0
-    n_taylor = order + 2 * p + 1
-    t = _Taylor(*(_series_div(f.num.shift(z0), f.den.shift(z0), n_taylor)
-                  for f in (alpha, beta, gamma)), n_taylor)
+    t = _Taylor(alpha, beta, gamma, z0)
     free = ZERO if resonance_value is None else resonance_value
-    a = _Prefix([a0], common_discriminant((a0, free), t.q))
+    q, width = common_discriminant((a0, free), t.q), len(t.ex) - 1
+    a = _Prefix([a0], q, p, width)
 
     for m in range(0, 2 * p - 1):
         bu, bv, _ = _residual_order(m, a, p, t)[0]
@@ -300,7 +364,7 @@ def expand(
                 f"leading data (p={p}, a0={a0}) does not balance at order {m}"
             )
 
-    def res(n: int, a: _Prefix) -> tuple[tuple, tuple]:
+    def res(n: int, a: _Prefix) -> tuple[tuple, tuple, tuple]:
         return _residual_order(n + 2 * p - 2, a, p, t)
 
     res_index, halted = _match_orders(res, a, order, free)
@@ -308,7 +372,7 @@ def expand(
     free_index = res_index if condition else None
     alternate = None
     if condition and resonance_value is None:
-        alt = _Prefix(a.values[:free_index] + [ONE], a.q)
+        alt = _Prefix(a.values[:free_index] + [ONE], q, p, width)
         if _match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt.values)
 

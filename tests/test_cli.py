@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import merosolve
-from merosolve import cli, series
+from merosolve import cli, ratfunc, series
 from merosolve.cli import _fold_dash_values, main
 from merosolve.ratfunc import RatFunc, ratfunc_to_str
 
@@ -233,6 +233,21 @@ class TestVerify:
         assert doc["error"]["code"] == "Usage"
         assert repr(name) in doc["error"]["message"]
 
+    @pytest.mark.parametrize("binding, why", [
+        ("2=3", "which is not a name"),
+        ("c 1=3", "which is not a name"),
+        ("c9=3", "which the solution never reads"),
+    ])
+    def test_params_cannot_bind_a_name_the_solution_never_reads(self, capsys, binding, why):
+        code, doc, _ = run_json(
+            capsys, "verify",
+            "--alpha", "2", "--beta", "0", "--gamma", "0",
+            "--solution", "z", "--params", binding,
+        )
+        assert code == 1
+        assert doc["error"]["code"] == "Usage"
+        assert doc["error"]["message"].endswith(why)
+
     @pytest.mark.parametrize("solution", ["exp(1000*z)", "exp(400*z)"])
     def test_overflowing_points_are_left_out(self, capsys, solution):
         # exp(1000*z) overflows at some candidate points, exp(400*z) in the
@@ -383,27 +398,34 @@ class TestExpand:
         _, full, _ = run_json(capsys, *argv)
         assert doc["branches"] == [full["branches"][branch]]
 
-    @pytest.mark.parametrize("argv, sizes", [
-        # one branch to order 40, n = 40 + 2p + 1; its conjugate makes no set-up
+    @pytest.mark.parametrize("argv, setups", [
+        # one branch to order 40; its conjugate makes no set-up
         (("--alpha", "1/(z+3)", "--beta", "z^2-2", "--gamma", "(z+2)/(z^2+3)",
-          "--at", "1", "--order", "40"), [43] * 3),
+          "--at", "1", "--order", "40"), 1),
         # both branches to --order 4, then the a0 = -1 branch is probed to r + 2 = 7
-        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--order", "4"),
-         [7] * 6 + [10] * 3),
+        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--order", "4"), 3),
     ])
-    def test_taylor_set_up_once_per_expansion(self, capsys, monkeypatch, argv, sizes):
-        calls = []
-        real = series._series_div
+    def test_taylor_set_up_once_per_expansion(self, capsys, monkeypatch, argv, setups):
+        calls, divisions = [], []
+        real_div = ratfunc._series_div
 
-        def counting(num, den, n):
-            calls.append(n)
-            return real(num, den, n)
+        class Taylor(series._Taylor):
+            __slots__ = ()
 
-        # one Taylor division per coefficient, alpha, beta and gamma
-        monkeypatch.setattr(series, "_series_div", counting)
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
+
+        def dividing(*args):
+            divisions.append(args)
+            return real_div(*args)
+
+        # the cleared polynomials are shifted once per expansion, with no series division
+        monkeypatch.setattr(series, "_Taylor", Taylor)
+        monkeypatch.setattr(ratfunc, "_series_div", dividing)
         code, doc, _ = run_json(capsys, "expand", *argv)
         assert code == 0 and len(doc["branches"]) == 2
-        assert calls == sizes
+        assert len(calls) == setups and divisions == []
 
     def test_branch_selection(self, capsys):
         code, doc, _ = run_json(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -19,7 +22,7 @@ from merosolve.field import (
     common_discriminant,
     from_integers,
 )
-from merosolve.ratfunc import Poly, RatFunc, in_excluded_set
+from merosolve.ratfunc import Poly, RatFunc, in_excluded_set, over_common_denominator
 from merosolve.series import (
     RESONANCE_CAP_DEFAULT,
     branch_resonance,
@@ -34,6 +37,7 @@ from conftest import extended_constants, rational_constants, small_fractions
 
 Z = RatFunc.z()
 RF0 = RatFunc(Poly())
+_LADDER = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "classify-ladder.json"
 
 
 def fc(x) -> FieldConstant:
@@ -369,6 +373,53 @@ class TestClosedFormAgreement:
         root = FieldConstant(Fraction(0), Fraction(1), -2)
         assert {c.a0 for c in cands} == {root, -root}
 
+    def test_ladder_family_members_through_a_point_are_branches(self):
+        # ROADMAP item 11, local-global agreement: each D, E.d and E.e family
+        # classify emits on the classify-ladder pool is c*U + V, U one term
+        # exp(rate*z)*f and V rational.  At the first ordinary point z0 where
+        # f(z0) != 0, c*exp(rate*z0) = -V(z0)/f(z0) makes the member vanish,
+        # and its exact Taylor coefficients there (of the member translated
+        # to 0) must be one of expand's branches at z0, its free coefficient
+        # pinned to the member's, with the resonance condition met.
+        from merosolve.classify import classify
+        from merosolve.parse import parse_ratfunc
+
+        def translated(w: ExpSum, t: FieldConstant) -> ExpSum:
+            return ExpSum([(r, RatFunc(f.num.shift(t), f.den.shift(t))) for r, f in w.terms])
+
+        order, points = 8, [fc(x) for x in (1, -1, 2, -2, Fraction(1, 2), 0)]
+        entries = json.loads(_LADDER.read_text())["entries"]
+        seen = []
+        for entry in entries:
+            argv = entry["argv"]
+            coeffs = [parse_ratfunc(argv[argv.index(f"--{k}") + 1])
+                      for k in ("alpha", "beta", "gamma")]
+            for fam in classify(*coeffs).families:
+                if fam.case_label not in ("D", "E.d", "E.e"):
+                    continue
+                signs = {p.name: "+" for p in fam.parameters if p.kind == "sign"}
+                v = fam.builder({**signs, "c1": ZERO})
+                (rate, f), = (fam.builder({**signs, "c1": ONE}) - v).terms
+                v = v.rate_zero_part()
+                z0 = next(z for z in points if not in_excluded_set(*coeffs, z)
+                          and not f.pole_order_at(z) and not v.pole_order_at(z)
+                          and not f.eval_at(z).is_zero)
+                c = -v.eval_at(z0) / f.eval_at(z0)
+                w = translated(ExpSum([(rate, f * RatFunc.const(c))]) + ExpSum.from_ratfunc(v), z0)
+                member = reference_kernels.laurent_at(w, ZERO, order)
+                a = member.coefficients
+                cand, = [k for k in leading_candidates(*coeffs, z0)
+                         if (k.p, k.a0) == (member.p, a[0])]
+                e = expand(*coeffs, z0, cand.p, cand.a0, order)
+                free = e.resonance.index
+                if free is not None:
+                    assert e.resonance.condition_satisfied, (entry["id"], fam.case_label)
+                    e = expand(*coeffs, z0, cand.p, cand.a0, order, resonance_value=a[free])
+                assert e.halted_at is None and e.coefficients == a, (entry["id"], fam.case_label)
+                seen.append((fam.case_label, free is not None, z0.is_zero))
+        assert {label for label, _, _ in seen} == {"D", "E.d", "E.e"}
+        assert (True, False) in {k[1:] for k in seen} and len(seen) >= 50
+
 
 # -- one residual pass per order, against the two-evaluation definition ------------
 
@@ -399,49 +450,130 @@ def _reference_pair(m, a, p, al, be, ga):
     return base, _direct_residual(m, a + [ONE], p, al, be, ga) - base
 
 
+def _shared_denominators(draw, constants, z0):
+    """A coefficient num/den whose den is a product of some of three factors
+    with no zero at z0, so that the coefficients' denominators share factors
+    and differ; num has degree 0-2 (or is zero)."""
+    zeta = Z - RatFunc.const(z0)
+    factors = (zeta - 1, zeta + 2, zeta * zeta + 3)
+    picks = draw(st.lists(st.sampled_from(range(3)), unique=True, max_size=3))
+    num = RatFunc(Poly(draw(st.lists(constants, max_size=3))))
+    return num / math.prod((factors[i] for i in picks), start=RatFunc.const(1))
+
+
 @st.composite
-def _truncated_series(draw):
+def _cleared_orders(draw):
+    """m, a, p, alpha, beta, gamma, z0: m is a balance order (m <= 2p - 2) or
+    the order n + 2p - 2 where a_n, n = len(a), first enters."""
     constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    z0 = draw(constants)
     p = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(min_value=1, max_value=7))
-    length = n + 2 * p + 1
     a = draw(st.lists(constants, min_size=n, max_size=n))
-    al, be, ga = (draw(st.lists(constants, min_size=length, max_size=length)) for _ in range(3))
-    # every order up to n + 2p - 2, where a_n first enters; there s < 2n
-    m = draw(st.integers(min_value=0, max_value=n + 2 * p - 2))
-    return m, a, p, al, be, ga
+    alpha, beta, gamma = (_shared_denominators(draw, constants, z0) for _ in range(3))
+    m = draw(st.sampled_from([*range(2 * p - 1), n + 2 * p - 2]))
+    return m, a, p, alpha, beta, gamma, z0
 
 
-def _kernel_pair(m, a, p, al, be, ga):
-    """series._residual_order on the integer views of a and of the Taylor
-    lists, its (u, v, d) triples read back as constants."""
-    t = series._Taylor(Poly(al), Poly(be), Poly(ga), len(ga))
-    prefix = series._Prefix(a, common_discriminant(a, t.q))
-    return tuple(from_integers(u, v, d, prefix.q)
-                 for u, v, d in series._residual_order(m, prefix, p, t))
+def _cleared_pair(m, a, p, alpha, beta, gamma, z0):
+    """(base, slope) of order m of E*R by definition, E the product of the
+    coefficients' distinct denominators and R the residual: the sum over k of
+    E's Taylor coefficient e_k times the two-evaluation pair at order m - k,
+    all from FieldConstant Taylor lists at z0."""
+    e, dens = (ONE,), []
+    for f in (alpha, beta, gamma):
+        if f.den.degree > 0 and f.den not in dens:
+            dens.append(f.den)
+            e = reference_kernels.mul(e, f.den.coeffs)
+    e = reference_kernels.synthetic_shift(e, z0)
+    al, be, ga = (reference_kernels.taylor_at(f, z0, m + 1)[1] for f in (alpha, beta, gamma))
+    base = slope = ZERO
+    for k, ek in enumerate(e[:m + 1]):
+        b, s = _reference_pair(m - k, a, p, al, be, ga)
+        base, slope = base + ek * b, slope + ek * s
+    return base, slope
+
+
+def _kernel_pair(m, a, p, alpha, beta, gamma, z0):
+    """series._residual_order on the cleared Taylor lists at z0 and the
+    integer view of a, its (u, v, d) triples read back as constants."""
+    t = series._Taylor(alpha, beta, gamma, z0)
+    prefix = series._Prefix(a, common_discriminant(a, t.q), p, len(t.ex) - 1)
+    base, slope, _ = series._residual_order(m, prefix, p, t)
+    return tuple(from_integers(u, v, d, prefix.q) for u, v, d in (base, slope))
 
 
 class TestResidualOrder:
-    @given(_truncated_series())
+    @given(_cleared_orders())
     def test_base_and_slope_match_the_two_evaluations(self, data):
-        m, a, p, al, be, ga = data
-        assert _kernel_pair(m, a, p, al, be, ga) == _reference_pair(m, a, p, al, be, ga)
+        assert _kernel_pair(*data) == _cleared_pair(*data)
 
-    @given(_truncated_series())
+    @given(_cleared_orders())
     def test_resonant_slope_vanishes(self, data):
-        # tune beta[p-1], which enters the slope at order n + 2p - 2 affinely,
-        # so that the reference slope is zero: a resonance at n
-        _, a, p, al, be, ga = data
+        # beta + b*zeta**(p-1) moves the slope at order n + 2p - 2 by
+        # e_0*(p+n)*b: tune b so that the reference slope is zero, a resonance at n
+        _, a, p, alpha, beta, gamma, z0 = data
         m = len(a) + 2 * p - 2
-        slopes = []
-        for value in (ZERO, ONE):
-            be[p - 1] = value
-            slopes.append(_reference_pair(m, a, p, al, be, ga)[1])
+        bump = (Z - RatFunc.const(z0)) ** (p - 1)
+        slopes = [_cleared_pair(m, a, p, alpha, beta + b * bump, gamma, z0)[1] for b in (0, 1)]
         assert slopes[0] != slopes[1]
-        be[p - 1] = -slopes[0] / (slopes[1] - slopes[0])
-        base, slope = _kernel_pair(m, a, p, al, be, ga)
+        beta = beta + RatFunc.const(-slopes[0] / (slopes[1] - slopes[0])) * bump
+        base, slope = _kernel_pair(m, a, p, alpha, beta, gamma, z0)
         assert slope.is_zero
-        assert (base, slope) == _reference_pair(m, a, p, al, be, ga)
+        assert (base, slope) == _cleared_pair(m, a, p, alpha, beta, gamma, z0)
+
+    @given(st.sampled_from([rational_constants, extended_constants]).flatmap(
+        lambda cs: st.lists(cs, min_size=1, max_size=9)),
+        st.sampled_from([1, 2]), st.integers(min_value=0, max_value=4))
+    def test_appended_window_equals_the_rebuilt_one(self, a, p, width):
+        # appending a_n completes order n from its _square and rescales the
+        # window when den grows; rebuilding convolves each order afresh
+        q = common_discriminant(a)
+        grown = series._Prefix(a[:1], q, p, width)
+        for n in range(1, len(a)):
+            grown.append(a[n], series._square(n, grown, p))
+        rebuilt = series._Prefix(a, q, p, width)
+        assert (grown.den, grown.x, grown.y, grown.window) == (
+            rebuilt.den, rebuilt.x, rebuilt.y, rebuilt.window)
+
+    @pytest.mark.parametrize("coeffs, z0", [
+        ((1 / (Z + 3), Z * Z - 2, (Z + 2) / (Z * Z + 3)), ONE),
+        ((RatFunc.const(1), RF0, RatFunc.const(2)), FieldConstant(Fraction(-3), Fraction(1), -2)),
+        ((Z * Z * Z + 1, 3 / (Z - 2) ** 2, (Z - 1) / ((Z - 2) * (Z + 5))), fc(Fraction(1, 2))),
+        # p = 2, its resonance at n = 2 met by the zeta**2 term
+        (((Z - 1) / ((Z - 2) * (Z + 5)) - Fraction(49, 512) * (Z - 3) ** 2, RF0, RF0), fc(3)),
+    ])
+    def test_linear_part_meets_at_most_deg_plus_two_terms(self, monkeypatch, coeffs, z0):
+        # every read of the shifted E*alpha list is one term of an order's linear part
+        reads, per_order = [], []
+
+        class Counted(list):
+            def __getitem__(self, k):
+                reads.append(k)
+                return list.__getitem__(self, k)
+
+        class Taylor(series._Taylor):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.ax = Counted(self.ax)
+
+        real = series._residual_order
+
+        def one_order(m, *args):
+            reads.clear()
+            out = real(m, *args)
+            per_order.append(len(reads))
+            return out
+
+        monkeypatch.setattr(series, "_Taylor", Taylor)
+        monkeypatch.setattr(series, "_residual_order", one_order)
+        nums, e = over_common_denominator(coeffs)
+        deg = max(f.degree for f in (*nums, e))
+        for cand in leading_candidates(*coeffs, z0):
+            expand(*coeffs, z0, cand.p, cand.a0, 40)
+        assert len(per_order) > 80 and 0 < max(per_order) <= deg + 2
 
     def test_one_pass_per_matched_order(self, monkeypatch):
         seen = []
@@ -465,25 +597,30 @@ class TestResidualOrder:
 
 
 @st.composite
-def _branches(draw):
+def _branches(draw, shared: bool = False):
     """alpha, beta, gamma, z0, p, a0, order with a0*(z-z0)**p a leading balance.
 
     Coefficients are polynomials in zeta = z - z0 plus a term with a pole
-    away from z0, over Q or Q(sqrt(5)).  For p = 1 half the draws put the
-    resonance r = beta(z0)/a0 + 2 at a positive integer inside the order; p = 2
-    (beta = gamma = 0) is resonant at n = 2.  A resonance's condition is then
+    away from z0, over Q or Q(sqrt(5)); when shared, z0 is in Q(sqrt(5)) and
+    each pole term's denominator is a product of factors the coefficients
+    share (_shared_denominators), so E has degree up to 12.  For p = 1 half
+    the draws put the resonance r = beta(z0)/a0 + 2 at a positive integer
+    inside the order; p = 2 (beta = gamma = 0) is resonant at n = 2.  A
+    resonance's condition is then
     met or violated at random: meeting it moves one Taylor coefficient of gamma
     (p = 1) or alpha (p = 2) by the reference's base at that order.
     """
     constants = draw(st.sampled_from([rational_constants, extended_constants]))
     nonzero = constants.filter(lambda c: not c.is_zero)
-    z0 = draw(constants)
+    z0 = draw(extended_constants if shared else constants)
     zeta = Z - RatFunc.const(z0)
     p = draw(st.sampled_from([1, 2]))
     a0 = draw(nonzero)
     order = draw(st.integers(min_value=p + 2, max_value=10))
 
     def tail():
+        if shared:
+            return zeta * _shared_denominators(draw, constants, z0)
         cs = draw(st.lists(constants, min_size=2, max_size=2))
         return zeta * (RatFunc.const(cs[0]) + RatFunc.const(cs[1]) / (1 + 2 * zeta))
 
@@ -521,6 +658,28 @@ class TestExpandAgainstReference:
         e = expand(alpha, beta, gamma, z0, p, a0, order)
         expected = reference_kernels.expand(alpha, beta, gamma, z0, p, a0, order)
         assert (e.coefficients, e.halted_at, e.alternate_coefficients) == expected
+
+    @given(_branches(shared=True))
+    def test_shared_denominators_at_an_irrational_point(self, branch):
+        alpha, beta, gamma, z0, p, a0, order = branch
+        if in_excluded_set(alpha, beta, gamma, z0):
+            return
+        e = expand(alpha, beta, gamma, z0, p, a0, order)
+        expected = reference_kernels.expand(alpha, beta, gamma, z0, p, a0, order)
+        assert (e.coefficients, e.halted_at, e.alternate_coefficients) == expected
+
+    def test_shared_draws_cover_both_powers_and_deep_denominators(self):
+        seen = set()
+
+        @given(_branches(shared=True))
+        def collect(branch):
+            alpha, beta, gamma, z0, p, a0, order = branch
+            if not in_excluded_set(alpha, beta, gamma, z0):
+                degree = over_common_denominator((alpha, beta, gamma))[1].degree
+                seen.add((p, not z0.is_rational, degree >= 4))
+
+        collect()
+        assert {(1, True, True), (2, True, True)} <= seen
 
     def test_draws_cover_met_and_violated_resonances(self):
         seen = set()
