@@ -432,20 +432,17 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
     pf = col.lift("C", beta.partial_fractions, ctx, leaves="beta's poles leave", split="beta")
     if pf is None:
         return
-    poles = pf.poles()
 
     notes: list[str] = []
     allowed: tuple[FieldConstant, ...] | None = None
-    if poles:
+    if pf.poles:
         # residue of beta*exp(-c1*z) at each pole, up to a unit, is a polynomial
         # in c1 with c1^(k-1) coefficient c_k*(-1)^(k-1)/(k-1)!; admissible
         # rates c1 are the common roots across all poles
         obstruction_polys = []
-        for pole, orders in poles:
-            coeffs = [ZERO] * max(orders)
-            for order, c in orders.items():
-                coeffs[order - 1] = (c if order % 2 else -c) / math.factorial(order - 1)
-            opoly = Poly(coeffs)
+        for pole, cs in pf.poles:
+            opoly = Poly([(c if k % 2 else -c) / math.factorial(k - 1)
+                          for k, c in enumerate(cs, 1)])
             obstruction_polys.append(opoly)
             notes.append(
                 f"pole z = {format_constant(pole)}: residue vanishes iff "

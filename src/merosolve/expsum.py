@@ -289,20 +289,19 @@ def integrate_exp(
 
     # by parts, with t = d/(k-1): the integral of d*exp(rate*z)/(z-P)**k is
     # -t*exp(rate*z)/(z-P)**(k-1) plus that of t*rate*exp(rate*z)/(z-P)**(k-1);
-    # orders k >= 2 reduce one at a time, and what reaches order 1 is the residue
+    # orders k >= 2 reduce one at a time, d[k] turning into the piece over
+    # (z-P)**(k-1), and what reaches order 1 is the residue
     pieces = []
-    for pole, orders in pf.poles():
-        d = [ZERO] * (max(orders) + 1)
-        for order, c in orders.items():
-            d[order] = c
+    for pole, cs in pf.poles:
+        d = [ZERO, *cs]
         for k in range(len(d) - 1, 1, -1):
-            if d[k].is_zero:
-                continue
             t = d[k] / (k - 1)
-            pieces.append((pole, k - 1, -t))
             d[k - 1] = d[k - 1] + t * rate
+            d[k] = -t
         if not d[1].is_zero:
             return ObstructionReport(pole, rate, d[1])
+        if len(d) > 2:
+            pieces.append((pole, tuple(d[2:])))
 
     p = pf.polynomial_part
     if rate.is_zero:
@@ -387,7 +386,9 @@ def numeric_residual_bound_ok(
     alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum, points: list[complex]
 ) -> bool:
     """The spot check at every point, the residual evaluated from w, w', w''
-    and the coefficients rather than through residual()."""
+    and the coefficients rather than through residual().  A point where that
+    float residual is not finite is skipped: complex products overflow to inf
+    or nan without raising, as in w*w'' for w = exp(400*z)."""
     wp = w.derivative()
     wpp = wp.derivative()
     ea, eb, eg = (ExpSum.from_ratfunc(f) for f in (alpha, beta, gamma))
@@ -397,7 +398,8 @@ def numeric_residual_bound_ok(
         return (wv * wpp.eval_complex(z) - wpv ** 2 - ea.eval_complex(z) * wv
                 - eb.eval_complex(z) * wpv - eg.eval_complex(z))
 
-    return all(spot_check(value_at, w, z)[2] for z in points)
+    checks = (spot_check(value_at, w, z) for z in points)
+    return all(ok or not math.isfinite(rv) for rv, _, ok in checks)
 
 
 def guarded_sample_points(

@@ -9,10 +9,11 @@ a sum only the factors of gcd(b, d), and a derivative raises each pole order by
 one.  A gcd with a constant operand is skipped, so sums, products and
 derivatives of polynomials are plain Poly arithmetic and a division by a
 constant is a scaling.  Square roots take the monic polynomial root of
-numerator and denominator.  Partial fractions use square-free decomposition,
-the rational roots of a rational factor, found by p-adic lifting with no
-integer factoring and no cap, and the quadratic formula; a factor that would
-need more reports itself as such.
+numerator and denominator.  A series at a point shifts both there once and
+divides over the field.  Partial fractions use square-free decomposition, the
+rational roots of a rational factor, found by p-adic lifting with no integer
+factoring and no cap, and the quadratic formula; a factor that would need more
+reports itself as such.  Principal parts are kept grouped per pole.
 """
 
 from __future__ import annotations
@@ -461,69 +462,24 @@ def linear_roots(p: Poly, ctx: ExtensionContext):
     return lc, roots, remainder
 
 
-class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part pole_terms")):
-    """f = polynomial_part + sum coeff/(z - pole)**order over the listed terms.
+class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part poles")):
+    """f = polynomial_part + sum over (pole, cs) in poles of
+    sum_k cs[k-1]/(z - pole)**k.
 
-    polynomial_part is a Poly; pole_terms is a tuple of (pole, order, coeff)."""
+    polynomial_part is a Poly; poles is a tuple of (pole, cs), one per root of
+    the denominator in linear_roots' canonical order, with cs a tuple as long
+    as the pole's order: zeros are kept and cs[-1] != 0."""
 
     __slots__ = ()
 
-    def poles(self) -> list[tuple[FieldConstant, dict[int, FieldConstant]]]:
-        """(pole, {order: coeff}) for every pole, in canonical pole order."""
-        grouped: dict[tuple, tuple[FieldConstant, dict[int, FieldConstant]]] = {}
-        for pole, order, coeff in self.pole_terms:
-            grouped.setdefault(pole.sort_key(), (pole, {}))[1][order] = coeff
-        return [grouped[key] for key in sorted(grouped)]
-
     def recombine(self) -> RatFunc:
-        total = RatFunc(self.polynomial_part, Poly.const(1))
-        for pole, order, coeff in self.pole_terms:
-            den = Poly((-pole, ONE)).pow(order)
-            total = total + RatFunc(Poly.const(coeff), den)
+        total = RatFunc(self.polynomial_part)
+        for pole, cs in self.poles:
+            lin, num = Poly((-pole, ONE)), _ZERO
+            for c in cs:  # sum_k cs[k-1]*(z - pole)**(m-k), by Horner's rule
+                num = num * lin + Poly.const(c)
+            total = total + RatFunc(num, lin.pow(len(cs)))
         return total
-
-
-def _series_div(num: Poly, den: Poly, n: int) -> Poly:
-    """The power series num/den truncated to n terms, den[0] != 0, fraction-free.
-
-    num and den are integer vectors over Z[sqrt(q)]; when den[0] is
-    irrational both are multiplied by its conjugate, so that d0 = den[0] is a
-    nonzero integer.  With O_k = out_k * d0**(k+1) the division recurrence
-    out_k = (num_k - sum_j den_j*out_{k-j}) / d0 becomes the integer one
-        O_k = num_k*d0**k - sum_{j>=1} den_j*O_{k-j}*d0**(j-1),
-    and the n terms share the denominator d0**n, reduced once, by _poly.
-    """
-    q = common_discriminant((den,), num.q)
-    (nx, ny), (dx, dy) = _parts(num, q), _parts(den, q)
-    if q and dy[0]:  # times the conjugate dx[0] - dy[0]*sqrt(q)
-        nx, ny = _times(nx, ny, dx[0], -dy[0], q)
-        dx, dy = _times(dx, dy, dx[0], -dy[0], q)
-    d0 = dx[0]
-    # (j, den_j*d0**(j-1)) for the nonzero den_j, j >= 1
-    terms = [(j, dx[j] * d0 ** (j - 1), dy[j] * d0 ** (j - 1) if q else 0)
-             for j in range(1, len(dx)) if dx[j] or (q and dy[j])]
-    ox: list[int] = []
-    oy: list[int] = []
-    power = 1  # d0**k
-    for k in range(n):
-        u = nx[k] * power if k < len(nx) else 0
-        v = ny[k] * power if q and k < len(ny) else 0
-        for j, ex, ey in terms:
-            if j > k:
-                break
-            u -= ex * ox[k - j]
-            if q:
-                u -= q * ey * oy[k - j]
-                v -= ex * oy[k - j] + ey * ox[k - j]
-        ox.append(u)
-        oy.append(v)
-        power *= d0
-    # out_k = O_k*d0**(n-1-k)*den.d / (d0**n*num.d)
-    scale = den.d
-    for k in range(n - 1, -1, -1):
-        ox[k], oy[k] = ox[k] * scale, oy[k] * scale
-        scale *= d0
-    return _poly(ox, oy, power * num.d, q)
 
 
 def _gcd(x: Poly, y: Poly) -> Poly:
@@ -574,6 +530,11 @@ def _monic_sqrt(m: Poly) -> Poly | None:
     rb = ([2 * ys[k - i] * powers[i] for i in range(k)] + [0]) if q else ()
     root = _poly(ra, rb, powers[k], q)
     return root if root * root == m else None
+
+
+def _low_order(p: Poly) -> int:
+    """The index of p's lowest nonzero coefficient (p nonzero)."""
+    return next(k for k in range(len(p.a)) if p.a[k] or p.q and p.b[k])
 
 
 class RatFunc:
@@ -730,16 +691,8 @@ class RatFunc:
 
     # -- evaluation and expansion ------------------------------------------------
 
-    def _split_pole(self, z0: FieldConstant) -> tuple[int, Poly]:
-        """(m, den / (z - z0)**m) with m the pole order at z0."""
-        m, den = 0, self.den
-        while den.eval(z0).is_zero:
-            den = den.deflate(z0)
-            m += 1
-        return m, den
-
     def pole_order_at(self, z0: FieldConstant) -> int:
-        return self._split_pole(z0)[0]
+        return _low_order(self.den.shift(z0))
 
     def eval_at(self, z0: FieldConstant) -> FieldConstant:
         z0 = FieldConstant.of(z0)
@@ -752,30 +705,36 @@ class RatFunc:
         """n exact series coefficients of f(z0 + t): (offset, coeffs).
 
         f(z0 + t) = sum coeffs[i] * t**(offset + i); offset = -(pole order).
-        """
+        Numerator and denominator are shifted to z0 once; the pole order m is
+        the count of the shifted denominator's zero low coefficients, and the
+        quotient by the rest is the plain power-series division recurrence
+        (Knuth, TAOCP vol. 2, 4.7)."""
         if self.is_zero:
             return 0, [ZERO] * n
-        m, den = self._split_pole(z0)
-        series = _series_div(self.num.shift(z0), den.shift(z0), n)
-        return -m, [series[k] for k in range(n)]
+        num, den = self.num.shift(z0), self.den.shift(z0)
+        m = _low_order(den)
+        den = den.coeffs[m:]
+        inv, out = den[0].inverse(), []
+        for k in range(n):
+            acc = num[k]
+            for j in range(1, min(k + 1, len(den))):
+                acc = acc - den[j] * out[k - j]
+            out.append(acc * inv)
+        return -m, out
 
     # -- decomposition ------------------------------------------------------------
 
     def partial_fractions(self, ctx: ExtensionContext | None = None) -> PartialFractionForm:
-        """Split into polynomial part plus simple/higher pole terms over the field."""
+        """Split into the polynomial part plus the principal part at each pole
+        over the field, read off taylor_at to the pole's order."""
         ctx = ctx or ExtensionContext()
         poly_part, _ = self.num.divmod(self.den)
         _, roots, remainder = linear_roots(self.den, ctx)
         if remainder.degree > 0:
             raise IrreducibleDenominatorError(poly_to_str(remainder))
-        terms = []
-        for pole, mult in roots:
-            _, local = self.taylor_at(pole, mult)
-            for j, coeff in enumerate(local):
-                if not coeff.is_zero:
-                    terms.append((pole, mult - j, coeff))
-        terms.sort(key=lambda t: (t[0].sort_key(), t[1]))
-        return PartialFractionForm(poly_part, tuple(terms))
+        poles = tuple((pole, tuple(reversed(self.taylor_at(pole, mult)[1])))
+                      for pole, mult in roots)
+        return PartialFractionForm(poly_part, poles)
 
     def sqrt(self, ctx: ExtensionContext | None = None) -> RatFunc | None:
         """Square root in the rational function field, or None if there is none.

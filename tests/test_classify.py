@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -25,7 +26,7 @@ from merosolve.classify import (
 )
 from merosolve.errors import DomainViolationError, GammaIdenticallyZeroError
 from merosolve.expsum import ExpSum, residual
-from merosolve.field import FieldConstant
+from merosolve.field import FieldConstant, format_constant
 from merosolve.parse import parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc, poly_gcd
 
@@ -606,14 +607,15 @@ def d_draws(draw, splitting: bool):
     return k, beta, RatFunc(draw(nonzero_polys(2, constants)), den)
 
 
-def classify_cli(alpha, beta, gamma) -> tuple[int, list[str]]:
-    """The exit code and family labels of the classify verb on the printed coefficients."""
+def classify_cli(alpha, beta, gamma) -> tuple[int, dict]:
+    """The exit code and the JSON families, keyed by label, of the classify verb
+    on the printed coefficients."""
     argv = ["classify", "--alpha", str(alpha), "--beta", str(beta), "--gamma", str(gamma),
             "--json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return code, [f["case_label"] for f in json.loads(out.getvalue()).get("families", [])]
+    return code, {f["case_label"]: f for f in json.loads(out.getvalue()).get("families", [])}
 
 
 class TestCaseDOracle:
@@ -622,9 +624,9 @@ class TestCaseDOracle:
         alpha, gamma = d_equation(k, beta, t)
         w = ExpSum.exponential(k, 1) + ExpSum.from_ratfunc(t)
         assert residual(alpha, beta, gamma, w).is_zero  # the builder is right
-        code, labels = classify_cli(alpha, beta, gamma)
+        code, families = classify_cli(alpha, beta, gamma)
         # D needs gamma != 0; with gamma = 0 case C's family holds w
-        assert code == 0 and ("D" if not gamma.is_zero else "C") in labels
+        assert code == 0 and ("D" if not gamma.is_zero else "C") in families
 
     @settings(max_examples=100)
     @given(d_draws(splitting=True))
@@ -641,3 +643,54 @@ class TestCaseDOracle:
     @given(d_draws(splitting=False))
     def test_non_splitting_denominators_give_d(self, draw):
         self.check(draw)
+
+
+# -- an inverse-problem oracle: equations built from a known case C solution -----------
+# With I = -exp(-c*z)/f, I' = beta*exp(-c*z) for beta = c/f + f'/f^2, so case C's
+# w = exp(c*z)*(c2 - I) = c2*exp(c*z) + 1/f solves the equation with alpha = -beta'
+# and gamma = 0.  beta has a pole of order m + 1 at each root of f of multiplicity m,
+# and the residue of beta*exp(-c1*z) there vanishes at c1 = c.
+
+C_RATES = [FieldConstant.of(Fraction(s * n, d)) for s in (1, -1) for n in (1, 2, 3)
+           for d in (1, 2)]
+
+
+@st.composite
+def c_draws(draw):
+    """(f, c): f a product of 1-3 factors z - r, r rational, sometimes with a
+    repeated factor, and c in +-{1, 2, 3}/{1, 2}."""
+    roots = draw(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                          min_size=1, max_size=3))
+    if len(roots) < 3 and draw(st.booleans()):
+        roots.append(roots[0])
+    f = Poly.const(1)
+    for r in roots:
+        f = f * Poly((FieldConstant.of(-r), FieldConstant.of(1)))
+    return RatFunc(f), draw(st.sampled_from(C_RATES))
+
+
+class TestCaseCOracle:
+    def check(self, f, c):
+        beta = c / f + f.derivative() / (f * f)
+        alpha, gamma = -beta.derivative(), RatFunc.const(0)
+        w = ExpSum.exponential(c, 2) + ExpSum.from_ratfunc(1 / f)
+        assert residual(alpha, beta, gamma, w).is_zero  # the builder is right
+        code, families = classify_cli(alpha, beta, gamma)
+        assert code == 0 and "C" in families
+        c1 = families["C"]["parameters"][0]
+        assert c1["name"] == "c1" and format_constant(c) in c1["allowed_values"]
+
+    @settings(max_examples=60)
+    @given(c_draws())
+    def test_splitting_denominators_give_c(self, draw):
+        self.check(*draw)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 4: case C reads the residues at the roots of beta's"
+        " denominator, so it rejects with 'does not split' when f has no root in K",
+    )
+    def test_non_splitting_denominator_gives_c(self):
+        # verify of exp(z) + 1/(z^3 - 2) on this equation exits 0
+        self.check(RatFunc(Poly.z().pow(3) - Poly.const(2)), FieldConstant.of(1))

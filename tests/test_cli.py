@@ -407,7 +407,7 @@ class TestExpand:
     ])
     def test_taylor_set_up_once_per_expansion(self, capsys, monkeypatch, argv, setups):
         calls, divisions = [], []
-        real_div = ratfunc._series_div
+        real_taylor = ratfunc.RatFunc.taylor_at
 
         class Taylor(series._Taylor):
             __slots__ = ()
@@ -418,11 +418,11 @@ class TestExpand:
 
         def dividing(*args):
             divisions.append(args)
-            return real_div(*args)
+            return real_taylor(*args)
 
         # the cleared polynomials are shifted once per expansion, with no series division
         monkeypatch.setattr(series, "_Taylor", Taylor)
-        monkeypatch.setattr(ratfunc, "_series_div", dividing)
+        monkeypatch.setattr(ratfunc.RatFunc, "taylor_at", dividing)
         code, doc, _ = run_json(capsys, "expand", *argv)
         assert code == 0 and len(doc["branches"]) == 2
         assert len(calls) == setups and divisions == []

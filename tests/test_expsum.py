@@ -301,6 +301,16 @@ class TestNumeric:
         assert all(ok and bound < cmath.inf for _, bound, ok in checks)
         assert numeric_residual_bound_ok(RF0, RF0, RF0, w, [0.001 + 0j])
 
+    def test_numeric_check_skips_a_non_finite_residual(self):
+        # at one guarded point w*w'' of exp(400*z) is nan-infj, with no
+        # OverflowError; the exact solution passes and a non-solution still fails
+        w = exp_of(400)
+        pts = guarded_sample_points(RF0, RF0, RF0, w)
+        assert numeric_residual_bound_ok(RF0, RF0, RF0, w, pts)
+        bad = exp_of(2) + ExpSum.from_ratfunc(1)
+        assert not numeric_residual_bound_ok(RF0, RF0, RF0, bad,
+                                             guarded_sample_points(RF0, RF0, RF0, bad))
+
 
 # (z - 1) and (z - 1)^2 repeat a factor; z^2 + 1 does not split over Q
 gate_denominators = st.sampled_from([RatFunc.const(1), Z - 1, (Z - 1) ** 2, Z + 2, Z * Z + 1])

@@ -266,23 +266,28 @@ class TestPartialFractions:
         except IrreducibleDenominatorError:
             return
         assert form.recombine() == f
+        # one principal part per root, in linear_roots' order, as long as its order
+        _, roots, _ = linear_roots(f.den, ctx)
+        assert [(pole, len(cs)) for pole, cs in form.poles] == roots
+        assert all(not cs[-1].is_zero for _, cs in form.poles)
 
     def test_simple_decomposition(self):
-        # 1/(z^2 - 1) = (1/2)/(z - 1) - (1/2)/(z + 1)
+        # 1/(z^2 - 1) = (1/2)/(z - 1) - (1/2)/(z + 1): the residue at +-1 is
+        # 1/(2*(+-1)), the value of 1/(z -+ 1) there
         f = 1 / (Z * Z - 1)
         form = f.partial_fractions()
         half = FieldConstant.of(Fraction(1, 2))
         assert form.polynomial_part.is_zero
-        assert form.pole_terms == (
-            (-ONE, 1, -half),
-            (ONE, 1, half),
+        assert form.poles == (
+            (-ONE, (-half,)),
+            (ONE, (half,)),
         )
 
     def test_higher_order_pole(self):
-        # (z + 1)/z^2 = 1/z + 1/z^2
+        # (z + 1)/z^2 = 1/z + 1/z^2: cs[k-1] is the coefficient of z^-k
         f = (Z + 1) / (Z * Z)
         form = f.partial_fractions()
-        assert set(form.pole_terms) == {(ZERO, 1, ONE), (ZERO, 2, ONE)}
+        assert form.poles == ((ZERO, (ONE, ONE)),)
 
     def test_irreducible_denominator_raises(self):
         f = 1 / (Z ** 3 - 2)

@@ -55,8 +55,8 @@ def _records():
         "ClassificationReport": ("families",
                                  lambda: ClassificationReport(z, z, z, (), (), None)),
         "ObstructionReport": ("rate", lambda: ObstructionReport(half(), ONE, half())),
-        "PartialFractionForm": ("pole_terms",
-                                lambda: PartialFractionForm(Poly.z(), ((half(), 1, ONE),))),
+        "PartialFractionForm": ("poles",
+                                lambda: PartialFractionForm(Poly.z(), ((half(), (ONE,)),))),
         "LeadingCandidate": ("a0", cand),
         "BranchResonance": ("status",
                             lambda: BranchResonance(cand(), "no-resonance", half(), False)),
