@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedExtensionError,
 )
 from .expsum import ExpSum, ObstructionReport, _rate_str, integrate_exp, residual
-from .field import ZERO, ONE, ExtensionContext, FieldConstant, format_constant
+from .field import ZERO, ONE, ExtensionContext, FieldConstant, common_discriminant, format_constant
 from .ratfunc import (
     Poly,
     RatFunc,
@@ -234,7 +234,8 @@ class _Collector:
 
     def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
-        self.base_q = _coefficient_extension(alpha, beta, gamma)
+        self.base_q = common_discriminant(
+            (alpha.num, alpha.den, beta.num, beta.den, gamma.num, gamma.den)) or None
         self.families: list[SolutionFamily] = []
         self.rejected: list[RejectedBranch] = []
         self.warnings: list[str] = []
@@ -483,7 +484,7 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
             raise DomainViolationError(
                 f"c1 = {format_constant(c1)} is obstructed: {anti.describe()}"
             )
-        return ExpSum.exponential(c1, RatFunc.const(c2)) - ExpSum.exponential(c1, 1) * anti
+        return ExpSum([(c1, c2), (ZERO, -anti)])
 
     if allowed is None:
         params = (Parameter("c1", "K"), Parameter("c2", "K"))
@@ -532,20 +533,18 @@ def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
         k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1", "D")
         if k1v is None:
             continue
-        anti = col.lift("D", integrate_exp, h, -k1v, ctx,
+        tail = col.lift("D", integrate_exp, h, -k1v, ctx,
                         leaves="integration leaves", split="h", tag=tag)
-        if anti is None:
+        if tail is None:
             continue
-        rate0 = ExpSum.exponential(k1v, 1) * anti  # single rate-0 term
 
-        def build(v: dict, _k1=k1v, _tail=rate0) -> ExpSum:
-            return ExpSum.exponential(_k1, RatFunc.const(v["c1"])) + _tail
+        def build(v: dict, _k1=k1v, _tail=tail) -> ExpSum:
+            return ExpSum([(_k1, v["c1"]), (ZERO, _tail)])
 
-        tail_str = ratfunc_to_str(rate0.rate_zero_part())
         col.attempt(
             "D",
             (Parameter("c1", "K"),),
-            f"w = {_exp_piece('c1', k1v)} + ({tail_str})",
+            f"w = {_exp_piece('c1', k1v)} + ({ratfunc_to_str(tail)})",
             ConstraintSet(h=h, discriminant=disc),
             build,
             [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
@@ -632,33 +631,29 @@ def _case_Ea_free(col, Arf) -> None:
         col.reject("E.a", f"{which} is not constant on the free-rate branch")
         return
 
-    def k2sq_of(k1: FieldConstant) -> FieldConstant:
+    def k2_of(k1: FieldConstant) -> FieldConstant:
+        """sqrt((alpha^2/k1^2 + gamma)/k1^2) within the equation's one extension."""
         k1sq = k1 * k1
-        return (av * av / k1sq + gv) / k1sq
+        return ExtensionContext(col.base_q).sqrt((av * av / k1sq + gv) / k1sq)
 
     def build(v: dict) -> ExpSum:
-        k1 = v["k1"]
-        k2sq = k2sq_of(k1)
-        if k2sq.is_zero:
+        k1, k2 = v["k1"], k2_of(v["k1"])
+        if k2.is_zero:
             raise DomainViolationError(
                 f"k2 = 0 at k1 = {format_constant(k1)}; not in the cosh branch"
             )
-        local = ExtensionContext(col.base_q)
-        k2 = local.sqrt(k2sq)
         return _cosh(k1, _signed(v, k2) / 2, v["C"], RatFunc.const(av / (k1 * k1)))
 
-    # pick three k1 samples whose k2 stays within the one-extension budget
+    # pick three k1 samples whose nonzero k2 stays within the one-extension budget
     k1_samples: list[FieldConstant] = []
     for cand in (1, 2, Fraction(1, 2), 3, Fraction(1, 3), 4, Fraction(1, 4), 5):
         v = FieldConstant.of(cand)
-        k2sq = k2sq_of(v)
-        if k2sq.is_zero:
-            continue
         try:
-            ExtensionContext(col.base_q).sqrt(k2sq)
+            k2 = k2_of(v)
         except _LIFT_ERRORS:
             continue
-        k1_samples.append(v)
+        if not k2.is_zero:
+            k1_samples.append(v)
         if len(k1_samples) == 3:
             break
     if not k1_samples:
@@ -785,7 +780,7 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
                     leaves="integration leaves", split="beta")
     if anti is None:
         return
-    half_int = anti.rate_zero_part() / 2
+    half_int = anti / 2
 
     def build(v: dict) -> ExpSum:
         return ExpSum.from_ratfunc(
@@ -813,18 +808,16 @@ def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
             f"beta^2/4 - gamma = {ratfunc_to_str(quarter_disc)} is not identically zero",
         )
         return
-    anti = col.lift("E.e", integrate_exp, beta / 2, Av / 2, ctx,
+    tail = col.lift("E.e", integrate_exp, beta / 2, Av / 2, ctx,
                     leaves="integration leaves", split="beta")
-    if anti is None:
+    if tail is None:
         return
     mu = -Av / 2
-    tail = ExpSum.exponential(mu, 1) * anti  # rate-0 term
 
     def build(v: dict) -> ExpSum:
-        return ExpSum.exponential(mu, RatFunc.const(v["c1"])) - tail
+        return ExpSum([(mu, v["c1"]), (ZERO, -tail)])
 
-    tail_rf = tail.rate_zero_part()
-    tail_str = f" - ({ratfunc_to_str(tail_rf)})" if not tail_rf.is_zero else ""
+    tail_str = f" - ({ratfunc_to_str(tail)})" if not tail.is_zero else ""
     col.attempt(
         "E.e",
         (Parameter("c1", "K"),),
@@ -834,10 +827,6 @@ def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
         build,
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
     )
-
-
-def _coefficient_extension(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> int | None:
-    return next((p.q for f in (alpha, beta, gamma) for p in (f.num, f.den) if p.q), None)
 
 
 def _case_table(alpha: RatFunc, beta: RatFunc, gamma: RatFunc):

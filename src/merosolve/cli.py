@@ -117,6 +117,8 @@ def _parse_params(items: list[str], solution: str) -> dict[str, FieldConstant]:
             raise _UsageError(f"--params cannot bind {name!r}, a name the grammar reserves")
         if not is_name(name):
             raise _UsageError(f"--params cannot bind {name!r}, which is not a name")
+        if name in out:
+            raise _UsageError(f"--params binds {name!r} twice")
         out[name] = parse_constant(value.strip())
     read = names_read(solution)
     for name in out:

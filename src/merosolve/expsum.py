@@ -1,8 +1,9 @@
 """Finite exponential sums sum R_i(z) * exp(rate_i * z) with exact arithmetic.
 
-The class is closed under ring operations and differentiation; integration is
-closed except for logarithmic obstructions, which are returned as a typed
-report (a normal outcome, not an exception).
+The class is closed under ring operations and differentiation.  Integration
+of R(z)*exp(a*z), R rational, is the Risch equation S' + a*S = R: integrate_exp
+returns the rational S, or the logarithmic obstruction as a typed report (a
+normal outcome, not an exception).
 
 The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
 integer-vector numerators over one denominator (_residual_numerators), keyed
@@ -80,10 +81,6 @@ class ExpSum:
         self._poles = None
 
     # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero() -> ExpSum:
-        return ExpSum()
 
     @staticmethod
     def from_ratfunc(f) -> ExpSum:
@@ -274,17 +271,18 @@ def _horner(cs: list[complex], z: complex) -> complex:
 
 def integrate_exp(
     coeff: RatFunc, rate: FieldConstant, ctx: ExtensionContext | None = None
-) -> ExpSum | ObstructionReport:
-    """Exact antiderivative of coeff(z)*exp(rate*z), or the obstruction.
+) -> RatFunc | ObstructionReport:
+    """The rational S with S' + rate*S = coeff, so that S(z)*exp(rate*z) is
+    the antiderivative of coeff(z)*exp(rate*z), or the obstruction.
 
-    Integration constant is zero.  The obstruction is the first pole (in
-    canonical order) whose accumulated (z - pole)**(-1) coefficient after
-    integration by parts does not vanish.
+    At rate 0 the integration constant is zero.  The obstruction is the first
+    pole (in canonical order) whose accumulated (z - pole)**(-1) coefficient
+    after integration by parts does not vanish.
     """
     coeff = RatFunc.of(coeff)
     rate = FieldConstant.of(rate)
     if coeff.is_zero:
-        return ExpSum.zero()
+        return coeff
     pf = coeff.partial_fractions(ctx)
 
     # by parts, with t = d/(k-1): the integral of d*exp(rate*z)/(z-P)**k is
@@ -315,7 +313,7 @@ def integrate_exp(
             q = q + p.scale(power)
             p = p.derivative()
             power = -power * step
-    return ExpSum([(rate, PartialFractionForm(q, tuple(pieces)).recombine())])
+    return PartialFractionForm(q, tuple(pieces)).recombine()
 
 
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:

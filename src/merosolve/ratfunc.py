@@ -11,9 +11,10 @@ derivatives of polynomials are plain Poly arithmetic and a division by a
 constant is a scaling.  Square roots take the monic polynomial root of
 numerator and denominator.  A series at a point shifts both there once and
 divides over the field.  Partial fractions use square-free decomposition, the
-rational roots of a rational factor, found by p-adic lifting with no integer
-factoring and no cap, and the quadratic formula; a factor that would need more
-reports itself as such.  Principal parts are kept grouped per pole.
+rational roots of a rational factor, found by p-adic lifting from the least
+prime at which its roots are simple, with no integer factoring and no cap, and
+the quadratic formula; a factor that would need more reports itself as such.
+Principal parts are kept grouped per pole.
 """
 
 from __future__ import annotations
@@ -367,44 +368,29 @@ def _horner(a, x: int, m: int) -> int:
     return v
 
 
-def _coprime_mod(f, g, p: int) -> bool:
-    """Whether the integer vectors f and g share no factor over GF(p), p prime."""
-    f, g = [x % p for x in f], [x % p for x in g]
-    while g and not g[-1]:
-        g.pop()
-    while g:  # Euclid: f <- f mod g, then swap
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c, k = f.pop() * inv % p, len(f) - len(g) + 1
-            for i, x in enumerate(g[:-1]):
-                f[k + i] = (f[k + i] - c * x) % p
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return len(f) == 1
-
-
 def _rational_roots(f: Poly) -> list[FieldConstant]:
     """The rational roots of a square-free rational f with f(0) != 0, by p-adic
     lifting (Loos, SIAM J. Comput. 12(2), 1983; von zur Gathen & Gerhard,
     Modern Computer Algebra, ch. 15), with no integer factoring.
 
-    On f's integer vector a, p is the least prime dividing neither a[-1] nor
-    disc(f), so the roots mod p are simple.  Newton's iteration lifts each to a
-    modulus M > 2*|a[0]*a[-1]|.  A root u/v has v | a[-1] and |u| <= |a[0]|, so
-    a[-1]*u/v is the symmetric residue of a[-1]*r mod M; every candidate read
-    off that way is checked exactly."""
+    On f's integer vector a, p is the least prime not dividing a[-1] at which
+    f' is nonzero at every root of f mod p; such a p exists, as any prime
+    dividing neither a[-1] nor disc(f) will do.  A root u/v has v | a[-1], so
+    it reduces to one of those simple roots, and Newton's iteration lifts each
+    to a modulus M > 2*|a[0]*a[-1]|.  As |u| <= |a[0]|, a[-1]*u/v is the
+    symmetric residue of a[-1]*r mod M; every candidate read off that way is
+    checked exactly."""
     a = f.a
     da = [i * x for i, x in enumerate(a)][1:]
-    p = 2
-    while a[-1] % p == 0 or not _coprime_mod(a, da, p):
+    p = 1
+    while True:
         p += 1
-        while any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-            p += 1
+        if a[-1] % p and all(p % k for k in range(2, math.isqrt(p) + 1)):
+            simple = [r for r in range(p) if not _horner(a, r, p)]
+            if all(_horner(da, r, p) for r in simple):
+                break
     bound, roots = 2 * abs(a[0] * a[-1]), []
-    for r in range(p):
-        if _horner(a, r, p):
-            continue
+    for r in simple:
         m = p
         while m <= bound:
             m *= m

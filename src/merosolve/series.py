@@ -38,11 +38,11 @@ from .errors import PointInPhiError
 from .field import (
     ZERO,
     ONE,
-    ExtensionContext,
     FieldConstant,
     common_discriminant,
     from_integers,
     integer_parts,
+    sqrt_constant,
 )
 from .laurent import LaurentExpansion, ResonanceInfo
 from .parse import RESONANCE_CAP_DEFAULT
@@ -79,12 +79,13 @@ def leading_candidates(
     beta: RatFunc,
     gamma: RatFunc,
     z0: FieldConstant,
-    ctx: ExtensionContext | None = None,
 ) -> list[LeadingCandidate]:
     """Leading-order balances for a zero of a solution at z0.
 
-    z0 must avoid every zero and pole of a nonzero coefficient.  The balance
-    of most singular orders forces: p = 2 with a0 = -alpha(z0)/2 when
+    The coefficients and z0 must lie in one field Q(sqrt(q)), else
+    IncompatibleExtensionsError names the first two extensions in argument
+    order.  z0 must avoid every zero and pole of a nonzero coefficient.  The
+    balance of most singular orders forces: p = 2 with a0 = -alpha(z0)/2 when
     beta = gamma = 0; p = 1 with a0 = -beta(z0) when only gamma = 0; and
     p = 1 with a0 a root of a0**2 + beta(z0)*a0 + gamma(z0) = 0 otherwise.
     The degenerate equation (all three coefficients zero) admits only
@@ -92,11 +93,11 @@ def leading_candidates(
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
+    common_discriminant((alpha.num, alpha.den, beta.num, beta.den, gamma.num, gamma.den, z0))
     if in_excluded_set(alpha, beta, gamma, z0):
         raise PointInPhiError(z0)
     if alpha.is_zero and beta.is_zero and gamma.is_zero:
         return []
-    ctx = ctx or ExtensionContext()
     if gamma.is_zero and beta.is_zero:
         return [LeadingCandidate(2, -alpha.eval_at(z0) / 2)]
     if gamma.is_zero:
@@ -107,7 +108,7 @@ def leading_candidates(
     disc = b0 * b0 - 4 * g0
     if disc.is_zero:
         return [LeadingCandidate(1, -b0 / 2, note="double root of the leading equation")]
-    s = ctx.sqrt(disc)
+    s = sqrt_constant(disc)
     return [LeadingCandidate(1, (-b0 + s) / 2), LeadingCandidate(1, (-b0 - s) / 2)]
 
 
@@ -459,8 +460,7 @@ def resonance_report(
     gamma: RatFunc,
     z0: FieldConstant,
     cap: int = RESONANCE_CAP_DEFAULT,
-    ctx: ExtensionContext | None = None,
 ) -> list[BranchResonance]:
     """branch_resonance of every leading candidate at z0."""
     return [branch_resonance(alpha, beta, gamma, z0, cand, cap)
-            for cand in leading_candidates(alpha, beta, gamma, z0, ctx)]
+            for cand in leading_candidates(alpha, beta, gamma, z0)]

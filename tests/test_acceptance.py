@@ -248,10 +248,8 @@ class TestAcceptance:
             assert out.residue_coefficient == ONE
 
             out = integrate_exp(2 / Z - 1 / (Z * Z), FieldConstant.of(2))
-            assert out == ExpSum([(FieldConstant.of(2), 1 / Z)])
-            assert out.derivative() == ExpSum(
-                [(FieldConstant.of(2), 2 / Z - 1 / (Z * Z))]
-            )
+            assert out == 1 / Z
+            assert out.derivative() + out * 2 == 2 / Z - 1 / (Z * Z)
             ok = True
         finally:
             report(capsys, 7, ok)

@@ -222,6 +222,15 @@ class TestVerify:
         assert code == 1
         assert out.startswith("error [Usage]")
 
+    def test_params_cannot_bind_a_name_twice(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "verify",
+            "--alpha", "0", "--beta", "0", "--gamma", "0",
+            "--solution", "c1*exp(z)", "--params", "c1=3", "--params", "c1=0",
+        )
+        assert code == 1
+        assert doc == {"error": {"code": "Usage", "message": "--params binds 'c1' twice"}}
+
     @pytest.mark.parametrize("name", ["z", "sqrt", "exp"])
     def test_params_cannot_bind_a_reserved_name(self, capsys, name):
         code, doc, _ = run_json(
@@ -669,11 +678,17 @@ class TestErrorEnvelope:
         assert doc["error"]["message"].endswith(
             f"exceeds the {sys.get_int_max_str_digits()}-digit printing limit")
 
-    def test_two_extensions_in_one_coefficient(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "classify", "--alpha", "sqrt(2)*z + sqrt(3)", "--beta", "1",
-            "--gamma", "sqrt(3)",
-        )
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--alpha", "sqrt(2)*z + sqrt(3)", "--beta", "1", "--gamma", "sqrt(3)"),
+        # one field in each coefficient, two in the equation
+        ("classify", "--alpha", "0", "--beta", "sqrt(2)", "--gamma", "sqrt(3)"),
+        ("expand", "--alpha", "sqrt(2)", "--beta", "sqrt(3)", "--gamma", "1",
+         "--at", "1", "--order", "4"),
+        ("transform", "--k0", "sqrt(3)", "--k1", "0", "--k2", "sqrt(2)", "--k3", "0",
+         "--then-classify"),
+    ])
+    def test_two_extensions_in_one_coefficient(self, capsys, argv):
+        code, doc, _ = run_json(capsys, *argv)
         assert code == 1
         assert doc == {"error": {
             "code": "IncompatibleExtensions",

@@ -92,8 +92,9 @@ class TestCalculus:
     @given(polynomial_expsums())
     def test_integrate_then_differentiate(self, x):
         ctx = ExtensionContext()
-        anti = sum((integrate_exp(c, r, ctx) for r, c in x.terms), ExpSum.zero())
-        assert anti.derivative() == x
+        for r, c in x.terms:
+            s = integrate_exp(c, r, ctx)
+            assert s.derivative() + s * r == c
 
 
 class TestIntegrateExp:
@@ -112,35 +113,36 @@ class TestIntegrateExp:
     def test_order_two_pole_integrates(self):
         # int exp(2z)*(2/z - 1/z^2) dz = exp(2z)/z
         out = integrate_exp(2 / Z - 1 / (Z * Z), FieldConstant.of(2))
-        assert out == ExpSum([(FieldConstant.of(2), 1 / Z)])
-        assert out.derivative() == ExpSum([(FieldConstant.of(2), 2 / Z - 1 / (Z * Z))])
+        assert out == 1 / Z
+        assert out.derivative() + out * 2 == 2 / Z - 1 / (Z * Z)
 
     def test_rate_zero_polynomial_and_high_poles(self):
         # int (3z^2 + 1/z^3) dz = z^3 - 1/(2 z^2)
         out = integrate_exp(3 * Z * Z + 1 / Z ** 3, ZERO)
         expected = Z ** 3 - RatFunc.const(Fraction(1, 2)) / (Z * Z)
-        assert out == ExpSum.from_ratfunc(expected)
+        assert out == expected
+        assert out.derivative() == 3 * Z * Z + 1 / Z ** 3
 
     def test_order_k_pole_closed_form(self):
         # int c/(z - r)^k dz = -c/(k-1) * (z - r)^(1-k) for k >= 2
         c, r, k = FieldConstant.of(6), FieldConstant.of(1), 4
         out = integrate_exp(RatFunc(Poly.const(c), Poly((-r, ONE)).pow(k)), ZERO)
         expected = RatFunc(Poly.const(-c / (k - 1)), Poly((-r, ONE)).pow(k - 1))
-        assert out == ExpSum.from_ratfunc(expected)
+        assert out == expected
+        assert out.derivative() == RatFunc(Poly.const(c), Poly((-r, ONE)).pow(k))
 
     def test_polynomial_times_exponential(self):
         # int z*exp(z) dz = (z - 1)*exp(z)
         out = integrate_exp(Z, ONE)
-        assert out == ExpSum([(ONE, Z - 1)])
+        assert out == Z - 1
+        assert out.derivative() + out == Z
 
     def test_cancelling_residues_integrate(self):
         # After parts the accumulated order-1 coefficient can vanish:
         # coeff = 1/z^2 - rate/z with rate = 2 integrates cleanly.
         out = integrate_exp(1 / (Z * Z) - 2 / Z, FieldConstant.of(2))
-        assert isinstance(out, ExpSum)
-        assert out.derivative() == ExpSum(
-            [(FieldConstant.of(2), 1 / (Z * Z) - 2 / Z)]
-        )
+        assert not isinstance(out, ObstructionReport)
+        assert out.derivative() + out * 2 == 1 / (Z * Z) - 2 / Z
 
 
 @st.composite
@@ -164,8 +166,8 @@ class TestIntegrateExpPoles:
     @given(pole_integrands(), integration_rates)
     def test_antiderivative_differentiates_back(self, coeff, rate):
         out = integrate_exp(coeff, rate)
-        if isinstance(out, ExpSum):
-            assert out.derivative() == ExpSum([(rate, coeff)])
+        if not isinstance(out, ObstructionReport):
+            assert out.derivative() + out * rate == coeff
 
     @given(pole_integrands(), integration_rates)
     def test_removing_the_reported_residue_lifts_the_obstruction(self, coeff, rate):
@@ -175,7 +177,7 @@ class TestIntegrateExpPoles:
             assert last is None or pole.sort_key() > last.sort_key()
             coeff = coeff - RatFunc(Poly.const(out.residue_coefficient), Poly((-pole, ONE)))
             out, last = integrate_exp(coeff, rate), pole
-        assert out.derivative() == ExpSum([(rate, coeff)])
+        assert out.derivative() + out * rate == coeff
 
 
 class TestLaurent:
@@ -196,7 +198,7 @@ class TestLaurent:
             assert exy.coefficients[k] == conv
 
     def test_zero_sum_convention(self):
-        e = reference_kernels.laurent_at(ExpSum.zero(), ZERO, 4)
+        e = reference_kernels.laurent_at(ExpSum(), ZERO, 4)
         assert e.p == 0
         assert e.coefficients == tuple([ZERO] * 5)
 
@@ -511,7 +513,7 @@ class TestPoleSet:
 
 class TestText:
     def test_zero(self):
-        assert ExpSum.zero().to_text() == "0"
+        assert ExpSum().to_text() == "0"
 
     def test_rate_unit_conventions(self):
         x = exp_of(-1) + ExpSum.from_ratfunc(2) + exp_of(1)

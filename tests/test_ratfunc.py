@@ -200,6 +200,9 @@ def _planted_roots(draw):
     return p, planted, irreducible
 
 
+_QUARTIC = Poly([FieldConstant.of(c) for c in (3, 2, 3, 2, 1)])  # (z^2 + z + 1)^2 + 2
+
+
 class TestRoots:
     def test_linear_roots_with_multiplicities(self):
         ctx = ExtensionContext()
@@ -227,6 +230,9 @@ class TestRoots:
         assert roots == [] and rem.degree == 3
 
     @given(_planted_roots())
+    # (z - 1)*((z^2 + z + 1)^2 + 2) is square-free over Q, and mod 2 it is
+    # (z + 1)*(z^2 + z + 1)^2: the root 1 is simple there, so 2 is the prime
+    @example((Poly([FieldConstant.of(-1), ONE]) * _QUARTIC, {1: 1}, _QUARTIC))
     def test_rational_roots_are_exactly_the_planted_ones(self, case):
         p, planted, irreducible = case
         lc, roots, rem = linear_roots(p, ExtensionContext())

@@ -17,7 +17,6 @@ from merosolve.expsum import ExpSum
 from merosolve.field import (
     ONE,
     ZERO,
-    ExtensionContext,
     FieldConstant,
     common_discriminant,
     from_integers,
@@ -73,9 +72,8 @@ class TestLeadingCandidates:
         assert cands[0].note == "double root of the leading equation"
 
     def test_extension_adopted_for_irrational_roots(self):
-        ctx = ExtensionContext()
-        cands = leading_candidates(RF0, RF0, RatFunc.const(-2), ZERO, ctx)
-        assert ctx.q == 2
+        cands = leading_candidates(RF0, RF0, RatFunc.const(-2), ZERO)
+        assert {c.a0.q for c in cands} == {2}
         root2 = FieldConstant(Fraction(0), Fraction(1), 2)
         assert {c.a0 for c in cands} == {root2, -root2}
 
@@ -172,7 +170,7 @@ class TestResubstitution:
         alpha, beta, gamma = coeffs
         n = 6
         try:
-            cands = leading_candidates(alpha, beta, gamma, ZERO, ExtensionContext())
+            cands = leading_candidates(alpha, beta, gamma, ZERO)
         except PointInPhiError:
             return
         for cand in cands:
@@ -368,8 +366,7 @@ class TestClosedFormAgreement:
     def test_leading_candidates_cover_the_solution(self):
         alpha, beta, gamma = RatFunc.const(1), RF0, RatFunc.const(2)
         z0 = FieldConstant(Fraction(-3), Fraction(1), -2)
-        ctx = ExtensionContext(-2)
-        cands = leading_candidates(alpha, beta, gamma, z0, ctx)
+        cands = leading_candidates(alpha, beta, gamma, z0)
         root = FieldConstant(Fraction(0), Fraction(1), -2)
         assert {c.a0 for c in cands} == {root, -root}
 
