@@ -16,7 +16,7 @@ import time
 from importlib import import_module
 
 from .errors import LimitExceededError, MerosolveError
-from .field import FieldConstant
+from .field import FieldConstant, common_discriminant
 from .parse import (MAX_ORDER, RESERVED_NAMES, RESONANCE_CAP_DEFAULT, is_name, names_read,
                     parse_constant, parse_expsum, parse_ratfunc)
 from .report import (
@@ -131,6 +131,12 @@ def _parse_coefficients(args):
     return parse_ratfunc(args.alpha), parse_ratfunc(args.beta), parse_ratfunc(args.gamma)
 
 
+def _one_field(alpha, beta, gamma):
+    """The coefficients, after IncompatibleExtensionsError when they come from two fields."""
+    common_discriminant([p for f in (alpha, beta, gamma) for p in (f.num, f.den)])
+    return alpha, beta, gamma
+
+
 def _cmd_classify(args) -> tuple[dict, int]:
     from .classify import classify
 
@@ -150,7 +156,7 @@ def _cmd_transform(args) -> tuple[dict, int]:
     from .classify import classify, transform_original
 
     kappas = [parse_ratfunc(getattr(args, k)) for k in ("k0", "k1", "k2", "k3")]
-    alpha, beta, gamma = transform_original(*kappas)
+    alpha, beta, gamma = _one_field(*transform_original(*kappas))
     payload = {"coefficients": coefficients_dict(alpha, beta, gamma)}
     warnings: list[str] = []
     code = 0
@@ -177,7 +183,7 @@ def _format_complex(z: complex) -> str:
 def _cmd_verify(args) -> tuple[dict, int]:
     from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
 
-    alpha, beta, gamma = _parse_coefficients(args)
+    alpha, beta, gamma = _one_field(*_parse_coefficients(args))
     params = _parse_params(args.params, args.solution)
     w = parse_expsum(args.solution, params=params)
     r = residual(alpha, beta, gamma, w)

@@ -2,7 +2,8 @@
 
 The class is closed under ring operations and differentiation.  Integration
 of R(z)*exp(a*z), R rational, is the Risch equation S' + a*S = R: integrate_exp
-returns the rational S, or the logarithmic obstruction as a typed report (a
+finds the rational S with no root of R's denominator, which it splits only to
+name the logarithmic obstruction when there is no S, as a typed report (a
 normal outcome, not an exception).
 
 The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
@@ -23,8 +24,7 @@ from fractions import Fraction
 from .errors import IncompatibleExtensionsError, NearPoleError
 from .field import (ZERO, ONE, ExtensionContext, FieldConstant, format_constant,
                     from_integers, integer_parts)
-from .ratfunc import (PartialFractionForm, Poly, RatFunc, over_common_denominator, poly_gcd,
-                      ratfunc_to_str)
+from .ratfunc import Poly, RatFunc, over_common_denominator, poly_gcd, ratfunc_to_str
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
@@ -275,45 +275,46 @@ def integrate_exp(
     """The rational S with S' + rate*S = coeff, so that S(z)*exp(rate*z) is
     the antiderivative of coeff(z)*exp(rate*z), or the obstruction.
 
-    At rate 0 the integration constant is zero.  The obstruction is the first
-    pole (in canonical order) whose accumulated (z - pole)**(-1) coefficient
-    after integration by parts does not vanish.
-    """
-    coeff = RatFunc.of(coeff)
-    rate = FieldConstant.of(rate)
+    With coeff = p + r/Q, deg r < deg Q: p integrates termwise at rate 0
+    (integration constant zero), by repeated parts otherwise.  A pole of S of
+    order m is one of S' + rate*S of order m + 1, so S = poly + N/G with
+    G = gcd(Q, Q'), and no root of Q is needed (Risch, Trans. AMS 139, 1969;
+    Bronstein, Symbolic Integration I, ch. 6).  Only a missing S has ctx split
+    Q, to name the first pole (in canonical order) with a nonzero residue."""
+    coeff, rate = RatFunc.of(coeff), FieldConstant.of(rate)
     if coeff.is_zero:
         return coeff
-    pf = coeff.partial_fractions(ctx)
-
-    # by parts, with t = d/(k-1): the integral of d*exp(rate*z)/(z-P)**k is
-    # -t*exp(rate*z)/(z-P)**(k-1) plus that of t*rate*exp(rate*z)/(z-P)**(k-1);
-    # orders k >= 2 reduce one at a time, d[k] turning into the piece over
-    # (z-P)**(k-1), and what reaches order 1 is the residue
-    pieces = []
-    for pole, cs in pf.poles:
-        d = [ZERO, *cs]
-        for k in range(len(d) - 1, 1, -1):
-            t = d[k] / (k - 1)
-            d[k - 1] = d[k - 1] + t * rate
-            d[k] = -t
-        if not d[1].is_zero:
-            return ObstructionReport(pole, rate, d[1])
-        if len(d) > 2:
-            pieces.append((pole, tuple(d[2:])))
-
-    p = pf.polynomial_part
+    p, r = coeff.num.divmod(coeff.den)
     if rate.is_zero:
         q = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)])
-    else:
-        # repeated parts: sum_j (-1)**j p^(j) / rate**(j+1)
-        q = Poly()
+    else:  # repeated parts: sum_j (-1)**j p^(j) / rate**(j+1)
         step = rate.inverse()
-        power = step
+        q, power = Poly(), step
         while not p.is_zero:
-            q = q + p.scale(power)
-            p = p.derivative()
-            power = -power * step
-    return PartialFractionForm(q, tuple(pieces)).recombine()
+            q, p, power = q + p.scale(power), p.derivative(), -power * step
+    if r.is_zero:
+        return RatFunc(q)
+    # rad = Q/G not dividing G leaves a simple pole: no S.  Else N, deg N < m = deg G,
+    # solves G*N' - G'*N + rate*G*N = r*G/rad, where z**k leads with rate*z**(k+m),
+    # or with (k - m)*z**(k+m-1) at rate 0; N comes top down by exact division
+    g = poly_gcd(coeff.den, coeff.den.derivative())
+    cofactor, rem = g.divmod(coeff.den.divmod(g)[0])
+    if rem.is_zero:
+        m, gp, n, rem = g.degree, g.derivative(), Poly(), r * cofactor
+        for k in range(m - 1, -1, -1):
+            top, lead = (k + m - 1, FieldConstant.of(k - m)) if rate.is_zero else (k + m, rate)
+            mono = Poly([ZERO] * k + [rem[top] / lead])
+            rem, n = rem - g * (mono.derivative() + mono.scale(rate)) + gp * mono, n + mono
+        if rem.is_zero:
+            return RatFunc(q) + RatFunc(n, g)
+    # the residue at a pole, what parts leave over (z - pole)**(-1): sum_k c_k*rate**(k-1)/(k-1)!
+    for pole, cs in coeff.partial_fractions(ctx).poles:
+        res, term = ZERO, ONE
+        for k, c in enumerate(cs, 1):
+            res, term = res + c * term, term * rate / k
+        if not res.is_zero:
+            return ObstructionReport(pole, rate, res)
+    raise AssertionError("no rational S, yet every residue vanishes")
 
 
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:

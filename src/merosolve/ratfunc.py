@@ -458,15 +458,6 @@ class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part pol
 
     __slots__ = ()
 
-    def recombine(self) -> RatFunc:
-        total = RatFunc(self.polynomial_part)
-        for pole, cs in self.poles:
-            lin, num = Poly((-pole, ONE)), _ZERO
-            for c in cs:  # sum_k cs[k-1]*(z - pole)**(m-k), by Horner's rule
-                num = num * lin + Poly.const(c)
-            total = total + RatFunc(num, lin.pow(len(cs)))
-        return total
-
 
 def _gcd(x: Poly, y: Poly) -> Poly:
     """poly_gcd, skipped when an operand is constant: a constant shares no factor

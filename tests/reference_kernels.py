@@ -4,15 +4,16 @@ integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
 Taylor division, the order-matching loop and the polynomial printer; the
 Taylor shift once more as Horner's rule on whole Polys; the residuals of
-both equations as expanded ExpSum products; and the exact Laurent expansion
-of an exponential sum.  Tests compare the integer kernels of merosolve
+both equations as expanded ExpSum products; the exact Laurent expansion of
+an exponential sum; and exp-integration by parts at each pole of a split
+denominator.  Tests compare the integer kernels of merosolve
 against them; nothing in the package imports this."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from merosolve.expsum import ExpSum
+from merosolve.expsum import ExpSum, ObstructionReport
 from merosolve.field import ONE, ZERO, FieldConstant, format_constant
 from merosolve.laurent import LaurentExpansion
 from merosolve.ratfunc import Poly, RatFunc
@@ -307,3 +308,36 @@ def window_series(w, z0, low, high):
                 if exp_abs >= low:
                     acc[exp_abs - low] = acc[exp_abs - low] + c * e
     return acc
+
+
+def integrate_exp(coeff, rate, ctx=None):
+    """expsum.integrate_exp by integration by parts at each pole of a split
+    denominator, the pieces added back together: S with S' + rate*S = coeff,
+    or the ObstructionReport at the first pole (in canonical order) whose
+    accumulated (z - pole)**(-1) coefficient does not vanish."""
+    coeff, rate = RatFunc.of(coeff), FieldConstant.of(rate)
+    if coeff.is_zero:
+        return coeff
+    pf = coeff.partial_fractions(ctx)
+    # with t = d/(k-1): the integral of d*exp(rate*z)/(z-P)**k is
+    # -t*exp(rate*z)/(z-P)**(k-1) plus that of t*rate*exp(rate*z)/(z-P)**(k-1)
+    total = RatFunc(Poly())
+    for pole, cs in pf.poles:
+        d = [ZERO, *cs]
+        for k in range(len(d) - 1, 1, -1):
+            t = d[k] / (k - 1)
+            d[k - 1] = d[k - 1] + t * rate
+            d[k] = -t
+        if not d[1].is_zero:
+            return ObstructionReport(pole, rate, d[1])
+        lin = Poly((-pole, ONE))
+        for k in range(2, len(d)):
+            total = total + RatFunc(Poly.const(d[k]), lin.pow(k - 1))
+    p = pf.polynomial_part
+    if rate.is_zero:
+        q = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)])
+    else:  # repeated parts: sum_j (-1)**j p^(j) / rate**(j+1)
+        q, power = Poly(), rate.inverse()
+        while not p.is_zero:
+            q, p, power = q + p.scale(power), p.derivative(), -power / rate
+    return total + RatFunc(q)

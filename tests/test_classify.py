@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from merosolve import cli, expsum, ratfunc
 from merosolve.classify import (
@@ -633,16 +633,36 @@ class TestCaseDOracle:
     def test_splitting_denominators_give_d(self, draw):
         self.check(draw)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 10: integrate_exp goes through partial fractions, so D"
-        " rejects with 'does not split' when t's denominator has no root in K",
-    )
-    @settings(max_examples=10, phases=[Phase.generate])  # no shrinking: every draw fails today
+    @settings(max_examples=10)
     @given(d_draws(splitting=False))
     def test_non_splitting_denominators_give_d(self, draw):
         self.check(draw)
+
+    def test_a_tail_over_q_opens_no_extension(self):
+        # the poles of 1/(z^2 - 2) are in Q(sqrt 2), but the tail itself is over Q
+        alpha, gamma = d_equation(1, RatFunc.const(1), 1 / (Z * Z - 2))
+        code, families = classify_cli(alpha, RF(1), gamma)
+        assert code == 0 and families["D"]["closed_form"] == "w = c1 * exp(z) + ((1)/(z^2 - 2))"
+        assert classify(alpha, RF(1), gamma).extension_used is None
+
+
+class TestCaseEOverNonSplittingDenominators:
+    # t = 1/(z^3 - z + 3) has no pole in K, yet E.d's and E.e's tails are rational
+    T = 1 / (Z**3 - Z + 3)
+
+    def test_ed(self):
+        # A = 0, beta' + 2*alpha = 0 and beta^2/4 - gamma = 1: w = sign*z + c1 - t
+        t1 = self.T.derivative()
+        _, families = classify_cli(-t1.derivative(), 2 * t1, t1 * t1 - 1)
+        assert families["E.d"]["closed_form"] == "w = sign * z + c1 - ((1)/(z^3 - z + 3))"
+
+    def test_ee(self):
+        # beta^2/4 = gamma and A = 2: w = c1*exp(-z) - t
+        t1 = self.T.derivative()
+        beta = 2 * (t1 + self.T)
+        code, families = classify_cli(self.T - t1.derivative(), beta, beta * beta / 4)
+        assert code == 0
+        assert families["E.e"]["closed_form"] == "w = c1 * exp(-z) - ((1)/(z^3 - z + 3))"
 
 
 # -- an inverse-problem oracle: equations built from a known case C solution -----------

@@ -686,6 +686,8 @@ class TestErrorEnvelope:
          "--at", "1", "--order", "4"),
         ("transform", "--k0", "sqrt(3)", "--k1", "0", "--k2", "sqrt(2)", "--k3", "0",
          "--then-classify"),
+        ("transform", "--k0", "sqrt(3)", "--k1", "0", "--k2", "sqrt(2)", "--k3", "0"),
+        ("verify", "--alpha", "sqrt(2)", "--beta", "sqrt(3)", "--gamma", "0", "--solution", "1"),
     ])
     def test_two_extensions_in_one_coefficient(self, capsys, argv):
         code, doc, _ = run_json(capsys, *argv)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from merosolve import expsum, ratfunc
 from merosolve.cli import main
@@ -178,6 +178,70 @@ class TestIntegrateExpPoles:
             coeff = coeff - RatFunc(Poly.const(out.residue_coefficient), Poly((-pole, ONE)))
             out, last = integrate_exp(coeff, rate), pole
         assert out.derivative() + out * rate == coeff
+
+
+@st.composite
+def antiderivatives(draw):
+    """(S, rate) over K = Q or Q(sqrt 5), rate 0 or nonzero in K: S a polynomial
+    plus num/den, den a product of at most two factors raised to powers 1-3,
+    each z - r with r in K or (not splitting) an integer cubic z^3 + a*z + b
+    with no rational root, which is irreducible over K."""
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    den = Poly.const(1)
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            factor = Poly((-draw(constants), ONE))
+        else:
+            a, b = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+                lambda ab: all(r**3 + ab[0] * r + ab[1] for r in range(-9, 10))))
+            factor = Poly((FieldConstant.of(b), FieldConstant.of(a), ZERO, ONE))
+        den = den * factor.pow(draw(st.integers(1, 3)))
+    s = RatFunc(draw(polys(2, constants))) + RatFunc(draw(polys(3, constants)), den)
+    return s, draw(st.one_of(st.just(ZERO), constants.filter(lambda c: not c.is_zero)))
+
+
+@st.composite
+def split_integrands(draw):
+    """(coeff, rate) over K = Q or Q(sqrt 5) with one or two poles in K: a
+    polynomial plus principal parts of order at most 1-3 there (mostly
+    obstructed), plus S' + rate*S for an S with those poles (integrable when
+    the principal parts are empty)."""
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    rate = draw(st.one_of(st.just(ZERO), constants.filter(lambda c: not c.is_zero)))
+    coeff, den = RatFunc(draw(polys(2, constants))), Poly.const(1)
+    for pole in draw(st.lists(constants, min_size=1, max_size=2, unique=True)):
+        linear, order = Poly((-pole, ONE)), draw(st.integers(1, 3))
+        den = den * linear.pow(order)
+        for k, c in enumerate(draw(st.lists(constants, max_size=order)), 1):
+            coeff = coeff + RatFunc(Poly.const(c), linear.pow(k))
+    s = RatFunc(draw(polys(2, constants)), den)
+    return coeff + s.derivative() + s * rate, rate
+
+
+class TestIntegrateExpRootFree:
+    @given(antiderivatives())
+    def test_returns_the_rational_antiderivative(self, draw):
+        s, rate = draw
+        coeff = s.derivative() + s * rate
+        out = integrate_exp(coeff, rate)
+        assert out.derivative() + out * rate == coeff
+        assert rate.is_zero or out == s  # at rate 0, up to a constant
+
+    @given(split_integrands())
+    def test_agrees_with_integration_by_parts_at_each_pole(self, draw):
+        coeff, rate = draw
+        out, want = integrate_exp(coeff, rate), reference_kernels.integrate_exp(coeff, rate)
+        assert type(out) is type(want) and out == want  # S, or the three report fields
+
+    @settings(max_examples=50)
+    @given(antiderivatives())
+    def test_finds_no_root_when_s_exists(self, draw):
+        s, rate = draw
+        calls, real = [], ratfunc.linear_roots
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratfunc, "linear_roots", lambda *args: calls.append(args) or real(*args))
+            integrate_exp(s.derivative() + s * rate, rate)
+        assert calls == []
 
 
 class TestLaurent:
