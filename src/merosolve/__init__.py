@@ -30,7 +30,7 @@ _EXPORTS = {
     "errors": (
         "DivisionByZeroError", "DomainViolationError", "ExpressionSyntaxError",
         "GammaIdenticallyZeroError", "IncompatibleExtensionsError",
-        "IrreducibleDenominatorError", "LimitExceededError", "MerosolveError",
+        "LimitExceededError", "MerosolveError",
         "NearPoleError", "NestedExtensionError", "PointInPhiError",
         "PoleAtPointError", "UnsupportedExtensionError",
         "ZeroDenominatorLiteralError",
@@ -43,7 +43,7 @@ _EXPORTS = {
     "laurent": ("LaurentExpansion", "ResonanceInfo"),
     "parse": ("RESONANCE_CAP_DEFAULT", "parse_constant", "parse_expsum", "parse_ratfunc"),
     "ratfunc": (
-        "PartialFractionForm", "Poly", "RatFunc", "in_excluded_set", "linear_roots",
+        "Poly", "RatFunc", "in_excluded_set", "linear_roots",
         "poly_gcd", "poly_to_str", "ratfunc_to_str",
     ),
     "series": (

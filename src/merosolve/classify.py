@@ -10,7 +10,6 @@ always accounts for every applicable case label.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
@@ -19,20 +18,12 @@ from .errors import (
     DomainViolationError,
     GammaIdenticallyZeroError,
     IncompatibleExtensionsError,
-    IrreducibleDenominatorError,
     NestedExtensionError,
     UnsupportedExtensionError,
 )
-from .expsum import ExpSum, ObstructionReport, _rate_str, integrate_exp, residual
+from .expsum import ExpSum, ObstructionReport, _rate_str, integrable_rates, integrate_exp, residual
 from .field import ZERO, ONE, ExtensionContext, FieldConstant, common_discriminant, format_constant
-from .ratfunc import (
-    Poly,
-    RatFunc,
-    linear_roots,
-    poly_gcd,
-    poly_to_str,
-    ratfunc_to_str,
-)
+from .ratfunc import Poly, RatFunc, linear_roots, poly_to_str, ratfunc_to_str
 
 class _ByIdentity:
     """Mixin for a record that compares and hashes by identity, like a plain object."""
@@ -257,25 +248,27 @@ class _Collector:
             self.reject(label, f"{name} = {ratfunc_to_str(f)} does not vanish identically")
         return f.is_zero
 
-    def lift(self, label: str, call, *args, leaves: str, split: str = "", tag: str = ""):
-        """call(*args): a square root, root split, partial fraction split or
-        exp-integration over the constant field.
-
-        When it leaves the field, or integrates to an obstruction, reject
-        `label` and return None.  The reason starts with `tag`; `leaves` names
-        what left the field ("k1 leaves") and `split` the function whose
-        denominator does not split."""
+    def lift(self, label: str, call, *args, leaves: str):
+        """call(*args), a square root over the constant field.  When it leaves
+        the field, reject `label` and return None; `leaves` names what left
+        the field ("k1 leaves")."""
         try:
-            out = call(*args)
-        except IrreducibleDenominatorError as exc:
-            self.reject(label, f"{tag}{split} cannot be decomposed over the constant field: {exc}")
+            return call(*args)
         except _LIFT_ERRORS as exc:
-            self.reject(label, f"{tag}{leaves} the constant field: {exc}")
-        else:
-            if not isinstance(out, ObstructionReport):
-                return out
-            self.reject(label, f"{tag}{out.describe()}")
+            self.reject(label, f"{leaves} the constant field: {exc}")
         return None
+
+    def integrate(self, label: str, coeff: RatFunc, rate: FieldConstant,
+                  ctx: ExtensionContext, tag: str = "") -> RatFunc | None:
+        """integrate_exp(coeff, rate, ctx), or None after rejecting `label`
+        with the obstruction, after `tag`.  The arguments lie in the one
+        field of ctx, and the obstruction is named on a copy of it, so
+        nothing leaves the field."""
+        out = integrate_exp(coeff, rate, ctx)
+        if isinstance(out, ObstructionReport):
+            self.reject(label, f"{tag}{out.describe()}")
+            return None
+        return out
 
     def attempt(
         self,
@@ -430,51 +423,25 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
     if not col.vanishes(constraint, "alpha + beta'", "C"):
         return
 
-    pf = col.lift("C", beta.partial_fractions, ctx, leaves="beta's poles leave", split="beta")
-    if pf is None:
-        return
-
+    # beta*exp(-c1*z) integrates iff c1 = -a for a rate a that integrable_rates allows
+    rates = integrable_rates(beta)
     notes: list[str] = []
     allowed: tuple[FieldConstant, ...] | None = None
-    if pf.poles:
-        # residue of beta*exp(-c1*z) at each pole, up to a unit, is a polynomial
-        # in c1 with c1^(k-1) coefficient c_k*(-1)^(k-1)/(k-1)!; admissible
-        # rates c1 are the common roots across all poles
-        obstruction_polys = []
-        for pole, cs in pf.poles:
-            opoly = Poly([(c if k % 2 else -c) / math.factorial(k - 1)
-                          for k, c in enumerate(cs, 1)])
-            obstruction_polys.append(opoly)
-            notes.append(
-                f"pole z = {format_constant(pole)}: residue vanishes iff "
-                f"{poly_to_str(opoly, 'c1')} = 0"
-            )
-        g = obstruction_polys[0]
-        for p in obstruction_polys[1:]:
-            g = poly_gcd(g, p)
-        if g.degree == 0:
-            col.reject(
-                "C",
-                "integral obstruction for every c1: the residue conditions at the "
-                "poles of beta have no common root (" + "; ".join(notes) + ")",
-            )
-            return
-        split = col.lift("C", linear_roots, g, ctx, leaves="residue roots leave")
-        if split is None:
-            return
-        _, roots, rem = split
-        allowed = tuple(r for r, _ in roots)
+    if rates is not None:
+        g, at_zero = rates
+        h = Poly([-c if i % 2 else c for i, c in enumerate(g.coeffs)]).monic()  # g(-c1)
+        notes.append(f"the residues of beta*exp(-c1*z) vanish at c1 != 0 iff "
+                     f"{poly_to_str(h, 'c1')} = 0")
+        _, roots, rem = linear_roots(h, ctx)
+        allowed = tuple(sorted([r for r, _ in roots] + [ZERO] * at_zero,
+                               key=FieldConstant.sort_key))
         if rem.degree > 0:
-            notes.append(
-                f"additional residue roots of {poly_to_str(rem, 'c1')} = 0 lie "
-                "outside the constant field"
-            )
+            notes.append(f"additional residue roots of {poly_to_str(rem, 'c1')} = 0 lie "
+                         "outside the constant field")
         if not allowed:
-            col.reject(
-                "C",
-                "integral obstruction for every c1 in the constant field: "
-                + "; ".join(notes),
-            )
+            scope = " in the constant field" if rem.degree > 0 else ""
+            col.reject("C", f"integral obstruction for every c1{scope}: " + "; ".join(
+                notes + ["at c1 = 0 beta has a nonzero residue"]))
             return
 
     def build(v: dict) -> ExpSum:
@@ -533,8 +500,7 @@ def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
         k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1", "D")
         if k1v is None:
             continue
-        tail = col.lift("D", integrate_exp, h, -k1v, ctx,
-                        leaves="integration leaves", split="h", tag=tag)
+        tail = col.integrate("D", h, -k1v, ctx, tag=tag)
         if tail is None:
             continue
 
@@ -776,8 +742,7 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
     k1 = col.lift("E.d", ctx.sqrt, k1sqv, leaves="k1 leaves")
     if k1 is None:
         return
-    anti = col.lift("E.d", integrate_exp, beta, ZERO, ctx,
-                    leaves="integration leaves", split="beta")
+    anti = col.integrate("E.d", beta, ZERO, ctx)
     if anti is None:
         return
     half_int = anti / 2
@@ -808,8 +773,7 @@ def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
             f"beta^2/4 - gamma = {ratfunc_to_str(quarter_disc)} is not identically zero",
         )
         return
-    tail = col.lift("E.e", integrate_exp, beta / 2, Av / 2, ctx,
-                    leaves="integration leaves", split="beta")
+    tail = col.integrate("E.e", beta / 2, Av / 2, ctx)
     if tail is None:
         return
     mu = -Av / 2

@@ -57,16 +57,6 @@ class PoleAtPointError(MerosolveError):
         super().__init__(f"pole of order {order} at z = {point}")
 
 
-class IrreducibleDenominatorError(MerosolveError):
-    """A denominator factor does not split into linear factors over the field."""
-
-    code = "IrreducibleDenominator"
-
-    def __init__(self, factor: str):
-        self.factor = factor
-        super().__init__(f"denominator factor does not split over the field: {factor}")
-
-
 class GammaIdenticallyZeroError(MerosolveError):
     code = "GammaIdenticallyZero"
 

@@ -4,7 +4,8 @@ The class is closed under ring operations and differentiation.  Integration
 of R(z)*exp(a*z), R rational, is the Risch equation S' + a*S = R: integrate_exp
 finds the rational S with no root of R's denominator, which it splits only to
 name the logarithmic obstruction when there is no S, as a typed report (a
-normal outcome, not an exception).
+normal outcome, not an exception).  The same solve, run at a few rates and
+interpolated, gives integrable_rates: every rate a at which S exists.
 
 The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
 integer-vector numerators over one denominator (_residual_numerators), keyed
@@ -24,7 +25,8 @@ from fractions import Fraction
 from .errors import IncompatibleExtensionsError, NearPoleError
 from .field import (ZERO, ONE, ExtensionContext, FieldConstant, format_constant,
                     from_integers, integer_parts)
-from .ratfunc import Poly, RatFunc, over_common_denominator, poly_gcd, ratfunc_to_str
+from .ratfunc import (Poly, RatFunc, linear_roots, over_common_denominator, poly_gcd,
+                      poly_to_str, ratfunc_to_str)
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
@@ -36,11 +38,16 @@ class ObstructionReport(namedtuple("ObstructionReport",
                                    "offending_pole rate residue_coefficient")):
     """A term whose antiderivative would need a logarithm: the integral of
     residue_coefficient/(z - offending_pole) * exp(rate*z) after reduction.
-    All three fields are FieldConstants."""
+    All three fields are FieldConstants, except where no pole of the field
+    carries the obstruction: then offending_pole is the Poly at whose roots
+    it lies and residue_coefficient is None."""
 
     __slots__ = ()
 
     def describe(self) -> str:
+        if self.residue_coefficient is None:
+            return (f"logarithmic obstruction at the roots of "
+                    f"{poly_to_str(self.offending_pole)} on rate {self.rate}")
         return (
             f"logarithmic obstruction at pole z = {self.offending_pole}: "
             f"accumulated residue coefficient {self.residue_coefficient} "
@@ -279,8 +286,8 @@ def integrate_exp(
     (integration constant zero), by repeated parts otherwise.  A pole of S of
     order m is one of S' + rate*S of order m + 1, so S = poly + N/G with
     G = gcd(Q, Q'), and no root of Q is needed (Risch, Trans. AMS 139, 1969;
-    Bronstein, Symbolic Integration I, ch. 6).  Only a missing S has ctx split
-    Q, to name the first pole (in canonical order) with a nonzero residue."""
+    Bronstein, Symbolic Integration I, ch. 6).  Only a missing S has Q split,
+    on a copy of ctx, to name the obstruction."""
     coeff, rate = RatFunc.of(coeff), FieldConstant.of(rate)
     if coeff.is_zero:
         return coeff
@@ -294,27 +301,78 @@ def integrate_exp(
             q, p, power = q + p.scale(power), p.derivative(), -power * step
     if r.is_zero:
         return RatFunc(q)
-    # rad = Q/G not dividing G leaves a simple pole: no S.  Else N, deg N < m = deg G,
-    # solves G*N' - G'*N + rate*G*N = r*G/rad, where z**k leads with rate*z**(k+m),
-    # or with (k - m)*z**(k+m-1) at rate 0; N comes top down by exact division
-    g = poly_gcd(coeff.den, coeff.den.derivative())
-    cofactor, rem = g.divmod(coeff.den.divmod(g)[0])
-    if rem.is_zero:
-        m, gp, n, rem = g.degree, g.derivative(), Poly(), r * cofactor
-        for k in range(m - 1, -1, -1):
-            top, lead = (k + m - 1, FieldConstant.of(k - m)) if rate.is_zero else (k + m, rate)
-            mono = Poly([ZERO] * k + [rem[top] / lead])
-            rem, n = rem - g * (mono.derivative() + mono.scale(rate)) + gp * mono, n + mono
+    repeated = _repeated_part(coeff.den)
+    if repeated is not None:
+        g, cofactor = repeated
+        n, rem = _solve(r * cofactor, g, rate)
         if rem.is_zero:
             return RatFunc(q) + RatFunc(n, g)
-    # the residue at a pole, what parts leave over (z - pole)**(-1): sum_k c_k*rate**(k-1)/(k-1)!
-    for pole, cs in coeff.partial_fractions(ctx).poles:
+    # name the first pole of the field, in canonical order, whose residue (what parts
+    # leave over (z - pole)**(-1), sum_k c_k*rate**(k-1)/(k-1)!) is nonzero, else the
+    # factor whose roots leave the field
+    _, roots, rest = linear_roots(coeff.den, ExtensionContext(ctx.q if ctx else None))
+    for pole, mult in roots:
         res, term = ZERO, ONE
-        for k, c in enumerate(cs, 1):
+        for k, c in enumerate(reversed(coeff.taylor_at(pole, mult)[1]), 1):
             res, term = res + c * term, term * rate / k
         if not res.is_zero:
             return ObstructionReport(pole, rate, res)
-    raise AssertionError("no rational S, yet every residue vanishes")
+    return ObstructionReport(rest.divmod(poly_gcd(rest, rest.derivative()))[0], rate, None)
+
+
+def integrable_rates(coeff: RatFunc) -> tuple[Poly, bool] | None:
+    """The rates a at which coeff*exp(a*z) has a rational antiderivative: None
+    for a polynomial coeff, which integrates at every a; else (g, at_zero),
+    the monic g with g(0) != 0 whose roots are the nonzero such a, and
+    whether a = 0 is one.
+
+    A simple pole obstructs every a: g = 1.  Otherwise _solve divides
+    m = deg G times by a, so a**m times each coefficient of what it leaves is
+    a polynomial of degree at most m in a.  Each is interpolated from the
+    solve at a = 1, ..., m + 1, and g is their gcd with the factors a removed."""
+    if coeff.den.degree == 0:
+        return None
+    repeated = _repeated_part(coeff.den)
+    if repeated is None:
+        return Poly.const(1), False
+    g, cofactor = repeated
+    rem, m = coeff.num.divmod(coeff.den)[1] * cofactor, g.degree
+    points = [FieldConstant.of(j) for j in range(1, m + 2)]
+    lagrange = []  # a**m times the Lagrange basis polynomial of each point
+    for a in points:
+        basis = Poly.const(a ** m)
+        for x in points:
+            if x != a:
+                basis = basis * Poly((-x, ONE)).scale((a - x).inverse())
+        lagrange.append((basis, _solve(rem, g, a)[1]))
+    out = Poly()
+    for i in range(m):
+        out = poly_gcd(out, sum((b.scale(left[i]) for b, left in lagrange), Poly()))
+    while out[0].is_zero:
+        out = out.deflate(ZERO)
+    return out, _solve(rem, g, ZERO)[1].is_zero
+
+
+def _repeated_part(den: Poly) -> tuple[Poly, Poly] | None:
+    """(G, G/rad) for G = gcd(den, den') and rad = den/G, or None when rad
+    does not divide G: then den has a simple root."""
+    g = poly_gcd(den, den.derivative())
+    cofactor, rem = g.divmod(den.divmod(g)[0])
+    return (g, cofactor) if rem.is_zero else None
+
+
+def _solve(rem: Poly, g: Poly, rate: FieldConstant) -> tuple[Poly, Poly]:
+    """(N, rem - (G*N' - G'*N + rate*G*N)) for the N, deg N < m = deg G, that
+    clears the top of rem: S = N/G solves S' + rate*S = rem/(G*rad) exactly
+    when what is left is zero.  z**k leads G*(z**k)' - G'*z**k + rate*G*z**k
+    with rate*z**(k+m), or with (k - m)*z**(k+m-1) at rate 0, so N comes top
+    down by exact division."""
+    m, gp, n = g.degree, g.derivative(), Poly()
+    for k in range(m - 1, -1, -1):
+        top, lead = (k + m - 1, FieldConstant.of(k - m)) if rate.is_zero else (k + m, rate)
+        mono = Poly([ZERO] * k + [rem[top] / lead])
+        rem, n = rem - g * (mono.derivative() + mono.scale(rate)) + gp * mono, n + mono
+    return n, rem
 
 
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:

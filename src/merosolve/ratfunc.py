@@ -10,22 +10,20 @@ one.  A gcd with a constant operand is skipped, so sums, products and
 derivatives of polynomials are plain Poly arithmetic and a division by a
 constant is a scaling.  Square roots take the monic polynomial root of
 numerator and denominator.  A series at a point shifts both there once and
-divides over the field.  Partial fractions use square-free decomposition, the
-rational roots of a rational factor, found by p-adic lifting from the least
-prime at which its roots are simple, with no integer factoring and no cap, and
-the quadratic formula; a factor that would need more reports itself as such.
-Principal parts are kept grouped per pole.
+divides over the field.  The roots of a polynomial in the field come from
+square-free decomposition, the rational roots of a rational factor, found by
+p-adic lifting from the least prime at which its roots are simple, with no
+integer factoring and no cap, and the quadratic formula; a factor that would
+need more is returned unsplit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
     DivisionByZeroError,
-    IrreducibleDenominatorError,
     NestedExtensionError,
     PoleAtPointError,
     UnsupportedExtensionError,
@@ -448,17 +446,6 @@ def linear_roots(p: Poly, ctx: ExtensionContext):
     return lc, roots, remainder
 
 
-class PartialFractionForm(namedtuple("PartialFractionForm", "polynomial_part poles")):
-    """f = polynomial_part + sum over (pole, cs) in poles of
-    sum_k cs[k-1]/(z - pole)**k.
-
-    polynomial_part is a Poly; poles is a tuple of (pole, cs), one per root of
-    the denominator in linear_roots' canonical order, with cs a tuple as long
-    as the pole's order: zeros are kept and cs[-1] != 0."""
-
-    __slots__ = ()
-
-
 def _gcd(x: Poly, y: Poly) -> Poly:
     """poly_gcd, skipped when an operand is constant: a constant shares no factor
     (x and y are nonzero)."""
@@ -571,6 +558,8 @@ class RatFunc:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
+            if not isinstance(other, (Poly, FieldConstant, int, Fraction)):
+                return NotImplemented
             other = RatFunc.of(other)
         return self.num == other.num and self.den == other.den
 
@@ -698,20 +687,6 @@ class RatFunc:
                 acc = acc - den[j] * out[k - j]
             out.append(acc * inv)
         return -m, out
-
-    # -- decomposition ------------------------------------------------------------
-
-    def partial_fractions(self, ctx: ExtensionContext | None = None) -> PartialFractionForm:
-        """Split into the polynomial part plus the principal part at each pole
-        over the field, read off taylor_at to the pole's order."""
-        ctx = ctx or ExtensionContext()
-        poly_part, _ = self.num.divmod(self.den)
-        _, roots, remainder = linear_roots(self.den, ctx)
-        if remainder.degree > 0:
-            raise IrreducibleDenominatorError(poly_to_str(remainder))
-        poles = tuple((pole, tuple(reversed(self.taylor_at(pole, mult)[1])))
-                      for pole, mult in roots)
-        return PartialFractionForm(poly_part, poles)
 
     def sqrt(self, ctx: ExtensionContext | None = None) -> RatFunc | None:
         """Square root in the rational function field, or None if there is none.

@@ -5,18 +5,21 @@ Horner evaluation and the derivative on coefficient lists (low to high), the
 Taylor division, the order-matching loop and the polynomial printer; the
 Taylor shift once more as Horner's rule on whole Polys; the residuals of
 both equations as expanded ExpSum products; the exact Laurent expansion of
-an exponential sum; and exp-integration by parts at each pole of a split
-denominator.  Tests compare the integer kernels of merosolve
-against them; nothing in the package imports this."""
+an exponential sum; partial fractions over a split denominator, from its
+roots and the Taylor series at each; exp-integration by parts at each pole;
+and case C's allowed rates from the residue at each pole.  Tests compare the
+integer kernels and the root-free solves of merosolve against them; nothing
+in the package imports this."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from merosolve.expsum import ExpSum, ObstructionReport
-from merosolve.field import ONE, ZERO, FieldConstant, format_constant
+from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant, format_constant
 from merosolve.laurent import LaurentExpansion
-from merosolve.ratfunc import Poly, RatFunc
+from merosolve.ratfunc import Poly, RatFunc, linear_roots, poly_gcd
 
 
 def strip(cs):
@@ -318,11 +321,11 @@ def integrate_exp(coeff, rate, ctx=None):
     coeff, rate = RatFunc.of(coeff), FieldConstant.of(rate)
     if coeff.is_zero:
         return coeff
-    pf = coeff.partial_fractions(ctx)
+    p, poles = partial_fractions(coeff, ctx)
     # with t = d/(k-1): the integral of d*exp(rate*z)/(z-P)**k is
     # -t*exp(rate*z)/(z-P)**(k-1) plus that of t*rate*exp(rate*z)/(z-P)**(k-1)
     total = RatFunc(Poly())
-    for pole, cs in pf.poles:
+    for pole, cs in poles:
         d = [ZERO, *cs]
         for k in range(len(d) - 1, 1, -1):
             t = d[k] / (k - 1)
@@ -333,7 +336,6 @@ def integrate_exp(coeff, rate, ctx=None):
         lin = Poly((-pole, ONE))
         for k in range(2, len(d)):
             total = total + RatFunc(Poly.const(d[k]), lin.pow(k - 1))
-    p = pf.polynomial_part
     if rate.is_zero:
         q = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)])
     else:  # repeated parts: sum_j (-1)**j p^(j) / rate**(j+1)
@@ -341,3 +343,34 @@ def integrate_exp(coeff, rate, ctx=None):
         while not p.is_zero:
             q, p, power = q + p.scale(power), p.derivative(), -power / rate
     return total + RatFunc(q)
+
+
+def partial_fractions(f, ctx=None):
+    """(polynomial part, poles) with f = polynomial part + the sum over
+    (pole, cs) in poles of sum_k cs[k-1]/(z - pole)**k: one entry per root of
+    the denominator in linear_roots' canonical order, cs read off taylor_at to
+    the pole's order (zeros kept, cs[-1] != 0).  ValueError when the
+    denominator does not split over the field of ctx."""
+    ctx = ctx or ExtensionContext()
+    _, roots, rest = linear_roots(f.den, ctx)
+    if rest.degree > 0:
+        raise ValueError(f"denominator factor does not split over the field: {rest}")
+    poles = tuple((pole, tuple(reversed(f.taylor_at(pole, mult)[1]))) for pole, mult in roots)
+    return f.num.divmod(f.den)[0], poles
+
+
+def case_c_rates(beta, ctx=None):
+    """The c1 in the field, in canonical order, at which beta*exp(-c1*z) has
+    a rational antiderivative, from a split denominator: None for a
+    polynomial beta (every c1).  The residue at a pole is, up to a unit, the
+    polynomial in c1 with c1**(k-1) coefficient cs[k-1]*(-1)**(k-1)/(k-1)!,
+    and the allowed c1 are the common roots over every pole."""
+    ctx = ctx or ExtensionContext()
+    _, poles = partial_fractions(beta, ctx)
+    if not poles:
+        return None
+    g = Poly()
+    for _, cs in poles:
+        g = poly_gcd(g, Poly([(c if k % 2 else -c) / math.factorial(k - 1)
+                              for k, c in enumerate(cs, 1)]))
+    return tuple(r for r, _ in linear_roots(g, ctx)[1])

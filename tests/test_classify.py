@@ -375,14 +375,17 @@ class TestExtensions:
 
 
 class TestCaseCObstructions:
+    # the residue of beta*exp(-c1*z) at a pole z0 of beta is exp(-c1*z0) times
+    # sum_k c_k*(-c1)**(k-1)/(k-1)!, c_k the coefficient of (z - z0)**(-k)
+
     def test_unremovable_residue_rejects_the_case(self):
+        # beta = 1/z: the residue is 1 for every c1, so g = 1
         rep = classify(1 / (Z * Z), 1 / Z, 0)
         assert "C" not in by_label(rep)
         reasons = {r.reason for r in rep.rejected_branches if r.case_label == "C"}
         assert reasons == {
-            "integral obstruction for every c1: the residue conditions at the"
-            " poles of beta have no common root"
-            " (pole z = 0: residue vanishes iff 1 = 0)"
+            "integral obstruction for every c1: the residues of beta*exp(-c1*z)"
+            " vanish at c1 != 0 iff 1 = 0; at c1 = 0 beta has a nonzero residue"
         }
 
     def test_order_two_pole_pins_c1_to_zero(self):
@@ -391,28 +394,34 @@ class TestCaseCObstructions:
         c1 = [p for p in fam.parameters if p.name == "c1"][0]
         assert c1.kind == "finite"
         assert c1.allowed_values == (FieldConstant.of(0),)
-        assert "c1 restricted to {0} by the residue conditions" in fam.notes
+        # the residue c2*(-c1) of c2/z^2 vanishes at c1 = 0 only: g = 1
+        assert fam.notes == ("c1 restricted to {0} by the residue conditions",
+                             "the residues of beta*exp(-c1*z) vanish at c1 != 0 iff 1 = 0")
         w = instantiate(fam, {"c1": 0, "c2": 3})
         assert w.to_text() == "((3*z + 1)/(z))"
         assert not fam.admissible  # rational in z, rational coefficients
 
     def test_leftover_residue_factor_is_printed_in_c1(self):
         # beta = 1/z + 1/z^2 + 6/z^4: the residue of beta*exp(-c1*z) at 0 is
-        # 1 - c1 - c1^3, so the factor left unsplit is c1^3 + c1 - 1
+        # 1 - c1 - c1^3, so g in c1 is c1^3 + c1 - 1, which has no rational
+        # root (+-1 give 1 and -3), and at c1 = 0 the residue is 1
         rep = classify((Z**3 + 2 * Z * Z + 24) / Z**5, (Z**3 + Z * Z + 6) / Z**4, 0)
         assert "C" not in by_label(rep)
         reasons = [r.reason for r in rep.rejected_branches if r.case_label == "C"]
         assert reasons == [
-            "integral obstruction for every c1 in the constant field: pole z = 0:"
-            " residue vanishes iff -c1^3 - c1 + 1 = 0; additional residue roots of"
-            " c1^3 + c1 - 1 = 0 lie outside the constant field"
+            "integral obstruction for every c1 in the constant field: the residues"
+            " of beta*exp(-c1*z) vanish at c1 != 0 iff c1^3 + c1 - 1 = 0;"
+            " additional residue roots of c1^3 + c1 - 1 = 0 lie outside the"
+            " constant field; at c1 = 0 beta has a nonzero residue"
         ]
 
     def test_mixed_pole_pins_c1_to_one(self):
+        # beta = 1/z + 1/z^2: the residue is 1 - c1
         rep = classify(1 / (Z * Z) + 2 / Z**3, 1 / Z + 1 / (Z * Z), 0)
         fam = one(rep, "C")
         c1 = [p for p in fam.parameters if p.name == "c1"][0]
         assert c1.allowed_values == (FieldConstant.of(1),)
+        assert fam.notes[1] == "the residues of beta*exp(-c1*z) vanish at c1 != 0 iff c1 - 1 = 0"
         assert fam.admissible
         w = instantiate(fam, {"c1": 1, "c2": 2})
         assert residual(rep.alpha, rep.beta, rep.gamma, w).is_zero
@@ -563,7 +572,7 @@ class TestPolynomialArithmeticCost:
 
         monkeypatch.setattr(FieldConstant, "__mul__", mul)
         monkeypatch.setattr(FieldConstant, "__rmul__", mul)
-        for module in (ratfunc, expsum, importlib.import_module("merosolve.classify")):
+        for module in (ratfunc, expsum):
             monkeypatch.setattr(module, "poly_gcd", counted(real_gcd))
         monkeypatch.setattr(Poly, "divmod", counted(real_divmod))
         alpha, beta, gamma = (parse_ratfunc(t) for t in (self.ALPHA, self.BETA, self.GAMMA))
@@ -646,6 +655,35 @@ class TestCaseDOracle:
         assert classify(alpha, RF(1), gamma).extension_used is None
 
 
+class TestObstructionNamedWithNoExtension:
+    # h = 1/f, gamma = -h^2, beta = 0 and alpha = h' - h: D's branch h has
+    # k1 = 1 and integrates h*exp(-z), which has a simple pole at each root of f
+
+    @staticmethod
+    def report(f: str) -> dict:
+        h = 1 / parse_ratfunc(f)
+        argv = ["classify", "--alpha", str(h.derivative() - h), "--beta", "0",
+                "--gamma", str(-(h * h)), "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 2
+        return json.loads(out.getvalue())
+
+    def test_a_pole_in_a_quadratic_field_spends_no_extension(self):
+        doc = self.report("z^2 - 2")
+        assert doc["rejected_branches"][0]["reason"] == (
+            "branch h = (1)/(z^2 - 2): logarithmic obstruction at pole z = -sqrt(2):"
+            " accumulated residue coefficient -1/4*sqrt(2) on rate -1")
+        assert doc["extension_used"] is None
+
+    def test_a_factor_with_no_root_is_named(self):
+        doc = self.report("z^3 - z + 3")
+        assert doc["rejected_branches"][0]["reason"] == (
+            "branch h = (1)/(z^3 - z + 3): logarithmic obstruction at the roots of"
+            " z^3 - z + 3 on rate -1")
+        assert "cannot be decomposed" not in json.dumps(doc)
+
+
 class TestCaseEOverNonSplittingDenominators:
     # t = 1/(z^3 - z + 3) has no pole in K, yet E.d's and E.e's tails are rational
     T = 1 / (Z**3 - Z + 3)
@@ -699,18 +737,54 @@ class TestCaseCOracle:
         assert code == 0 and "C" in families
         c1 = families["C"]["parameters"][0]
         assert c1["name"] == "c1" and format_constant(c) in c1["allowed_values"]
+        return c1["allowed_values"]
 
     @settings(max_examples=60)
     @given(c_draws())
     def test_splitting_denominators_give_c(self, draw):
         self.check(*draw)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 4: case C reads the residues at the roots of beta's"
-        " denominator, so it rejects with 'does not split' when f has no root in K",
-    )
-    def test_non_splitting_denominator_gives_c(self):
-        # verify of exp(z) + 1/(z^3 - 2) on this equation exits 0
-        self.check(RatFunc(Poly.z().pow(3) - Poly.const(2)), FieldConstant.of(1))
+    # no root of these f lies in Q; those of (z^2 - 2)*(z^2 - 3) lie in two
+    # fields, and naming the field of the last one's roots would need
+    # factoring a 100-bit discriminant past trial division
+    @pytest.mark.parametrize("f", ["z^3 - 2", "z^3 + z/3 + 1", "(z^2 - 2)*(z^2 - 3)",
+                                   "z^2 + z + (10^30 + 57)"])
+    def test_non_splitting_denominator_gives_c(self, f):
+        # verify of exp(z) + 1/f on this equation exits 0; c1 = 1 is the one rate
+        # that clears every residue, and finding it opens no extension
+        f = parse_ratfunc(f)
+        assert self.check(f, FieldConstant.of(1)) == ["1"]
+        beta = 1 / f + f.derivative() / (f * f)
+        assert classify(-beta.derivative(), beta, RatFunc.const(0)).extension_used is None
+
+
+@st.composite
+def c_rate_draws(draw):
+    """beta over K = Q or Q(sqrt 5) whose poles lie in K: S' - c*S for an S
+    with poles of order 1-2 (so that c is allowed), plus principal parts of
+    order 1-3 at up to two of those poles (mostly obstructing), plus a
+    polynomial.  Over Q(sqrt 5), where linear_roots splits no factor of degree
+    3 or more, there are at most two poles."""
+    extended = draw(st.booleans())
+    constants = extended_constants if extended else rational_constants
+    poles = draw(st.lists(constants, min_size=1, max_size=2 if extended else 3, unique=True))
+    den = Poly.const(1)
+    for pole in poles[:2]:
+        den = den * Poly((-pole, FieldConstant.of(1))).pow(draw(st.integers(1, 2)))
+    s, c = RatFunc(draw(polys(2, constants)), den), draw(constants)
+    beta = s.derivative() - s * c + RatFunc(draw(polys(1, constants)))
+    for pole in draw(st.lists(st.sampled_from(poles), max_size=2, unique=True)):
+        linear = Poly((-pole, FieldConstant.of(1)))
+        for k, coeff in enumerate(draw(st.lists(constants, max_size=3)), 1):
+            beta = beta + RatFunc(Poly.const(coeff), linear.pow(k))
+    return beta
+
+
+class TestCaseCRates:
+    @settings(max_examples=100)
+    @given(c_rate_draws().filter(lambda beta: not beta.is_zero))
+    def test_root_free_rates_equal_the_residue_rule(self, beta):
+        rep = classify(-beta.derivative(), beta, RatFunc.const(0))
+        families = by_label(rep).get("C", [])
+        got = families[0].parameters[0].allowed_values if families else ()
+        assert got == reference_kernels.case_c_rates(beta)

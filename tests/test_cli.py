@@ -630,20 +630,23 @@ class TestErrorEnvelope:
         code, doc, _ = run_json(capsys, "classify", "--alpha", f"(3*z^2+1/{c})/{den}^2",
                                 "--beta", f"1/{den}", "--gamma", "0")
         assert time.perf_counter() - start < 2.0
+        # every pole of beta = 1/den is simple, so no c1 clears its residue
         assert code == 2
         assert doc["rejected_branches"][1] == {
             "case_label": "C",
-            "reason": "beta cannot be decomposed over the constant field: denominator "
-                      f"factor does not split over the field: z^3 + 1/{c}*z + 1",
+            "reason": "integral obstruction for every c1: the residues of beta*exp(-c1*z)"
+                      " vanish at c1 != 0 iff 1 = 0; at c1 = 0 beta has a nonzero residue",
         }
 
     # a constant term with no prime factor up to the trial-division bound: the
     # prime 10^15 - 11 and the semiprime 9999991*99999989 (below 10^15, so
-    # searched).  Listing their divisors by trial up to the square root took 4 s;
-    # the MD5 of the stdout they gave then
+    # searched).  Listing their divisors by trial up to the square root took 4 s.
+    # The MD5 of the stdout they give since case C finds no root of beta's
+    # denominator: the same report, with C's reason giving its residue
+    # condition in c1 rather than the cubic that does not split
     @pytest.mark.parametrize("c, digest", [
-        ("999999999999989", "c4abcdd765516eb7ec21c3909196270a"),
-        (str(9999991 * 99999989), "d33d89b081cf25913d944cf2bfabcff6"),
+        ("999999999999989", "02ddf80441f1d89a0d7e9c6e246a4721"),
+        (str(9999991 * 99999989), "4a31214f881b98d6c360969ad1353bd0"),
     ])
     def test_divisors_of_a_large_constant_term(self, capsys, c, digest):
         den = f"(z^3+z+{c})"

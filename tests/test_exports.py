@@ -35,6 +35,18 @@ def test_names_without_a_caller_in_the_package_are_gone():
     assert not hasattr(importlib.import_module("merosolve.classify"), "CASE_ORDER")
 
 
+def test_partial_fractions_are_gone():
+    # exp-integration and case C find no root of a denominator to decide
+    from merosolve import errors, ratfunc
+
+    for name in ("PartialFractionForm", "IrreducibleDenominatorError"):
+        assert name not in merosolve.__all__
+        assert not hasattr(merosolve, name)
+    assert not hasattr(ratfunc, "PartialFractionForm")
+    assert not hasattr(errors, "IrreducibleDenominatorError")
+    assert not hasattr(ratfunc.RatFunc, "partial_fractions")
+
+
 # -- every module-level name in the package has a use ------------------------------------
 
 _SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))

@@ -145,6 +145,48 @@ class TestIntegrateExp:
         assert out.derivative() + out * 2 == 1 / (Z * Z) - 2 / Z
 
 
+class TestObstructionNaming:
+    def test_naming_splits_a_copy_of_the_context(self):
+        # the poles +-sqrt(2) are named, but the caller's context stays over Q
+        ctx = ExtensionContext()
+        out = integrate_exp(1 / (Z * Z - 2), -ONE, ctx)
+        root2 = FieldConstant(Fraction(0), Fraction(1), 2)
+        assert out == ObstructionReport(-root2, -ONE, -root2 / 4)
+        assert ctx.q is None
+
+    def test_a_factor_with_no_root_in_the_field_is_named(self):
+        # at rate 0 the double pole at 1 has no residue, so the obstruction lies
+        # at the roots of z^3 - 2
+        out = integrate_exp(1 / (Z**3 - 2) - 1 / (Z - 1) ** 2, ZERO)
+        assert out == ObstructionReport(Poly.z().pow(3) - Poly.const(2), ZERO, None)
+        assert out.describe() == "logarithmic obstruction at the roots of z^3 - 2 on rate 0"
+
+    def test_a_pole_of_the_field_is_named_before_a_factor(self):
+        out = integrate_exp(1 / (Z**3 - 2) + 1 / (Z - 1), ZERO)
+        assert (out.offending_pole, out.residue_coefficient) == (ONE, ONE)
+
+    def test_the_named_factor_is_square_free(self):
+        out = integrate_exp(1 / (Z * Z - 3) ** 2, ONE, ExtensionContext(2))
+        assert out.describe() == "logarithmic obstruction at the roots of z^2 - 3 on rate 1"
+
+
+class TestIntegrableRates:
+    # the residue of coeff*exp(a*z) at a pole z0 is exp(a*z0) times
+    # sum_k c_k*a**(k-1)/(k-1)!, c_k the coefficient of (z - z0)**(-k)
+
+    def test_a_polynomial_integrates_at_every_rate(self):
+        assert expsum.integrable_rates(Z * Z + 1) is None
+
+    def test_a_simple_pole_integrates_at_no_rate(self):
+        assert expsum.integrable_rates(1 / (Z**3 - Z + 3)) == (Poly.const(1), False)
+
+    def test_a_double_pole_allows_the_rate_that_clears_its_residue(self):
+        # 1/z + 1/z^2: residue 1 + a, so g = a + 1; at a = 0 the residue is 1
+        assert expsum.integrable_rates(1 / Z + 1 / (Z * Z)) == (Poly((ONE, ONE)), False)
+        # 1/z^2: residue a, so g = 1 once the factor a goes, and a = 0 integrates
+        assert expsum.integrable_rates(1 / (Z * Z)) == (Poly.const(1), True)
+
+
 @st.composite
 def pole_integrands(draw):
     """A polynomial of degree <= 2 plus up to three rational poles of order 1-3."""
@@ -235,11 +277,26 @@ class TestIntegrateExpRootFree:
 
     @settings(max_examples=50)
     @given(antiderivatives())
+    def test_integrable_rates_holds_the_rate_of_every_antiderivative(self, draw):
+        s, rate = draw
+        coeff = s.derivative() + s * rate
+        rates = expsum.integrable_rates(coeff)
+        if rates is None:
+            assert coeff.den.degree == 0
+        else:
+            g, at_zero = rates
+            assert not g[0].is_zero
+            assert at_zero if rate.is_zero else g.eval(rate).is_zero
+
+    @settings(max_examples=50)
+    @given(antiderivatives())
     def test_finds_no_root_when_s_exists(self, draw):
         s, rate = draw
         calls, real = [], ratfunc.linear_roots
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ratfunc, "linear_roots", lambda *args: calls.append(args) or real(*args))
+            for module in (ratfunc, expsum):
+                mp.setattr(module, "linear_roots",
+                           lambda *args: calls.append(args) or real(*args))
             integrate_exp(s.derivative() + s * rate, rate)
         assert calls == []
 

@@ -24,7 +24,7 @@ from merosolve.classify import (
 from merosolve.expsum import ObstructionReport
 from merosolve.field import ONE, ZERO, FieldConstant
 from merosolve.laurent import LaurentExpansion, ResonanceInfo
-from merosolve.ratfunc import PartialFractionForm, Poly, RatFunc
+from merosolve.ratfunc import RatFunc
 from merosolve.series import BranchResonance, LeadingCandidate
 
 
@@ -55,8 +55,6 @@ def _records():
         "ClassificationReport": ("families",
                                  lambda: ClassificationReport(z, z, z, (), (), None)),
         "ObstructionReport": ("rate", lambda: ObstructionReport(half(), ONE, half())),
-        "PartialFractionForm": ("poles",
-                                lambda: PartialFractionForm(Poly.z(), ((half(), (ONE,)),))),
         "LeadingCandidate": ("a0", cand),
         "BranchResonance": ("status",
                             lambda: BranchResonance(cand(), "no-resonance", half(), False)),
@@ -72,7 +70,7 @@ RECORDS = sorted(_records())
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("name", RECORDS)
