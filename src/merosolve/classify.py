@@ -221,12 +221,14 @@ def _verify(
 
 
 class _Collector:
-    """Accumulates families and rejections in fixed branch order."""
+    """Accumulates families and rejections in fixed branch order, and owns
+    the report's one extension: ctx starts at the coefficients' field
+    (base_q), and the branches' square roots spend it."""
 
     def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
-        self.base_q = common_discriminant(
-            (alpha.num, alpha.den, beta.num, beta.den, gamma.num, gamma.den)) or None
+        self.base_q = common_discriminant((alpha, beta, gamma)) or None
+        self.ctx = ExtensionContext(self.base_q)
         self.families: list[SolutionFamily] = []
         self.rejected: list[RejectedBranch] = []
         self.warnings: list[str] = []
@@ -259,12 +261,11 @@ class _Collector:
         return None
 
     def integrate(self, label: str, coeff: RatFunc, rate: FieldConstant,
-                  ctx: ExtensionContext, tag: str = "") -> RatFunc | None:
-        """integrate_exp(coeff, rate, ctx), or None after rejecting `label`
-        with the obstruction, after `tag`.  The arguments lie in the one
-        field of ctx, and the obstruction is named on a copy of it, so
-        nothing leaves the field."""
-        out = integrate_exp(coeff, rate, ctx)
+                  tag: str = "") -> RatFunc | None:
+        """integrate_exp(coeff, rate, self.ctx.q), or None after rejecting
+        `label` with the obstruction, after `tag`.  integrate_exp names the
+        obstruction in a context of its own, so no extension is spent."""
+        out = integrate_exp(coeff, rate, self.ctx.q)
         if isinstance(out, ObstructionReport):
             self.reject(label, f"{tag}{out.describe()}")
             return None
@@ -348,7 +349,7 @@ def _exp_piece(coeff: str, rate: FieldConstant) -> str:
 # -- case branches -------------------------------------------------------------------
 
 
-def _case_trivial(col: _Collector, ctx: ExtensionContext) -> None:
+def _case_trivial(col: _Collector) -> None:
     def build(v: dict) -> ExpSum:
         return ExpSum.exponential(v["c1"], RatFunc.const(v["c2"]))
 
@@ -364,7 +365,7 @@ def _case_trivial(col: _Collector, ctx: ExtensionContext) -> None:
     )
 
 
-def _case_A(col: _Collector, ctx: ExtensionContext) -> None:
+def _case_A(col: _Collector) -> None:
     kv = col.constant(col.alpha, "alpha", "A-cosh", "A-quadratic")
     if kv is None:
         return
@@ -399,7 +400,7 @@ def _case_A(col: _Collector, ctx: ExtensionContext) -> None:
     )
 
 
-def _case_B(col: _Collector, ctx: ExtensionContext) -> None:
+def _case_B(col: _Collector) -> None:
     k1v = col.constant(-(col.alpha / col.beta), "-alpha/beta", "B")
     if k1v is None:
         return
@@ -417,7 +418,7 @@ def _case_B(col: _Collector, ctx: ExtensionContext) -> None:
     )
 
 
-def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
+def _case_C(col: _Collector) -> None:
     alpha, beta = col.alpha, col.beta
     constraint = alpha + beta.derivative()
     if not col.vanishes(constraint, "alpha + beta'", "C"):
@@ -432,7 +433,7 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
         h = Poly([-c if i % 2 else c for i, c in enumerate(g.coeffs)]).monic()  # g(-c1)
         notes.append(f"the residues of beta*exp(-c1*z) vanish at c1 != 0 iff "
                      f"{poly_to_str(h, 'c1')} = 0")
-        _, roots, rem = linear_roots(h, ctx)
+        _, roots, rem = linear_roots(h, col.ctx)
         allowed = tuple(sorted([r for r, _ in roots] + [ZERO] * at_zero,
                                key=FieldConstant.sort_key))
         if rem.degree > 0:
@@ -446,7 +447,7 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
 
     def build(v: dict) -> ExpSum:
         c1, c2 = v["c1"], v["c2"]
-        anti = integrate_exp(beta, -c1, ctx)
+        anti = integrate_exp(beta, -c1, col.ctx.q)
         if isinstance(anti, ObstructionReport):
             raise DomainViolationError(
                 f"c1 = {format_constant(c1)} is obstructed: {anti.describe()}"
@@ -478,11 +479,11 @@ def _case_C(col: _Collector, ctx: ExtensionContext) -> None:
     )
 
 
-def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
+def _case_D(col: _Collector) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
     disc = beta * beta - 4 * gamma
     # RatFunc.sqrt answers None for a non-square, so box it apart from the lift's None
-    boxed = col.lift("D", lambda: (disc.sqrt(ctx),),
+    boxed = col.lift("D", lambda: (disc.sqrt(col.ctx),),
                      leaves="square root of beta^2 - 4*gamma leaves")
     if boxed is None:
         return
@@ -500,7 +501,7 @@ def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
         k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1", "D")
         if k1v is None:
             continue
-        tail = col.integrate("D", h, -k1v, ctx, tag=tag)
+        tail = col.integrate("D", h, -k1v, tag=tag)
         if tail is None:
             continue
 
@@ -519,7 +520,7 @@ def _case_D(col: _Collector, ctx: ExtensionContext) -> None:
         )
 
 
-def _case_E(col: _Collector, ctx: ExtensionContext) -> None:
+def _case_E(col: _Collector) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
     labels = ("E.a", "E.b", "E.c", "E.d", "E.e")
     Arf = compute_A(alpha, beta, gamma)
@@ -530,14 +531,14 @@ def _case_E(col: _Collector, ctx: ExtensionContext) -> None:
     disc = beta * beta - 4 * gamma
     quarter_disc = beta * beta / 4 - gamma
 
-    _case_Ea(col, ctx, Arf, Av, h0)
-    _case_Eb(col, ctx, Arf, Av, h0, disc)
+    _case_Ea(col, Arf, Av, h0)
+    _case_Eb(col, Arf, Av, h0, disc)
     _case_Ec(col, Arf, Av)
-    _case_Ed(col, ctx, Arf, Av, quarter_disc)
-    _case_Ee(col, ctx, Arf, Av, quarter_disc)
+    _case_Ed(col, Arf, Av, quarter_disc)
+    _case_Ee(col, Arf, Av, quarter_disc)
 
 
-def _case_Ea(col, ctx, Arf, Av, h0) -> None:
+def _case_Ea(col, Arf, Av, h0) -> None:
     alpha, beta, gamma = col.alpha, col.beta, col.gamma
     if not Av.is_zero:
         col.reject("E.a", f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
@@ -564,7 +565,8 @@ def _case_Ea(col, ctx, Arf, Av, h0) -> None:
     if k2sqv.is_zero:
         col.reject("E.a", "k2^2 = 0 (degenerate; the exponential branch E.b covers it)")
         return
-    roots = col.lift("E.a", lambda: (ctx.sqrt(k1sqv), ctx.sqrt(k2sqv)), leaves="k1 or k2 leaves")
+    roots = col.lift("E.a", lambda: (col.ctx.sqrt(k1sqv), col.ctx.sqrt(k2sqv)),
+                     leaves="k1 or k2 leaves")
     if roots is None:
         return
     k1, k2 = roots
@@ -663,7 +665,7 @@ def _invariant_B(col, g: FieldConstant, Av: FieldConstant) -> RatFunc:
     )
 
 
-def _case_Eb(col, ctx, Arf, Av, h0, disc) -> None:
+def _case_Eb(col, Arf, Av, h0, disc) -> None:
     if disc.is_zero:
         col.reject("E.b", "beta^2 - 4*gamma vanishes identically (see E.e)")
         return
@@ -673,7 +675,7 @@ def _case_Eb(col, ctx, Arf, Av, h0, disc) -> None:
     if k1sqv.is_zero:
         col.reject("E.b", "k1^2 = 0 (this branch needs a nonzero k1)")
         return
-    k1 = col.lift("E.b", ctx.sqrt, k1sqv, leaves="k1 leaves")
+    k1 = col.lift("E.b", col.ctx.sqrt, k1sqv, leaves="k1 leaves")
     if k1 is None:
         return
     m = -h0 / RatFunc.const(2 * k1sqv)
@@ -726,7 +728,7 @@ def _case_Ec(col, Arf, Av) -> None:
     )
 
 
-def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
+def _case_Ed(col, Arf, Av, quarter_disc) -> None:
     alpha, beta = col.alpha, col.beta
     if quarter_disc.is_zero:
         col.reject("E.d", "beta^2/4 - gamma vanishes identically (see E.e)")
@@ -739,10 +741,10 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
         return
     if not col.vanishes(beta.derivative() + 2 * alpha, "beta' + 2*alpha", "E.d"):
         return
-    k1 = col.lift("E.d", ctx.sqrt, k1sqv, leaves="k1 leaves")
+    k1 = col.lift("E.d", col.ctx.sqrt, k1sqv, leaves="k1 leaves")
     if k1 is None:
         return
-    anti = col.integrate("E.d", beta, ZERO, ctx)
+    anti = col.integrate("E.d", beta, ZERO)
     if anti is None:
         return
     half_int = anti / 2
@@ -765,7 +767,7 @@ def _case_Ed(col, ctx, Arf, Av, quarter_disc) -> None:
     )
 
 
-def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
+def _case_Ee(col, Arf, Av, quarter_disc) -> None:
     beta = col.beta
     if not quarter_disc.is_zero:
         col.reject(
@@ -773,7 +775,7 @@ def _case_Ee(col, ctx, Arf, Av, quarter_disc) -> None:
             f"beta^2/4 - gamma = {ratfunc_to_str(quarter_disc)} is not identically zero",
         )
         return
-    tail = col.integrate("E.e", beta / 2, Av / 2, ctx)
+    tail = col.integrate("E.e", beta / 2, Av / 2)
     if tail is None:
         return
     mu = -Av / 2
@@ -808,9 +810,8 @@ def classify(alpha, beta, gamma) -> ClassificationReport:
     """Decide which cases apply and emit every verified solution family."""
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     col = _Collector(alpha, beta, gamma)
-    ctx = ExtensionContext(col.base_q)
     for branch in _case_table(alpha, beta, gamma)[1]:
-        branch(col, ctx)
+        branch(col)
 
     return ClassificationReport(
         alpha=alpha,
@@ -818,6 +819,6 @@ def classify(alpha, beta, gamma) -> ClassificationReport:
         gamma=gamma,
         families=tuple(col.families),
         rejected_branches=tuple(col.rejected),
-        extension_used=ctx.q,
+        extension_used=col.ctx.q,
         warnings=tuple(col.warnings),
     )

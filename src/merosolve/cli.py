@@ -11,6 +11,7 @@ Timing goes to standard error as elapsed_ms=<n>, never into the payload.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from importlib import import_module
@@ -41,7 +42,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The argument parser, built on first use and reused by later calls."""
     parser = _ArgumentParser(
         prog="merosolve",
         description=(
@@ -131,12 +134,6 @@ def _parse_coefficients(args):
     return parse_ratfunc(args.alpha), parse_ratfunc(args.beta), parse_ratfunc(args.gamma)
 
 
-def _one_field(alpha, beta, gamma):
-    """The coefficients, after IncompatibleExtensionsError when they come from two fields."""
-    common_discriminant([p for f in (alpha, beta, gamma) for p in (f.num, f.den)])
-    return alpha, beta, gamma
-
-
 def _cmd_classify(args) -> tuple[dict, int]:
     from .classify import classify
 
@@ -156,7 +153,8 @@ def _cmd_transform(args) -> tuple[dict, int]:
     from .classify import classify, transform_original
 
     kappas = [parse_ratfunc(getattr(args, k)) for k in ("k0", "k1", "k2", "k3")]
-    alpha, beta, gamma = _one_field(*transform_original(*kappas))
+    alpha, beta, gamma = transform_original(*kappas)
+    common_discriminant((alpha, beta, gamma))
     payload = {"coefficients": coefficients_dict(alpha, beta, gamma)}
     warnings: list[str] = []
     code = 0
@@ -183,7 +181,8 @@ def _format_complex(z: complex) -> str:
 def _cmd_verify(args) -> tuple[dict, int]:
     from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
 
-    alpha, beta, gamma = _one_field(*_parse_coefficients(args))
+    alpha, beta, gamma = _parse_coefficients(args)
+    common_discriminant((alpha, beta, gamma))
     params = _parse_params(args.params, args.solution)
     w = parse_expsum(args.solution, params=params)
     r = residual(alpha, beta, gamma, w)
@@ -315,20 +314,9 @@ def _fold_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-_parser: _ArgumentParser | None = None
-
-
-def _get_parser() -> _ArgumentParser:
-    """The argument parser, built on first use and reused by later calls."""
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    return _parser
-
-
 def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
-    parser = _get_parser()
+    parser = _build_parser()
     use_json = False
     try:
         if argv is None:

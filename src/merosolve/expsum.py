@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import IncompatibleExtensionsError, NearPoleError
+from .errors import IncompatibleExtensionsError, LimitExceededError, NearPoleError
 from .field import (ZERO, ONE, ExtensionContext, FieldConstant, format_constant,
                     from_integers, integer_parts)
 from .ratfunc import (Poly, RatFunc, linear_roots, over_common_denominator, poly_gcd,
@@ -277,7 +277,7 @@ def _horner(cs: list[complex], z: complex) -> complex:
 
 
 def integrate_exp(
-    coeff: RatFunc, rate: FieldConstant, ctx: ExtensionContext | None = None
+    coeff: RatFunc, rate: FieldConstant, field: int | None = None
 ) -> RatFunc | ObstructionReport:
     """The rational S with S' + rate*S = coeff, so that S(z)*exp(rate*z) is
     the antiderivative of coeff(z)*exp(rate*z), or the obstruction.
@@ -287,7 +287,9 @@ def integrate_exp(
     order m is one of S' + rate*S of order m + 1, so S = poly + N/G with
     G = gcd(Q, Q'), and no root of Q is needed (Risch, Trans. AMS 139, 1969;
     Bronstein, Symbolic Integration I, ch. 6).  Only a missing S has Q split,
-    on a copy of ctx, to name the obstruction."""
+    to name the obstruction, in a context of its own over Q(sqrt(field))
+    (None: the first extension the split meets), so no caller's extension
+    is spent.  A split past trial division names Q's square-free part."""
     coeff, rate = RatFunc.of(coeff), FieldConstant.of(rate)
     if coeff.is_zero:
         return coeff
@@ -310,7 +312,10 @@ def integrate_exp(
     # name the first pole of the field, in canonical order, whose residue (what parts
     # leave over (z - pole)**(-1), sum_k c_k*rate**(k-1)/(k-1)!) is nonzero, else the
     # factor whose roots leave the field
-    _, roots, rest = linear_roots(coeff.den, ExtensionContext(ctx.q if ctx else None))
+    try:
+        _, roots, rest = linear_roots(coeff.den, ExtensionContext(field))
+    except LimitExceededError:
+        roots, rest = (), coeff.den
     for pole, mult in roots:
         res, term = ZERO, ONE
         for k, c in enumerate(reversed(coeff.taylor_at(pole, mult)[1]), 1):

@@ -550,6 +550,11 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def q(self) -> int:
+        """The field's discriminant, 0 for Q (the constructor makes num and den share it)."""
+        return self.num.q or self.den.q
+
     def constant_value(self) -> FieldConstant | None:
         """The value when this function is constant, else None (normal outcome)."""
         if self.den.degree == 0 and self.num.degree <= 0:
@@ -569,8 +574,7 @@ class RatFunc:
     def _join(self, other: RatFunc) -> None:
         """Raise IncompatibleExtensionsError(self's q, other's q) on a clash,
         before a gcd could meet the two in the other order."""
-        common_discriminant((other.num, other.den),
-                            common_discriminant((self.num, self.den)))
+        common_discriminant((other,), self.q)
 
     # -- arithmetic ------------------------------------------------------------
     # Henrici (JACM 3(1), 1956; Knuth, TAOCP vol. 2, 4.5.1): each result is built

@@ -93,7 +93,7 @@ def leading_candidates(
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
-    common_discriminant((alpha.num, alpha.den, beta.num, beta.den, gamma.num, gamma.den, z0))
+    common_discriminant((alpha, beta, gamma, z0))
     if in_excluded_set(alpha, beta, gamma, z0):
         raise PointInPhiError(z0)
     if alpha.is_zero and beta.is_zero and gamma.is_zero:
@@ -408,7 +408,7 @@ def expand_branches(
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
-    rational = not z0.q and not any(f.num.q or f.den.q for f in (alpha, beta, gamma))
+    rational = not any(x.q for x in (alpha, beta, gamma, z0))
     done: dict[tuple[int, FieldConstant], LaurentExpansion] = {}
     out = []
     for cand in candidates:

@@ -683,6 +683,15 @@ class TestObstructionNamedWithNoExtension:
             " z^3 - z + 3 on rate -1")
         assert "cannot be decomposed" not in json.dumps(doc)
 
+    def test_a_factor_past_trial_division_is_named(self):
+        # the roots of f need sqrt(3 - 4*(10^30 + 57)), whose square-free part
+        # trial division cannot decide; the solve has refuted the branch already
+        f = "z^2 + z + 1000000000000000000000000000057"
+        doc = self.report(f)
+        assert doc["rejected_branches"][0]["reason"] == (
+            f"branch h = (1)/({f}): logarithmic obstruction at the roots of {f} on rate -1")
+        assert doc["extension_used"] is None
+
 
 class TestCaseEOverNonSplittingDenominators:
     # t = 1/(z^3 - z + 3) has no pole in K, yet E.d's and E.e's tails are rational

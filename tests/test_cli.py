@@ -790,19 +790,11 @@ class TestGrammarGate:
 
 
 class TestParserReuse:
-    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
-        built = []
-        real = cli._build_parser
-
-        def counting():
-            built.append(1)
-            return real()
-
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "_build_parser", counting)
+    def test_two_calls_build_the_parser_once(self, capsys):
+        cli._build_parser.cache_clear()
         for _ in range(2):
             assert run_cli(capsys, "classify", "--alpha", "2", "--beta", "0", "--gamma", "0")[0] == 0
-        assert built == [1]
+        assert cli._build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("argv", [
         ("classify", "--alpha", "2", "--beta", "0"),

@@ -24,7 +24,7 @@ from merosolve.expsum import (
     residual,
     spot_check,
 )
-from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
+from merosolve.field import ONE, ZERO, FieldConstant
 from merosolve.parse import parse_expsum, parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc
 
@@ -91,9 +91,8 @@ class TestCalculus:
 
     @given(polynomial_expsums())
     def test_integrate_then_differentiate(self, x):
-        ctx = ExtensionContext()
         for r, c in x.terms:
-            s = integrate_exp(c, r, ctx)
+            s = integrate_exp(c, r)
             assert s.derivative() + s * r == c
 
 
@@ -146,13 +145,16 @@ class TestIntegrateExp:
 
 
 class TestObstructionNaming:
-    def test_naming_splits_a_copy_of_the_context(self):
-        # the poles +-sqrt(2) are named, but the caller's context stays over Q
-        ctx = ExtensionContext()
-        out = integrate_exp(1 / (Z * Z - 2), -ONE, ctx)
+    @pytest.mark.parametrize("field", [None, 2])
+    def test_naming_finds_the_poles_in_the_field(self, field):
+        # the poles +-sqrt(2) lie in any field naming may open, and in Q(sqrt(2))
+        out = integrate_exp(1 / (Z * Z - 2), -ONE, field)
         root2 = FieldConstant(Fraction(0), Fraction(1), 2)
         assert out == ObstructionReport(-root2, -ONE, -root2 / 4)
-        assert ctx.q is None
+
+    def test_naming_in_another_field_names_the_factor(self):
+        out = integrate_exp(1 / (Z * Z - 2), -ONE, 3)
+        assert out == ObstructionReport(Poly.z().pow(2) - Poly.const(2), -ONE, None)
 
     def test_a_factor_with_no_root_in_the_field_is_named(self):
         # at rate 0 the double pole at 1 has no residue, so the obstruction lies
@@ -166,7 +168,7 @@ class TestObstructionNaming:
         assert (out.offending_pole, out.residue_coefficient) == (ONE, ONE)
 
     def test_the_named_factor_is_square_free(self):
-        out = integrate_exp(1 / (Z * Z - 3) ** 2, ONE, ExtensionContext(2))
+        out = integrate_exp(1 / (Z * Z - 3) ** 2, ONE, 2)
         assert out.describe() == "logarithmic obstruction at the roots of z^2 - 3 on rate 1"
 
 

@@ -83,6 +83,18 @@ class TestReduction:
         assert RatFunc.z() != "z" and RatFunc.const(1) == 1
 
 
+class TestField:
+    def test_a_rational_function_and_zero_lie_in_q(self):
+        assert rf([1, 2], [3, 0, 1]).q == 0
+        assert RatFunc(Poly()).q == 0 and RatFunc.of(0).q == 0
+
+    def test_either_part_carries_the_field(self):
+        over_num = RatFunc(Poly([root5, ONE]), Poly([ONE, ZERO, ONE]))  # (z + sqrt 5)/(z^2 + 1)
+        over_den = RatFunc(Poly.const(1), Poly([root5, ONE]))  # 1/(z + sqrt 5)
+        assert over_num.den.q == 0 and over_den.num.q == 0
+        assert over_num.q == 5 and over_den.q == 5
+
+
 class TestCalculus:
     @given(ratfuncs(), ratfuncs())
     def test_product_rule(self, f, g):
