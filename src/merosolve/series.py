@@ -22,6 +22,11 @@ polynomials are kept as vectors over Z[sqrt(q)], each over one common
 denominator, so an order costs integer convolutions and one exact division
 for a_n.
 
+The resonance index r = beta(z0)/a0 + 2 of a p = 1 branch is computed once
+per branch, by expand, from the shifted E*beta and E: beta(z0) is their
+ratio at zeta = 0.  branch_resonance reads r off an expansion it is handed
+and evaluates nothing at z0.
+
 expand_branches expands several leading candidates at one point.  Over
 rational coefficients and a rational z0 the two p = 1 roots of an irrational
 leading equation are conjugate in Q(sqrt(q)), and so are their branches:
@@ -143,6 +148,12 @@ class _Taylor:
         self.ax, self.ay = vectors(al, 1, n)
         self.bx, self.by = vectors(be, 0, n)
         self.gx, self.gy = vectors(ga)
+
+    def beta_at_z0(self) -> FieldConstant:
+        """beta(z0) = (E*beta)(z0)/E(z0), times the conjugate over the norm;
+        E(z0) != 0 off the excluded set."""
+        e, f, b, c, q = self.ex[0], self.ey[0], self.bx[0], self.by[0], self.q
+        return from_integers(b * e - q * c * f, c * e - b * f, e * e - q * f * f, q)
 
 
 def _square(s: int, a: _Prefix, p: int) -> tuple[int, int, int, int]:
@@ -280,21 +291,10 @@ def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tupl
     return base, slope, square
 
 
-def _resonance_r(beta: RatFunc, z0: FieldConstant, a0: FieldConstant) -> FieldConstant:
-    """r = beta(z0)/a0 + 2: where the order-n slope of a p = 1 branch vanishes."""
-    return beta.eval_at(z0) / a0 + 2
-
-
-def _resonance_status(beta: RatFunc, z0: FieldConstant, cand: LeadingCandidate,
-                      cap: int) -> tuple[str, FieldConstant | None]:
-    """(status, r) of cand, see BranchResonance; "evaluated" means the
-    condition is read off an expansion to order r + 2."""
-    if cand.p != 1:
-        return "not-applicable", None
-    r = _resonance_r(beta, z0, cand.a0)
-    if not r.is_positive_integer():
-        return "no-resonance", r
-    return ("cap-exceeded" if r.as_integer() > cap else "evaluated"), r
+def _resonance_r(b0: FieldConstant, a0: FieldConstant) -> FieldConstant:
+    """r = beta(z0)/a0 + 2, b0 = beta(z0): where the order-n slope of a p = 1
+    branch vanishes."""
+    return b0 / a0 + 2
 
 
 def _match_orders(res, a: _Prefix, order: int,
@@ -342,7 +342,9 @@ def expand(
     the alternate continuation (value 1) recorded alongside, unless
     resonance_value pins it (used to compare against a known solution).
     A violated resonance halts the branch: halted_at is set and the
-    coefficient list stops before the impossible index.
+    coefficient list stops before the impossible index.  For p = 1 the
+    resonance index r = beta(z0)/a0 + 2 is recorded in resonance.r, with
+    beta(z0) read off the E*beta and E already shifted to z0.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -377,7 +379,7 @@ def expand(
         if _match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt.values)
 
-    r = _resonance_r(beta, z0, a0) if p == 1 else None
+    r = _resonance_r(t.beta_at_z0(), a0) if p == 1 else None
     info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
                          res_index, condition, free_index)
     return LaurentExpansion(
@@ -437,16 +439,25 @@ def branch_resonance(
     The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances.
     The p = 2 branch has no such formula and reports not-applicable.  A
     positive integer r beyond the cap is a distinct reportable outcome, not
-    an error: the condition sits too deep to evaluate.  The condition is read
-    off an expansion of the branch to order r + 2: the caller's expansion of
-    this candidate when it reaches that far, else a fresh one.
+    an error: the condition sits too deep to evaluate.  Given the caller's
+    expansion of this candidate, r is its resonance.r and nothing is
+    evaluated at z0; without one, r is computed from beta(z0).  The condition
+    is read off an expansion of the branch to order r + 2: the caller's when
+    it reaches that far, else a fresh one.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
-    status, r = _resonance_status(beta, z0, cand, cap)
-    if status != "evaluated":
-        return BranchResonance(cand, status, r, status == "cap-exceeded")
+    if cand.p != 1:
+        return BranchResonance(cand, "not-applicable", None, False)
+    if expansion is not None:
+        r = expansion.resonance.r
+    else:
+        r = _resonance_r(beta.eval_at(z0), cand.a0)
+    if not r.is_positive_integer():
+        return BranchResonance(cand, "no-resonance", r, False)
     n_r = r.as_integer()
+    if n_r > cap:
+        return BranchResonance(cand, "cap-exceeded", r, True)
     if expansion is None or expansion.truncation_order < n_r + 2:
         expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
     info = expansion.resonance

@@ -10,7 +10,8 @@ It builds equations by stratum, each from a known answer where there is one:
   E.e     alpha = t - t1', beta = 2*(t1 + t), gamma = beta^2/4
   generic three rational functions drawn at random
   fields  coefficients over two quadratic fields (an error)
-  expand  a local expansion request
+  expand  a local expansion request, at a point in Q or Q(sqrt 5), some on a
+          zero or pole of a coefficient (PointInPhi)
 
 Denominator factors are linear, quadratic or cubic, split over the constant
 field or not, and some constants lie in Q(sqrt 5).  Each input runs through
@@ -239,11 +240,39 @@ def build(stratum: str, rng: random.Random):
         return classify_argv(*parts), None
     if stratum == "fields":
         return classify_argv("sqrt(2)*z", "sqrt(5)+z", f"1/({p_str(f)})"), 1
-    coeffs = [draw_poly(rng, ext, rng.randint(0, 2)) for _ in range(3)]
-    return ["expand", "--alpha", p_str(coeffs[0]), "--beta", p_str(coeffs[1]),
-            "--gamma", p_str(coeffs[2]) if coeffs[2] else "1",
-            "--at", rng.choice(("0", "1", "1/2", "-2")), "--order", str(rng.randint(2, 8)),
-            "--json"], None
+    return expand_argv(rng, ext), None
+
+
+def expand_argv(rng, ext):
+    """An expand request: numerators of degree <= 2, some over a denominator
+    factor, at one of 0, 1, 1/2 and -2 or, when the draw has no extension of
+    its own, now and then at a point in Q(sqrt 5), there half the time with
+    gamma = 0 (a0 = -beta(z0) lies in the field).  One request in twenty
+    puts the point on a zero or a pole of a coefficient (PointInPhi)."""
+    coeffs = [Over(draw_factor(rng, ext), draw_poly(rng, ext, rng.randint(0, 2)), 1)
+              if rng.random() < 0.3 else Over([(1, 0)], draw_poly(rng, ext, rng.randint(0, 2)))
+              for _ in range(3)]
+    irrational = not ext and rng.random() < 0.25
+    if irrational:
+        z0 = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+              Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)))
+        at = f"{z0[0]}+({z0[1]})*sqrt(5)"
+        if rng.random() < 0.5:
+            coeffs[2] = Over([(1, 0)], [])
+    else:
+        at = rng.choice(("0", "1", "1/2", "-2"))
+        z0 = (Fraction(at), 0)
+        if coeffs[2].is_zero:
+            coeffs[2] = Over([(1, 0)], [(1, 0)])
+    nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero]
+    if rng.random() < 0.05 and nonzero:
+        i = rng.choice(nonzero)
+        c, root = coeffs[i], [(-z0[0], -z0[1]), (1, 0)]
+        coeffs[i] = (Over(c.f, p_mul(c.n, root), c.j) if rng.random() < 0.5
+                     else Over(p_mul(c.f if c.j else [(1, 0)], root), c.n, 1))
+    return ["expand", "--alpha", str(coeffs[0]), "--beta", str(coeffs[1]),
+            "--gamma", str(coeffs[2]), "--at", at, "--order", str(rng.randint(2, 8)),
+            "--json"]
 
 
 # -- running and tagging -----------------------------------------------------------------

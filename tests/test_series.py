@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from merosolve import series
-from merosolve.errors import PointInPhiError
+from merosolve.errors import IncompatibleExtensionsError, NestedExtensionError, PointInPhiError
 from merosolve.expsum import ExpSum
 from merosolve.field import (
     ONE,
@@ -32,7 +33,12 @@ from merosolve.series import (
 )
 
 import reference_kernels
-from conftest import extended_constants, rational_constants, small_fractions
+from conftest import (
+    extended_constants,
+    nonzero_rational_constants,
+    rational_constants,
+    small_fractions,
+)
 
 Z = RatFunc.z()
 RF0 = RatFunc(Poly())
@@ -844,3 +850,161 @@ class TestConjugateBranches:
             got = expand_branches(*eq, z0, cands, 3)
             assert got == _direct(*eq, z0, cands, 3)
             assert [e.truncation_order for e in got] == [max(3, c.p + 2) for c in cands]
+
+
+# -- the resonance index: one formula, computed once per branch -------------------------
+
+
+@st.composite
+def _resonance_draws(draw):
+    """alpha, beta, gamma, z0, order.
+
+    Each coefficient is a polynomial of degree <= 3 or a numerator over a
+    linear or quadratic denominator; the constants lie in Q or, sometimes,
+    in Q(sqrt(5)), and so does z0.  In one stratum gamma is moved by a
+    constant so that a leading root a0 has r = beta(z0)/a0 + 2 equal to a
+    drawn integer in 3..9: the order then lies below, at or above r + 2.
+    Draws with z0 in the excluded set, or whose leading roots need a second
+    extension, are skipped.
+    """
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+
+    def coeff() -> RatFunc:
+        num = RatFunc(Poly(draw(st.lists(constants, max_size=4))))
+        den = Poly(draw(st.lists(constants, min_size=1, max_size=2)) + [ONE])
+        return num / RatFunc(den) if draw(st.booleans()) else num
+
+    z0 = draw(draw(st.sampled_from([rational_constants, extended_constants])))
+    alpha, beta, gamma = coeff(), coeff(), coeff()
+    order = draw(st.integers(min_value=3, max_value=12))
+    if draw(st.booleans()) and not beta.is_zero and not in_excluded_set(alpha, beta, gamma, z0):
+        # a0 = b0/(r - 2) solves a0**2 + b0*a0 + g0 = 0 for g0 = -a0*(a0 + b0)
+        r = draw(st.integers(min_value=3, max_value=9))
+        b0 = beta.eval_at(z0)
+        a0 = b0 / (r - 2)
+        gamma = gamma + RatFunc.const(-a0 * (a0 + b0) - gamma.eval_at(z0))
+        order = r + 2 + draw(st.sampled_from([-2, -1, 0, 1]))
+    assume(not in_excluded_set(alpha, beta, gamma, z0))
+    try:
+        cands = leading_candidates(alpha, beta, gamma, z0)
+        common_discriminant((alpha, beta, gamma, z0, *(c.a0 for c in cands)))
+    except (NestedExtensionError, IncompatibleExtensionsError):
+        assume(False)
+    return alpha, beta, gamma, z0, order
+
+
+class TestResonanceIndexOnce:
+    """expand's r is beta(z0)/a0 + 2 with beta(z0) read off the shifted E*beta
+    and E, and branch_resonance given an expansion (expand's, or a conjugate
+    twin of expand_branches) reports what it reports without one."""
+
+    @given(_resonance_draws())
+    def test_expand_and_branch_resonance_agree_with_the_formula(self, data):
+        alpha, beta, gamma, z0, order = data
+        cands = leading_candidates(alpha, beta, gamma, z0)
+        direct = _direct(alpha, beta, gamma, z0, cands, order)
+        branches = expand_branches(alpha, beta, gamma, z0, cands, order)
+        for cand, e, twin in zip(cands, direct, branches):
+            if cand.p == 1:
+                assert e.resonance.r == beta.eval_at(z0) / cand.a0 + 2
+            report = branch_resonance(alpha, beta, gamma, z0, cand)
+            assert branch_resonance(alpha, beta, gamma, z0, cand, expansion=e) == report
+            assert branch_resonance(alpha, beta, gamma, z0, cand, expansion=twin) == report
+
+    def test_draws_cover_twins_resonances_and_the_field(self):
+        seen = set()
+
+        @given(_resonance_draws())
+        def collect(data):
+            alpha, beta, gamma, z0, order = data
+            cands = leading_candidates(alpha, beta, gamma, z0)
+            rational = not any(x.q for x in (alpha, beta, gamma, z0))
+            if rational and len(cands) == 2 and cands[0].a0.q:
+                seen.add("twin")
+            seen.add("z0 in Q(sqrt(5))" if z0.q else "z0 rational")
+            if any(f.den.degree for f in (alpha, beta, gamma)):
+                seen.add("denominator")
+            for cand in cands:
+                report = branch_resonance(alpha, beta, gamma, z0, cand)
+                seen.add(report.status)
+                if report.r_is_positive_integer:
+                    n = report.r.as_integer()
+                    seen.add("below" if order < n + 2 else "at" if order == n + 2 else "above")
+
+        collect()
+        assert {"twin", "z0 in Q(sqrt(5))", "z0 rational", "denominator", "no-resonance",
+                "evaluated", "below", "at", "above"} <= seen
+
+
+class TestResonanceEvaluatedOnce:
+    """An expand request evaluates a coefficient at the point only for the
+    leading balance; each branch's r comes from its own Taylor shift."""
+
+    # the r = 5 branch (a0 = -1) is probed to order 7 when --order is 4
+    @pytest.mark.parametrize("order", ["8", "4"])
+    def test_only_leading_candidates_evaluates(self, monkeypatch, capsys, order):
+        from merosolve import cli
+
+        callers = []
+        real = RatFunc.eval_at
+
+        def counting(self, z0):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self, z0)
+
+        monkeypatch.setattr(RatFunc, "eval_at", counting)
+        argv = ["expand", "--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0",
+                "--order", order, "--json"]
+        assert cli.main(argv) == 0
+        assert callers == ["leading_candidates"] * 2
+        branches = json.loads(capsys.readouterr().out)["branches"]
+        assert [(b["resonance_status"], b["free_coefficient_index"]) for b in branches] == [
+            ("no-resonance", None), ("evaluated", 5)]
+
+
+# -- expand under v(z) = mu*w(lam*z + s) ----------------------------------------------------
+
+
+def _compose(f: RatFunc, lam: FieldConstant, s: FieldConstant) -> RatFunc:
+    """f(lam*z + s), by Horner's rule on numerator and denominator."""
+    u = RatFunc.const(lam) * Z + RatFunc.const(s)
+
+    def horner(p: Poly) -> RatFunc:
+        out = RF0
+        for c in reversed(p.coeffs):
+            out = out * u + RatFunc.const(c)
+        return out
+
+    return horner(f.num) / horner(f.den)
+
+
+class TestExpandSymmetry:
+    """If w solves the equation then v(z) = mu*w(lam*z + s) solves it with
+    alpha~ = mu*lam**2*alpha(lam*z + s), beta~ = mu*lam*beta(lam*z + s) and
+    gamma~ = mu**2*lam**2*gamma(lam*z + s).  At z0' = (z0 - s)/lam each
+    branch a0 maps to mu*lam**p*a0 and a_k to mu*lam**(p+k)*a_k; r, the
+    resonance record and the halting index stay the same."""
+
+    @given(_resonance_draws(), st.tuples(nonzero_rational_constants,
+                                         nonzero_rational_constants, rational_constants))
+    def test_branches_map_to_branches(self, data, transform):
+        alpha, beta, gamma, z0, order = data
+        mu, lam, s = transform
+        moved = (RatFunc.const(mu * lam * lam) * _compose(alpha, lam, s),
+                 RatFunc.const(mu * lam) * _compose(beta, lam, s),
+                 RatFunc.const(mu * mu * lam * lam) * _compose(gamma, lam, s))
+        z1 = (z0 - s) / lam
+        cands = leading_candidates(alpha, beta, gamma, z0)
+        by_a0 = {c.a0: c for c in leading_candidates(*moved, z1)}
+        assert len(by_a0) == len({c.a0 for c in cands})
+        for cand in cands:
+            image = by_a0[mu * lam ** cand.p * cand.a0]
+            assert image.p == cand.p
+            n = max(order, cand.p + 2)
+            e = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
+            f = expand(*moved, z1, image.p, image.a0, n)
+            assert f.coefficients == tuple(mu * lam ** (cand.p + k) * c
+                                           for k, c in enumerate(e.coefficients))
+            assert (f.resonance, f.halted_at) == (e.resonance, e.halted_at)
+            assert (branch_resonance(*moved, z1, image, expansion=f)[1:]
+                    == branch_resonance(alpha, beta, gamma, z0, cand, expansion=e)[1:])
