@@ -1,11 +1,13 @@
 """Case-by-case classification of w*w'' - (w')**2 = alpha*w + beta*w' + gamma.
 
-The classifier walks every case whose preconditions match the input's
-(beta == 0?, gamma == 0?) signature, builds the candidate solution families
-from the case formulas, and keeps only families whose residual vanishes
-identically at several distinct parameter instantiations.  Branches that
-fail a constraint are logged with the first failing check, so the report
-always accounts for every applicable case label.
+The case table pairs each case label with its one gate, and selects the
+labels whose preconditions match the input's (beta == 0?, gamma == 0?)
+signature.  A gate builds the candidate solution family from the case
+formulas, and keeps it only when its residual vanishes identically at several
+distinct parameter instantiations; a family with a sign parameter is verified
+at both signs in one run and rejected at its first failure.  A gate that
+fails a constraint logs the first failing check, so the report always
+accounts for every applicable case label.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DomainViolationError,
@@ -119,7 +122,7 @@ def eq3_residual(
 
 def applicable_labels(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> tuple[str, ...]:
     """Case labels the classifier must account for on this input."""
-    return _case_table(alpha, beta, gamma)[0]
+    return tuple(label for label, _ in _case_table(alpha, beta, gamma))
 
 
 # -- instantiation and admissibility ------------------------------------------------
@@ -223,57 +226,79 @@ def _verify(
 class _Collector:
     """Accumulates families and rejections in fixed branch order, and owns
     the report's one extension: ctx starts at the coefficients' field
-    (base_q), and the branches' square roots spend it."""
+    (base_q), and the branches' square roots spend it.  label is the case
+    label of the gate that runs (classify sets it from the case table); the
+    gate's rejections and families carry it."""
 
     def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
         self.base_q = common_discriminant((alpha, beta, gamma)) or None
         self.ctx = ExtensionContext(self.base_q)
+        self.label = ""
         self.families: list[SolutionFamily] = []
         self.rejected: list[RejectedBranch] = []
         self.warnings: list[str] = []
 
-    def reject(self, label: str, reason: str) -> None:
-        self.rejected.append(RejectedBranch(label, reason))
+    # the branch quantities, each computed at most once per report
+    @cached_property
+    def alpha1(self) -> RatFunc:
+        return self.alpha.derivative()
 
-    def constant(self, f: RatFunc, name: str, *labels: str) -> FieldConstant | None:
-        """f's value when f is constant, else None after rejecting every label."""
+    @cached_property
+    def beta1(self) -> RatFunc:
+        return self.beta.derivative()
+
+    @cached_property
+    def beta2(self) -> RatFunc:
+        return self.beta1.derivative()
+
+    @cached_property
+    def disc(self) -> RatFunc:
+        """beta^2 - 4*gamma."""
+        return self.beta * self.beta - 4 * self.gamma
+
+    @cached_property
+    def A(self) -> RatFunc:
+        return compute_A(self.alpha, self.beta, self.gamma)
+
+    def reject(self, reason: str) -> None:
+        self.rejected.append(RejectedBranch(self.label, reason))
+
+    def constant(self, f: RatFunc, name: str) -> FieldConstant | None:
+        """f's value when f is constant, else None after rejecting."""
         v = f.constant_value()
         if v is None:
-            for label in labels:
-                self.reject(label, f"{name} = {ratfunc_to_str(f)} is not constant")
+            self.reject(f"{name} = {ratfunc_to_str(f)} is not constant")
         return v
 
-    def vanishes(self, f: RatFunc, name: str, label: str) -> bool:
-        """True when f is identically zero, else False after rejecting label."""
+    def vanishes(self, f: RatFunc, name: str) -> bool:
+        """True when f is identically zero, else False after rejecting."""
         if not f.is_zero:
-            self.reject(label, f"{name} = {ratfunc_to_str(f)} does not vanish identically")
+            self.reject(f"{name} = {ratfunc_to_str(f)} does not vanish identically")
         return f.is_zero
 
-    def lift(self, label: str, call, *args, leaves: str):
+    def lift(self, call, *args, leaves: str):
         """call(*args), a square root over the constant field.  When it leaves
-        the field, reject `label` and return None; `leaves` names what left
-        the field ("k1 leaves")."""
+        the field, reject and return None; `leaves` names what left the
+        field ("k1 leaves")."""
         try:
             return call(*args)
         except _LIFT_ERRORS as exc:
-            self.reject(label, f"{leaves} the constant field: {exc}")
+            self.reject(f"{leaves} the constant field: {exc}")
         return None
 
-    def integrate(self, label: str, coeff: RatFunc, rate: FieldConstant,
-                  tag: str = "") -> RatFunc | None:
+    def integrate(self, coeff: RatFunc, rate: FieldConstant, tag: str = "") -> RatFunc | None:
         """integrate_exp(coeff, rate, self.ctx.q), or None after rejecting
-        `label` with the obstruction, after `tag`.  integrate_exp names the
+        with the obstruction, after `tag`.  integrate_exp names the
         obstruction in a context of its own, so no extension is spent."""
         out = integrate_exp(coeff, rate, self.ctx.q)
         if isinstance(out, ObstructionReport):
-            self.reject(label, f"{tag}{out.describe()}")
+            self.reject(f"{tag}{out.describe()}")
             return None
         return out
 
     def attempt(
         self,
-        label: str,
         parameters: tuple[Parameter, ...],
         closed_form: str,
         constraints: ConstraintSet,
@@ -281,49 +306,32 @@ class _Collector:
         assignments: list[dict],
         notes: tuple[str, ...] = (),
     ) -> None:
-        """Gate a candidate family by the exact residual at every assignment.
+        """Gate a candidate family by the exact residual at every assignment;
+        the first failure rejects the whole family.
 
-        A family containing a sign parameter is verified per sign, + first:
-        each assignment is run with "sign" added.  A sign whose
-        instantiations fail is logged while the other may still be emitted
-        (with a note)."""
-        signs = ("+", "-") if any(p.kind == "sign" for p in parameters) else (None,)
-        subsets = {sgn: [a if sgn is None else {**a, "sign": sgn} for a in assignments]
-                   for sgn in signs}
-        runs = {sgn: _verify(self.alpha, self.beta, self.gamma, builder, subsets[sgn])
-                for sgn in signs}
-        good = [sgn for sgn in signs if runs[sgn][2] is None]
-        if not good:
-            self.reject(label, runs[signs[0]][2])
+        A family with a sign parameter runs every assignment at sign + and
+        then at sign -, in one run."""
+        if any(p.kind == "sign" for p in parameters):
+            assignments = [{**a, "sign": sgn} for sgn in "+-" for a in assignments]
+        records, members, failure = _verify(self.alpha, self.beta, self.gamma, builder,
+                                            assignments)
+        if failure is not None:
+            self.reject(failure)
             return
-        if len(good) < len(signs):
-            sgn = good[0]
-            bad = "-" if sgn == "+" else "+"
-            self.reject(label, f"sign {bad} branch: {runs[bad][2]}")
-            parameters = tuple(
-                Parameter(p.name, f"{{{sgn}}}", p.kind, p.allowed_values)
-                if p.kind == "sign" else p
-                for p in parameters
-            )
-            notes += (f"only the {sgn} sign verifies",)
         # judge admissibility on the most generic verified member: the first
         # one built that dominates the coefficients, if any does
-        verified = [(a, w) for sgn in good for a, w in zip(subsets[sgn], runs[sgn][1])]
-        generic, admissible = verified[0][0], False
-        for assign, w in verified:
-            if _admissible_member(w, self.alpha, self.beta, self.gamma):
-                generic, admissible = assign, True
-                break
+        generic = next((a for a, w in zip(assignments, members)
+                        if _admissible_member(w, self.alpha, self.beta, self.gamma)), None)
         self.families.append(SolutionFamily(
-            case_label=label,
+            case_label=self.label,
             parameters=parameters,
             closed_form=closed_form,
             constraints=constraints,
-            admissible=admissible,
+            admissible=generic is not None,
             verified=True,
-            verification=tuple(r for sgn in good for r in runs[sgn][0]),
+            verification=records,
             builder=builder,
-            generic_assignment=tuple(generic.items()),
+            generic_assignment=tuple((assignments[0] if generic is None else generic).items()),
             notes=notes,
         ))
 
@@ -346,7 +354,7 @@ def _exp_piece(coeff: str, rate: FieldConstant) -> str:
     return f"{coeff} * exp({_rate_str(rate)})"
 
 
-# -- case branches -------------------------------------------------------------------
+# -- case branches: one gate per label, run with col.label set --------------------
 
 
 def _case_trivial(col: _Collector) -> None:
@@ -354,7 +362,6 @@ def _case_trivial(col: _Collector) -> None:
         return ExpSum.exponential(v["c1"], RatFunc.const(v["c2"]))
 
     col.attempt(
-        "trivial-all-zero",
         (Parameter("c1", "K"), Parameter("c2", "K")),
         "w = c2 * exp(c1 * z)",
         ConstraintSet(),
@@ -365,43 +372,53 @@ def _case_trivial(col: _Collector) -> None:
     )
 
 
-def _case_A(col: _Collector) -> None:
-    kv = col.constant(col.alpha, "alpha", "A-cosh", "A-quadratic")
+def _case_A_cosh(col: _Collector) -> None:
+    kv = col.constant(col.alpha, "alpha")
     if kv is None:
         return
-    k = format_constant(kv)
 
-    def build_cosh(v: dict) -> ExpSum:
+    def build(v: dict) -> ExpSum:
         amp = kv / (v["c1"] * v["c1"])
         return _cosh(v["c1"], amp / 2, v["C"], RatFunc.const(amp))
 
     col.attempt(
-        "A-cosh",
         (Parameter("c1", "K \\ {0}", "nonzero"), Parameter("C", "K \\ {0}", "nonzero")),
-        f"w = ({k}/c1^2) * (1 + (C * exp(c1 * z) + (1/C) * exp(-c1 * z)) / 2)",
+        f"w = ({format_constant(kv)}/c1^2) * (1 + (C * exp(c1 * z) + (1/C) * exp(-c1 * z)) / 2)",
         ConstraintSet(),
-        build_cosh,
+        build,
         [{"c1": ONE, "C": ONE},
          {"c1": FieldConstant.of(2), "C": ONE},
          {"c1": ONE, "C": FieldConstant.of(2)}],
     )
 
-    def build_quad(v: dict) -> ExpSum:
-        shifted = RatFunc.z() + RatFunc.const(v["c2"])
-        return ExpSum.from_ratfunc(shifted * shifted * RatFunc.const(-kv / 2))
 
+def _quadratic(col: _Collector, av: FieldConstant, name: str, offset: FieldConstant,
+               constraints: ConstraintSet, samples: tuple[int, ...]) -> None:
+    """Gate w = -(av/2) * (z + name)^2 + offset at name = each sample."""
+    def build(v: dict) -> ExpSum:
+        shifted = RatFunc.z() + RatFunc.const(v[name])
+        return ExpSum.from_ratfunc(
+            shifted * shifted * RatFunc.const(-av / 2) + RatFunc.const(offset)
+        )
+
+    tail = "" if offset.is_zero else f" - ({format_constant(-offset)})"
     col.attempt(
-        "A-quadratic",
-        (Parameter("c2", "K"),),
-        f"w = -({format_constant(kv / 2)}) * (z + c2)^2",
-        ConstraintSet(),
-        build_quad,
-        [{"c2": ZERO}, {"c2": ONE}, {"c2": FieldConstant.of(-1)}],
+        (Parameter(name, "K"),),
+        f"w = -({format_constant(av / 2)}) * (z + {name})^2{tail}",
+        constraints,
+        build,
+        [{name: FieldConstant.of(c)} for c in samples],
     )
 
 
+def _case_A_quadratic(col: _Collector) -> None:
+    kv = col.constant(col.alpha, "alpha")
+    if kv is not None:
+        _quadratic(col, kv, "c2", ZERO, ConstraintSet(), (0, 1, -1))
+
+
 def _case_B(col: _Collector) -> None:
-    k1v = col.constant(-(col.alpha / col.beta), "-alpha/beta", "B")
+    k1v = col.constant(-(col.alpha / col.beta), "-alpha/beta")
     if k1v is None:
         return
 
@@ -409,19 +426,18 @@ def _case_B(col: _Collector) -> None:
         return ExpSum.exponential(k1v, RatFunc.const(v["c1"]))
 
     col.attempt(
-        "B",
         (Parameter("c1", "K \\ {0}", "nonzero"),),
-        "w = " + _exp_piece("c1", k1v) + "",
-        ConstraintSet(case2_constraint=col.alpha + col.beta.derivative()),
+        "w = " + _exp_piece("c1", k1v),
+        ConstraintSet(case2_constraint=col.alpha + col.beta1),
         build,
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": FieldConstant.of(3)}],
     )
 
 
 def _case_C(col: _Collector) -> None:
-    alpha, beta = col.alpha, col.beta
-    constraint = alpha + beta.derivative()
-    if not col.vanishes(constraint, "alpha + beta'", "C"):
+    beta = col.beta
+    constraint = col.alpha + col.beta1
+    if not col.vanishes(constraint, "alpha + beta'"):
         return
 
     # beta*exp(-c1*z) integrates iff c1 = -a for a rate a that integrable_rates allows
@@ -441,7 +457,7 @@ def _case_C(col: _Collector) -> None:
                          "outside the constant field")
         if not allowed:
             scope = " in the constant field" if rem.degree > 0 else ""
-            col.reject("C", f"integral obstruction for every c1{scope}: " + "; ".join(
+            col.reject(f"integral obstruction for every c1{scope}: " + "; ".join(
                 notes + ["at c1 = 0 beta has a nonzero residue"]))
             return
 
@@ -469,7 +485,6 @@ def _case_C(col: _Collector) -> None:
         domain_note = f"c1 restricted to {{{shown}}} by the residue conditions"
 
     col.attempt(
-        "C",
         params,
         "w = exp(c1 * z) * (c2 - I(z)), I = antiderivative of beta * exp(-c1 * z)",
         ConstraintSet(case2_constraint=constraint),
@@ -480,28 +495,25 @@ def _case_C(col: _Collector) -> None:
 
 
 def _case_D(col: _Collector) -> None:
-    alpha, beta, gamma = col.alpha, col.beta, col.gamma
-    disc = beta * beta - 4 * gamma
+    alpha, beta, disc = col.alpha, col.beta, col.disc
     # RatFunc.sqrt answers None for a non-square, so box it apart from the lift's None
-    boxed = col.lift("D", lambda: (disc.sqrt(col.ctx),),
+    boxed = col.lift(lambda: (disc.sqrt(col.ctx),),
                      leaves="square root of beta^2 - 4*gamma leaves")
     if boxed is None:
         return
     s = boxed[0]
     if s is None:
-        col.reject(
-            "D", f"beta^2 - 4*gamma = {ratfunc_to_str(disc)} is not a square in K(z)"
-        )
+        col.reject(f"beta^2 - 4*gamma = {ratfunc_to_str(disc)} is not a square in K(z)")
         return
-    branches = [("+", (-beta + s) / 2)]
+    branches = [(-beta + s) / 2]
     if not s.is_zero:
-        branches.append(("-", (-beta - s) / 2))
-    for sgn, h in branches:
+        branches.append((-beta - s) / 2)
+    for h in branches:
         tag = f"branch h = {ratfunc_to_str(h)}: "
-        k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1", "D")
+        k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1")
         if k1v is None:
             continue
-        tail = col.integrate("D", h, -k1v, tag=tag)
+        tail = col.integrate(h, -k1v, tag=tag)
         if tail is None:
             continue
 
@@ -509,7 +521,6 @@ def _case_D(col: _Collector) -> None:
             return ExpSum([(_k1, v["c1"]), (ZERO, _tail)])
 
         col.attempt(
-            "D",
             (Parameter("c1", "K"),),
             f"w = {_exp_piece('c1', k1v)} + ({ratfunc_to_str(tail)})",
             ConstraintSet(h=h, discriminant=disc),
@@ -520,84 +531,80 @@ def _case_D(col: _Collector) -> None:
         )
 
 
-def _case_E(col: _Collector) -> None:
-    alpha, beta, gamma = col.alpha, col.beta, col.gamma
-    labels = ("E.a", "E.b", "E.c", "E.d", "E.e")
-    Arf = compute_A(alpha, beta, gamma)
-    Av = col.constant(Arf, "A", *labels)
+# Every E gate first needs A constant, and rejects its own label when it is not.
+
+
+def _h0(col: _Collector, Av: FieldConstant) -> RatFunc:
+    """beta*A/2 - beta' - 2*alpha."""
+    return col.beta * RatFunc.const(Av / 2) - col.beta1 - 2 * col.alpha
+
+
+def _invariant_B(col: _Collector, g: FieldConstant, Av: FieldConstant) -> RatFunc:
+    """beta*g + alpha*A + 2*alpha' + beta'' for the branch's constant g."""
+    return (
+        col.beta * RatFunc.const(g)
+        + col.alpha * RatFunc.const(Av)
+        + 2 * col.alpha1
+        + col.beta2
+    )
+
+
+def _case_Ea(col: _Collector) -> None:
+    beta, gamma = col.beta, col.gamma
+    Av = col.constant(col.A, "A")
     if Av is None:
         return
-    h0 = beta * RatFunc.const(Av / 2) - beta.derivative() - 2 * alpha
-    disc = beta * beta - 4 * gamma
-    quarter_disc = beta * beta / 4 - gamma
-
-    _case_Ea(col, Arf, Av, h0)
-    _case_Eb(col, Arf, Av, h0, disc)
-    _case_Ec(col, Arf, Av)
-    _case_Ed(col, Arf, Av, quarter_disc)
-    _case_Ee(col, Arf, Av, quarter_disc)
-
-
-def _case_Ea(col, Arf, Av, h0) -> None:
-    alpha, beta, gamma = col.alpha, col.beta, col.gamma
     if not Av.is_zero:
-        col.reject("E.a", f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
+        col.reject(f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
         return
-    bend = beta.derivative().derivative() + 2 * alpha.derivative()
+    bend = col.beta2 + 2 * col.alpha1
     if beta.is_zero:
-        if col.vanishes(bend, "beta'' + 2*alpha'", "E.a"):
-            _case_Ea_free(col, Arf)
+        if col.vanishes(bend, "beta'' + 2*alpha'"):
+            _case_Ea_free(col)
         return
-    k1sqv = col.constant(-(bend / beta), "k1^2 = -(beta'' + 2*alpha')/beta", "E.a")
+    k1sqv = col.constant(-(bend / beta), "k1^2 = -(beta'' + 2*alpha')/beta")
     if k1sqv is None:
         return
     if k1sqv.is_zero:
-        col.reject("E.a", "k1^2 = 0 (the cosh branch needs a nonzero rate)")
+        col.reject("k1^2 = 0 (the cosh branch needs a nonzero rate)")
         return
+    h0 = _h0(col, Av)
     k2sq_rf = (h0 * h0 / RatFunc.const(4 * k1sqv) + gamma - beta * beta / 4) / RatFunc.const(k1sqv)
-    k2sqv = col.constant(k2sq_rf, "k2^2", "E.a")
+    k2sqv = col.constant(k2sq_rf, "k2^2")
     if k2sqv is None:
         col.warnings.append(
-            "E.a: k1^2 is constant yet k2^2 is not; this contradicts the "
+            f"{col.label}: k1^2 is constant yet k2^2 is not; this contradicts the "
             "classification derivation and the branch was rejected"
         )
         return
     if k2sqv.is_zero:
-        col.reject("E.a", "k2^2 = 0 (degenerate; the exponential branch E.b covers it)")
+        col.reject("k2^2 = 0 (degenerate; the exponential branch E.b covers it)")
         return
-    roots = col.lift("E.a", lambda: (col.ctx.sqrt(k1sqv), col.ctx.sqrt(k2sqv)),
+    roots = col.lift(lambda: (col.ctx.sqrt(k1sqv), col.ctx.sqrt(k2sqv)),
                      leaves="k1 or k2 leaves")
     if roots is None:
         return
     k1, k2 = roots
-    offset = (beta.derivative() + 2 * alpha) / RatFunc.const(2 * k1sqv)
+    offset = (col.beta1 + 2 * col.alpha) / RatFunc.const(2 * k1sqv)
 
     def build(v: dict) -> ExpSum:
         return _cosh(k1, _signed(v, k2) / 2, v["C"], offset)
 
     col.attempt(
-        "E.a",
         (Parameter("sign", "{+, -}", "sign"), Parameter("C", "K \\ {0}", "nonzero")),
         f"w = sign * {format_constant(k2)} * (C * exp({_rate_str(k1)}) + "
         f"(1/C) * exp({_rate_str(-k1)})) / 2 + ({ratfunc_to_str(offset)})",
-        ConstraintSet(A=Arf, B=_invariant_B(col, k1sqv, Av), g=k1sqv, h=h0,
+        ConstraintSet(A=col.A, B=_invariant_B(col, k1sqv, Av), g=k1sqv, h=h0,
                       k1_squared=k1sqv, k2_squared=k2sqv),
         build,
         [{"C": ONE}, {"C": FieldConstant.of(2)}, {"C": FieldConstant.of(3)}],
     )
 
 
-def _case_Ea_free(col, Arf) -> None:
-    """beta = 0 with beta''+2*alpha' = 0: alpha, gamma constant, k1 free."""
-    alpha, gamma = col.alpha, col.gamma
-    av = alpha.constant_value()
-    gv = gamma.constant_value()
-    if av is None or gv is None:
-        # beta = 0 and 2*alpha' = 0 force alpha constant; gamma then must be
-        # constant for A = -gamma'/gamma = 0
-        which = "alpha" if av is None else "gamma"
-        col.reject("E.a", f"{which} is not constant on the free-rate branch")
-        return
+def _case_Ea_free(col: _Collector) -> None:
+    """beta = 0 with beta''+2*alpha' = 0: alpha constant, gamma constant as
+    A = -gamma'/gamma = 0, and k1 free."""
+    av, gv = col.alpha.constant_value(), col.gamma.constant_value()
 
     def k2_of(k1: FieldConstant) -> FieldConstant:
         """sqrt((alpha^2/k1^2 + gamma)/k1^2) within the equation's one extension."""
@@ -626,7 +633,6 @@ def _case_Ea_free(col, Arf) -> None:
             break
     if not k1_samples:
         col.reject(
-            "E.a",
             "k2 = sqrt((alpha^2/k1^2 + gamma)/k1^2) needs a second field extension "
             "for every sampled k1",
         )
@@ -636,7 +642,6 @@ def _case_Ea_free(col, Arf) -> None:
         for i in range(3)
     ]
     col.attempt(
-        "E.a",
         (
             Parameter("sign", "{+, -}", "sign"),
             Parameter("k1", "K \\ {0}", "nonzero"),
@@ -647,7 +652,7 @@ def _case_Ea_free(col, Arf) -> None:
         + ", with k2^2 = ("
         + ("" if av.is_zero else f"({format_constant(av)})^2/k1^2 + ")
         + f"({format_constant(gv)}))/k1^2 and k1 a free nonzero constant",
-        ConstraintSet(A=Arf, h=RatFunc.const(-2 * av)),
+        ConstraintSet(A=col.A, h=RatFunc.const(-2 * av)),
         build,
         base,
         notes=("k1 is a free parameter; k2 depends on k1 and may require the "
@@ -655,27 +660,22 @@ def _case_Ea_free(col, Arf) -> None:
     )
 
 
-def _invariant_B(col, g: FieldConstant, Av: FieldConstant) -> RatFunc:
-    """beta*g + alpha*A + 2*alpha' + beta'' for the branch's constant g."""
-    return (
-        col.beta * RatFunc.const(g)
-        + col.alpha * RatFunc.const(Av)
-        + 2 * col.alpha.derivative()
-        + col.beta.derivative().derivative()
-    )
-
-
-def _case_Eb(col, Arf, Av, h0, disc) -> None:
-    if disc.is_zero:
-        col.reject("E.b", "beta^2 - 4*gamma vanishes identically (see E.e)")
+def _case_Eb(col: _Collector) -> None:
+    disc = col.disc
+    Av = col.constant(col.A, "A")
+    if Av is None:
         return
-    k1sqv = col.constant((h0 * h0) / disc, "k1^2", "E.b")
+    if disc.is_zero:
+        col.reject("beta^2 - 4*gamma vanishes identically (see E.e)")
+        return
+    h0 = _h0(col, Av)
+    k1sqv = col.constant((h0 * h0) / disc, "k1^2")
     if k1sqv is None:
         return
     if k1sqv.is_zero:
-        col.reject("E.b", "k1^2 = 0 (this branch needs a nonzero k1)")
+        col.reject("k1^2 = 0 (this branch needs a nonzero k1)")
         return
-    k1 = col.lift("E.b", col.ctx.sqrt, k1sqv, leaves="k1 leaves")
+    k1 = col.lift(col.ctx.sqrt, k1sqv, leaves="k1 leaves")
     if k1 is None:
         return
     m = -h0 / RatFunc.const(2 * k1sqv)
@@ -684,67 +684,55 @@ def _case_Eb(col, Arf, Av, h0, disc) -> None:
     def build(v: dict) -> ExpSum:
         return ExpSum.exponential(lam[v["sign"]], RatFunc.const(v["c1"])) + ExpSum.from_ratfunc(m)
 
+    g = k1sqv - Av * Av / 4
     col.attempt(
-        "E.b",
         (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K \\ {0}", "nonzero")),
         f"w = c1 * exp((-A/2 sign k1) * z) + ({ratfunc_to_str(m)}), "
         f"A = {format_constant(Av)}, k1 = {format_constant(k1)}",
-        ConstraintSet(A=Arf, B=_invariant_B(col, k1sqv - Av * Av / 4, Av),
-                      g=k1sqv - Av * Av / 4, h=h0, k1_squared=k1sqv,
+        ConstraintSet(A=col.A, B=_invariant_B(col, g, Av), g=g, h=h0, k1_squared=k1sqv,
                       k2_squared=ZERO, discriminant=disc),
         build,
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": FieldConstant.of(3)}],
     )
 
 
-def _case_Ec(col, Arf, Av) -> None:
-    alpha, beta, gamma = col.alpha, col.beta, col.gamma
-    av = col.constant(alpha, "alpha", "E.c")
+def _case_Ec(col: _Collector) -> None:
+    if col.constant(col.A, "A") is None:
+        return
+    av = col.constant(col.alpha, "alpha")
     if av is None:
         return
     if av.is_zero:
-        col.reject("E.c", "alpha vanishes identically (this branch needs a nonzero constant alpha)")
+        col.reject("alpha vanishes identically (this branch needs a nonzero constant alpha)")
         return
-    if not col.vanishes(beta, "beta", "E.c"):
+    if not col.vanishes(col.beta, "beta"):
         return
-    gv = col.constant(gamma, "gamma", "E.c")
-    if gv is None:
+    gv = col.constant(col.gamma, "gamma")
+    if gv is not None:
+        _quadratic(col, av, "c1", -gv / (2 * av),
+                   ConstraintSet(A=col.A, h=RatFunc.const(-2 * av)), (0, 1, 2))
+
+
+def _case_Ed(col: _Collector) -> None:
+    quarter_disc = col.disc / 4
+    Av = col.constant(col.A, "A")
+    if Av is None:
         return
-
-    def build(v: dict) -> ExpSum:
-        shifted = RatFunc.z() + RatFunc.const(v["c1"])
-        return ExpSum.from_ratfunc(
-            shifted * shifted * RatFunc.const(-av / 2) + RatFunc.const(-gv / (2 * av))
-        )
-
-    col.attempt(
-        "E.c",
-        (Parameter("c1", "K"),),
-        f"w = -({format_constant(av / 2)}) * (z + c1)^2 "
-        f"- ({format_constant(gv / (2 * av))})",
-        ConstraintSet(A=Arf, h=RatFunc.const(-2 * av)),
-        build,
-        [{"c1": ZERO}, {"c1": ONE}, {"c1": FieldConstant.of(2)}],
-    )
-
-
-def _case_Ed(col, Arf, Av, quarter_disc) -> None:
-    alpha, beta = col.alpha, col.beta
     if quarter_disc.is_zero:
-        col.reject("E.d", "beta^2/4 - gamma vanishes identically (see E.e)")
+        col.reject("beta^2/4 - gamma vanishes identically (see E.e)")
         return
-    k1sqv = col.constant(quarter_disc, "k1^2 = beta^2/4 - gamma", "E.d")
+    k1sqv = col.constant(quarter_disc, "k1^2 = beta^2/4 - gamma")
     if k1sqv is None:
         return
     if not Av.is_zero:
-        col.reject("E.d", f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
+        col.reject(f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
         return
-    if not col.vanishes(beta.derivative() + 2 * alpha, "beta' + 2*alpha", "E.d"):
+    if not col.vanishes(col.beta1 + 2 * col.alpha, "beta' + 2*alpha"):
         return
-    k1 = col.lift("E.d", col.ctx.sqrt, k1sqv, leaves="k1 leaves")
+    k1 = col.lift(col.ctx.sqrt, k1sqv, leaves="k1 leaves")
     if k1 is None:
         return
-    anti = col.integrate("E.d", beta, ZERO)
+    anti = col.integrate(col.beta, ZERO)
     if anti is None:
         return
     half_int = anti / 2
@@ -757,25 +745,25 @@ def _case_Ed(col, Arf, Av, quarter_disc) -> None:
     tail = f" - ({ratfunc_to_str(half_int)})" if not half_int.is_zero else ""
     k1_factor = "" if k1 == ONE else f"{format_constant(k1)} * "
     col.attempt(
-        "E.d",
         (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")),
         f"w = sign * {k1_factor}z + c1{tail}",
-        ConstraintSet(A=Arf, B=_invariant_B(col, ZERO, Av), g=ZERO,
-                      h=RatFunc.of(0), k1_squared=k1sqv, discriminant=quarter_disc * 4),
+        ConstraintSet(A=col.A, B=_invariant_B(col, ZERO, Av), g=ZERO,
+                      h=RatFunc.of(0), k1_squared=k1sqv, discriminant=col.disc),
         build,
         [{"c1": ZERO}, {"c1": ONE}, {"c1": FieldConstant.of(2)}],
     )
 
 
-def _case_Ee(col, Arf, Av, quarter_disc) -> None:
-    beta = col.beta
-    if not quarter_disc.is_zero:
+def _case_Ee(col: _Collector) -> None:
+    Av = col.constant(col.A, "A")
+    if Av is None:
+        return
+    if not col.disc.is_zero:
         col.reject(
-            "E.e",
-            f"beta^2/4 - gamma = {ratfunc_to_str(quarter_disc)} is not identically zero",
+            f"beta^2/4 - gamma = {ratfunc_to_str(col.disc / 4)} is not identically zero"
         )
         return
-    tail = col.integrate("E.e", beta / 2, Av / 2)
+    tail = col.integrate(col.beta / 2, Av / 2)
     if tail is None:
         return
     mu = -Av / 2
@@ -785,10 +773,9 @@ def _case_Ee(col, Arf, Av, quarter_disc) -> None:
 
     tail_str = f" - ({ratfunc_to_str(tail)})" if not tail.is_zero else ""
     col.attempt(
-        "E.e",
         (Parameter("c1", "K"),),
         f"w = {_exp_piece('c1', mu)}{tail_str}",
-        ConstraintSet(A=Arf, B=_invariant_B(col, -Av * Av / 4, Av), g=-Av * Av / 4,
+        ConstraintSet(A=col.A, B=_invariant_B(col, -Av * Av / 4, Av), g=-Av * Av / 4,
                       h=RatFunc.of(0), k1_squared=ZERO, discriminant=RatFunc.of(0)),
         build,
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
@@ -796,22 +783,24 @@ def _case_Ee(col, Arf, Av, quarter_disc) -> None:
 
 
 def _case_table(alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
-    """The case split: (labels, branches) for the input's signature, in order."""
+    """The case split: one (label, gate) pair per label that applies to the
+    input's signature, in report order.  No other line names a label."""
     if gamma.is_zero and beta.is_zero:
         if alpha.is_zero:
-            return ("trivial-all-zero",), (_case_trivial,)
-        return ("A-cosh", "A-quadratic", "C"), (_case_A, _case_C)
+            return (("trivial-all-zero", _case_trivial),)
+        return (("A-cosh", _case_A_cosh), ("A-quadratic", _case_A_quadratic), ("C", _case_C))
     if gamma.is_zero:
-        return ("B", "C"), (_case_B, _case_C)
-    return ("D", "E.a", "E.b", "E.c", "E.d", "E.e"), (_case_D, _case_E)
+        return (("B", _case_B), ("C", _case_C))
+    return (("D", _case_D), ("E.a", _case_Ea), ("E.b", _case_Eb), ("E.c", _case_Ec),
+            ("E.d", _case_Ed), ("E.e", _case_Ee))
 
 
 def classify(alpha, beta, gamma) -> ClassificationReport:
     """Decide which cases apply and emit every verified solution family."""
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     col = _Collector(alpha, beta, gamma)
-    for branch in _case_table(alpha, beta, gamma)[1]:
-        branch(col)
+    for col.label, gate in _case_table(alpha, beta, gamma):
+        gate(col)
 
     return ClassificationReport(
         alpha=alpha,

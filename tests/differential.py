@@ -43,8 +43,6 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 
-from merosolve import cli
-
 STRATA = ("C", "D", "D-int", "D-obs", "E.d", "E.e", "generic", "fields", "expand")
 
 # -- constants a + b*sqrt(5) and polynomials over them (low to high) -------------------
@@ -309,7 +307,12 @@ def tags_of(doc: dict, out: str) -> list[str]:
 
 
 def run_one(argv):
-    """(exit code, stdout, family labels, tags) of cli.main(argv) in process."""
+    """(exit code, stdout, family labels, tags) of cli.main(argv) in process.
+
+    merosolve is imported here, so that --compare runs on the standard
+    library alone."""
+    from merosolve import cli
+
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,20 @@ def one(rep, label):
     fams = by_label(rep)[label]
     assert len(fams) == 1
     return fams[0]
+
+
+def pool_classify_inputs(*workloads):
+    """(id, alpha, beta, gamma) of every classify entry of the benchmark pools."""
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    for workload in workloads:
+        with open(data / f"{workload}.json", encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+        for entry in entries:
+            argv = entry["argv"]
+            if argv[0] == "classify":
+                flags = dict(zip(argv[1::2], argv[2::2]))
+                yield (f"{workload}:{entry['id']}",
+                       *(parse_ratfunc(flags[f"--{n}"]) for n in ("alpha", "beta", "gamma")))
 
 
 # every fixture the suite classifies, for the structural audit
@@ -311,8 +326,9 @@ class TestSignFamilies:
             return ExpSum.from_ratfunc(Z * RF(1 if v["sign"] == "+" else -1) + RF(v["c1"]))
 
         base = [{"c1": FieldConstant.of(1)}, {"c1": FieldConstant.of(2)}]
+        col.label = "X"
         col.attempt(
-            "X", (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
+            (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
             ConstraintSet(), build, base,
         )
         (fam,) = col.families
@@ -332,10 +348,11 @@ class TestSignFamilies:
             w = instantiate(fam, {"sign": s, "k1": 2, "C": 3})
             assert residual(RF(0), RF(0), RF(1), w).is_zero
 
-    def test_one_failing_sign_is_rejected_and_the_other_emitted(self):
-        # no shipped family has a sign that fails alone, so gate a made-up one:
-        # c1*exp(z) solves the all-zero equation, the "-" member z + c1 does not
+    def test_a_family_is_rejected_at_its_first_failing_sign(self):
+        # one run gates + then -: c1*exp(z) solves the all-zero equation, the
+        # "-" member z + c1 does not, so the whole family is rejected
         col = _Collector(RF(0), RF(0), RF(0))
+        col.label = "X"
 
         def build(v):
             if v["sign"] == "+":
@@ -343,16 +360,39 @@ class TestSignFamilies:
             return ExpSum.from_ratfunc(Z + RF(v["c1"]))
 
         col.attempt(
-            "X", (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
+            (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
             ConstraintSet(), build, [{"c1": FieldConstant.of(1)}],
         )
-        (fam,) = col.families
-        assert fam.parameters[0].domain == "{+}"
-        assert [r.assignment for r in fam.verification] == [(("c1", "1"), ("sign", "+"))]
-        assert fam.admissible and fam.notes == ("only the + sign verifies",)
-        assert [r.reason for r in col.rejected] == [
-            "sign - branch: residual at (c1 = 1, sign = -) is (-1)"
+        assert col.families == []
+        assert [(r.case_label, r.reason) for r in col.rejected] == [
+            ("X", "residual at (c1 = 1, sign = -) is (-1)")
         ]
+
+
+    # the pool's E.a families are all free-rate, so add a k1-from-beta one
+    SIGN_INPUTS = [*pool_classify_inputs("classify-ladder"),
+                   ("E.a over Q(sqrt 17)", -Z * Z, Z, -Z**4 / 4 + Z * Z / 2 + 1)]
+
+    def test_both_signs_solve_away_from_the_gate_samples(self):
+        # the gate emits a sign family only when both signs verify, and
+        # rejects it at its first failure; that loses nothing because each
+        # family meets its sign only through k1^2 or k2^2, so both signs solve
+        off_samples = {"C": FieldConstant.of(-2), "c1": FieldConstant.of(5),
+                       "k1": FieldConstant.of(3)}
+        seen = set()
+        for ident, alpha, beta, gamma in self.SIGN_INPUTS:
+            for fam in classify(alpha, beta, gamma).families:
+                names = [p.name for p in fam.parameters]
+                if "sign" not in names:
+                    continue
+                seen.add(fam.case_label + (" free" if "k1" in names else ""))
+                for sgn in "+-":
+                    values = {n: sgn if n == "sign" else off_samples[n] for n in names}
+                    shown = {n: v if n == "sign" else format_constant(v) for n, v in values.items()}
+                    assert shown not in [dict(r.assignment) for r in fam.verification]
+                    w = instantiate(fam, values)
+                    assert residual(alpha, beta, gamma, w).is_zero, (ident, fam.case_label, sgn)
+        assert seen == {"E.a", "E.a free", "E.b", "E.d"}
 
 
 class TestExtensions:
@@ -473,6 +513,29 @@ class TestApplicableLabels:
         assert applicable_labels(-2 * Z, Z, RF(0)) == ("B", "C")
         assert applicable_labels(RF(1), RF(0), RF(2)) == (
             "D", "E.a", "E.b", "E.c", "E.d", "E.e",
+        )
+
+
+class TestOneGatePerLabel:
+    @pytest.mark.parametrize(
+        "ident,alpha,beta,gamma",
+        [pytest.param(*case, id=case[0])
+         for case in pool_classify_inputs("classify-ladder", "cli-oneshot")],
+    )
+    def test_report_order_follows_the_case_table(self, ident, alpha, beta, gamma):
+        order = {label: i for i, label in enumerate(applicable_labels(alpha, beta, gamma))}
+        rep = classify(alpha, beta, gamma)
+        for labels in ([r.case_label for r in rep.rejected_branches],
+                       [f.case_label for f in rep.families]):
+            ranks = [order[label] for label in labels]
+            assert ranks == sorted(ranks), (ident, labels)
+
+    def test_a_generic_equation_rejects_every_label_once_in_order(self):
+        alpha, beta, gamma = Z * Z + 1, Z, Z**3 - 2
+        rep = classify(alpha, beta, gamma)
+        assert rep.families == ()
+        assert tuple(r.case_label for r in rep.rejected_branches) == applicable_labels(
+            alpha, beta, gamma
         )
 
 

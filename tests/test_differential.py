@@ -3,6 +3,10 @@ build that has a known answer shows it."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import differential
 
 
@@ -25,3 +29,17 @@ def test_compare_reads_back_what_a_run_prints():
     table = differential.compare(records, records)
     rows = [row for row in table.splitlines() if row.startswith("| C |")]
     assert rows == ["| C | 2 | 0 | 0 | 0 |"]  # families gained, lost, stdout changed
+
+
+def test_compare_needs_only_the_standard_library(tmp_path):
+    # -S and no PYTHONPATH: neither merosolve nor site-packages can be imported
+    rec = {"id": "C:00000", "code": 0, "sha256": "0" * 64, "labels": ["C"], "tags": []}
+    table = tmp_path / "run.tsv"
+    table.write_text(differential.line(rec) + "\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", differential.__file__, "--compare", str(table), str(table)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "| C | 1 | 0 | 0 | 0 |" in done.stdout.splitlines()
