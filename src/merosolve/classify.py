@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     DomainViolationError,
@@ -238,6 +238,7 @@ class _Collector:
         self.families: list[SolutionFamily] = []
         self.rejected: list[RejectedBranch] = []
         self.warnings: list[str] = []
+        self.text = cache(ratfunc_to_str)  # each value rendered once, the key kept alive
 
     # the branch quantities, each computed at most once per report
     @cached_property
@@ -268,13 +269,13 @@ class _Collector:
         """f's value when f is constant, else None after rejecting."""
         v = f.constant_value()
         if v is None:
-            self.reject(f"{name} = {ratfunc_to_str(f)} is not constant")
+            self.reject(f"{name} = {self.text(f)} is not constant")
         return v
 
     def vanishes(self, f: RatFunc, name: str) -> bool:
         """True when f is identically zero, else False after rejecting."""
         if not f.is_zero:
-            self.reject(f"{name} = {ratfunc_to_str(f)} does not vanish identically")
+            self.reject(f"{name} = {self.text(f)} does not vanish identically")
         return f.is_zero
 
     def lift(self, call, *args, leaves: str):

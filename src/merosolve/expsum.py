@@ -7,10 +7,10 @@ name the logarithmic obstruction when there is no S, as a typed report (a
 normal outcome, not an exception).  The same solve, run at a few rates and
 interpolated, gives integrable_rates: every rate a at which S exists.
 
-The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is written once, as
-integer-vector numerators over one denominator (_residual_numerators), keyed
-by rates held as integer pairs over one denominator until the end: residual
-reduces each nonzero numerator to the unique RatFunc normal form, which is
+The residual w*w'' - (w')**2 - alpha*w - beta*w' - gamma is summed on bare
+integer vectors over Z[sqrt q]: the coefficient side over one denominator S,
+cleared once per report and D, the terms of w over L and the rates over R.
+Each nonzero numerator is reduced to the unique RatFunc normal form, which is
 why its text is the one the expanded ExpSum products would print, and a zero
 residual builds no RatFunc at all.
 """
@@ -23,10 +23,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import IncompatibleExtensionsError, LimitExceededError, NearPoleError
-from .field import (ZERO, ONE, ExtensionContext, FieldConstant, format_constant,
-                    from_integers, integer_parts)
-from .ratfunc import (Poly, RatFunc, linear_roots, over_common_denominator, poly_gcd,
-                      poly_to_str, ratfunc_to_str)
+from .field import (ZERO, ONE, ExtensionContext, FieldConstant, common_discriminant,
+                    format_constant, from_integers, integer_parts)
+from .ratfunc import (Poly, RatFunc, _lin, _poly, _times, linear_roots, over_common_denominator,
+                      poly_gcd, poly_to_str, ratfunc_to_str)
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
@@ -380,57 +380,102 @@ def _solve(rem: Poly, g: Poly, rate: FieldConstant) -> tuple[Poly, Poly]:
     return n, rem
 
 
+_last_cleared = None  # one entry, as a report gates its members in a row
+
+
+class _Cleared(dict):
+    """alpha, beta and gamma over E, the product of their distinct
+    denominators, and, keyed by D, the pieces that depend only on them and D.
+    It holds the three it was built for, which residual compares by value."""
+
+    def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
+        self.coefficients = (alpha, beta, gamma)
+        self.q = common_discriminant(self.coefficients)
+        (self.ea, self.eb, self.eg), self.e = over_common_denominator(self.coefficients)
+
+    def __missing__(self, d: Poly):
+        """(S, E*D**2, E*(D*D'' - D'**2), E*beta*D**2*D' - E*alpha*D**3,
+        E*beta*D**3, E*gamma*D**4), the five as integer vectors over S."""
+        dp, d2 = d.derivative(), d * d
+        ps = (self.e * d2, self.e * (d * dp.derivative() - dp * dp),
+              self.eb * d2 * dp - self.ea * d2 * d, self.eb * d2 * d, self.eg * d2 * d2)
+        s = math.lcm(*(p.d for p in ps))
+        self[d] = pieces = (s, *(_times(p.a, p.b, s // p.d, 0, p.q) for p in ps))
+        return pieces
+
+
+def _step(f, x: int, y: int, r: int, q: int):
+    """r*f' + (x + y*sqrt(q))*f: the derivative of f*exp((x + y*sqrt(q))/r*z), times r."""
+    (a, b), (da, db) = _times(*f, x, y, q), ([i * v for i, v in enumerate(p)][1:] for p in f)
+    return _lin(a, 1, da, r), (_lin(b, 1, db, r) if q else ())
+
+
+def _fma(acc, f, g, k: int, q: int) -> None:
+    """acc += k*f*g in place on vector pairs over Z[sqrt(q)], an empty one zero."""
+    (x, y), (a, b), (c, e) = acc, f, g
+    n = max(len(a), len(b)) + max(len(c), len(e)) - 1
+    x.extend([0] * (n - len(x)))
+    if q:  # else y is empty and stays so
+        y.extend([0] * (n - len(y)))
+    for p, cx, cy, m in ((a, c, e, 1), (b, e, c, q)):  # a*c + q*b*e and a*e + b*c
+        for i, u in enumerate(p):
+            if u:
+                u, um = u * k, u * k * m
+                for j, v in enumerate(cx):
+                    x[i + j] += um * v
+                for j, v in enumerate(cy):
+                    y[i + j] += u * v
+
+
 def residual(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum) -> ExpSum:
-    """w*w'' - (w')**2 - alpha*w - beta*w' - gamma, exactly.
-
-    Each numerator of _residual_numerators over E*D**4 is put in RatFunc
-    normal form.  That form is unique, so the terms and the text are those
-    the expanded ExpSum products give; a zero residual builds no RatFunc and
-    meets no gcd, a nonzero one at most one gcd per rate."""
-    nums, den = _residual_numerators(alpha, beta, gamma, w)
-    return ExpSum([(r, RatFunc(p, den)) for r, p in nums.items()])
-
-
-def _residual_numerators(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, w: ExpSum):
-    """({rate: numerator}, E*D**4): the nonzero numerators of the residual of
-    w over one denominator, held as integer vectors.
-
-    By Hayman's identity w*w'' - (w')**2 = w**2*(log w)'', with D the product
-    of the distinct term denominators of w, u = D*w and E that of alpha, beta
-    and gamma, E*D**4 times the residual is
+    """w*w'' - (w')**2 - alpha*w - beta*w' - gamma, exactly: each nonzero
+    numerator over E*D**4 in RatFunc normal form.  By Hayman's identity
+    w*w'' - (w')**2 = w**2*(log w)'', with D the product of the distinct term
+    denominators of w, u = D*w and E that of alpha, beta and gamma, E*D**4
+    times the residual is
         u*(E*D**2*u'' - E*(D*D'' - D'**2)*u - E*alpha*D**3 + E*beta*D**2*D')
           - u'*(E*D**2*u' + E*beta*D**3) - E*gamma*D**4.
-    The rates of w are read once as integer pairs (x_i + y_i*sqrt(q))/R, the
-    sum of two rates is keyed by (x_i + x_j, y_i + y_j), and a FieldConstant
-    is built once per distinct nonzero numerator.  Each rate keeps its own
-    discriminant too, so two rates from different extensions raise
-    IncompatibleExtensionsError at the pair a FieldConstant sum would.
+    It is summed on integer vector pairs (x, y) over Z[sqrt(q)], y empty for
+    a rational vector, over one denominator per side: S for the pieces
+    _Cleared keeps, L for the u_i and R for the rates (x_i + y_i*sqrt(q))/R, so
+    u_i' is _step(u_i) over R*L, u_i'' is over R**2*L and each product is
+    over S*L**2*R**2.  Extensions are joined once, each term's coefficient
+    and rate in turn and then alpha, beta and gamma's with theirs.
     """
-    (ea, eb, eg), e = over_common_denominator((alpha, beta, gamma))
+    global _last_cleared
+    c = _last_cleared
+    if c is None or c.coefficients != (alpha, beta, gamma):
+        c = _last_cleared = _Cleared(alpha, beta, gamma)
+    q = common_discriminant([x for r, f in w.terms for x in (f, r)])
+    if q and c.q and q != c.q:
+        raise IncompatibleExtensionsError(c.q, q)
+    q = q or c.q
     us, d = over_common_denominator([f for _, f in w.terms])
-    rates = [r for r, _ in w.terms]
-    up = [p.derivative() + p.scale(r) for p, r in zip(us, rates)]
-    upp = [p.derivative() + p.scale(r) for p, r in zip(up, rates)]
-    d2, dp = d * d, d.derivative()
-    d3, e_d2 = d2 * d, e * d2
-    e_dd = e * (d * dp.derivative() - dp * dp)
-    q = next((r.q for r in rates if r.q), 0)
-    xs, ys, den = integer_parts(rates, q)
-    keys = list(zip(xs, ys or [0] * len(xs), (r.q for r in rates)))
-    first = {k: e_d2 * b - e_dd * p for k, p, b in zip(keys, us, upp)}
-    first[0, 0, 0] = first.get((0, 0, 0), Poly()) + eb * d2 * dp - ea * d3
-    second = {k: e_d2 * p for k, p in zip(keys, up)}
-    second[0, 0, 0] = second.get((0, 0, 0), Poly()) + eb * d3
-    total = {(0, 0): -(eg * d2 * d2)}
-    for x, y in ((us, first), ([-p for p in up], second)):
-        for (x1, y1, q1), f in zip(keys, x):
-            for (x2, y2, q2), g in y.items():
-                if q1 and q2 and q1 != q2:
-                    raise IncompatibleExtensionsError(q1, q2)
-                k, fg = (x1 + x2, y1 + y2), f * g
-                total[k] = total[k] + fg if k in total else fg
-    nums = {from_integers(x, y, den, q): p for (x, y), p in total.items() if not p.is_zero}
-    return nums, e_d2 * d2
+    s, k2, kd, p0, p1, p2 = c[d]
+    xs, ys, r = integer_parts([rate for rate, _ in w.terms], q)
+    keys = list(zip(xs, ys or [0] * len(xs)))
+    lead, r2, zero = math.lcm(*(u.d for u in us)), r * r, (0, 0)
+    us = [_times(u.a, u.b, lead // u.d, 0, q) for u in us]
+    ups = [_step(u, x, y, r, q) for u, (x, y) in zip(us, keys)]
+    # what u_i and u_i' meet at each rate: E*D**2*u'' - ... and E*D**2*u' + ...
+    rows = {zero: (_times(*p0, lead * r2, 0, q), _times(*p1, lead * r, 0, q))}
+    for k, u, up in zip(keys, us, ups):
+        f, g = rows.setdefault(k, (([], []), ([], [])))
+        _fma(f, k2, _step(up, *k, r, q), 1, q)
+        _fma(f, kd, u, -r2, q)
+        _fma(g, k2, up, 1, q)
+    total = {zero: _times(*p2, -lead * lead * r2, 0, q)}
+    for (x1, y1), u, up in zip(keys, us, ups):
+        for (x2, y2), (f, g) in rows.items():
+            acc = total.setdefault((x1 + x2, y1 + y2), ([], []))
+            _fma(acc, u, f, 1, q)
+            _fma(acc, up, g, -1, q)
+    terms = []  # a unique normal form: the text the expanded ExpSum products give
+    for (x, y), (a, b) in total.items():
+        if any(a) or any(b):  # with q != 0, _times and _fma keep b as long as a
+            num = _poly(a, b, s * lead * lead * r2, q)
+            terms.append((from_integers(x, y, r, q), RatFunc(num, c.e * d.pow(4))))
+    return ExpSum(terms)
 
 
 def spot_check(value_at, w: ExpSum, z: complex) -> tuple[float, float, bool]:

@@ -1,10 +1,11 @@
 """Exact expression parsing for rational functions, constants, and ExpSums.
 
-A sub-expression is a RatFunc until an exp(...) term appears, and from there
-on both operands of an operator are ExpSums: parse_ratfunc and parse_constant
-never build an ExpSum, and parse_expsum wraps a rational result once.  The
-expsum module is imported by the functions that build an ExpSum, so parsing
-rational input never loads it.
+A sub-expression is a Poly, a RatFunc once it divides by a non-constant and
+an ExpSum once an exp(...) term appears: an operator promotes the lower of its
+operands, Poly < RatFunc < ExpSum.  parse_ratfunc and parse_constant never
+build an ExpSum and end in RatFunc.of, and parse_expsum wraps a rational
+result once.  The expsum module is imported by the functions that build an
+ExpSum, so parsing rational input never loads it.
 
 Grammar (whitespace insignificant)::
 
@@ -104,8 +105,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive-descent evaluator producing exact values: a RatFunc until an
-    exp(...) term appears, an ExpSum from there on (see _promote)."""
+    """Recursive-descent evaluator producing exact values: a Poly, a RatFunc
+    or an ExpSum (see _promote)."""
 
     def __init__(self, text: str, allow_exp: bool, params: dict[str, FieldConstant] | None):
         self.text = text
@@ -134,14 +135,14 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------------------
 
-    def parse(self) -> RatFunc | ExpSum:
+    def parse(self) -> Poly | RatFunc | ExpSum:
         value = self.expr()
         t = self.peek()
         if t.kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing '{t.text}'", t.pos)
         return value
 
-    def expr(self) -> RatFunc | ExpSum:
+    def expr(self) -> Poly | RatFunc | ExpSum:
         if self.depth > MAX_NESTING_DEPTH:
             raise LimitExceededError(
                 f"expression nests deeper than {MAX_NESTING_DEPTH} levels "
@@ -156,7 +157,7 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def term(self) -> RatFunc | ExpSum:
+    def term(self) -> Poly | RatFunc | ExpSum:
         value = self.unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
@@ -164,20 +165,20 @@ class _Parser:
             value = value * rhs if op.kind == "*" else self._divide(value, rhs, op.pos)
         return value
 
-    def unary(self) -> RatFunc | ExpSum:
+    def unary(self) -> Poly | RatFunc | ExpSum:
         if self.peek().kind == "-":
             self.advance()
             return -self.factor()
         return self.factor()
 
-    def factor(self) -> RatFunc | ExpSum:
+    def factor(self) -> Poly | RatFunc | ExpSum:
         value = self.base()
         if self.peek().kind != "^":
             return value
         self.advance()
         return _power(value, self.expect("int"))
 
-    def base(self) -> RatFunc | ExpSum:
+    def base(self) -> Poly | RatFunc | ExpSum:
         t = self.peek()
         if t.kind == "int":
             self.advance()
@@ -186,7 +187,7 @@ class _Parser:
                     f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
                     f"(at position {t.pos})"
                 )
-            return RatFunc.const(int(t.text))
+            return Poly.const(int(t.text))
         if t.kind == "(":
             self.advance()
             value = self.expr()
@@ -195,27 +196,27 @@ class _Parser:
         if t.kind == "name":
             self.advance()
             if t.text == "z":
-                return RatFunc.z()
+                return Poly.z()
             if t.text == "sqrt":
                 return self._sqrt(t)
             if t.text == "exp":
                 return self._exp(t)
             if t.text in self.params:
-                return RatFunc.const(self.params[t.text])
+                return Poly.const(self.params[t.text])
             raise ExpressionSyntaxError(f"unknown name '{t.text}'", t.pos)
         what = f"'{t.text}'" if t.kind != "end" else "end of input"
         raise ExpressionSyntaxError(f"expected a value but found {what}", t.pos)
 
     # -- function bases ----------------------------------------------------------------
 
-    def _sqrt(self, t: _Token) -> RatFunc:
+    def _sqrt(self, t: _Token) -> Poly:
         self.expect("(")
         part = _rational(self.expr())
         self.expect(")")
         c = part.constant_value() if part is not None else None
         if c is None:
             raise ExpressionSyntaxError("sqrt argument must be a constant", t.pos)
-        return RatFunc.const(sqrt_constant(c))
+        return Poly.const(sqrt_constant(c))
 
     def _exp(self, t: _Token) -> ExpSum:
         if not self.allow_exp:
@@ -235,20 +236,19 @@ class _Parser:
         return ExpSum.exponential(rate, 1)
 
     @staticmethod
-    def _linear_rate(arg: RatFunc | ExpSum) -> FieldConstant | None:
-        part = _rational(arg)
-        if part is None:
+    def _linear_rate(arg: Poly | RatFunc | ExpSum) -> FieldConstant | None:
+        part = _rational(arg)  # a monic constant denominator is 1
+        if part is None or part.den.degree or part.num.degree > 1 or not part.num[0].is_zero:
             return None
-        num, den = part.num, part.den
-        if den.degree != 0 or num.degree > 1 or not num[0].is_zero:
-            return None
-        return num[1] / den[0]
+        return part.num[1]
 
-    def _divide(self, lhs: RatFunc | ExpSum, rhs: RatFunc | ExpSum,
-                pos: int) -> RatFunc | ExpSum:
+    def _divide(self, lhs: Poly | RatFunc | ExpSum, rhs: Poly | RatFunc | ExpSum,
+                pos: int) -> Poly | RatFunc | ExpSum:
         if rhs.is_zero:
             raise ZeroDenominatorLiteralError(pos)
-        if isinstance(rhs, RatFunc):  # and so is lhs, see _promote
+        if isinstance(rhs, Poly):  # and so is lhs, see _promote
+            return lhs.scale(rhs[0].inverse()) if rhs.degree == 0 else RatFunc(lhs, rhs)
+        if isinstance(rhs, RatFunc):
             return lhs / rhs
         if len(rhs.terms) > 1:
             raise ExpressionSyntaxError(
@@ -260,19 +260,21 @@ class _Parser:
         return ExpSum(tuple((r - rate, c / coeff) for r, c in lhs.terms))
 
 
-def _promote(x: RatFunc | ExpSum, y: RatFunc | ExpSum) -> tuple:
-    """x and y as they are when both are RatFuncs, else both as ExpSums."""
-    if isinstance(x, RatFunc) and isinstance(y, RatFunc):
+def _promote(x: Poly | RatFunc | ExpSum, y: Poly | RatFunc | ExpSum) -> tuple:
+    """x and y as the higher-ranked type of the two, Poly < RatFunc < ExpSum."""
+    if type(x) is type(y):
         return x, y
+    if isinstance(x, (Poly, RatFunc)) and isinstance(y, (Poly, RatFunc)):
+        return RatFunc.of(x), RatFunc.of(y)
     from .expsum import ExpSum
 
     return tuple(v if isinstance(v, ExpSum) else ExpSum.from_ratfunc(v) for v in (x, y))
 
 
-def _rational(x: RatFunc | ExpSum) -> RatFunc | None:
+def _rational(x: Poly | RatFunc | ExpSum) -> RatFunc | None:
     """x as a RatFunc, or None when it has a term with a nonzero rate."""
-    if isinstance(x, RatFunc):
-        return x
+    if isinstance(x, (Poly, RatFunc)):
+        return RatFunc.of(x)
     return None if x.has_nonzero_rate() else x.rate_zero_part()
 
 
@@ -287,7 +289,7 @@ def _bits(p: Poly) -> int:
     return bits
 
 
-def _power(value: RatFunc | ExpSum, t: _Token) -> RatFunc | ExpSum:
+def _power(value: Poly | RatFunc | ExpSum, t: _Token) -> Poly | RatFunc | ExpSum:
     """value^n for the exponent token t.
 
     Refused with LimitExceededError before any multiply when n exceeds
@@ -301,8 +303,8 @@ def _power(value: RatFunc | ExpSum, t: _Token) -> RatFunc | ExpSum:
     digits = t.text.lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
         raise LimitExceededError(f"exponent exceeds {MAX_EXPONENT} (at position {t.pos})")
-    rational = isinstance(value, RatFunc)
-    coeffs = [value] * (not value.is_zero) if rational else [c for _, c in value.terms]
+    rational = isinstance(value, (Poly, RatFunc))
+    coeffs = [RatFunc.of(value)] * (not value.is_zero) if rational else [c for _, c in value.terms]
     n, k = int(digits), len(coeffs)
     degree = max((max(c.num.degree, c.den.degree) for c in coeffs), default=0)
     size = math.comb(n + k - 1, k - 1) * (n * degree + 1) if k else 1
@@ -317,7 +319,7 @@ def _power(value: RatFunc | ExpSum, t: _Token) -> RatFunc | ExpSum:
             f"(at position {t.pos})"
         )
     if rational:
-        return value ** n
+        return value.pow(n) if isinstance(value, Poly) else value ** n
     from .expsum import ExpSum
 
     if k == 1:
@@ -339,7 +341,7 @@ def parse_expsum(text: str, params: dict[str, FieldConstant] | None = None) -> E
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an exact rational function of z such as '(z^2+1)/(z-2)'."""
-    return _Parser(text, allow_exp=False, params=None).parse()
+    return RatFunc.of(_Parser(text, allow_exp=False, params=None).parse())
 
 
 def names_read(text: str) -> set[str]:
@@ -357,7 +359,7 @@ def is_name(text: str) -> bool:
 
 def parse_constant(text: str) -> FieldConstant:
     """Parse an exact constant such as '-3/2' or '1/2*sqrt(-2)'."""
-    c = _Parser(text, allow_exp=False, params=None).parse().constant_value()
+    c = parse_ratfunc(text).constant_value()
     if c is None:
         raise ExpressionSyntaxError("expected a constant expression", 0)
     return c

@@ -291,6 +291,29 @@ class TestResidualGate:
         assert not residual(self.ALPHA, self.BETA, self.GAMMA, w).is_zero
         assert gcds
 
+    def test_a_report_clears_the_coefficients_once(self, monkeypatch):
+        module = importlib.import_module("merosolve.classify")
+        cleared, gated = [], []
+        real_init = expsum._Cleared.__init__
+
+        def counting_init(self, *coefficients):
+            cleared.append(coefficients)
+            real_init(self, *coefficients)
+
+        def gate(*args):
+            gated.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(expsum._Cleared, "__init__", counting_init)
+        monkeypatch.setattr(expsum, "_last_cleared", None)
+        monkeypatch.setattr(module, "residual", gate)
+        rep = classify(self.ALPHA, self.BETA, self.GAMMA)
+        assert [f.case_label for f in rep.families] == ["D"]
+        assert len(gated) >= 3 and cleared == [(self.ALPHA, self.BETA, self.GAMMA)]
+        # the counter is live: another equation is cleared again
+        residual(self.ALPHA + 1, self.BETA, self.GAMMA, self.member(self.ASSIGNMENTS[0]))
+        assert len(cleared) == 2
+
     def test_failing_member_reason_is_the_residual_text(self):
         def perturbed(v):
             return self.member(v) + ExpSum.from_ratfunc(RF(1) / (Z - 1))
@@ -529,6 +552,18 @@ class TestOneGatePerLabel:
                        [f.case_label for f in rep.families]):
             ranks = [order[label] for label in labels]
             assert ranks == sorted(ranks), (ident, labels)
+
+    def test_a_rejected_a_is_rendered_once_per_report(self, monkeypatch):
+        module = importlib.import_module("merosolve.classify")
+        alpha, beta, gamma = Z * Z + 1, Z, Z**3 - 2
+        A, rendered = compute_A(alpha, beta, gamma), []
+        real = module.ratfunc_to_str
+        monkeypatch.setattr(module, "ratfunc_to_str", lambda f: rendered.append(f) or real(f))
+        rep = classify(alpha, beta, gamma)
+        text = f"A = {real(A)} is not constant"
+        labels = [r.case_label for r in rep.rejected_branches if r.reason == text]
+        assert labels == ["E.a", "E.b", "E.c", "E.d", "E.e"]
+        assert [f for f in rendered if f == A] == [A]
 
     def test_a_generic_equation_rejects_every_label_once_in_order(self):
         alpha, beta, gamma = Z * Z + 1, Z, Z**3 - 2

@@ -535,6 +535,21 @@ class TestResidualIsZero:
         assert calls == []
         assert k + k == 2 * k and len(calls) == 1  # the counter is live
 
+    def test_interleaved_equations_each_agree(self):
+        # one tail T with the same D = (z - 1)**2*(z + 2) in both members, and
+        # two equations, so a memo answering for the other one would show
+        t = Z + 3 / ((Z - 1) ** 2 * (Z + 2))
+        t1 = t.derivative()
+        alpha = t1.derivative() - 2 * t1 + t
+        gamma = t * t1.derivative() - t1 * t1 - alpha * t
+        equations = [(alpha, RF0, gamma), (alpha + 1, Z, gamma)]
+        members = [ExpSum([(ONE, RatFunc.const(c)), (ZERO, t)]) for c in (1, 2)]
+        for w in members + members[::-1]:
+            for a, b, g in equations + equations[::-1]:
+                assert residual(a, b, g, w) == reference_kernels.residual(a, b, g, w)
+        assert residual(*equations[0], members[0]).is_zero
+        assert not residual(*equations[1], members[0]).is_zero
+
     @pytest.mark.parametrize("solution, operands", [
         ("exp(sqrt(2)*z) + exp(sqrt(3)*z)", (2, 3)),
         # the coefficient sqrt(5) meets Q(sqrt(2)) before the two rates meet

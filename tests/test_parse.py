@@ -394,8 +394,9 @@ class TestParserAgainstDirectValues:
 
 
 # (function, text, error type, message, position) for every refusal of the
-# parser, as the ExpSum-based parser gave them; the nesting cases are built
-# from MAX_NESTING_DEPTH = 100
+# parser, as the ExpSum-based parser gave them (from "z" for parse_constant
+# on, as the RatFunc-based one did), so a rewrite keeps each; the nesting
+# cases are built from MAX_NESTING_DEPTH = 100
 _DEEP = "(" * (MAX_NESTING_DEPTH + 1) + "z" + ")" * (MAX_NESTING_DEPTH + 1)
 ERROR_CASES = [
     (parse_ratfunc, "z @ 1", ExpressionSyntaxError, "unexpected character '@' (at position 2)", 2),
@@ -477,6 +478,44 @@ ERROR_CASES = [
      "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))", None),
     (parse_constant, "1/z", ExpressionSyntaxError,
      "expected a constant expression (at position 0)", 0),
+    (parse_constant, "z", ExpressionSyntaxError,
+     "expected a constant expression (at position 0)", 0),
+    (parse_ratfunc, "z $ 1", ExpressionSyntaxError, "unexpected character '$' (at position 2)", 2),
+    (parse_ratfunc, "z^2^2", ExpressionSyntaxError, "unexpected trailing '^' (at position 3)", 3),
+    (parse_ratfunc, "z +", ExpressionSyntaxError,
+     "expected a value but found end of input (at position 3)", 3),
+    (parse_ratfunc, "--z", ExpressionSyntaxError,
+     "expected a value but found '-' (at position 1)", 1),
+    (parse_ratfunc, "(z+1", ExpressionSyntaxError,
+     "expected ')' but found end of input (at position 4)", 4),
+    (parse_ratfunc, "z^-1", ExpressionSyntaxError,
+     "expected 'int' but found '-' (at position 2)", 2),
+    (parse_ratfunc, "1/(z-z)", ZeroDenominatorLiteralError,
+     "division by an expression that is identically zero (at position 1)", 1),
+    (parse_ratfunc, "sqrt(z)", ExpressionSyntaxError,
+     "sqrt argument must be a constant (at position 0)", 0),
+    (parse_ratfunc, "sqrt(2)*sqrt(3)", IncompatibleExtensionsError,
+     "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))", None),
+    (parse_ratfunc, "sqrt(sqrt(2))", NestedExtensionError,
+     "sqrt(2) lies in Q(sqrt(2)) and is not a square there", None),
+    (parse_ratfunc, "w", ExpressionSyntaxError, "unknown name 'w' (at position 0)", 0),
+    (parse_ratfunc, "(z)^1000", LimitExceededError,
+     "power of size 1001 exceeds 150 (at position 4)", None),
+    (parse_ratfunc, "(z+1)^150", LimitExceededError,
+     "power of size 151 exceeds 150 (at position 6)", None),
+    (parse_ratfunc, "z^1001", LimitExceededError, "exponent exceeds 1000 (at position 2)", None),
+    (parse_ratfunc, "9999999^1000", LimitExceededError,
+     "power of 1000 times 24-bit coefficients exceeds 3322 bits (at position 8)", None),
+    (parse_ratfunc, "1" * 1001, LimitExceededError,
+     "integer literal has more than 1000 digits (at position 0)", None),
+    (parse_ratfunc, _DEEP, LimitExceededError,
+     "expression nests deeper than 100 levels (at position 101)", None),
+    (parse_expsum, "exp(z^2)", ExpressionSyntaxError,
+     "exp argument must be a constant multiple of z (at position 0)", 0),
+    (parse_expsum, "1/(exp(z)+1)", ExpressionSyntaxError,
+     "cannot divide by a sum of exponential terms (at position 1)", 1),
+    (parse_expsum, "(exp(z) + 9)^150", LimitExceededError,
+     "power of size 151 exceeds 150 (at position 13)", None),
 ]
 
 
@@ -525,6 +564,20 @@ class TestParserCost:
         # the counter is live: parse_expsum wraps a rational result once
         parse_expsum(self.BETA)
         assert len(built) == 1
+
+    def test_polynomial_coefficients_make_no_ratfunc_arithmetic(self, monkeypatch):
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
+            real = getattr(RatFunc, name)
+            monkeypatch.setattr(RatFunc, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        for text in (self.ALPHA, self.BETA, self.GAMMA):
+            assert ratfunc_to_str(parse_ratfunc(text)) == text
+        assert calls == []
+        # the counter is live: a sum with a pole adds RatFuncs
+        assert ratfunc_to_str(parse_ratfunc("1/(z + 1) + 1")) == "(z + 2)/(z + 1)"
+        assert calls == ["__add__"]
 
 
 # README's "Inputs past a fixed limit" list, one bullet per entry, whitespace folded
