@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": (
         "ClassificationReport", "ConstraintSet", "Parameter", "RejectedBranch",
-        "SolutionFamily", "VerificationRecord", "applicable_labels", "classify",
+        "SolutionFamily", "Term", "VerificationRecord", "applicable_labels", "classify",
         "compute_A", "eq3_residual", "instantiate", "transform_original",
     ),
     "errors": (

@@ -2,20 +2,24 @@
 
 The case table pairs each case label with its one gate, and selects the
 labels whose preconditions match the input's (beta == 0?, gamma == 0?)
-signature.  A gate builds the candidate solution family from the case
-formulas, and keeps it only when its residual vanishes identically at several
-distinct parameter instantiations; a family with a sign parameter is verified
-at both signs in one run and rejected at its first failure.  A gate that
-fails a constraint logs the first failing check, so the report always
-accounts for every applicable case label.
+signature.  A gate writes the candidate solution family from the case
+formulas as data: its parameters and a tuple of Terms, each a rate, a
+rational coefficient and an amplitude monomial.  A parameter enters as an
+amplitude (a factor of a monomial), as a rate (exp(c1*z)) or as the sign
+choice, and one substitution, _member, builds every member; instantiate and
+the gate both call it.  The gate keeps a family only when its residual
+vanishes identically at several distinct parameter instantiations; a family
+with a sign parameter is verified at both signs in one run and rejected at
+its first failure.  A gate that fails a constraint logs the first failing
+check, so the report always accounts for every applicable case label.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import mul
 
 from .errors import (
     DomainViolationError,
@@ -64,13 +68,27 @@ class VerificationRecord(namedtuple("VerificationRecord", "assignment residual_z
     __slots__ = ()
 
 
+class Term(namedtuple("Term", "rate coeff monomial", defaults=((),))):
+    """One term coeff * monomial * exp(rate*z) of every member of a family.
+
+    rate is a FieldConstant, or (r0, name, r1) for r0 + r1*value(name), with
+    name the family's rate parameter or "sign" (read as +1 or -1).  coeff is
+    a RatFunc, or, where it depends on the rate parameter (case C's
+    antiderivative, the free-rate E.a's k2), a function of its value.
+    monomial is ((name, power), ...): the amplitudes, the sign, and a rate
+    parameter that scales the amplitude (A-cosh's 1/c1^2, the free-rate
+    E.a's 1/k1^2)."""
+
+    __slots__ = ()
+
+
 class SolutionFamily(_ByIdentity, namedtuple(
     "SolutionFamily",
     "case_label parameters closed_form constraints admissible verified "
-    "verification builder generic_assignment notes",
+    "verification terms generic_assignment notes",
     defaults=((), ()),
 )):
-    """One verified family; builder maps a parameter assignment to its ExpSum."""
+    """One verified family; its members are the sums of its terms (_member)."""
 
     __slots__ = ()
 
@@ -143,7 +161,11 @@ def instantiate(family: SolutionFamily, values: dict) -> ExpSum:
             if v not in ("+", "-"):
                 raise DomainViolationError(f"{p.name} must be '+' or '-'")
         else:
-            v = v if isinstance(v, FieldConstant) else FieldConstant.of(v)
+            if not isinstance(v, (int, Fraction, FieldConstant)):
+                raise DomainViolationError(
+                    f"{p.name} = {v!r} is not an int, Fraction or FieldConstant"
+                )
+            v = FieldConstant.of(v)
             if p.kind == "nonzero" and v.is_zero:
                 raise DomainViolationError(f"{p.name} must be nonzero")
             if p.kind == "finite" and all(v != a for a in p.allowed_values or ()):
@@ -152,7 +174,32 @@ def instantiate(family: SolutionFamily, values: dict) -> ExpSum:
                     f"{p.name} = {v} is outside the allowed set {{{allowed}}}"
                 )
         assignment[p.name] = v
-    return family.builder(assignment)
+    return _member(family.terms, assignment)
+
+
+def _member(terms: tuple[Term, ...], assignment: dict) -> ExpSum:
+    """The sum of the terms at the assignment: each rate, function coefficient
+    and monomial read at the parameters' values, sign as +1 or -1."""
+    values = {k: (ONE if v == "+" else -ONE) if k == "sign" else v
+              for k, v in assignment.items()}
+    out = []
+    for rate, coeff, monomial in terms:
+        if not isinstance(rate, FieldConstant):
+            r0, name, r1 = rate
+            rate = r0 + r1 * values[name]
+        if not isinstance(coeff, RatFunc):
+            coeff = coeff(values[_rate_parameter(terms)])
+        if monomial:
+            amp = reduce(mul, (values[n] if p == 1 else values[n] ** p for n, p in monomial))
+            coeff = coeff * RatFunc.const(amp)
+        out.append((rate, coeff))
+    return ExpSum(out)
+
+
+def _rate_parameter(terms: tuple[Term, ...]) -> str | None:
+    """The family's rate parameter: the name a rate reads other than sign."""
+    return next((t.rate[1] for t in terms
+                 if not isinstance(t.rate, FieldConstant) and t.rate[1] != "sign"), None)
 
 
 def _admissible_member(
@@ -179,48 +226,12 @@ def _admissible_member(
 _LIFT_ERRORS = (UnsupportedExtensionError, IncompatibleExtensionsError, NestedExtensionError)
 
 
-def _fmt_value(v) -> str:
-    return v if isinstance(v, str) else format_constant(v)
-
-
 def _fmt_assignment(assign: dict) -> tuple[tuple[str, str], ...]:
-    return tuple((k, _fmt_value(v)) for k, v in assign.items())
+    return tuple((k, v if isinstance(v, str) else format_constant(v)) for k, v in assign.items())
 
 
 def _assignment_text(assign: dict) -> str:
-    return ", ".join(f"{k} = {_fmt_value(v)}" for k, v in assign.items())
-
-
-def _verify(
-    alpha: RatFunc,
-    beta: RatFunc,
-    gamma: RatFunc,
-    builder: Callable[[dict], ExpSum],
-    assignments: list[dict],
-) -> tuple[tuple[VerificationRecord, ...], list[ExpSum], str | None]:
-    """Run the residual gate at every assignment.
-
-    Returns (records, members built, failure); members are listed in
-    assignment order and all verify when failure is None."""
-    records, members = [], []
-    for assign in assignments:
-        failure = None
-        try:
-            w = builder(dict(assign))
-        except _LIFT_ERRORS as exc:
-            failure = (f"instantiation ({_assignment_text(assign)}) leaves the constant "
-                       f"field: {exc}")
-        except DomainViolationError as exc:
-            failure = f"instantiation ({_assignment_text(assign)}) violates the domain: {exc}"
-        else:
-            r = residual(alpha, beta, gamma, w)
-            if not r.is_zero:
-                failure = f"residual at ({_assignment_text(assign)}) is {r.to_text()}"
-        records.append(VerificationRecord(_fmt_assignment(assign), failure is None))
-        if failure is not None:
-            return tuple(records), members, failure
-        members.append(w)
-    return tuple(records), members, None
+    return ", ".join(f"{k} = {v}" for k, v in _fmt_assignment(assign))
 
 
 class _Collector:
@@ -303,26 +314,37 @@ class _Collector:
         parameters: tuple[Parameter, ...],
         closed_form: str,
         constraints: ConstraintSet,
-        builder: Callable[[dict], ExpSum],
+        terms: tuple[Term, ...],
         assignments: list[dict],
         notes: tuple[str, ...] = (),
     ) -> None:
-        """Gate a candidate family by the exact residual at every assignment;
-        the first failure rejects the whole family.
+        """Gate a candidate family by the exact residual of its member at
+        every assignment; the first failure rejects the whole family.
 
         A family with a sign parameter runs every assignment at sign + and
         then at sign -, in one run."""
         if any(p.kind == "sign" for p in parameters):
             assignments = [{**a, "sign": sgn} for sgn in "+-" for a in assignments]
-        records, members, failure = _verify(self.alpha, self.beta, self.gamma, builder,
-                                            assignments)
-        if failure is not None:
-            self.reject(failure)
-            return
-        # judge admissibility on the most generic verified member: the first
-        # one built that dominates the coefficients, if any does
-        generic = next((a for a, w in zip(assignments, members)
-                        if _admissible_member(w, self.alpha, self.beta, self.gamma)), None)
+        generic = None
+        for assign in assignments:
+            try:
+                w = _member(terms, assign)
+            except _LIFT_ERRORS as exc:
+                self.reject(f"instantiation ({_assignment_text(assign)}) leaves the constant "
+                            f"field: {exc}")
+                return
+            except DomainViolationError as exc:
+                self.reject(f"instantiation ({_assignment_text(assign)}) violates the domain: "
+                            f"{exc}")
+                return
+            r = residual(self.alpha, self.beta, self.gamma, w)
+            if not r.is_zero:
+                self.reject(f"residual at ({_assignment_text(assign)}) is {r.to_text()}")
+                return
+            # judge admissibility on the most generic verified member: the
+            # first one built that dominates the coefficients, if any does
+            if generic is None and _admissible_member(w, self.alpha, self.beta, self.gamma):
+                generic = assign
         self.families.append(SolutionFamily(
             case_label=self.label,
             parameters=parameters,
@@ -330,22 +352,23 @@ class _Collector:
             constraints=constraints,
             admissible=generic is not None,
             verified=True,
-            verification=records,
-            builder=builder,
+            verification=tuple(VerificationRecord(_fmt_assignment(a), True)
+                               for a in assignments),
+            terms=terms,
             generic_assignment=tuple((assignments[0] if generic is None else generic).items()),
             notes=notes,
         ))
 
 
-def _cosh(rate: FieldConstant, half: FieldConstant, C: FieldConstant, offset: RatFunc) -> ExpSum:
-    """half * (C * exp(rate z) + (1/C) * exp(-rate z)) + offset."""
-    return ExpSum([(rate, RatFunc.const(half * C)), (-rate, RatFunc.const(half / C)),
-                   (ZERO, offset)])
+_ONE = RatFunc.const(ONE)
 
 
-def _signed(v: dict, x: FieldConstant) -> FieldConstant:
-    """x under the assignment's sign parameter."""
-    return x if v["sign"] == "+" else -x
+def _cosh(rate, half, monomial: tuple, offset: Term) -> tuple[Term, ...]:
+    """half * monomial * (C * exp(rate z) + (1/C) * exp(-rate z)), and offset;
+    rate is a Term's rate."""
+    neg = -rate if isinstance(rate, FieldConstant) else (-rate[0], rate[1], -rate[2])
+    return (Term(rate, half, (*monomial, ("C", 1))), Term(neg, half, (*monomial, ("C", -1))),
+            offset)
 
 
 def _exp_piece(coeff: str, rate: FieldConstant) -> str:
@@ -359,14 +382,11 @@ def _exp_piece(coeff: str, rate: FieldConstant) -> str:
 
 
 def _case_trivial(col: _Collector) -> None:
-    def build(v: dict) -> ExpSum:
-        return ExpSum.exponential(v["c1"], RatFunc.const(v["c2"]))
-
     col.attempt(
         (Parameter("c1", "K"), Parameter("c2", "K")),
         "w = c2 * exp(c1 * z)",
         ConstraintSet(),
-        build,
+        (Term((ZERO, "c1", ONE), _ONE, (("c2", 1),)),),
         [{"c1": ONE, "c2": ONE},
          {"c1": FieldConstant.of(2), "c2": ONE},
          {"c1": ZERO, "c2": FieldConstant.of(2)}],
@@ -377,16 +397,12 @@ def _case_A_cosh(col: _Collector) -> None:
     kv = col.constant(col.alpha, "alpha")
     if kv is None:
         return
-
-    def build(v: dict) -> ExpSum:
-        amp = kv / (v["c1"] * v["c1"])
-        return _cosh(v["c1"], amp / 2, v["C"], RatFunc.const(amp))
-
     col.attempt(
         (Parameter("c1", "K \\ {0}", "nonzero"), Parameter("C", "K \\ {0}", "nonzero")),
         f"w = ({format_constant(kv)}/c1^2) * (1 + (C * exp(c1 * z) + (1/C) * exp(-c1 * z)) / 2)",
         ConstraintSet(),
-        build,
+        _cosh((ZERO, "c1", ONE), RatFunc.const(kv / 2), (("c1", -2),),
+              Term(ZERO, RatFunc.const(kv), (("c1", -2),))),
         [{"c1": ONE, "C": ONE},
          {"c1": FieldConstant.of(2), "C": ONE},
          {"c1": ONE, "C": FieldConstant.of(2)}],
@@ -396,18 +412,15 @@ def _case_A_cosh(col: _Collector) -> None:
 def _quadratic(col: _Collector, av: FieldConstant, name: str, offset: FieldConstant,
                constraints: ConstraintSet, samples: tuple[int, ...]) -> None:
     """Gate w = -(av/2) * (z + name)^2 + offset at name = each sample."""
-    def build(v: dict) -> ExpSum:
-        shifted = RatFunc.z() + RatFunc.const(v[name])
-        return ExpSum.from_ratfunc(
-            shifted * shifted * RatFunc.const(-av / 2) + RatFunc.const(offset)
-        )
-
+    half, z = RatFunc.const(-av / 2), RatFunc.z()
     tail = "" if offset.is_zero else f" - ({format_constant(-offset)})"
     col.attempt(
         (Parameter(name, "K"),),
         f"w = -({format_constant(av / 2)}) * (z + {name})^2{tail}",
         constraints,
-        build,
+        (Term(ZERO, half * z * z + RatFunc.const(offset)),
+         Term(ZERO, 2 * half * z, ((name, 1),)),
+         Term(ZERO, half, ((name, 2),))),
         [{name: FieldConstant.of(c)} for c in samples],
     )
 
@@ -422,15 +435,11 @@ def _case_B(col: _Collector) -> None:
     k1v = col.constant(-(col.alpha / col.beta), "-alpha/beta")
     if k1v is None:
         return
-
-    def build(v: dict) -> ExpSum:
-        return ExpSum.exponential(k1v, RatFunc.const(v["c1"]))
-
     col.attempt(
         (Parameter("c1", "K \\ {0}", "nonzero"),),
         "w = " + _exp_piece("c1", k1v),
         ConstraintSet(case2_constraint=col.alpha + col.beta1),
-        build,
+        (Term(k1v, _ONE, (("c1", 1),)),),
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": FieldConstant.of(3)}],
     )
 
@@ -462,14 +471,13 @@ def _case_C(col: _Collector) -> None:
                 notes + ["at c1 = 0 beta has a nonzero residue"]))
             return
 
-    def build(v: dict) -> ExpSum:
-        c1, c2 = v["c1"], v["c2"]
+    def minus_anti(c1: FieldConstant) -> RatFunc:
         anti = integrate_exp(beta, -c1, col.ctx.q)
         if isinstance(anti, ObstructionReport):
             raise DomainViolationError(
                 f"c1 = {format_constant(c1)} is obstructed: {anti.describe()}"
             )
-        return ExpSum([(c1, c2), (ZERO, -anti)])
+        return -anti
 
     if allowed is None:
         params = (Parameter("c1", "K"), Parameter("c2", "K"))
@@ -489,7 +497,7 @@ def _case_C(col: _Collector) -> None:
         params,
         "w = exp(c1 * z) * (c2 - I(z)), I = antiderivative of beta * exp(-c1 * z)",
         ConstraintSet(case2_constraint=constraint),
-        build,
+        (Term((ZERO, "c1", ONE), _ONE, (("c2", 1),)), Term(ZERO, minus_anti)),
         assigns,
         notes=(domain_note, *notes),
     )
@@ -517,15 +525,11 @@ def _case_D(col: _Collector) -> None:
         tail = col.integrate(h, -k1v, tag=tag)
         if tail is None:
             continue
-
-        def build(v: dict, _k1=k1v, _tail=tail) -> ExpSum:
-            return ExpSum([(_k1, v["c1"]), (ZERO, _tail)])
-
         col.attempt(
             (Parameter("c1", "K"),),
             f"w = {_exp_piece('c1', k1v)} + ({ratfunc_to_str(tail)})",
             ConstraintSet(h=h, discriminant=disc),
-            build,
+            (Term(k1v, _ONE, (("c1", 1),)), Term(ZERO, tail)),
             [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
             notes=(f"h = {ratfunc_to_str(h)} solves h^2 + beta*h + gamma = 0",)
             + (("double branch: beta^2 - 4*gamma is identically zero",) if s.is_zero else ()),
@@ -587,17 +591,13 @@ def _case_Ea(col: _Collector) -> None:
         return
     k1, k2 = roots
     offset = (col.beta1 + 2 * col.alpha) / RatFunc.const(2 * k1sqv)
-
-    def build(v: dict) -> ExpSum:
-        return _cosh(k1, _signed(v, k2) / 2, v["C"], offset)
-
     col.attempt(
         (Parameter("sign", "{+, -}", "sign"), Parameter("C", "K \\ {0}", "nonzero")),
         f"w = sign * {format_constant(k2)} * (C * exp({_rate_str(k1)}) + "
         f"(1/C) * exp({_rate_str(-k1)})) / 2 + ({ratfunc_to_str(offset)})",
         ConstraintSet(A=col.A, B=_invariant_B(col, k1sqv, Av), g=k1sqv, h=h0,
                       k1_squared=k1sqv, k2_squared=k2sqv),
-        build,
+        _cosh(k1, RatFunc.const(k2 / 2), (("sign", 1),), Term(ZERO, offset)),
         [{"C": ONE}, {"C": FieldConstant.of(2)}, {"C": FieldConstant.of(3)}],
     )
 
@@ -607,18 +607,19 @@ def _case_Ea_free(col: _Collector) -> None:
     A = -gamma'/gamma = 0, and k1 free."""
     av, gv = col.alpha.constant_value(), col.gamma.constant_value()
 
+    @cache
     def k2_of(k1: FieldConstant) -> FieldConstant:
         """sqrt((alpha^2/k1^2 + gamma)/k1^2) within the equation's one extension."""
         k1sq = k1 * k1
         return ExtensionContext(col.base_q).sqrt((av * av / k1sq + gv) / k1sq)
 
-    def build(v: dict) -> ExpSum:
-        k1, k2 = v["k1"], k2_of(v["k1"])
+    def half_k2(k1: FieldConstant) -> RatFunc:
+        k2 = k2_of(k1)
         if k2.is_zero:
             raise DomainViolationError(
                 f"k2 = 0 at k1 = {format_constant(k1)}; not in the cosh branch"
             )
-        return _cosh(k1, _signed(v, k2) / 2, v["C"], RatFunc.const(av / (k1 * k1)))
+        return RatFunc.const(k2 / 2)
 
     # pick three k1 samples whose nonzero k2 stays within the one-extension budget
     k1_samples: list[FieldConstant] = []
@@ -654,7 +655,8 @@ def _case_Ea_free(col: _Collector) -> None:
         + ("" if av.is_zero else f"({format_constant(av)})^2/k1^2 + ")
         + f"({format_constant(gv)}))/k1^2 and k1 a free nonzero constant",
         ConstraintSet(A=col.A, h=RatFunc.const(-2 * av)),
-        build,
+        _cosh((ZERO, "k1", ONE), half_k2, (("sign", 1),),
+              Term(ZERO, RatFunc.const(av), (("k1", -2),))),
         base,
         notes=("k1 is a free parameter; k2 depends on k1 and may require the "
                "quadratic extension",),
@@ -680,11 +682,6 @@ def _case_Eb(col: _Collector) -> None:
     if k1 is None:
         return
     m = -h0 / RatFunc.const(2 * k1sqv)
-    lam = {"+": -Av / 2 + k1, "-": -Av / 2 - k1}
-
-    def build(v: dict) -> ExpSum:
-        return ExpSum.exponential(lam[v["sign"]], RatFunc.const(v["c1"])) + ExpSum.from_ratfunc(m)
-
     g = k1sqv - Av * Av / 4
     col.attempt(
         (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K \\ {0}", "nonzero")),
@@ -692,7 +689,7 @@ def _case_Eb(col: _Collector) -> None:
         f"A = {format_constant(Av)}, k1 = {format_constant(k1)}",
         ConstraintSet(A=col.A, B=_invariant_B(col, g, Av), g=g, h=h0, k1_squared=k1sqv,
                       k2_squared=ZERO, discriminant=disc),
-        build,
+        (Term((-Av / 2, "sign", k1), _ONE, (("c1", 1),)), Term(ZERO, m)),
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": FieldConstant.of(3)}],
     )
 
@@ -737,12 +734,6 @@ def _case_Ed(col: _Collector) -> None:
     if anti is None:
         return
     half_int = anti / 2
-
-    def build(v: dict) -> ExpSum:
-        return ExpSum.from_ratfunc(
-            RatFunc.z() * RatFunc.const(_signed(v, k1)) + RatFunc.const(v["c1"]) - half_int
-        )
-
     tail = f" - ({ratfunc_to_str(half_int)})" if not half_int.is_zero else ""
     k1_factor = "" if k1 == ONE else f"{format_constant(k1)} * "
     col.attempt(
@@ -750,7 +741,8 @@ def _case_Ed(col: _Collector) -> None:
         f"w = sign * {k1_factor}z + c1{tail}",
         ConstraintSet(A=col.A, B=_invariant_B(col, ZERO, Av), g=ZERO,
                       h=RatFunc.of(0), k1_squared=k1sqv, discriminant=col.disc),
-        build,
+        (Term(ZERO, RatFunc.z() * RatFunc.const(k1), (("sign", 1),)),
+         Term(ZERO, _ONE, (("c1", 1),)), Term(ZERO, -half_int)),
         [{"c1": ZERO}, {"c1": ONE}, {"c1": FieldConstant.of(2)}],
     )
 
@@ -768,17 +760,13 @@ def _case_Ee(col: _Collector) -> None:
     if tail is None:
         return
     mu = -Av / 2
-
-    def build(v: dict) -> ExpSum:
-        return ExpSum([(mu, v["c1"]), (ZERO, -tail)])
-
     tail_str = f" - ({ratfunc_to_str(tail)})" if not tail.is_zero else ""
     col.attempt(
         (Parameter("c1", "K"),),
         f"w = {_exp_piece('c1', mu)}{tail_str}",
         ConstraintSet(A=col.A, B=_invariant_B(col, -Av * Av / 4, Av), g=-Av * Av / 4,
                       h=RatFunc.of(0), k1_squared=ZERO, discriminant=RatFunc.of(0)),
-        build,
+        (Term(mu, _ONE, (("c1", 1),)), Term(ZERO, -tail)),
         [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
     )
 

@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from merosolve import cli, expsum, ratfunc
 from merosolve.classify import (
     ConstraintSet,
     Parameter,
+    RejectedBranch,
+    Term,
     _Collector,
-    _verify,
+    _member,
     applicable_labels,
     classify,
     compute_A,
@@ -28,7 +31,7 @@ from merosolve.classify import (
 from merosolve.errors import DomainViolationError, GammaIdenticallyZeroError
 from merosolve.expsum import ExpSum, residual
 from merosolve.field import FieldConstant, format_constant
-from merosolve.parse import parse_ratfunc
+from merosolve.parse import parse_constant, parse_ratfunc
 from merosolve.ratfunc import Poly, RatFunc, poly_gcd
 
 import reference_kernels
@@ -254,10 +257,17 @@ class TestResidualGate:
     BETA = RF(0)
     GAMMA = T * T2 - T1 * T1 - ALPHA * T
     ASSIGNMENTS = [{"c1": FieldConstant.of(c)} for c in (1, 2, -1)]
+    TERMS = (Term(FieldConstant.of(1), RF(1), (("c1", 1),)), Term(FieldConstant.of(0), T))
 
     @classmethod
     def member(cls, v) -> ExpSum:
         return ExpSum([(FieldConstant.of(1), RF(v["c1"])), (FieldConstant.of(0), cls.T)])
+
+    def gate(self, terms) -> _Collector:
+        col = _Collector(self.ALPHA, self.BETA, self.GAMMA)
+        col.label = "D"
+        col.attempt((Parameter("c1", "K"),), "w", ConstraintSet(), terms, self.ASSIGNMENTS)
+        return col
 
     def test_verifying_members_meet_no_gcd_and_one_residual_each(self, monkeypatch):
         module = importlib.import_module("merosolve.classify")
@@ -279,10 +289,11 @@ class TestResidualGate:
         monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
         monkeypatch.setattr(expsum, "poly_gcd", counting_gcd)
         monkeypatch.setattr(module, "residual", gate)
-        records, members, failure = _verify(
-            self.ALPHA, self.BETA, self.GAMMA, self.member, self.ASSIGNMENTS
-        )
-        assert failure is None and [r.residual_zero for r in records] == [True] * 3
+        col = self.gate(self.TERMS)
+        (fam,) = col.families
+        records, members = fam.verification, [args[3] for args in residuals]
+        assert not col.rejected and [r.residual_zero for r in records] == [True] * 3
+        assert members == [self.member(a) for a in self.ASSIGNMENTS]
         assert all(m.rate_zero_part().den.degree == 3 for m in members)
         assert gcds == [] and len(residuals) == len(self.ASSIGNMENTS)
         # the gcd counter is live: a nonzero residual does meet gcds
@@ -314,17 +325,22 @@ class TestResidualGate:
         residual(self.ALPHA + 1, self.BETA, self.GAMMA, self.member(self.ASSIGNMENTS[0]))
         assert len(cleared) == 2
 
-    def test_failing_member_reason_is_the_residual_text(self):
-        def perturbed(v):
-            return self.member(v) + ExpSum.from_ratfunc(RF(1) / (Z - 1))
+    def test_failing_member_reason_is_the_residual_text(self, monkeypatch):
+        module = importlib.import_module("merosolve.classify")
+        gated = []
 
-        records, members, failure = _verify(
-            self.ALPHA, self.BETA, self.GAMMA, perturbed, self.ASSIGNMENTS
-        )
-        w = perturbed(self.ASSIGNMENTS[0])
+        def gate(*args):
+            gated.append(args[3])
+            return residual(*args)
+
+        monkeypatch.setattr(module, "residual", gate)
+        perturbed = (*self.TERMS, Term(FieldConstant.of(0), RF(1) / (Z - 1)))
+        col = self.gate(perturbed)
+        w = self.member(self.ASSIGNMENTS[0]) + ExpSum.from_ratfunc(RF(1) / (Z - 1))
         text = residual(self.ALPHA, self.BETA, self.GAMMA, w).to_text()
-        assert failure == f"residual at (c1 = 1) is {text}"
-        assert [r.residual_zero for r in records] == [False] and members == []
+        assert col.rejected == [RejectedBranch("D", f"residual at (c1 = 1) is {text}")]
+        # the gate stopped at the first member, and emitted nothing
+        assert gated == [w] and col.families == []
 
 
 class TestSignFamilies:
@@ -339,20 +355,24 @@ class TestSignFamilies:
             w = instantiate(fam, {"sign": s, "c1": 2})
             assert residual(RF(0), RF(0), RF(-1), w).is_zero
 
-    def test_attempt_adds_the_sign_to_base_assignments(self):
+    def test_attempt_adds_the_sign_to_base_assignments(self, monkeypatch):
         # w = sign*z + c1 solves w*w'' - (w')^2 = -1 for either sign
+        module = importlib.import_module("merosolve.classify")
         col = _Collector(RF(0), RF(0), RF(-1))
         seen = []
 
-        def build(v):
+        def member(terms, v):
             seen.append(dict(v))
-            return ExpSum.from_ratfunc(Z * RF(1 if v["sign"] == "+" else -1) + RF(v["c1"]))
+            return _member(terms, v)
 
+        monkeypatch.setattr(module, "_member", member)
+        zero = FieldConstant.of(0)
+        terms = (Term(zero, Z, (("sign", 1),)), Term(zero, RF(1), (("c1", 1),)))
         base = [{"c1": FieldConstant.of(1)}, {"c1": FieldConstant.of(2)}]
         col.label = "X"
         col.attempt(
             (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
-            ConstraintSet(), build, base,
+            ConstraintSet(), terms, base,
         )
         (fam,) = col.families
         assert [list(v) for v in seen] == [["c1", "sign"]] * 4
@@ -376,15 +396,14 @@ class TestSignFamilies:
         # "-" member z + c1 does not, so the whole family is rejected
         col = _Collector(RF(0), RF(0), RF(0))
         col.label = "X"
-
-        def build(v):
-            if v["sign"] == "+":
-                return ExpSum.exponential(1, RF(v["c1"]))
-            return ExpSum.from_ratfunc(Z + RF(v["c1"]))
-
+        # sign + gives c1*exp(z) and sign - gives c1 + z: the rate is 1/2 + sign/2,
+        # and z enters as (z/2)*(1 - sign)
+        half, zero = FieldConstant.of(Fraction(1, 2)), FieldConstant.of(0)
+        terms = (Term((half, "sign", half), RF(1), (("c1", 1),)),
+                 Term(zero, Z / 2), Term(zero, -Z / 2, (("sign", 1),)))
         col.attempt(
             (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
-            ConstraintSet(), build, [{"c1": FieldConstant.of(1)}],
+            ConstraintSet(), terms, [{"c1": FieldConstant.of(1)}],
         )
         assert col.families == []
         assert [(r.case_label, r.reason) for r in col.rejected] == [
@@ -515,6 +534,122 @@ class TestInstantiate:
     def test_outside_finite_set(self):
         with pytest.raises(DomainViolationError, match="outside the allowed set"):
             instantiate(self.c, {"c1": 5, "c2": 0})
+
+    @pytest.mark.parametrize("value", ["1", 1.0, None])
+    def test_a_value_of_another_type_is_a_domain_violation(self, value):
+        fam = one(classify(2, 0, 0), "A-cosh")
+        with pytest.raises(DomainViolationError, match="^c1 = .* is not an int, Fraction or"):
+            instantiate(fam, {"c1": value, "C": 1})
+
+    def test_ints_fractions_and_field_constants_are_accepted(self):
+        fam = one(classify(2, 0, 0), "A-cosh")
+        for c1 in (2, Fraction(1, 2), FieldConstant(Fraction(1), Fraction(1), 2)):
+            w = instantiate(fam, {"c1": c1, "C": 3})
+            assert residual(RF(2), RF(0), RF(0), w).is_zero
+
+
+class TestFamilyTerms:
+    """Each parameter enters a family's terms one way: as a rate (a name in a
+    term's rate), as the sign, or as an amplitude, whose powers in the terms'
+    monomials are the degrees of w in it."""
+
+    INPUTS = [*pool_classify_inputs("classify-ladder", "cli-oneshot"),
+              ("trivial-all-zero", RF(0), RF(0), RF(0)),
+              ("E.a from beta", -Z * Z, Z, -Z**4 / 4 + Z * Z / 2 + 1)]
+    TABLE = {
+        ("trivial-all-zero", (("c1", "rate"), ("c2", (1,)))),
+        ("A-cosh", (("c1", "rate"), ("C", (-1, 1)))),
+        ("A-quadratic", (("c2", (1, 2)),)),
+        ("B", (("c1", (1,)),)),
+        ("C", (("c1", "rate"), ("c2", (1,)))),
+        ("D", (("c1", (1,)),)),
+        ("E.a", (("sign", "sign"), ("C", (-1, 1)))),
+        ("E.a", (("sign", "sign"), ("k1", "rate"), ("C", (-1, 1)))),
+        ("E.b", (("sign", "sign"), ("c1", (1,)))),
+        ("E.c", (("c1", (1, 2)),)),
+        ("E.d", (("sign", "sign"), ("c1", (1,)))),
+        ("E.e", (("c1", (1,)),)),
+    }
+
+    @staticmethod
+    def kinds(fam) -> tuple:
+        rates = {t.rate[1] for t in fam.terms if isinstance(t.rate, tuple)}
+        powers: dict[str, set] = {}
+        for t in fam.terms:
+            for name, power in t.monomial:
+                powers.setdefault(name, set()).add(power)
+        names = [p.name for p in fam.parameters]
+        assert rates | set(powers) <= set(names), fam.case_label
+        out = []
+        for name in names:
+            if name == "sign":
+                out.append((name, "sign"))
+            elif name in rates:
+                out.append((name, "rate"))
+            else:
+                assert name in powers, (fam.case_label, name)  # every amplitude is read
+                out.append((name, tuple(sorted(powers[name]))))
+        return tuple(out)
+
+    def test_every_emitted_family_reads_its_parameters_one_way(self):
+        seen = {(fam.case_label, self.kinds(fam))
+                for _, *coeffs in self.INPUTS for fam in classify(*coeffs).families}
+        assert seen == self.TABLE
+
+    def test_the_gate_and_instantiate_build_the_same_members(self, monkeypatch):
+        module = importlib.import_module("merosolve.classify")
+        gated = []
+
+        def gate(*args):
+            gated.append(args[3])
+            return residual(*args)
+
+        monkeypatch.setattr(module, "residual", gate)
+        for ident, *coeffs in self.INPUTS:
+            gated.clear()
+            for fam in classify(*coeffs).families:
+                members = [instantiate(fam, {k: v if k == "sign" else parse_constant(v)
+                                             for k, v in r.assignment})
+                           for r in fam.verification]
+                # the gate ran exactly these members, in this order
+                n = len(members)
+                assert any(gated[i:i + n] == members for i in range(len(gated))), ident
+
+
+class TestClassifySymmetry:
+    """ROADMAP item 11: if w solves the equation, v(z) = mu*w(lam*z + s) solves
+    it with alpha~ = mu*lam^2*alpha(lam*z + s), beta~ = mu*lam*beta(lam*z + s)
+    and gamma~ = mu^2*lam^2*gamma(lam*z + s), so classify must emit the same
+    labels, equally admissible, and exit with the same code on both inputs."""
+
+    @staticmethod
+    def run(alpha, beta, gamma) -> tuple[int, list]:
+        argv = ["classify", "--alpha", str(alpha), "--beta", str(beta), "--gamma", str(gamma),
+                "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        families = json.loads(out.getvalue()).get("families", [])
+        return code, [(f["case_label"], f["admissible"]) for f in families]
+
+    def test_the_ladder_is_invariant(self):
+        def moved(f: RatFunc, c: FieldConstant) -> RatFunc:
+            """c * f(lam*z + s)."""
+            def dilate(p: Poly) -> Poly:
+                return Poly([x * lam**i for i, x in enumerate(p.shift(s).coeffs)])
+            return RatFunc.const(c) * RatFunc(dilate(f.num), dilate(f.den))
+
+        rng = random.Random(11)
+        draws = [n for n in range(-4, 5) if n]
+        inputs = list(pool_classify_inputs("classify-ladder"))
+        assert len(inputs) == 120
+        for ident, alpha, beta, gamma in inputs:
+            mu, lam = (FieldConstant.of(Fraction(rng.choice(draws), rng.randint(1, 3)))
+                       for _ in range(2))
+            s = FieldConstant.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            image = (moved(alpha, mu * lam * lam), moved(beta, mu * lam),
+                     moved(gamma, mu * mu * lam * lam))
+            assert self.run(*image) == self.run(alpha, beta, gamma), (ident, mu, lam, s)
 
 
 class TestComputeA:

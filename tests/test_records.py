@@ -19,6 +19,7 @@ from merosolve.classify import (
     Parameter,
     RejectedBranch,
     SolutionFamily,
+    Term,
     VerificationRecord,
 )
 from merosolve.expsum import ObstructionReport
@@ -26,10 +27,6 @@ from merosolve.field import ONE, ZERO, FieldConstant
 from merosolve.laurent import LaurentExpansion, ResonanceInfo
 from merosolve.ratfunc import RatFunc
 from merosolve.series import BranchResonance, LeadingCandidate
-
-
-def _builder(assignment):
-    return None
 
 
 def _records():
@@ -48,10 +45,11 @@ def _records():
         "ConstraintSet": ("A", lambda: ConstraintSet(A=z, g=half())),
         "Parameter": ("name", lambda: Parameter("C", "nonzero constant", "nonzero")),
         "VerificationRecord": ("residual_zero", lambda: VerificationRecord((("c1", "1"),), True)),
-        "SolutionFamily": ("builder", lambda: SolutionFamily(
+        "SolutionFamily": ("terms", lambda: SolutionFamily(
             "B", (Parameter("c1", "C"),), "c1*exp(z)", ConstraintSet(), True, True,
-            (), _builder)),
+            (), (Term(ONE, RatFunc.of(1), (("c1", 1),)),))),
         "RejectedBranch": ("reason", lambda: RejectedBranch("D", "gamma is zero")),
+        "Term": ("monomial", lambda: Term((ZERO, "c1", ONE), z, (("C", -1),))),
         "ClassificationReport": ("families",
                                  lambda: ClassificationReport(z, z, z, (), (), None)),
         "ObstructionReport": ("rate", lambda: ObstructionReport(half(), ONE, half())),
@@ -70,7 +68,7 @@ RECORDS = sorted(_records())
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 13
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -108,8 +106,9 @@ def test_constructors_keep_their_defaults():
                                              allowed_values=None)
     empty = ConstraintSet()
     assert empty.A is None and empty.case2_constraint is None
-    family = SolutionFamily("B", (), "", ConstraintSet(), True, True, (), _builder)
+    family = SolutionFamily("B", (), "", ConstraintSet(), True, True, (), ())
     assert family.generic_assignment == () and family.notes == ()
+    assert Term(ONE, RatFunc.of(1)).monomial == ()
     assert ClassificationReport(None, None, None, (), (), 2).warnings == ()
     cand = LeadingCandidate(p=2, a0=ONE)
     assert (cand.note, cand.side_condition_satisfied) == (None, None)

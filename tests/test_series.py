@@ -384,7 +384,7 @@ class TestClosedFormAgreement:
         # and its exact Taylor coefficients there (of the member translated
         # to 0) must be one of expand's branches at z0, its free coefficient
         # pinned to the member's, with the resonance condition met.
-        from merosolve.classify import classify
+        from merosolve.classify import classify, instantiate
         from merosolve.parse import parse_ratfunc
 
         def translated(w: ExpSum, t: FieldConstant) -> ExpSum:
@@ -401,8 +401,8 @@ class TestClosedFormAgreement:
                 if fam.case_label not in ("D", "E.d", "E.e"):
                     continue
                 signs = {p.name: "+" for p in fam.parameters if p.kind == "sign"}
-                v = fam.builder({**signs, "c1": ZERO})
-                (rate, f), = (fam.builder({**signs, "c1": ONE}) - v).terms
+                v = instantiate(fam, {**signs, "c1": ZERO})
+                (rate, f), = (instantiate(fam, {**signs, "c1": ONE}) - v).terms
                 v = v.rate_zero_part()
                 z0 = next(z for z in points if not in_excluded_set(*coeffs, z)
                           and not f.pole_order_at(z) and not v.pole_order_at(z)
