@@ -10,8 +10,9 @@ choice, and one substitution, _member, builds every member; instantiate and
 the gate both call it.  The gate keeps a family only when its residual
 vanishes identically at several distinct parameter instantiations; a family
 with a sign parameter is verified at both signs in one run and rejected at
-its first failure.  A gate that fails a constraint logs the first failing
-check, so the report always accounts for every applicable case label.
+its first failure.  A gate ends at its first failed check: _Collector.reject
+logs the check and raises, and _Collector.run, which runs every gate, catches
+it, so the report always accounts for every applicable case label.
 """
 
 from __future__ import annotations
@@ -234,12 +235,21 @@ def _assignment_text(assign: dict) -> str:
     return ", ".join(f"{k} = {v}" for k, v in _fmt_assignment(assign))
 
 
+class _Rejected(Exception):
+    """A gate's check failed; _Collector.reject raises it and run catches it."""
+
+
 class _Collector:
     """Accumulates families and rejections in fixed branch order, and owns
     the report's one extension: ctx starts at the coefficients' field
     (base_q), and the branches' square roots spend it.  label is the case
     label of the gate that runs (classify sets it from the case table); the
-    gate's rejections and families carry it."""
+    gate's rejections and families carry it.
+
+    A gate ends at its first failed check: reject logs it and raises
+    _Rejected, and run, which calls the gate, catches it.  The checks
+    (constant, vanishes, lift, integrate, attempt) reject on failure, so a
+    gate uses what constant, lift and integrate return with no test."""
 
     def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
@@ -273,40 +283,45 @@ class _Collector:
     def A(self) -> RatFunc:
         return compute_A(self.alpha, self.beta, self.gamma)
 
-    def reject(self, reason: str) -> None:
-        self.rejected.append(RejectedBranch(self.label, reason))
+    def run(self, gate, *args) -> None:
+        """gate(self, *args), ended at its first rejection."""
+        try:
+            gate(self, *args)
+        except _Rejected:
+            pass
 
-    def constant(self, f: RatFunc, name: str) -> FieldConstant | None:
-        """f's value when f is constant, else None after rejecting."""
+    def reject(self, reason: str):
+        """Log the failed check under the running label, and end the gate."""
+        self.rejected.append(RejectedBranch(self.label, reason))
+        raise _Rejected
+
+    def constant(self, f: RatFunc, name: str) -> FieldConstant:
+        """f's value, or reject when f is not constant."""
         v = f.constant_value()
         if v is None:
             self.reject(f"{name} = {self.text(f)} is not constant")
         return v
 
-    def vanishes(self, f: RatFunc, name: str) -> bool:
-        """True when f is identically zero, else False after rejecting."""
+    def vanishes(self, f: RatFunc, name: str) -> None:
+        """Reject unless f is identically zero."""
         if not f.is_zero:
             self.reject(f"{name} = {self.text(f)} does not vanish identically")
-        return f.is_zero
 
     def lift(self, call, *args, leaves: str):
-        """call(*args), a square root over the constant field.  When it leaves
-        the field, reject and return None; `leaves` names what left the
-        field ("k1 leaves")."""
+        """call(*args), a square root over the constant field, or reject when
+        it leaves the field; `leaves` names what left it ("k1 leaves")."""
         try:
             return call(*args)
         except _LIFT_ERRORS as exc:
             self.reject(f"{leaves} the constant field: {exc}")
-        return None
 
-    def integrate(self, coeff: RatFunc, rate: FieldConstant, tag: str = "") -> RatFunc | None:
-        """integrate_exp(coeff, rate, self.ctx.q), or None after rejecting
-        with the obstruction, after `tag`.  integrate_exp names the
-        obstruction in a context of its own, so no extension is spent."""
+    def integrate(self, coeff: RatFunc, rate: FieldConstant, tag: str = "") -> RatFunc:
+        """integrate_exp(coeff, rate, self.ctx.q), or reject with the
+        obstruction, after `tag`.  integrate_exp names the obstruction in a
+        context of its own, so no extension is spent."""
         out = integrate_exp(coeff, rate, self.ctx.q)
         if isinstance(out, ObstructionReport):
             self.reject(f"{tag}{out.describe()}")
-            return None
         return out
 
     def attempt(
@@ -332,15 +347,12 @@ class _Collector:
             except _LIFT_ERRORS as exc:
                 self.reject(f"instantiation ({_assignment_text(assign)}) leaves the constant "
                             f"field: {exc}")
-                return
             except DomainViolationError as exc:
                 self.reject(f"instantiation ({_assignment_text(assign)}) violates the domain: "
                             f"{exc}")
-                return
             r = residual(self.alpha, self.beta, self.gamma, w)
             if not r.is_zero:
                 self.reject(f"residual at ({_assignment_text(assign)}) is {r.to_text()}")
-                return
             # judge admissibility on the most generic verified member: the
             # first one built that dominates the coefficients, if any does
             if generic is None and _admissible_member(w, self.alpha, self.beta, self.gamma):
@@ -395,8 +407,6 @@ def _case_trivial(col: _Collector) -> None:
 
 def _case_A_cosh(col: _Collector) -> None:
     kv = col.constant(col.alpha, "alpha")
-    if kv is None:
-        return
     col.attempt(
         (Parameter("c1", "K \\ {0}", "nonzero"), Parameter("C", "K \\ {0}", "nonzero")),
         f"w = ({format_constant(kv)}/c1^2) * (1 + (C * exp(c1 * z) + (1/C) * exp(-c1 * z)) / 2)",
@@ -426,15 +436,11 @@ def _quadratic(col: _Collector, av: FieldConstant, name: str, offset: FieldConst
 
 
 def _case_A_quadratic(col: _Collector) -> None:
-    kv = col.constant(col.alpha, "alpha")
-    if kv is not None:
-        _quadratic(col, kv, "c2", ZERO, ConstraintSet(), (0, 1, -1))
+    _quadratic(col, col.constant(col.alpha, "alpha"), "c2", ZERO, ConstraintSet(), (0, 1, -1))
 
 
 def _case_B(col: _Collector) -> None:
     k1v = col.constant(-(col.alpha / col.beta), "-alpha/beta")
-    if k1v is None:
-        return
     col.attempt(
         (Parameter("c1", "K \\ {0}", "nonzero"),),
         "w = " + _exp_piece("c1", k1v),
@@ -447,8 +453,7 @@ def _case_B(col: _Collector) -> None:
 def _case_C(col: _Collector) -> None:
     beta = col.beta
     constraint = col.alpha + col.beta1
-    if not col.vanishes(constraint, "alpha + beta'"):
-        return
+    col.vanishes(constraint, "alpha + beta'")
 
     # beta*exp(-c1*z) integrates iff c1 = -a for a rate a that integrable_rates allows
     rates = integrable_rates(beta)
@@ -469,7 +474,6 @@ def _case_C(col: _Collector) -> None:
             scope = " in the constant field" if rem.degree > 0 else ""
             col.reject(f"integral obstruction for every c1{scope}: " + "; ".join(
                 notes + ["at c1 = 0 beta has a nonzero residue"]))
-            return
 
     def minus_anti(c1: FieldConstant) -> RatFunc:
         anti = integrate_exp(beta, -c1, col.ctx.q)
@@ -504,36 +508,31 @@ def _case_C(col: _Collector) -> None:
 
 
 def _case_D(col: _Collector) -> None:
-    alpha, beta, disc = col.alpha, col.beta, col.disc
-    # RatFunc.sqrt answers None for a non-square, so box it apart from the lift's None
-    boxed = col.lift(lambda: (disc.sqrt(col.ctx),),
-                     leaves="square root of beta^2 - 4*gamma leaves")
-    if boxed is None:
-        return
-    s = boxed[0]
+    disc = col.disc
+    s = col.lift(disc.sqrt, col.ctx, leaves="square root of beta^2 - 4*gamma leaves")
     if s is None:
         col.reject(f"beta^2 - 4*gamma = {ratfunc_to_str(disc)} is not a square in K(z)")
-        return
-    branches = [(-beta + s) / 2]
-    if not s.is_zero:
-        branches.append((-beta - s) / 2)
-    for h in branches:
-        tag = f"branch h = {ratfunc_to_str(h)}: "
-        k1v = col.constant((h.derivative() - alpha) / (h + beta), f"{tag}k1")
-        if k1v is None:
-            continue
-        tail = col.integrate(h, -k1v, tag=tag)
-        if tail is None:
-            continue
-        col.attempt(
-            (Parameter("c1", "K"),),
-            f"w = {_exp_piece('c1', k1v)} + ({ratfunc_to_str(tail)})",
-            ConstraintSet(h=h, discriminant=disc),
-            (Term(k1v, _ONE, (("c1", 1),)), Term(ZERO, tail)),
-            [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
-            notes=(f"h = {ratfunc_to_str(h)} solves h^2 + beta*h + gamma = 0",)
-            + (("double branch: beta^2 - 4*gamma is identically zero",) if s.is_zero else ()),
-        )
+    # each root is a branch of its own: one branch's rejection leaves the other
+    double = s.is_zero
+    col.run(_D_branch, (-col.beta + s) / 2, double)
+    if not double:
+        col.run(_D_branch, (-col.beta - s) / 2, double)
+
+
+def _D_branch(col: _Collector, h: RatFunc, double: bool) -> None:
+    """Case D at the root h of h^2 + beta*h + gamma = 0."""
+    tag = f"branch h = {ratfunc_to_str(h)}: "
+    k1v = col.constant((h.derivative() - col.alpha) / (h + col.beta), f"{tag}k1")
+    tail = col.integrate(h, -k1v, tag=tag)
+    col.attempt(
+        (Parameter("c1", "K"),),
+        f"w = {_exp_piece('c1', k1v)} + ({ratfunc_to_str(tail)})",
+        ConstraintSet(h=h, discriminant=col.disc),
+        (Term(k1v, _ONE, (("c1", 1),)), Term(ZERO, tail)),
+        [{"c1": ONE}, {"c1": FieldConstant.of(2)}, {"c1": ZERO}],
+        notes=(f"h = {ratfunc_to_str(h)} solves h^2 + beta*h + gamma = 0",)
+        + (("double branch: beta^2 - 4*gamma is identically zero",) if double else ()),
+    )
 
 
 # Every E gate first needs A constant, and rejects its own label when it is not.
@@ -557,39 +556,29 @@ def _invariant_B(col: _Collector, g: FieldConstant, Av: FieldConstant) -> RatFun
 def _case_Ea(col: _Collector) -> None:
     beta, gamma = col.beta, col.gamma
     Av = col.constant(col.A, "A")
-    if Av is None:
-        return
     if not Av.is_zero:
         col.reject(f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
-        return
     bend = col.beta2 + 2 * col.alpha1
     if beta.is_zero:
-        if col.vanishes(bend, "beta'' + 2*alpha'"):
-            _case_Ea_free(col)
-        return
+        col.vanishes(bend, "beta'' + 2*alpha'")
+        return _case_Ea_free(col)
     k1sqv = col.constant(-(bend / beta), "k1^2 = -(beta'' + 2*alpha')/beta")
-    if k1sqv is None:
-        return
     if k1sqv.is_zero:
         col.reject("k1^2 = 0 (the cosh branch needs a nonzero rate)")
-        return
     h0 = _h0(col, Av)
     k2sq_rf = (h0 * h0 / RatFunc.const(4 * k1sqv) + gamma - beta * beta / 4) / RatFunc.const(k1sqv)
-    k2sqv = col.constant(k2sq_rf, "k2^2")
-    if k2sqv is None:
+    try:
+        k2sqv = col.constant(k2sq_rf, "k2^2")
+    except _Rejected:
         col.warnings.append(
             f"{col.label}: k1^2 is constant yet k2^2 is not; this contradicts the "
             "classification derivation and the branch was rejected"
         )
-        return
+        raise
     if k2sqv.is_zero:
         col.reject("k2^2 = 0 (degenerate; the exponential branch E.b covers it)")
-        return
-    roots = col.lift(lambda: (col.ctx.sqrt(k1sqv), col.ctx.sqrt(k2sqv)),
-                     leaves="k1 or k2 leaves")
-    if roots is None:
-        return
-    k1, k2 = roots
+    k1, k2 = col.lift(lambda: (col.ctx.sqrt(k1sqv), col.ctx.sqrt(k2sqv)),
+                      leaves="k1 or k2 leaves")
     offset = (col.beta1 + 2 * col.alpha) / RatFunc.const(2 * k1sqv)
     col.attempt(
         (Parameter("sign", "{+, -}", "sign"), Parameter("C", "K \\ {0}", "nonzero")),
@@ -638,7 +627,6 @@ def _case_Ea_free(col: _Collector) -> None:
             "k2 = sqrt((alpha^2/k1^2 + gamma)/k1^2) needs a second field extension "
             "for every sampled k1",
         )
-        return
     base = [
         {"k1": k1_samples[i % len(k1_samples)], "C": FieldConstant.of(i + 1)}
         for i in range(3)
@@ -666,21 +654,13 @@ def _case_Ea_free(col: _Collector) -> None:
 def _case_Eb(col: _Collector) -> None:
     disc = col.disc
     Av = col.constant(col.A, "A")
-    if Av is None:
-        return
     if disc.is_zero:
         col.reject("beta^2 - 4*gamma vanishes identically (see E.e)")
-        return
     h0 = _h0(col, Av)
     k1sqv = col.constant((h0 * h0) / disc, "k1^2")
-    if k1sqv is None:
-        return
     if k1sqv.is_zero:
         col.reject("k1^2 = 0 (this branch needs a nonzero k1)")
-        return
     k1 = col.lift(col.ctx.sqrt, k1sqv, leaves="k1 leaves")
-    if k1 is None:
-        return
     m = -h0 / RatFunc.const(2 * k1sqv)
     g = k1sqv - Av * Av / 4
     col.attempt(
@@ -695,45 +675,27 @@ def _case_Eb(col: _Collector) -> None:
 
 
 def _case_Ec(col: _Collector) -> None:
-    if col.constant(col.A, "A") is None:
-        return
+    col.constant(col.A, "A")
     av = col.constant(col.alpha, "alpha")
-    if av is None:
-        return
     if av.is_zero:
         col.reject("alpha vanishes identically (this branch needs a nonzero constant alpha)")
-        return
-    if not col.vanishes(col.beta, "beta"):
-        return
+    col.vanishes(col.beta, "beta")
     gv = col.constant(col.gamma, "gamma")
-    if gv is not None:
-        _quadratic(col, av, "c1", -gv / (2 * av),
-                   ConstraintSet(A=col.A, h=RatFunc.const(-2 * av)), (0, 1, 2))
+    _quadratic(col, av, "c1", -gv / (2 * av),
+               ConstraintSet(A=col.A, h=RatFunc.const(-2 * av)), (0, 1, 2))
 
 
 def _case_Ed(col: _Collector) -> None:
     quarter_disc = col.disc / 4
     Av = col.constant(col.A, "A")
-    if Av is None:
-        return
     if quarter_disc.is_zero:
         col.reject("beta^2/4 - gamma vanishes identically (see E.e)")
-        return
     k1sqv = col.constant(quarter_disc, "k1^2 = beta^2/4 - gamma")
-    if k1sqv is None:
-        return
     if not Av.is_zero:
         col.reject(f"A = {format_constant(Av)} is not zero (this branch needs A = 0)")
-        return
-    if not col.vanishes(col.beta1 + 2 * col.alpha, "beta' + 2*alpha"):
-        return
+    col.vanishes(col.beta1 + 2 * col.alpha, "beta' + 2*alpha")
     k1 = col.lift(col.ctx.sqrt, k1sqv, leaves="k1 leaves")
-    if k1 is None:
-        return
-    anti = col.integrate(col.beta, ZERO)
-    if anti is None:
-        return
-    half_int = anti / 2
+    half_int = col.integrate(col.beta, ZERO) / 2
     tail = f" - ({ratfunc_to_str(half_int)})" if not half_int.is_zero else ""
     k1_factor = "" if k1 == ONE else f"{format_constant(k1)} * "
     col.attempt(
@@ -749,16 +711,11 @@ def _case_Ed(col: _Collector) -> None:
 
 def _case_Ee(col: _Collector) -> None:
     Av = col.constant(col.A, "A")
-    if Av is None:
-        return
     if not col.disc.is_zero:
         col.reject(
             f"beta^2/4 - gamma = {ratfunc_to_str(col.disc / 4)} is not identically zero"
         )
-        return
     tail = col.integrate(col.beta / 2, Av / 2)
-    if tail is None:
-        return
     mu = -Av / 2
     tail_str = f" - ({ratfunc_to_str(tail)})" if not tail.is_zero else ""
     col.attempt(
@@ -789,7 +746,7 @@ def classify(alpha, beta, gamma) -> ClassificationReport:
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     col = _Collector(alpha, beta, gamma)
     for col.label, gate in _case_table(alpha, beta, gamma):
-        gate(col)
+        col.run(gate)
 
     return ClassificationReport(
         alpha=alpha,

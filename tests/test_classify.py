@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from merosolve.classify import (
     RejectedBranch,
     Term,
     _Collector,
+    _case_Ea,
     _member,
     applicable_labels,
     classify,
@@ -266,7 +268,8 @@ class TestResidualGate:
     def gate(self, terms) -> _Collector:
         col = _Collector(self.ALPHA, self.BETA, self.GAMMA)
         col.label = "D"
-        col.attempt((Parameter("c1", "K"),), "w", ConstraintSet(), terms, self.ASSIGNMENTS)
+        col.run(_Collector.attempt, (Parameter("c1", "K"),), "w", ConstraintSet(), terms,
+                self.ASSIGNMENTS)
         return col
 
     def test_verifying_members_meet_no_gcd_and_one_residual_each(self, monkeypatch):
@@ -401,7 +404,8 @@ class TestSignFamilies:
         half, zero = FieldConstant.of(Fraction(1, 2)), FieldConstant.of(0)
         terms = (Term((half, "sign", half), RF(1), (("c1", 1),)),
                  Term(zero, Z / 2), Term(zero, -Z / 2, (("sign", 1),)))
-        col.attempt(
+        col.run(
+            _Collector.attempt,
             (Parameter("sign", "{+, -}", "sign"), Parameter("c1", "K")), "w",
             ConstraintSet(), terms, [{"c1": FieldConstant.of(1)}],
         )
@@ -687,6 +691,11 @@ class TestOneGatePerLabel:
                        [f.case_label for f in rep.families]):
             ranks = [order[label] for label in labels]
             assert ranks == sorted(ranks), (ident, labels)
+        # each label is settled once, by a family or its first failed check;
+        # D once per root branch
+        entries = Counter(x.case_label for x in (*rep.families, *rep.rejected_branches))
+        assert all(entries[label] in ((1, 2) if label == "D" else (1,))
+                   for label in order), (ident, entries)
 
     def test_a_rejected_a_is_rendered_once_per_report(self, monkeypatch):
         module = importlib.import_module("merosolve.classify")
@@ -699,6 +708,22 @@ class TestOneGatePerLabel:
         labels = [r.case_label for r in rep.rejected_branches if r.reason == text]
         assert labels == ["E.a", "E.b", "E.c", "E.d", "E.e"]
         assert [f for f in rendered if f == A] == [A]
+
+    def test_ea_warns_when_k2_squared_is_not_constant(self):
+        # A forced to 0 against alpha = z, beta = 1, gamma = z^3: k1^2 = -2 is
+        # constant, k2^2 is not, and the gate rejects once and warns once
+        col = _Collector(Z, RF(1), Z**3)
+        col.__dict__["A"] = RatFunc.const(0)
+        col.label = "E.a"
+        col.run(_case_Ea)
+        assert col.families == []
+        assert col.rejected == [
+            RejectedBranch("E.a", "k2^2 = -1/2*z^3 + 1/4*z^2 + 1/8 is not constant")
+        ]
+        assert col.warnings == [
+            "E.a: k1^2 is constant yet k2^2 is not; this contradicts the "
+            "classification derivation and the branch was rejected"
+        ]
 
     def test_a_generic_equation_rejects_every_label_once_in_order(self):
         alpha, beta, gamma = Z * Z + 1, Z, Z**3 - 2
