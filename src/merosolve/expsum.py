@@ -25,8 +25,8 @@ from fractions import Fraction
 from .errors import IncompatibleExtensionsError, LimitExceededError, NearPoleError
 from .field import (ZERO, ONE, ExtensionContext, FieldConstant, common_discriminant,
                     format_constant, from_integers, integer_parts)
-from .ratfunc import (Poly, RatFunc, _lin, _poly, _times, linear_roots, over_common_denominator,
-                      poly_gcd, poly_to_str, ratfunc_to_str)
+from .ratfunc import (Poly, RatFunc, _gcd, _lin, _poly, _times, linear_roots,
+                      over_common_denominator, poly_gcd, poly_to_str, ratfunc_to_str)
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
@@ -77,7 +77,8 @@ class ExpSum:
         for rate, coeff in terms:
             rate = FieldConstant.of(rate) if not isinstance(rate, FieldConstant) else rate
             coeff = RatFunc.of(coeff)
-            key = rate.sort_key()
+            a, b = rate.a, rate.b  # Fraction hashes cost a modular inverse; int pairs do not
+            key = (rate.q, a.numerator, a.denominator, b.numerator, b.denominator)
             if key in merged:
                 merged[key] = (rate, merged[key][1] + coeff)
             else:
@@ -219,7 +220,7 @@ def _pole_set(den: Poly) -> tuple[complex, ...]:
     """
     if den.degree <= 0:
         return ()
-    den = den.divmod(poly_gcd(den, den.derivative()))[0]
+    den = _gcd(den, den.derivative())[1]
     if den.degree == 1:
         return ((-den.coeffs[0] / den.coeffs[1]).embed(),)
     return _complex_roots([c.embed() for c in den.coeffs])
@@ -322,7 +323,7 @@ def integrate_exp(
             res, term = res + c * term, term * rate / k
         if not res.is_zero:
             return ObstructionReport(pole, rate, res)
-    return ObstructionReport(rest.divmod(poly_gcd(rest, rest.derivative()))[0], rate, None)
+    return ObstructionReport(_gcd(rest, rest.derivative())[1], rate, None)
 
 
 def integrable_rates(coeff: RatFunc) -> tuple[Poly, bool] | None:
@@ -361,8 +362,8 @@ def integrable_rates(coeff: RatFunc) -> tuple[Poly, bool] | None:
 def _repeated_part(den: Poly) -> tuple[Poly, Poly] | None:
     """(G, G/rad) for G = gcd(den, den') and rad = den/G, or None when rad
     does not divide G: then den has a simple root."""
-    g = poly_gcd(den, den.derivative())
-    cofactor, rem = g.divmod(den.divmod(g)[0])
+    g, rad, _ = _gcd(den, den.derivative())
+    cofactor, rem = g.divmod(rad)
     return (g, cofactor) if rem.is_zero else None
 
 

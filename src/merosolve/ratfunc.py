@@ -8,13 +8,18 @@ the full products: a product cancels gcd(a, d) and gcd(c, b) of a/b and c/d,
 a sum only the factors of gcd(b, d), and a derivative raises each pole order by
 one.  A gcd with a constant operand is skipped, so sums, products and
 derivatives of polynomials are plain Poly arithmetic and a division by a
-constant is a scaling.  Square roots take the monic polynomial root of
-numerator and denominator.  A series at a point shifts both there once and
-divides over the field.  The roots of a polynomial in the field come from
-square-free decomposition, the rational roots of a rational factor, found by
-p-adic lifting from the least prime at which its roots are simple, with no
-integer factoring and no cap, and the quadratic formula; a factor that would
-need more is returned unsplit.
+constant is a scaling.  Each gcd comes with its cofactors, so no normal form
+divides by it.  Rational operands take the heuristic gcd (Char, Geddes &
+Gonnet, J. Symbolic Comput. 7, 1989): one big-integer gcd, checked by exact
+trial divisions that are the cofactors.  When a few evaluation points fail,
+and always over Z[sqrt(q)], which is not a UFD in general, the primitive
+remainder sequence and two exact divisions take its place.  Square roots take
+the monic polynomial root of numerator and denominator.  A series at a point
+shifts both there once and divides over the field.  The roots of a polynomial
+in the field come from square-free decomposition, the rational roots of a
+rational factor, found by p-adic lifting from the least prime at which its
+roots are simple, with no integer factoring and no cap, and the quadratic
+formula; a factor that would need more is returned unsplit.
 """
 
 from __future__ import annotations
@@ -319,12 +324,112 @@ def _pseudo_divide(f, g, q: int):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the primitive remainder sequence (Collins, JACM 14, 1967):
-    pseudo-remainders over Z[sqrt(q)], each made to lead with an integer (times
-    the conjugate of its leading coefficient) and with its integer content
-    divided out, and the monic normal form taken once, at the end."""
-    if a.degree == 0 or b.degree == 0:  # a nonzero constant is a unit
-        return Poly.const(1)
+    """Monic gcd of a and b: gcd(0, p) = monic p and gcd(0, 0) = 0.
+
+    Rational operands take the heuristic gcd (_heuristic_gcd), and the
+    primitive remainder sequence (_prs_gcd) is its fallback.  Over Z[sqrt q],
+    which is not a UFD in general, the PRS alone runs.  The monic gcd is
+    unique, so the route never shows in the result."""
+    if not a.a or not b.a:
+        return (a + b).monic()
+    return _gcd(a, b)[0]
+
+
+def _gcd(x: Poly, y: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, x/g, y/g) for g = gcd(x, y), x nonzero, and monic when y = 0.
+
+    A constant shares no factor and gcd(x, 0) = x, so neither takes a gcd."""
+    if not y.a:
+        return x, _UNIT, y
+    return _cofactors(x, y) if x.degree > 0 and y.degree > 0 else (_UNIT, x, y)
+
+
+def _cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for the monic gcd g of a and b, both of degree >= 1."""
+    if not a.q and not b.q:
+        found = _heuristic_gcd(a, b)
+        if found is not None:
+            return found
+    g = _prs_gcd(a, b)
+    if g.degree == 0:
+        return _UNIT, a, b
+    return g, a.divmod(g)[0], b.divmod(g)[0]
+
+
+_HEURISTIC_TRIES = 6
+
+
+def _heuristic_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989): (g, a/g,
+    b/g) for rational a and b of degree >= 1, or None when every xi failed.
+
+    On the primitive integer vectors x and y of a and b, G is read off the
+    symmetric xi-adic digits of the integer gcd(x(xi), y(xi)) and made
+    primitive, with a positive leading coefficient.  For
+    xi >= 2*min(|x|, |y|) + 2 (max norms), a G that divides x and y exactly is
+    their gcd, and the exact quotients are the cofactors.  A G that does not
+    was read off a spurious integer factor of the values' gcd, or off a gcd
+    with coefficients above xi/2 (those of a factor of degree k can be about
+    2**k times the operands'), so xi grows to about 2*xi**(5/4) a few times."""
+    ca, cb = math.gcd(*a.a), math.gcd(*b.a)
+    x, y = [v // ca for v in a.a], [v // cb for v in b.a]
+    xi = 2 * min(max(map(abs, x)), max(map(abs, y))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        h = math.gcd(_value(x, xi), _value(y, xi))
+        digits = []
+        while h:  # h > 0 and xi > 2 make the top digit positive
+            r = h % xi
+            if 2 * r > xi:
+                r -= xi
+            digits.append(r)
+            h = (h - r) // xi
+        if len(digits) == 1:
+            return _UNIT, a, b
+        if len(digits) <= min(len(x), len(y)):
+            c = math.gcd(*digits)
+            g = [v // c for v in digits]
+            qx = _exact_quotient(x, g)
+            qy = None if qx is None else _exact_quotient(y, g)
+            if qy is not None:
+                # a = ca*x/a.d and monic g = G/lead give a/g = ca*lead*qx/a.d
+                lead = g[-1]
+                return (_poly(g, (), lead, 0), _poly([v * ca * lead for v in qx], (), a.d, 0),
+                        _poly([v * cb * lead for v in qy], (), b.d, 0))
+        xi = 2 * xi * math.isqrt(math.isqrt(xi)) + 1
+    return None
+
+
+def _value(x, xi: int) -> int:
+    """The integer polynomial x (low to high) at xi."""
+    v = 0
+    for c in reversed(x):
+        v = v * xi + c
+    return v
+
+
+def _exact_quotient(x, g) -> list[int] | None:
+    """x/g for integer vectors x and primitive g, or None when g does not
+    divide x; by Gauss's lemma a quotient over Q is one over Z, so each step
+    divides by lc(g) exactly or g is no divisor."""
+    n, lead = len(g) - 1, g[-1]
+    r, quo = list(x), [0] * (len(x) - n)
+    for j in range(len(quo) - 1, -1, -1):
+        c, m = divmod(r[n + j], lead)
+        if m:
+            return None
+        quo[j] = c
+        if c:
+            for i in range(n):
+                r[i + j] -= c * g[i]
+    return None if any(r[:n]) else quo
+
+
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of a and b, both of degree >= 1, by the primitive remainder
+    sequence (Collins, JACM 14, 1967): pseudo-remainders over Z[sqrt(q)], each
+    made to lead with an integer (times the conjugate of its leading
+    coefficient) and with its integer content divided out, and the monic
+    normal form taken once, at the end."""
     q = common_discriminant((b,), a.q)
     f, g = _parts(a, q), _parts(b, q)
     while g[0]:
@@ -340,19 +445,14 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
     if p.degree <= 0:
         return []
     p = p.monic()
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b, _ = p.divmod(a)
-    c, _ = dp.divmod(a)
+    _, b, c = _gcd(p, p.derivative())
     d = c - b.derivative()
     out: list[tuple[Poly, int]] = []
     i = 1
     while b.degree > 0:
-        a = poly_gcd(b, d)
+        a, b, c = _gcd(b, d)
         if a.degree > 0:
             out.append((a, i))
-        b, _ = b.divmod(a)
-        c, _ = d.divmod(a)
         d = c - b.derivative()
         i += 1
     return out
@@ -446,17 +546,6 @@ def linear_roots(p: Poly, ctx: ExtensionContext):
     return lc, roots, remainder
 
 
-def _gcd(x: Poly, y: Poly) -> Poly:
-    """poly_gcd, skipped when an operand is constant: a constant shares no factor
-    (x and y are nonzero)."""
-    return poly_gcd(x, y) if x.degree > 0 and y.degree > 0 else _UNIT
-
-
-def _exquo(p: Poly, g: Poly) -> Poly:
-    """p/g for a monic g that divides p."""
-    return p if g.degree == 0 else p.divmod(g)[0]
-
-
 def _monic_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num and den scaled by 1/lc(den), so that den is monic."""
     if den.a[-1] != den.d or den.q and den.b[-1]:
@@ -515,8 +604,7 @@ class RatFunc:
             num, den = _ZERO, _UNIT
         else:
             common_discriminant((num, den))  # a clash raises before the gcd hides it
-            g = _gcd(num, den)
-            num, den = _monic_pair(_exquo(num, g), _exquo(den, g))
+            num, den = _monic_pair(*_gcd(num, den)[1:])
         self.num, self.den = num, den
 
     @staticmethod
@@ -595,17 +683,19 @@ class RatFunc:
         if d.degree == 0:
             return RatFunc._reduced(a + c * b, b)
         self._join(other)
-        g = poly_gcd(b, d)
+        g, bg, dg = _cofactors(b, d)
         if g.degree == 0:  # no factor of b*d can divide a*d + c*b
             return RatFunc._reduced(a * d + c * b, b * d)
-        bg, dg = b.divmod(g)[0], d.divmod(g)[0]
         t = a * dg + c * bg
         if t.is_zero:
             return RatFunc._reduced(_ZERO, _UNIT)
         # only factors of g can cancel; t mod g keeps the gcd within the inputs' degrees
-        rem = t.divmod(g)[1] if t.degree >= g.degree else t
-        g2 = g if rem.is_zero else _gcd(g, rem)
-        return RatFunc._reduced(_exquo(t, g2), bg * _exquo(d, g2))
+        quo, rem = t.divmod(g) if t.degree >= g.degree else (_ZERO, t)
+        g2, gg, rg = _gcd(g, rem)
+        if g2.degree == 0:
+            return RatFunc._reduced(t, bg * d)
+        # t/g2 = quo*(g/g2) + rem/g2 over (bg*d)/g2 = bg*dg*(g/g2)
+        return RatFunc._reduced(quo * gg + rg, bg * dg * gg)
 
     __radd__ = __add__
 
@@ -626,9 +716,10 @@ class RatFunc:
         self._join(other)
         if a.is_zero or c.is_zero:
             return RatFunc._reduced(_ZERO, _UNIT)
-        g1, g2 = _gcd(a, d), _gcd(b, c)
+        _, a, d = _gcd(a, d)
+        _, b, c = _gcd(b, c)
         # quotients of monic polynomials by monic ones are monic
-        return RatFunc._reduced(_exquo(a, g1) * _exquo(c, g2), _exquo(b, g2) * _exquo(d, g1))
+        return RatFunc._reduced(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -654,10 +745,8 @@ class RatFunc:
             return RatFunc._reduced(n.derivative(), _UNIT)
         # with g = gcd(d, d') and r = d/g, (n/d)' = (n'*r - n*d'/g)/(d*r); in
         # characteristic 0 each pole order rises by exactly one, so it is reduced
-        dp = d.derivative()
-        g = _gcd(d, dp)
-        r = _exquo(d, g)
-        return RatFunc._reduced(n.derivative() * r - n * _exquo(dp, g), d * r)
+        _, r, dpg = _gcd(d, d.derivative())
+        return RatFunc._reduced(n.derivative() * r - n * dpg, d * r)
 
     # -- evaluation and expansion ------------------------------------------------
 

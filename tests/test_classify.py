@@ -34,7 +34,7 @@ from merosolve.errors import DomainViolationError, GammaIdenticallyZeroError
 from merosolve.expsum import ExpSum, residual
 from merosolve.field import FieldConstant, format_constant
 from merosolve.parse import parse_constant, parse_ratfunc
-from merosolve.ratfunc import Poly, RatFunc, poly_gcd
+from merosolve.ratfunc import Poly, RatFunc
 
 import reference_kernels
 from conftest import (
@@ -275,11 +275,12 @@ class TestResidualGate:
     def test_verifying_members_meet_no_gcd_and_one_residual_each(self, monkeypatch):
         module = importlib.import_module("merosolve.classify")
         in_gate, gcds, residuals = [0], [], []
+        real_gcd = ratfunc._cofactors
 
         def counting_gcd(a, b):
             if in_gate[0]:
                 gcds.append((a, b))
-            return poly_gcd(a, b)
+            return real_gcd(a, b)
 
         def gate(*args):
             residuals.append(args)
@@ -289,8 +290,8 @@ class TestResidualGate:
             finally:
                 in_gate[0] -= 1
 
-        monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
-        monkeypatch.setattr(expsum, "poly_gcd", counting_gcd)
+        # every gcd of two nonconstant polynomials goes through _cofactors
+        monkeypatch.setattr(ratfunc, "_cofactors", counting_gcd)
         monkeypatch.setattr(module, "residual", gate)
         col = self.gate(self.TERMS)
         (fam,) = col.families
@@ -811,7 +812,7 @@ class TestPolynomialArithmeticCost:
 
     def test_gcd_and_divmod_make_no_field_products(self, monkeypatch):
         inside, products, calls = [], [], []
-        real_mul, real_gcd, real_divmod = FieldConstant.__mul__, poly_gcd, Poly.divmod
+        real_mul, real_gcd, real_divmod = FieldConstant.__mul__, ratfunc._cofactors, Poly.divmod
 
         def mul(self, other):
             if inside:
@@ -830,8 +831,7 @@ class TestPolynomialArithmeticCost:
 
         monkeypatch.setattr(FieldConstant, "__mul__", mul)
         monkeypatch.setattr(FieldConstant, "__rmul__", mul)
-        for module in (ratfunc, expsum):
-            monkeypatch.setattr(module, "poly_gcd", counted(real_gcd))
+        monkeypatch.setattr(ratfunc, "_cofactors", counted(real_gcd))
         monkeypatch.setattr(Poly, "divmod", counted(real_divmod))
         alpha, beta, gamma = (parse_ratfunc(t) for t in (self.ALPHA, self.BETA, self.GAMMA))
         rep = classify(alpha, beta, gamma)

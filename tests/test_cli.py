@@ -730,6 +730,24 @@ class TestGcdGrowth:
         assert time.perf_counter() - start < 5.0
         assert code == 2 and hashlib.md5(out.encode()).hexdigest() == digest
 
+    @staticmethod
+    def verify_argv(n: int) -> tuple[str, ...]:
+        # the residual's normal form takes gcds of degree near 4*n, whose
+        # coefficients outgrow the operands'; the PRS ran past 120 s at n = 140
+        return ("verify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--solution",
+                f"(z+1)^{n}*exp(z)/(z^2+2)^{n // 2} + exp(2*z)*(z-1)^{n}", "--json")
+
+    def test_verify_of_a_high_degree_solution_ends_in_bounded_time(self, capsys):
+        start = time.perf_counter()
+        code, _, _ = run_cli(capsys, *self.verify_argv(140))
+        assert time.perf_counter() - start < 5.0 and code == 2
+
+    def test_verify_keeps_the_bytes_of_the_remainder_sequence(self, capsys):
+        # the MD5 of the stdout the PRS gave at n = 40
+        code, out, _ = run_cli(capsys, *self.verify_argv(40))
+        assert code == 2 and hashlib.md5(out.encode()).hexdigest() == (
+            "04b7fe81c98a0c0385defc776fc32019")
+
 
 # the grammar's atoms, with superscript and Arabic-Indic digits beside ASCII ones,
 # and a high power, an irrational power and a long literal to reach the slow paths

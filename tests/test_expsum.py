@@ -569,22 +569,22 @@ class TestResidualGcds:
     def test_at_most_one_gcd_per_nonzero_rate(self, case):
         alpha, beta, gamma, w, _ = case
         calls = []
-        real = ratfunc.poly_gcd
+        real = ratfunc._cofactors
 
         def counting(a, b):
             calls.append((a, b))
             return real(a, b)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ratfunc, "poly_gcd", counting)
+            mp.setattr(ratfunc, "_cofactors", counting)
             r = residual(alpha, beta, gamma, w)
         assert len(calls) <= len(r.terms)  # so a zero residual meets none
 
     def test_gcd_counter_is_live(self, monkeypatch):
         calls = []
-        real = ratfunc.poly_gcd
+        real = ratfunc._cofactors
         w = ExpSum([(ONE, RatFunc.const(2)), (ZERO, Z + 3 / ((Z - 1) ** 2 * (Z + 2)))])
-        monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append(a) or real(a, b))
+        monkeypatch.setattr(ratfunc, "_cofactors", lambda a, b: calls.append(a) or real(a, b))
         r = residual(RF0, RF0, RF0, w)
         assert r.terms and len(calls) == len(r.terms)
 

@@ -471,13 +471,13 @@ class TestGcdSkips:
         p = Poly([FieldConstant.of(1), ZERO, ONE])  # z^2 + 1
         f = RatFunc(Poly.const(1), Poly([FieldConstant.of(-2), ONE]))  # 1/(z - 2)
         g = RatFunc(p)
-        calls = []
+        calls, real = [], ratfunc._cofactors
 
         def counting(a, b):
             calls.append((a, b))
-            return poly_gcd(a, b)
+            return real(a, b)
 
-        monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+        monkeypatch.setattr(ratfunc, "_cofactors", counting)
         RatFunc(p)
         RatFunc(p, Poly.const(FieldConstant.of(3)))
         RatFunc.const(Fraction(2, 3))
@@ -596,6 +596,69 @@ class TestKernelsAgainstReference:
         assert canonical(p.derivative()) and canonical(p.monic())
 
 
+def _check_cofactors(a: Poly, b: Poly) -> Poly:
+    """poly_gcd(a, b) is the PRS's monic gcd g and, for nonzero a and b, _gcd
+    returns g with cofactors that multiply back to a and b; returns g."""
+    g = ratfunc._prs_gcd(a, b)
+    assert poly_gcd(a, b) == g and canonical(g)
+    if not a.is_zero and not b.is_zero:
+        got, x, y = ratfunc._gcd(a, b)
+        assert got == g and g * x == a and g * y == b
+        assert canonical(x) and canonical(y)
+    return g
+
+
+class TestHeuristicGcd:
+    """The heuristic gcd (GCDHEU) with its cofactors, against the PRS."""
+
+    # the integer scales give vectors with content above 1 and negative leading
+    # coefficients; p, q or h of degree 0 or -1 give constant and zero operands
+    @given(polys(4), polys(4), polys(3), st.integers(-6, 6).filter(bool),
+           st.integers(-6, 6).filter(bool))
+    @example(Poly(), Poly(), Poly(), 1, 1)
+    @example(Poly.z(), Poly(), Poly.const(Fraction(-3, 2)), 4, -2)
+    @example(Poly.const(5), Poly.z(), Poly.z(), -6, 6)
+    # xi = 4 at first, where the values share the spurious factor gcd(4 - 1, 4 + 2) = 3
+    @example(*(parse_ratfunc(t).num for t in ("z - 1", "z + 2", "(z + 1)^2")), 1, 1)
+    def test_agrees_with_the_prs(self, p, q, h, m, n):
+        _check_cofactors((p * h).scale(m), (q * h).scale(n))
+
+    @given(irrational_divisors(), irrational_divisors(), polys(2, extended_constants))
+    def test_a_pair_over_the_extension_takes_the_prs(self, p, q, h):
+        heuristic = ratfunc._heuristic_gcd
+
+        def rational_only(a, b):
+            assert not a.q and not b.q, "the heuristic ran on Z[sqrt 5]"
+            return heuristic(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratfunc, "_heuristic_gcd", rational_only)
+            _check_cofactors(p * h, q * h)
+
+    # at xi = 12 the gcd's coefficient 10 is above xi/2, and at xi = 25 the
+    # values share the spurious factor gcd(25 - 1, 25 + 2) = 3; xi = 101 works
+    SPURIOUS = (parse_ratfunc("(z + 1)^5*(z - 1)").num, parse_ratfunc("(z + 1)^5*(z + 2)").num)
+
+    def test_a_spurious_integer_factor_is_retried(self, monkeypatch):
+        xis = []
+        real = ratfunc._value
+        monkeypatch.setattr(ratfunc, "_value", lambda x, xi: xis.append(xi) or real(x, xi))
+        g, x, y = ratfunc._gcd(*self.SPURIOUS)
+        assert xis == [12, 12, 25, 25, 101, 101]  # two values per xi tried
+        assert g == parse_ratfunc("(z + 1)^5").num
+        assert (x, y) == (parse_ratfunc("z - 1").num, parse_ratfunc("z + 2").num)
+
+    def test_every_try_failing_falls_back_to_the_prs(self, monkeypatch):
+        heuristic, outcomes = ratfunc._heuristic_gcd, []
+        monkeypatch.setattr(ratfunc, "_HEURISTIC_TRIES", 2)
+        monkeypatch.setattr(ratfunc, "_heuristic_gcd",
+                            lambda a, b: outcomes.append(heuristic(a, b)) or outcomes[-1])
+        g, x, y = ratfunc._gcd(*self.SPURIOUS)
+        assert outcomes == [None]
+        assert g == parse_ratfunc("(z + 1)^5").num
+        assert (x, y) == (parse_ratfunc("z - 1").num, parse_ratfunc("z + 2").num)
+
+
 # factors near the shortcuts of Poly.__mul__: only zero and the integer 1 take them
 SHORTCUT_FACTORS = {
     "zero": Poly(),
@@ -690,7 +753,7 @@ class TestTrivialOperandShortcuts:
 
     def test_polynomial_operands_meet_no_constructor_and_no_gcd(self, monkeypatch):
         init, gcds = [], []
-        original = RatFunc.__init__
+        original, real_gcd = RatFunc.__init__, ratfunc._cofactors
 
         def counting_init(self, *args):
             init.append(args)
@@ -698,10 +761,10 @@ class TestTrivialOperandShortcuts:
 
         def counting_gcd(a, b):
             gcds.append((a, b))
-            return poly_gcd(a, b)
+            return real_gcd(a, b)
 
         monkeypatch.setattr(RatFunc, "__init__", counting_init)
-        monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(ratfunc, "_cofactors", counting_gcd)
         ps = [Poly([ONE, 2 * ONE, ONE]), Poly([root5, ONE]), Poly.z(), Poly.const(3), Poly()]
         fs = [RatFunc.of(p) for p in ps] + [RatFunc.z(), RatFunc.const(Fraction(2, 3))]
         for f in fs:
@@ -862,9 +925,9 @@ class TestHenriciArithmetic:
 
 
 def _counting(monkeypatch):
-    """Record RatFunc.__init__ and poly_gcd calls: (init args, gcd operand pairs)."""
+    """Record RatFunc.__init__ and gcd calls: (init args, gcd operand pairs)."""
     init, gcds = [], []
-    original = RatFunc.__init__
+    original, real_gcd = RatFunc.__init__, ratfunc._cofactors
 
     def counting_init(self, *args):
         init.append(args)
@@ -872,10 +935,10 @@ def _counting(monkeypatch):
 
     def counting_gcd(a, b):
         gcds.append((a, b))
-        return poly_gcd(a, b)
+        return real_gcd(a, b)
 
     monkeypatch.setattr(RatFunc, "__init__", counting_init)
-    monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(ratfunc, "_cofactors", counting_gcd)
     return init, gcds
 
 
