@@ -22,10 +22,11 @@ from .errors import (
 )
 
 
-# square_free_decomposition divides by the primes up to this bound; a cofactor
-# with no prime factor up to it is a square, square-free (at most two prime
-# factors when it is at most the bound cubed) or refused.  Every n up to 10**15
-# is decided exactly.
+# square_free_decomposition divides by the primes p up to this bound, and stops
+# early once p**3 exceeds the cofactor; a cofactor with no prime factor below
+# p is a square, square-free (at most two prime factors when it is below p**3
+# or at most the bound cubed) or refused.  Every n up to 10**15 is decided
+# exactly.
 TRIAL_DIVISION_BOUND = 10**5
 
 
@@ -43,7 +44,7 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     if r * r == n:
         return r, sign
     s, m, p = 1, 1, 2
-    while p * p <= n and p <= TRIAL_DIVISION_BOUND:
+    while p * p * p <= n and p <= TRIAL_DIVISION_BOUND:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -62,7 +63,8 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
             f"factoring past trial division by the primes up to "
             f"{TRIAL_DIVISION_BOUND}"
         )
-    # one prime, or two distinct ones past the bound: the cofactor is square-free
+    # no prime below p divides n and n < p**3, or p is past the bound and
+    # n <= TRIAL_DIVISION_BOUND**3: n is 1, a prime or two distinct primes
     return s, sign * m * n
 
 

@@ -10,13 +10,17 @@ ExpSum, so parsing rational input never loads it.
 Grammar (whitespace insignificant)::
 
     expr    := term (('+'|'-') term)*
-    term    := unary (('*'|'/') unary)*
-    unary   := '-'? factor
-    factor  := base ('^' nonneg-integer)?
+    term    := factor (('*'|'/') factor)*
+    factor  := '-'? base ('^' nonneg-integer)?
     base    := 'z' | integer | '(' expr ')'
               | 'sqrt' '(' expr ')'          constant argument
               | 'exp' '(' expr ')'           argument must be a constant times z
               | name                          bound through the params mapping
+
+The text is cut into (kind, text, pos) tuples once, and the evaluator reads
+them in three frames per level: expr, term and factor, which takes a unary
+minus, a base and its power in one frame.  A power of a Poly checks its caps
+on that one Poly.
 
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2).  Rational
 literals like 1/2 arrive through exact division, which is equivalent.
@@ -35,7 +39,7 @@ from .errors import ExpressionSyntaxError, LimitExceededError, ZeroDenominatorLi
 from .field import FieldConstant, sqrt_constant
 from .ratfunc import Poly, RatFunc
 
-# a level is five frames of recursive descent (six through sqrt( or exp():
+# a level is three frames of recursive descent (five through sqrt( or exp():
 # 100 levels stay well inside Python's default recursion limit of 1000
 MAX_NESTING_DEPTH = 100
 # b^n is refused before any multiply when n > MAX_EXPONENT or when its size
@@ -66,42 +70,40 @@ RESONANCE_CAP_DEFAULT = 64
 RESERVED_NAMES = ("z", "sqrt", "exp")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind, self.text, self.pos = kind, text, pos
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) per token: kind is 'int', 'name', the operator or
+    parenthesis itself, or 'end' for the one closing token."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if c in "+-*/^()":
+            tokens.append((c, c, i))
             i += 1
-            continue
-        if c.isdecimal():
-            j = i
+        elif c.isspace():
+            i += 1
+        elif c.isdecimal():
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", text[i:j], i))
+            tokens.append(("int", text[i:j], i))
             i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
+            j = i + 1
             while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], i))
+            tokens.append(("name", text[i:j], i))
             i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+        else:
+            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
     return tokens
+
+
+def _expected(kind: str, token: tuple[str, str, int]) -> ExpressionSyntaxError:
+    """The error for token standing where kind was expected."""
+    what = f"'{token[1]}'" if token[0] != "end" else "end of input"
+    return ExpressionSyntaxError(f"expected {kind} but found {what}", token[2])
 
 
 class _Parser:
@@ -109,127 +111,118 @@ class _Parser:
     or an ExpSum (see _promote)."""
 
     def __init__(self, text: str, allow_exp: bool, params: dict[str, FieldConstant] | None):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
         self.allow_exp = allow_exp
         self.params = params or {}
 
-    # -- token plumbing --------------------------------------------------------------
-
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
-        t = self.tokens[self.k]
-        self.k += 1
-        return t
-
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            what = f"'{t.text}'" if t.kind != "end" else "end of input"
-            raise ExpressionSyntaxError(f"expected '{kind}' but found {what}", t.pos)
-        return self.advance()
-
-    # -- grammar ---------------------------------------------------------------------
-
     def parse(self) -> Poly | RatFunc | ExpSum:
         value = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing '{t.text}'", t.pos)
+        kind, text, pos = self.tokens[self.k]
+        if kind != "end":
+            raise ExpressionSyntaxError(f"unexpected trailing '{text}'", pos)
         return value
 
     def expr(self) -> Poly | RatFunc | ExpSum:
         if self.depth > MAX_NESTING_DEPTH:
             raise LimitExceededError(
                 f"expression nests deeper than {MAX_NESTING_DEPTH} levels "
-                f"(at position {self.peek().pos})"
+                f"(at position {self.tokens[self.k][2]})"
             )
         self.depth += 1
+        tokens = self.tokens
         value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        while (op := tokens[self.k][0]) == "+" or op == "-":
+            self.k += 1
             value, rhs = _promote(value, self.term())
-            value = value + rhs if op.kind == "+" else value - rhs
+            value = value + rhs if op == "+" else value - rhs
         self.depth -= 1
         return value
 
     def term(self) -> Poly | RatFunc | ExpSum:
-        value = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            value, rhs = _promote(value, self.unary())
-            value = value * rhs if op.kind == "*" else self._divide(value, rhs, op.pos)
+        tokens = self.tokens
+        value = self.factor()
+        while (op := tokens[self.k])[0] == "*" or op[0] == "/":
+            self.k += 1
+            value, rhs = _promote(value, self.factor())
+            value = value * rhs if op[0] == "*" else self._divide(value, rhs, op[2])
         return value
 
-    def unary(self) -> Poly | RatFunc | ExpSum:
-        if self.peek().kind == "-":
-            self.advance()
-            return -self.factor()
-        return self.factor()
-
     def factor(self) -> Poly | RatFunc | ExpSum:
-        value = self.base()
-        if self.peek().kind != "^":
-            return value
-        self.advance()
-        return _power(value, self.expect("int"))
-
-    def base(self) -> Poly | RatFunc | ExpSum:
-        t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            if len(t.text) > MAX_LITERAL_DIGITS:
+        tokens = self.tokens
+        kind, text, pos = tokens[self.k]
+        negate = kind == "-"
+        if negate:
+            self.k += 1
+            kind, text, pos = tokens[self.k]
+        self.k += 1
+        if kind == "int":
+            if len(text) > MAX_LITERAL_DIGITS:
                 raise LimitExceededError(
                     f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
-                    f"(at position {t.pos})"
+                    f"(at position {pos})"
                 )
-            return Poly.const(int(t.text))
-        if t.kind == "(":
-            self.advance()
+            value = Poly.const(int(text))
+        elif kind == "name":
+            if text == "z":
+                value = Poly.z()
+            elif text == "sqrt":
+                value = self._sqrt(pos)
+            elif text == "exp":
+                value = self._exp(pos)
+            elif text in self.params:
+                value = Poly.const(self.params[text])
+            else:
+                raise ExpressionSyntaxError(f"unknown name '{text}'", pos)
+        elif kind == "(":
             value = self.expr()
-            self.expect(")")
-            return value
-        if t.kind == "name":
-            self.advance()
-            if t.text == "z":
-                return Poly.z()
-            if t.text == "sqrt":
-                return self._sqrt(t)
-            if t.text == "exp":
-                return self._exp(t)
-            if t.text in self.params:
-                return Poly.const(self.params[t.text])
-            raise ExpressionSyntaxError(f"unknown name '{t.text}'", t.pos)
-        what = f"'{t.text}'" if t.kind != "end" else "end of input"
-        raise ExpressionSyntaxError(f"expected a value but found {what}", t.pos)
+            self._close()
+        else:
+            raise _expected("a value", (kind, text, pos))
+        if tokens[self.k][0] == "^":
+            exponent = tokens[self.k + 1]
+            if exponent[0] != "int":
+                raise _expected("'int'", exponent)
+            self.k += 2
+            value = _power(value, exponent)
+        return -value if negate else value
+
+    def _close(self) -> None:
+        """Step over the ')' that ends a parenthesized argument."""
+        token = self.tokens[self.k]
+        if token[0] != ")":
+            raise _expected("')'", token)
+        self.k += 1
 
     # -- function bases ----------------------------------------------------------------
 
-    def _sqrt(self, t: _Token) -> Poly:
-        self.expect("(")
-        part = _rational(self.expr())
-        self.expect(")")
+    def _argument(self) -> Poly | RatFunc | ExpSum:
+        """The parenthesized expression after sqrt or exp."""
+        token = self.tokens[self.k]
+        if token[0] != "(":
+            raise _expected("'('", token)
+        self.k += 1
+        value = self.expr()
+        self._close()
+        return value
+
+    def _sqrt(self, pos: int) -> Poly:
+        part = _rational(self._argument())
         c = part.constant_value() if part is not None else None
         if c is None:
-            raise ExpressionSyntaxError("sqrt argument must be a constant", t.pos)
+            raise ExpressionSyntaxError("sqrt argument must be a constant", pos)
         return Poly.const(sqrt_constant(c))
 
-    def _exp(self, t: _Token) -> ExpSum:
+    def _exp(self, pos: int) -> ExpSum:
         if not self.allow_exp:
             raise ExpressionSyntaxError(
-                "exp(...) is not allowed in a rational function", t.pos
+                "exp(...) is not allowed in a rational function", pos
             )
-        self.expect("(")
-        arg = self.expr()
-        self.expect(")")
-        rate = self._linear_rate(arg)
+        rate = self._linear_rate(self._argument())
         if rate is None:
             raise ExpressionSyntaxError(
-                "exp argument must be a constant multiple of z", t.pos
+                "exp argument must be a constant multiple of z", pos
             )
         from .expsum import ExpSum
 
@@ -289,8 +282,8 @@ def _bits(p: Poly) -> int:
     return bits
 
 
-def _power(value: Poly | RatFunc | ExpSum, t: _Token) -> Poly | RatFunc | ExpSum:
-    """value^n for the exponent token t.
+def _power(value: Poly | RatFunc | ExpSum, token: tuple) -> Poly | RatFunc | ExpSum:
+    """value^n for the exponent token.
 
     Refused with LimitExceededError before any multiply when n exceeds
     MAX_EXPONENT, when the size bound of the power exceeds MAX_POWER_SIZE (a
@@ -298,31 +291,39 @@ def _power(value: Poly | RatFunc | ExpSum, t: _Token) -> Poly | RatFunc | ExpSum
     degree at most n times the highest numerator or denominator degree of
     value), or when n times the bit length of the largest numerator,
     denominator or discriminant among value's coefficients exceeds
-    MAX_POWER_BITS.
+    MAX_POWER_BITS.  A Poly is one term over the denominator 1, whose one
+    bit does not count against a nonzero numerator's.
     """
-    digits = t.text.lstrip("0") or "0"
+    _, text, pos = token
+    digits = text.lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-        raise LimitExceededError(f"exponent exceeds {MAX_EXPONENT} (at position {t.pos})")
-    rational = isinstance(value, (Poly, RatFunc))
-    coeffs = [RatFunc.of(value)] * (not value.is_zero) if rational else [c for _, c in value.terms]
-    n, k = int(digits), len(coeffs)
-    degree = max((max(c.num.degree, c.den.degree) for c in coeffs), default=0)
-    size = math.comb(n + k - 1, k - 1) * (n * degree + 1) if k else 1
+        raise LimitExceededError(f"exponent exceeds {MAX_EXPONENT} (at position {pos})")
+    n = int(digits)
+    if isinstance(value, Poly):
+        size, bits = n * value.degree + 1 if value.a else 1, _bits(value)
+    else:
+        coeffs = ([value] * (not value.is_zero) if isinstance(value, RatFunc)
+                  else [c for _, c in value.terms])
+        k = len(coeffs)
+        degree = max((max(c.num.degree, c.den.degree) for c in coeffs), default=0)
+        size = math.comb(n + k - 1, k - 1) * (n * degree + 1) if k else 1
+        bits = max((_bits(p) for c in coeffs for p in (c.num, c.den)), default=0)
     if size > MAX_POWER_SIZE:
         raise LimitExceededError(
-            f"power of size {size} exceeds {MAX_POWER_SIZE} (at position {t.pos})"
+            f"power of size {size} exceeds {MAX_POWER_SIZE} (at position {pos})"
         )
-    bits = max((_bits(p) for c in coeffs for p in (c.num, c.den)), default=0)
     if n * bits > MAX_POWER_BITS:
         raise LimitExceededError(
             f"power of {n} times {bits}-bit coefficients exceeds {MAX_POWER_BITS} bits "
-            f"(at position {t.pos})"
+            f"(at position {pos})"
         )
-    if rational:
-        return value.pow(n) if isinstance(value, Poly) else value ** n
+    if isinstance(value, Poly):
+        return value.pow(n)
+    if isinstance(value, RatFunc):
+        return value ** n
     from .expsum import ExpSum
 
-    if k == 1:
+    if len(value.terms) == 1:
         rate, coeff = value.terms[0]
         return ExpSum.exponential(rate * n, coeff ** n)
     result = ExpSum.from_ratfunc(RatFunc.const(1))
@@ -346,7 +347,7 @@ def parse_ratfunc(text: str) -> RatFunc:
 
 def names_read(text: str) -> set[str]:
     """The names an expression reads: the texts of its name tokens."""
-    return {t.text for t in _tokenize(text) if t.kind == "name"}
+    return {name for kind, name, _ in _tokenize(text) if kind == "name"}
 
 
 def is_name(text: str) -> bool:

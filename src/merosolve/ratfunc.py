@@ -71,7 +71,7 @@ class Poly:
 
     @staticmethod
     def z() -> Poly:
-        return _poly((0, 1), (), 1, 0)
+        return _Z
 
     @property
     def is_zero(self) -> bool:
@@ -248,7 +248,8 @@ def _poly(a, b, d: int, q: int, p: Poly | None = None) -> Poly:
     return p
 
 
-_UNIT, _ZERO = _poly((1,), (), 1, 0), _poly((), (), 1, 0)  # shared: a Poly is never mutated
+# shared: a Poly is never mutated
+_UNIT, _ZERO, _Z = _poly((1,), (), 1, 0), _poly((), (), 1, 0), _poly((0, 1), (), 1, 0)
 
 
 def _rational(c) -> int | Fraction | None:

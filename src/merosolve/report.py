@@ -126,9 +126,45 @@ def error_document(code: str, message: str) -> dict:
 
 
 def to_json(doc: dict) -> str:
-    import json  # here, so a --text request never loads it
+    """doc as json.dumps(doc, indent=2, ensure_ascii=False) writes it, and a
+    newline.  With an indent, json.dumps always takes json's pure-Python
+    encoder, which passes each chunk up through every level of nesting;
+    _write_json appends the chunks to one list and escapes strings with
+    encode_basestring, the C escaper json.dumps itself uses."""
+    from json.encoder import encode_basestring  # here, so a --text request never loads json
 
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _write_json(doc, "\n", out, encode_basestring)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str], quote) -> None:
+    """Append value, each item of a container on a line of newline's indent
+    plus two.  A dict with str keys, a list, a tuple, a str, an int, a bool
+    or None; anything else raises TypeError."""
+    if isinstance(value, str):
+        out.append(quote(value))
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out += (sep, inner, quote(key), ": ")
+            _write_json(item, inner, out, quote)
+            sep = ","
+        out += ("{}",) if sep == "{" else (newline, "}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _write_json(item, inner, out, quote)
+            sep = ","
+        out += ("[]",) if sep == "[" else (newline, "]")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # -- text rendering --------------------------------------------------------------------

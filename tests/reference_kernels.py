@@ -7,18 +7,25 @@ Taylor shift once more as Horner's rule on whole Polys; the residuals of
 both equations as expanded ExpSum products; the exact Laurent expansion of
 an exponential sum; partial fractions over a split denominator, from its
 roots and the Taylor series at each; exp-integration by parts at each pole;
-and case C's allowed rates from the residue at each pole.  Tests compare the
-integer kernels and the root-free solves of merosolve against them; nothing
-in the package imports this."""
+case C's allowed rates from the residue at each pole; the square-free part
+of an integer by trial division with no bound; and the expression parser as
+a token-object recursive descent.  Tests compare the integer
+kernels, the root-free solves and the lean parser of merosolve against them;
+nothing in the package imports this."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+from merosolve.errors import (ExpressionSyntaxError, LimitExceededError,
+                              ZeroDenominatorLiteralError)
 from merosolve.expsum import ExpSum, ObstructionReport
-from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant, format_constant
+from merosolve.field import (ONE, ZERO, ExtensionContext, FieldConstant, format_constant,
+                             sqrt_constant)
 from merosolve.laurent import LaurentExpansion
+from merosolve.parse import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH,
+                             MAX_POWER_BITS, MAX_POWER_SIZE, _bits, _promote, _rational)
 from merosolve.ratfunc import Poly, RatFunc, linear_roots, poly_gcd
 
 
@@ -374,3 +381,276 @@ def case_c_rates(beta, ctx=None):
         g = poly_gcd(g, Poly([(c if k % 2 else -c) / math.factorial(k - 1)
                               for k, c in enumerate(cs, 1)]))
     return tuple(r for r, _ in linear_roots(g, ctx)[1])
+
+
+def square_free_decomposition(n):
+    """(s, m) with n = s**2 * m and m square-free, the sign on m, by trial
+    division by every d up to the square root of what is left: no bound,
+    so only for small n."""
+    if n == 0:
+        return 1, 0
+    s, m, d, n = 1, 1 if n > 0 else -1, 2, abs(n)
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        s, m, d = s * d ** (e // 2), m * d ** (e % 2), d + 1
+    return s, m * n
+
+
+# -- the expression parser ---------------------------------------------------------------
+# merosolve.parse as it was before its tokens became tuples and unary, factor
+# and base one frame: a _Token object per token and five frames per level.
+# The kept helpers (_promote, _rational, _bits) and the limits come from the
+# package.
+
+
+class _Token:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind, self.text, self.pos = kind, text, pos
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(_Token("int", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^()":
+            tokens.append(_Token(c, c, i))
+            i += 1
+            continue
+        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+class _Parser:
+    """Recursive-descent evaluator producing exact values: a Poly, a RatFunc
+    or an ExpSum (see _promote)."""
+
+    def __init__(self, text: str, allow_exp: bool, params: dict[str, FieldConstant] | None):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.k = 0
+        self.depth = 0
+        self.allow_exp = allow_exp
+        self.params = params or {}
+
+    # -- token plumbing --------------------------------------------------------------
+
+    def peek(self) -> _Token:
+        return self.tokens[self.k]
+
+    def advance(self) -> _Token:
+        t = self.tokens[self.k]
+        self.k += 1
+        return t
+
+    def expect(self, kind: str) -> _Token:
+        t = self.peek()
+        if t.kind != kind:
+            what = f"'{t.text}'" if t.kind != "end" else "end of input"
+            raise ExpressionSyntaxError(f"expected '{kind}' but found {what}", t.pos)
+        return self.advance()
+
+    # -- grammar ---------------------------------------------------------------------
+
+    def parse(self) -> Poly | RatFunc | ExpSum:
+        value = self.expr()
+        t = self.peek()
+        if t.kind != "end":
+            raise ExpressionSyntaxError(f"unexpected trailing '{t.text}'", t.pos)
+        return value
+
+    def expr(self) -> Poly | RatFunc | ExpSum:
+        if self.depth > MAX_NESTING_DEPTH:
+            raise LimitExceededError(
+                f"expression nests deeper than {MAX_NESTING_DEPTH} levels "
+                f"(at position {self.peek().pos})"
+            )
+        self.depth += 1
+        value = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            value, rhs = _promote(value, self.term())
+            value = value + rhs if op.kind == "+" else value - rhs
+        self.depth -= 1
+        return value
+
+    def term(self) -> Poly | RatFunc | ExpSum:
+        value = self.unary()
+        while self.peek().kind in ("*", "/"):
+            op = self.advance()
+            value, rhs = _promote(value, self.unary())
+            value = value * rhs if op.kind == "*" else self._divide(value, rhs, op.pos)
+        return value
+
+    def unary(self) -> Poly | RatFunc | ExpSum:
+        if self.peek().kind == "-":
+            self.advance()
+            return -self.factor()
+        return self.factor()
+
+    def factor(self) -> Poly | RatFunc | ExpSum:
+        value = self.base()
+        if self.peek().kind != "^":
+            return value
+        self.advance()
+        return _power(value, self.expect("int"))
+
+    def base(self) -> Poly | RatFunc | ExpSum:
+        t = self.peek()
+        if t.kind == "int":
+            self.advance()
+            if len(t.text) > MAX_LITERAL_DIGITS:
+                raise LimitExceededError(
+                    f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
+                    f"(at position {t.pos})"
+                )
+            return Poly.const(int(t.text))
+        if t.kind == "(":
+            self.advance()
+            value = self.expr()
+            self.expect(")")
+            return value
+        if t.kind == "name":
+            self.advance()
+            if t.text == "z":
+                return Poly.z()
+            if t.text == "sqrt":
+                return self._sqrt(t)
+            if t.text == "exp":
+                return self._exp(t)
+            if t.text in self.params:
+                return Poly.const(self.params[t.text])
+            raise ExpressionSyntaxError(f"unknown name '{t.text}'", t.pos)
+        what = f"'{t.text}'" if t.kind != "end" else "end of input"
+        raise ExpressionSyntaxError(f"expected a value but found {what}", t.pos)
+
+    # -- function bases ----------------------------------------------------------------
+
+    def _sqrt(self, t: _Token) -> Poly:
+        self.expect("(")
+        part = _rational(self.expr())
+        self.expect(")")
+        c = part.constant_value() if part is not None else None
+        if c is None:
+            raise ExpressionSyntaxError("sqrt argument must be a constant", t.pos)
+        return Poly.const(sqrt_constant(c))
+
+    def _exp(self, t: _Token) -> ExpSum:
+        if not self.allow_exp:
+            raise ExpressionSyntaxError(
+                "exp(...) is not allowed in a rational function", t.pos
+            )
+        self.expect("(")
+        arg = self.expr()
+        self.expect(")")
+        rate = self._linear_rate(arg)
+        if rate is None:
+            raise ExpressionSyntaxError(
+                "exp argument must be a constant multiple of z", t.pos
+            )
+        return ExpSum.exponential(rate, 1)
+
+    @staticmethod
+    def _linear_rate(arg: Poly | RatFunc | ExpSum) -> FieldConstant | None:
+        part = _rational(arg)  # a monic constant denominator is 1
+        if part is None or part.den.degree or part.num.degree > 1 or not part.num[0].is_zero:
+            return None
+        return part.num[1]
+
+    def _divide(self, lhs: Poly | RatFunc | ExpSum, rhs: Poly | RatFunc | ExpSum,
+                pos: int) -> Poly | RatFunc | ExpSum:
+        if rhs.is_zero:
+            raise ZeroDenominatorLiteralError(pos)
+        if isinstance(rhs, Poly):  # and so is lhs, see _promote
+            return lhs.scale(rhs[0].inverse()) if rhs.degree == 0 else RatFunc(lhs, rhs)
+        if isinstance(rhs, RatFunc):
+            return lhs / rhs
+        if len(rhs.terms) > 1:
+            raise ExpressionSyntaxError(
+                "cannot divide by a sum of exponential terms", pos
+            )
+        rate, coeff = rhs.terms[0]
+        return ExpSum(tuple((r - rate, c / coeff) for r, c in lhs.terms))
+
+
+def _power(value: Poly | RatFunc | ExpSum, t: _Token) -> Poly | RatFunc | ExpSum:
+    """value^n for the exponent token t.
+
+    Refused with LimitExceededError before any multiply when n exceeds
+    MAX_EXPONENT, when the size bound of the power exceeds MAX_POWER_SIZE (a
+    power of a k-term sum has at most comb(n + k - 1, k - 1) terms, each of
+    degree at most n times the highest numerator or denominator degree of
+    value), or when n times the bit length of the largest numerator,
+    denominator or discriminant among value's coefficients exceeds
+    MAX_POWER_BITS.
+    """
+    digits = t.text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise LimitExceededError(f"exponent exceeds {MAX_EXPONENT} (at position {t.pos})")
+    rational = isinstance(value, (Poly, RatFunc))
+    coeffs = [RatFunc.of(value)] * (not value.is_zero) if rational else [c for _, c in value.terms]
+    n, k = int(digits), len(coeffs)
+    degree = max((max(c.num.degree, c.den.degree) for c in coeffs), default=0)
+    size = math.comb(n + k - 1, k - 1) * (n * degree + 1) if k else 1
+    if size > MAX_POWER_SIZE:
+        raise LimitExceededError(
+            f"power of size {size} exceeds {MAX_POWER_SIZE} (at position {t.pos})"
+        )
+    bits = max((_bits(p) for c in coeffs for p in (c.num, c.den)), default=0)
+    if n * bits > MAX_POWER_BITS:
+        raise LimitExceededError(
+            f"power of {n} times {bits}-bit coefficients exceeds {MAX_POWER_BITS} bits "
+            f"(at position {t.pos})"
+        )
+    if rational:
+        return value.pow(n) if isinstance(value, Poly) else value ** n
+    if k == 1:
+        rate, coeff = value.terms[0]
+        return ExpSum.exponential(rate * n, coeff ** n)
+    result = ExpSum.from_ratfunc(RatFunc.const(1))
+    for _ in range(n):
+        result = result * value
+    return result
+
+
+def parse_expsum(text, params=None):
+    value = _Parser(text, allow_exp=True, params=params).parse()
+    return value if isinstance(value, ExpSum) else ExpSum.from_ratfunc(value)
+
+
+def parse_ratfunc(text):
+    return RatFunc.of(_Parser(text, allow_exp=False, params=None).parse())
+
+
+def parse_constant(text):
+    c = parse_ratfunc(text).constant_value()
+    if c is None:
+        raise ExpressionSyntaxError("expected a constant expression", 0)
+    return c
+
+
+def names_read(text):
+    return {t.text for t in _tokenize(text) if t.kind == "name"}

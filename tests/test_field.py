@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from merosolve.errors import (
     UnsupportedExtensionError,
 )
 from merosolve.field import (
+    TRIAL_DIVISION_BOUND,
     ExtensionContext,
     FieldConstant,
     format_constant,
@@ -24,6 +26,7 @@ from merosolve.field import (
     square_free_decomposition,
 )
 
+import reference_kernels
 from conftest import (
     extended_constants,
     nonzero_extended_constants,
@@ -89,6 +92,54 @@ class TestBoundedSquareFree:
             square_free_decomposition(n)
         with pytest.raises(LimitExceededError):
             sqrt_constant(FieldConstant.of(n))
+
+
+_BRUTE_FORCE = reference_kernels.square_free_decomposition
+
+
+def _primes(low: int, high: int) -> list[int]:
+    return [n for n in range(max(low, 2), high) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+class TestTrialDivisionStopsAtTheCubeRoot:
+    """Trial division ends once p**3 exceeds the cofactor: what is left then
+    has at most two prime factors, each at least p, so it is a square or
+    square-free.  Checked against unbounded trial division, and near
+    TRIAL_DIVISION_BOUND, where that is slow, against factors built in."""
+
+    def test_every_small_integer(self):
+        for n in range(-3000, 3000):
+            assert square_free_decomposition(n) == _BRUTE_FORCE(n)
+
+    # p > (p*q)**(1/3) exactly when q < p**2: two primes above the cube root
+    @pytest.mark.parametrize("p", _primes(990, 1010))
+    def test_semiprimes_above_the_cube_root(self, p):
+        for q in _primes(p, p + 60) + _primes(p * p - 100, p * p):
+            for n in (p * q, -6 * p * q, 4 * p * q, 45 * p * q):
+                assert square_free_decomposition(n) == _BRUTE_FORCE(n)
+
+    @given(st.lists(st.sampled_from(_primes(2, 60) + _primes(1000, 1040)), max_size=4),
+           st.sampled_from([-1, 1]))
+    def test_products_of_small_and_cube_root_primes(self, factors, sign):
+        n = sign * math.prod(factors)
+        assert square_free_decomposition(n) == _BRUTE_FORCE(n)
+
+    # primes on both sides of the bound: two of them, or one squared, times a
+    # cofactor of small primes, are decided; three, or a square and one more,
+    # are past 10**15 and decided only when trial division reaches p
+    @pytest.mark.parametrize("p", _primes(99900, 100000)[-3:] + _primes(100000, 100100)[:3])
+    def test_primes_near_the_bound(self, p):
+        q, r = _primes(p + 1, p + 100)[:2]
+        for c, s in ((1, 1), (-1, 1), (6, 1), (-28, 2), (9, 3)):
+            assert square_free_decomposition(c * p * q) == (s, c // s**2 * p * q)
+            assert square_free_decomposition(c * p * p) == (s * p, c // s**2)
+        if p < TRIAL_DIVISION_BOUND:
+            assert square_free_decomposition(p * q * r) == (1, p * q * r)
+            assert square_free_decomposition(p * p * q) == (p, q)
+            return
+        for n in (p * q * r, p * p * q):
+            with pytest.raises(LimitExceededError, match="trial division"):
+                square_free_decomposition(n)
 
 
 class TestFieldAxioms:

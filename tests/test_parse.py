@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from merosolve.errors import (
     ExpressionSyntaxError,
@@ -27,12 +27,14 @@ from merosolve.parse import (
     MAX_POWER_BITS,
     MAX_POWER_SIZE,
     RESONANCE_CAP_DEFAULT,
+    names_read,
     parse_constant,
     parse_expsum,
     parse_ratfunc,
 )
 from merosolve.ratfunc import RatFunc, ratfunc_to_str
 
+import reference_kernels
 from conftest import expsums, ratfuncs
 
 Z = RatFunc.z()
@@ -578,6 +580,111 @@ class TestParserCost:
         # the counter is live: a sum with a pole adds RatFuncs
         assert ratfunc_to_str(parse_ratfunc("1/(z + 1) + 1")) == "(z + 2)/(z + 1)"
         assert calls == ["__add__"]
+
+
+# -- the parser against the token-object reference ---------------------------------------
+
+# atoms of the grammar and near it: literals (one near each bit cap's base),
+# z, the bound params names, unbound names (one Unicode), a name that runs
+# into digits, a Unicode digit and the function names with no argument
+_ATOMS = ["z"] * 6 + ["0", "1", "1", "2", "7", "12", "9999999", "8388607", "c1", "k1", "w",
+                     "x_1", "é", "z2", "٣", "sqrt", "exp"]
+# exponents near MAX_EXPONENT, MAX_POWER_SIZE and the bit cap (145 * 23 bits),
+# with leading zeros, a Unicode digit, a name and a sign
+_EXPONENTS = ["0", "1", "2", "3", "144", "145", "149", "150", "151", "999", "1000", "1001",
+              "0001000", "٢", "x", "-1"]
+_JUNK = ["@", "¹", "²", "$", "é", "٣", "\u00a0", "\t", "(", ")", "^", "*", "-"]
+_PARAMS = {"c1": FieldConstant.of(3), "k1": FieldConstant(Fraction(0), Fraction(1), 5)}
+
+
+@st.composite
+def grammar_texts(draw, depth: int = 3) -> str:
+    """A string from the grammar, often with no parentheses where precedence
+    decides, and some literals at MAX_LITERAL_DIGITS."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 15)) == 0:
+            return "9" * draw(st.sampled_from([MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1]))
+        return draw(st.sampled_from(_ATOMS))
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "^", "^", "()", "sqrt", "exp", "exp"]))
+    a = draw(grammar_texts(depth - 1))
+    if kind == "neg":
+        return "-" + a
+    if kind == "^":
+        base = a if draw(st.booleans()) else f"({a})"
+        return f"{base}^{draw(st.sampled_from(_EXPONENTS))}"
+    if kind == "()":
+        return f"({a})"
+    if kind == "sqrt":
+        return f"sqrt({a})"
+    if kind == "exp":
+        return f"exp({a}*z)" if draw(st.booleans()) else f"exp({a})"
+    space = draw(st.sampled_from(["", " ", "  "]))
+    return f"{a}{space}{kind}{space}{draw(grammar_texts(depth - 1))}"
+
+
+@st.composite
+def parser_inputs(draw) -> str:
+    """A grammar string, sometimes nested near MAX_NESTING_DEPTH in
+    parentheses, sqrt( or exp(, then sometimes cut short or given a junk
+    character."""
+    text = draw(grammar_texts())
+    if draw(st.integers(0, 3)) == 0:
+        levels = draw(st.integers(MAX_NESTING_DEPTH - 3, MAX_NESTING_DEPTH + 1))
+        opener = draw(st.sampled_from(["(", "sqrt(", "exp("]))
+        text = opener + "(" * (levels - 1) + text + ")" * levels
+    edit = draw(st.sampled_from(["none", "none", "cut", "junk"]))
+    if edit != "none" and text:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] if edit == "cut" else text[:i] + draw(st.sampled_from(_JUNK)) + text[i:]
+    return text
+
+
+def _outcome(function, *args):
+    """What function(*args) gives: its value and type, or its error's type,
+    message and position."""
+    try:
+        value = function(*args)
+    except Exception as e:  # noqa: BLE001 - any error must match the reference's
+        return "error", type(e), str(e), getattr(e, "position", None)
+    return "value", type(value), value
+
+
+# each cap from both sides, and every recorded refusal
+_NEAR_CAPS = [
+    *(f"{base}^{n}" for base in ("z", "(z+1)", "(1/(z+1))", "exp(z)", "(exp(z)+1)", "(exp(z)*z)")
+      for n in (MAX_POWER_SIZE - 1, MAX_POWER_SIZE, MAX_POWER_SIZE + 1)),
+    *(f"{base}^{n}" for base in ("2", "-2", "(z-z)", "0")
+      for n in ("999", "1000", "1001", "01000")),
+    *(f"(z/8388607 + 1/8388605)^{n}" for n in (144, 145)),
+    *(f"(exp(z)/8388607 + 1/8388605)^{n}" for n in (144, 145)),
+    *(f"{opener}{'(' * (levels - 1)}z{')' * levels}" for opener in ("(", "sqrt(", "exp(")
+      for levels in (MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1)),
+    *("9" * n for n in (MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1)),
+    "1/(exp(z)+1)", "exp(z)/exp(2*z)", "c1*exp(k1*z)/(c1 - 3)",
+    *(case[1] for case in ERROR_CASES),
+]
+
+
+def _assert_as_the_reference(text: str) -> None:
+    assert _outcome(parse_ratfunc, text) == _outcome(reference_kernels.parse_ratfunc, text)
+    assert _outcome(parse_constant, text) == _outcome(reference_kernels.parse_constant, text)
+    assert _outcome(parse_expsum, text, _PARAMS) == _outcome(
+        reference_kernels.parse_expsum, text, _PARAMS)
+    assert _outcome(names_read, text) == _outcome(reference_kernels.names_read, text)
+
+
+class TestParserAgainstReference:
+    """Each entry point gives the reference's value, or its error's type,
+    message and position."""
+
+    @settings(max_examples=400)
+    @given(parser_inputs())
+    def test_drawn_inputs(self, text):
+        _assert_as_the_reference(text)
+
+    @pytest.mark.parametrize("text", _NEAR_CAPS, ids=range(len(_NEAR_CAPS)))
+    def test_near_the_caps(self, text):
+        _assert_as_the_reference(text)
 
 
 # README's "Inputs past a fixed limit" list, one bullet per entry, whitespace folded
