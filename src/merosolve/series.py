@@ -11,21 +11,21 @@ earlier a_i (Bostan, Chyzak, Ollivier, Salvy, Schost & Sedoglavic, SODA
 order of the residual R is zero, so that order of E*R is E(z0) != 0 times
 the one of R.  The unknown a_n enters the order n + 2p - 2 equation
 affinely, as base + slope*a_n: one pass of the series convolution over
-a_0..a_{n-1} gives base, and slope is read off the few convolution terms
-that contain a_n, so no closed recurrence is hand-derived.  A vanishing
-slope is a resonance: the branch either gains a free coefficient (base = 0,
-condition satisfied) or terminates (condition violated, no formal
-solution).
+a_0..a_{n-1} gives base, and slope is read off the terms that contain a_n
+(in the square only a_0 meets it), so no closed recurrence is hand-derived
+and slope stays small however deep the order.  A vanishing slope is a
+resonance: the branch either gains a free coefficient (base = 0, condition
+satisfied) or terminates (condition violated, no formal solution).
 
 The matching runs on integers: the known coefficients and the shifted
 polynomials are kept as vectors over Z[sqrt(q)], each over one common
 denominator, so an order costs integer convolutions and one exact division
 for a_n.
 
-The resonance index r = beta(z0)/a0 + 2 of a p = 1 branch is computed once
-per branch, by expand, from the shifted E*beta and E: beta(z0) is their
-ratio at zeta = 0.  branch_resonance reads r off an expansion it is handed
-and evaluates nothing at z0.
+Every fact at z0 is read off one Taylor shift per point, kept for the next
+call: the excluded set, the leading balances and the resonance index
+r = beta(z0)/a0 + 2 of a p = 1 branch, beta(z0) = (E*beta)(z0)/E(z0).
+branch_resonance reads r off an expansion it is handed.
 
 expand_branches expands several leading candidates at one point.  Over
 rational coefficients and a rational z0 the two p = 1 roots of an irrational
@@ -51,7 +51,7 @@ from .field import (
 )
 from .laurent import LaurentExpansion, ResonanceInfo
 from .parse import RESONANCE_CAP_DEFAULT
-from .ratfunc import Poly, RatFunc, in_excluded_set, over_common_denominator
+from .ratfunc import Poly, RatFunc, over_common_denominator
 
 
 class LeadingCandidate(namedtuple("LeadingCandidate", "p a0 note side_condition_satisfied",
@@ -99,18 +99,17 @@ def leading_candidates(
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
     common_discriminant((alpha, beta, gamma, z0))
-    if in_excluded_set(alpha, beta, gamma, z0):
-        raise PointInPhiError(z0)
     if alpha.is_zero and beta.is_zero and gamma.is_zero:
         return []
+    t = _taylor(alpha, beta, gamma, z0)
     if gamma.is_zero and beta.is_zero:
-        return [LeadingCandidate(2, -alpha.eval_at(z0) / 2)]
+        return [LeadingCandidate(2, -t.at_z0(t.ax, t.ay, 1) / 2)]
+    b0 = t.at_z0(t.bx, t.by)
     if gamma.is_zero:
-        side = (alpha.eval_at(z0) + beta.derivative().eval_at(z0)).is_zero
-        return [LeadingCandidate(1, -beta.eval_at(z0), side_condition_satisfied=side)]
-    b0 = beta.eval_at(z0)
-    g0 = gamma.eval_at(z0)
-    disc = b0 * b0 - 4 * g0
+        # beta'(z0) = ((E*beta)_1 - beta(z0)*E_1)/E(z0)
+        side = t.at_z0(t.ax, t.ay, 1) + t.at_z0(t.bx, t.by, 1) - b0 * t.at_z0(t.ex, t.ey, 1)
+        return [LeadingCandidate(1, -b0, side_condition_satisfied=side.is_zero)]
+    disc = b0 * b0 - 4 * t.at_z0(t.gx, t.gy)
     if disc.is_zero:
         return [LeadingCandidate(1, -b0 / 2, note="double root of the leading equation")]
     s = sqrt_constant(disc)
@@ -128,13 +127,17 @@ class _Taylor:
     The order-m equation meets (E*alpha)[k - 1] and (E*beta)[k] at the same k,
     so E*alpha is kept shifted by one (ax[0] = 0) and the two are padded to
     one length: the linear part of an order meets at most deg + 2 terms.
+    z0 is a pole when E(z0) = 0, else a zero of a nonzero f when
+    (E*f)(z0) = 0: excluded is whether a nonzero one of the four vanishes.
     """
 
-    __slots__ = ("q", "den", "ex", "ey", "ax", "ay", "bx", "by", "gx", "gy")
+    __slots__ = ("key", "excluded", "q", "den", "ex", "ey", "ax", "ay", "bx", "by", "gx", "gy")
 
     def __init__(self, alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant):
+        self.key = (alpha, beta, gamma, z0)
         nums, e = over_common_denominator((alpha, beta, gamma))
         e, al, be, ga = polys = [f.shift(z0) for f in (e, *nums)]
+        self.excluded = any(f.a and not f.a[0] and not (f.b and f.b[0]) for f in polys)
         self.q = common_discriminant(polys)
         self.den = den = lcm(*(f.d for f in polys))
         n = max(len(al.a) + 1, len(be.a))
@@ -149,11 +152,27 @@ class _Taylor:
         self.bx, self.by = vectors(be, 0, n)
         self.gx, self.gy = vectors(ga)
 
-    def beta_at_z0(self) -> FieldConstant:
-        """beta(z0) = (E*beta)(z0)/E(z0), times the conjugate over the norm;
-        E(z0) != 0 off the excluded set."""
-        e, f, b, c, q = self.ex[0], self.ey[0], self.bx[0], self.by[0], self.q
-        return from_integers(b * e - q * c * f, c * e - b * f, e * e - q * f * f, q)
+    def at_z0(self, x: list[int], y: list[int], k: int = 0) -> FieldConstant:
+        """Coefficient k of the list (x, y) over E(z0) != 0: f(z0) when the
+        list is E*f's and k = 0 (k = 1 for the shifted E*alpha)."""
+        if k >= len(x):
+            return ZERO
+        e, f, u, v, q = self.ex[0], self.ey[0], x[k], y[k], self.q
+        return from_integers(u * e - q * v * f, v * e - u * f, e * e - q * f * f, q)
+
+
+_last_taylor = None  # one entry, as a request expands every branch at one point
+
+
+def _taylor(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant) -> _Taylor:
+    """The _Taylor at z0, the last one if equal by value; PointInPhiError if z0 is excluded."""
+    global _last_taylor
+    t = _last_taylor
+    if t is None or t.key != (alpha, beta, gamma, z0):
+        t = _last_taylor = _Taylor(alpha, beta, gamma, z0)
+    if t.excluded:
+        raise PointInPhiError(z0)
+    return t
 
 
 def _square(s: int, a: _Prefix, p: int) -> tuple[int, int, int, int]:
@@ -189,16 +208,19 @@ class _Prefix:
 
     window holds the last width completed orders s = n-width .. n-1 of
     w*w'' - (w')**2 (see _square), each as (u, v) over den**2 and 0 for
-    s < 0: the orders E's higher coefficients meet, width = deg E.
+    s < 0: the orders E's higher coefficients meet, width = deg E.  lead is
+    a_0 alone as (x0, y0, d0), the one term a matched order's a_n meets there.
     """
 
-    __slots__ = ("values", "q", "den", "x", "y", "window")
+    __slots__ = ("values", "q", "den", "x", "y", "window", "lead")
 
     def __init__(self, values: list[FieldConstant], q: int, p: int, width: int):
         self.values = list(values)
         self.q = q
         self.x, y, self.den = integer_parts(self.values, q)
         self.y = y or [0] * len(self.x)
+        (x0,), y0, d0 = integer_parts(self.values[:1], q)
+        self.lead = (x0, y0[0] if q else 0, d0)
         n = len(self.x)
         self.window = [_square(s, self, p)[:2] if s >= 0 else (0, 0)
                        for s in range(n - width, n)]
@@ -243,14 +265,15 @@ def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tupl
 
     Everything is integer: with the prefix over L and the Taylor lists over T,
     the quadratic part is P/(L**2*T), the linear part Lin/(L*T) and E*gamma
-    G/T, so base = (P - Lin*L - G*L**2)/(L**2*T); the a_n terms give
-    slope = (S - C*L)/(L*T).  Each comes back as (u, v, d), standing for
-    (u + v*sqrt(q))/d, both over d = L**2*T.
+    G/T, so base = (P - Lin*L - G*L**2)/(L**2*T).  a_n meets only
+    a_0 = (x0 + y0*sqrt(q))/d0 in the square, weight c = n**2 - (2p + n), so
+    slope = (c*E(z0)*(x0 + y0*sqrt(q)) - C*d0)/(d0*T), C from the linear part:
+    small, not over L.  Each is (u, v, d), for (u + v*sqrt(q))/d.
     """
     n, q = len(a.x), a.q
     x, y, L, T = a.x, a.y, a.den, t.den
     s = m - 2 * p + 2
-    square = pu, pv, su, sv = _square(s, a, p)
+    square = pu, pv, _, _ = _square(s, a, p)
     ex, ey = t.ex, t.ey
     e0, f0 = ex[0], ey[0] if q else 0
     qu, qv = e0 * pu, e0 * pv
@@ -281,13 +304,10 @@ def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tupl
             lv += cu * y[i] + cv * x[i]
     gu = t.gx[m] if 0 <= m < len(t.gx) else 0
     gv = t.gy[m] if q and 0 <= m < len(t.gy) else 0
-    d = L * L * T
-    base = (qu - lu * L - gu * L * L, qv - lv * L - gv * L * L, d)
-    tu, tv = e0 * su, e0 * sv
-    if f0:
-        tu += q * f0 * sv
-        tv += f0 * su
-    slope = (L * (tu - cu_n * L), L * (tv - cv_n * L), d)
+    base = (qu - lu * L - gu * L * L, qv - lv * L - gv * L * L, L * L * T)
+    x0, y0, d0 = a.lead
+    c = n * n - 2 * p - n if s == n else 0
+    slope = (c * (e0 * x0 + q * f0 * y0) - cu_n * d0, c * (e0 * y0 + f0 * x0) - cv_n * d0, d0 * T)
     return base, slope, square
 
 
@@ -310,13 +330,13 @@ def _match_orders(res, a: _Prefix, order: int,
     q = a.q
     first: int | None = None
     for n in range(len(a.values), order + 1):
-        (bu, bv, _), (su, sv, _), square = res(n, a)
+        (bu, bv, db), (su, sv, ds), square = res(n, a)
         if sv:  # a_n = -base/slope, times the conjugate over the norm
-            a.append(from_integers(q * bv * sv - bu * su, bu * sv - bv * su,
-                                   su * su - q * sv * sv, q), square)
+            a.append(from_integers(ds * (q * bv * sv - bu * su), ds * (bu * sv - bv * su),
+                                   db * (su * su - q * sv * sv), q), square)
             continue
         if su:
-            a.append(from_integers(-bu, -bv, su, q), square)
+            a.append(from_integers(-bu * ds, -bv * ds, db * su, q), square)
             continue
         if first is None:
             first = n
@@ -349,13 +369,11 @@ def expand(
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
     a0 = FieldConstant.of(a0)
-    if in_excluded_set(alpha, beta, gamma, z0):
-        raise PointInPhiError(z0)
+    t = _taylor(alpha, beta, gamma, z0)
     if a0.is_zero:
         raise ValueError("leading coefficient a0 must be nonzero")
     if order < p + 2:
         raise ValueError(f"truncation order must be at least p + 2 = {p + 2}")
-    t = _Taylor(alpha, beta, gamma, z0)
     free = ZERO if resonance_value is None else resonance_value
     q, width = common_discriminant((a0, free), t.q), len(t.ex) - 1
     a = _Prefix([a0], q, p, width)
@@ -379,7 +397,7 @@ def expand(
         if _match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt.values)
 
-    r = _resonance_r(t.beta_at_z0(), a0) if p == 1 else None
+    r = _resonance_r(t.at_z0(t.bx, t.by), a0) if p == 1 else None
     info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
                          res_index, condition, free_index)
     return LaurentExpansion(
@@ -452,7 +470,8 @@ def branch_resonance(
     if expansion is not None:
         r = expansion.resonance.r
     else:
-        r = _resonance_r(beta.eval_at(z0), cand.a0)
+        t = _taylor(alpha, beta, gamma, z0)
+        r = _resonance_r(t.at_z0(t.bx, t.by), cand.a0)
     if not r.is_positive_integer():
         return BranchResonance(cand, "no-resonance", r, False)
     n_r = r.as_integer()

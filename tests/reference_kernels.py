@@ -2,7 +2,8 @@
 FieldConstant arithmetic, as they were written before merosolve moved them to
 integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
-Taylor division, the order-matching loop and the polynomial printer; the
+Taylor division, the leading balances at a point by evaluating each
+coefficient there, the order-matching loop and the polynomial printer; the
 Taylor shift once more as Horner's rule on whole Polys; the residuals of
 both equations as expanded ExpSum products; the exact Laurent expansion of
 an exponential sum; partial fractions over a split denominator, from its
@@ -18,15 +19,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from merosolve.errors import (ExpressionSyntaxError, LimitExceededError,
+from merosolve.errors import (ExpressionSyntaxError, LimitExceededError, PointInPhiError,
                               ZeroDenominatorLiteralError)
 from merosolve.expsum import ExpSum, ObstructionReport
-from merosolve.field import (ONE, ZERO, ExtensionContext, FieldConstant, format_constant,
-                             sqrt_constant)
+from merosolve.field import (ONE, ZERO, ExtensionContext, FieldConstant, common_discriminant,
+                             format_constant, sqrt_constant)
 from merosolve.laurent import LaurentExpansion
 from merosolve.parse import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH,
                              MAX_POWER_BITS, MAX_POWER_SIZE, _bits, _promote, _rational)
-from merosolve.ratfunc import Poly, RatFunc, linear_roots, poly_gcd
+from merosolve.ratfunc import Poly, RatFunc, in_excluded_set, linear_roots, poly_gcd
+from merosolve.series import LeadingCandidate
 
 
 def strip(cs):
@@ -167,6 +169,30 @@ def residual_order(m, a, p, al, be, ga):
     if 0 <= m < len(ga):
         base = base - ga[m]
     return base, slope
+
+
+def leading_candidates(alpha, beta, gamma, z0):
+    """series.leading_candidates, each value at z0 from RatFunc.eval_at and
+    the excluded set from in_excluded_set."""
+    alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
+    z0 = FieldConstant.of(z0)
+    common_discriminant((alpha, beta, gamma, z0))
+    if in_excluded_set(alpha, beta, gamma, z0):
+        raise PointInPhiError(z0)
+    if alpha.is_zero and beta.is_zero and gamma.is_zero:
+        return []
+    if gamma.is_zero and beta.is_zero:
+        return [LeadingCandidate(2, -alpha.eval_at(z0) / 2)]
+    if gamma.is_zero:
+        side = (alpha.eval_at(z0) + beta.derivative().eval_at(z0)).is_zero
+        return [LeadingCandidate(1, -beta.eval_at(z0), side_condition_satisfied=side)]
+    b0 = beta.eval_at(z0)
+    g0 = gamma.eval_at(z0)
+    disc = b0 * b0 - 4 * g0
+    if disc.is_zero:
+        return [LeadingCandidate(1, -b0 / 2, note="double root of the leading equation")]
+    s = sqrt_constant(disc)
+    return [LeadingCandidate(1, (-b0 + s) / 2), LeadingCandidate(1, (-b0 - s) / 2)]
 
 
 def match_orders(res, a, order, free_value):

@@ -411,8 +411,9 @@ class TestExpand:
         # one branch to order 40; its conjugate makes no set-up
         (("--alpha", "1/(z+3)", "--beta", "z^2-2", "--gamma", "(z+2)/(z^2+3)",
           "--at", "1", "--order", "40"), 1),
-        # both branches to --order 4, then the a0 = -1 branch is probed to r + 2 = 7
-        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--order", "4"), 3),
+        # both branches to --order 4, then the a0 = -1 branch is probed to
+        # r + 2 = 7: the three expansions and the leading balance share one shift
+        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--order", "4"), 1),
     ])
     def test_taylor_set_up_once_per_expansion(self, capsys, monkeypatch, argv, setups):
         calls, divisions = [], []
@@ -429,7 +430,9 @@ class TestExpand:
             divisions.append(args)
             return real_taylor(*args)
 
-        # the cleared polynomials are shifted once per expansion, with no series division
+        # the cleared polynomials are shifted once per point, with no series
+        # division; the memo is emptied so that a shift cached before is not reused
+        monkeypatch.setattr(series, "_last_taylor", None)
         monkeypatch.setattr(series, "_Taylor", Taylor)
         monkeypatch.setattr(ratfunc.RatFunc, "taylor_at", dividing)
         code, doc, _ = run_json(capsys, "expand", *argv)

@@ -10,10 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from merosolve import series
-from merosolve.errors import IncompatibleExtensionsError, NestedExtensionError, PointInPhiError
+from merosolve.errors import (IncompatibleExtensionsError, MerosolveError, NestedExtensionError,
+                              PoleAtPointError, PointInPhiError)
 from merosolve.expsum import ExpSum
 from merosolve.field import (
     ONE,
@@ -376,6 +377,42 @@ class TestClosedFormAgreement:
         root = FieldConstant(Fraction(0), Fraction(1), -2)
         assert {c.a0 for c in cands} == {root, -root}
 
+    @given(st.sampled_from(["E.c", "A-quadratic"]),
+           st.sampled_from([rational_constants, extended_constants]).flatmap(
+               lambda cs: st.tuples(*[cs.filter(lambda c: not c.is_zero)] * 2, cs)),
+           st.booleans(), st.booleans())
+    def test_quadratic_family_members_through_a_zero_are_branches(self, label, consts,
+                                                                    square, sign):
+        # ROADMAP item 11 for the quadratic families: an E.c member
+        # -(alpha/2)*(z + c1)**2 - gamma/(2*alpha) vanishes at
+        # z0 = -c1 +- sqrt(-gamma)/alpha, in Q(sqrt(q)) unless -gamma is a
+        # square (it is drawn one when square, and over Q(sqrt(5)) so that
+        # z0 stays in the field); an A-quadratic member -(alpha/2)*(z + c2)**2 has a
+        # double zero at -c2, the p = 2 balance.  The member's Taylor
+        # coefficients there are one of expand's branches, the resonance at
+        # index 2 met and its free coefficient pinned to the member's.
+        from merosolve.classify import classify, instantiate
+        from merosolve.field import sqrt_constant
+
+        av, root, c = consts
+        if label == "E.c":
+            gv = -root * root if square or av.q or root.q else root
+            root = sqrt_constant(-gv)
+            z0 = -c + (root if sign else -root) / av
+        else:
+            gv, z0 = ZERO, -c
+        alpha, gamma = RatFunc.const(av), RatFunc.const(gv)
+        fam, = [f for f in classify(alpha, RF0, gamma).families if f.case_label == label]
+        (name, _), = fam.generic_assignment
+        member = reference_kernels.laurent_at(instantiate(fam, {name: c}), z0, 8)
+        a = member.coefficients
+        cand, = [k for k in leading_candidates(alpha, RF0, gamma, z0)
+                 if (k.p, k.a0) == (member.p, a[0])]
+        e = expand(alpha, RF0, gamma, z0, cand.p, cand.a0, 8)
+        assert (e.resonance.index, e.resonance.condition_satisfied) == (2, True)
+        e = expand(alpha, RF0, gamma, z0, cand.p, cand.a0, 8, resonance_value=a[2])
+        assert e.halted_at is None and e.coefficients == a
+
     def test_ladder_family_members_through_a_point_are_branches(self):
         # ROADMAP item 11, local-global agreement: each D, E.d and E.e family
         # classify emits on the classify-ladder pool is c*U + V, U one term
@@ -570,6 +607,7 @@ class TestResidualOrder:
             per_order.append(len(reads))
             return out
 
+        monkeypatch.setattr(series, "_last_taylor", None)
         monkeypatch.setattr(series, "_Taylor", Taylor)
         monkeypatch.setattr(series, "_residual_order", one_order)
         nums, e = over_common_denominator(coeffs)
@@ -735,6 +773,26 @@ class TestOrderMatchingCost:
         inside.append(True)
         fc(2) * fc(3)
         assert len(products) == 1
+
+    def test_matched_order_slopes_stay_small_at_order_forty(self, monkeypatch):
+        # a_n meets only a_0 in the square, so a matched order's slope is
+        # built from a_0 and the Taylor terms, while the prefix's common
+        # denominator grows past a thousand bits
+        slopes, dens = [], []
+        real = series._residual_order
+
+        def watching(m, a, p, t):
+            out = real(m, a, p, t)
+            if m - 2 * p + 2 == len(a.x):
+                slopes.append(max(abs(v).bit_length() for v in out[1]))
+                dens.append(a.den.bit_length())
+            return out
+
+        monkeypatch.setattr(series, "_residual_order", watching)
+        alpha, beta, gamma, z0 = 1 / (Z + 4), Z * Z - 1, (Z - 1) / (Z * Z + 7), fc(2)
+        for cand in leading_candidates(alpha, beta, gamma, z0):
+            assert len(expand(alpha, beta, gamma, z0, cand.p, cand.a0, 40).coefficients) == 41
+        assert len(slopes) == 80 and max(slopes) < 64 and max(dens) > 1000
 
 
 # -- conjugate branches: one expansion per pair over rational data --------------------
@@ -937,8 +995,8 @@ class TestResonanceIndexOnce:
 
 
 class TestResonanceEvaluatedOnce:
-    """An expand request evaluates a coefficient at the point only for the
-    leading balance; each branch's r comes from its own Taylor shift."""
+    """An expand request evaluates no coefficient at the point: the leading
+    balance and each branch's r are read off the one Taylor shift."""
 
     # the r = 5 branch (a0 = -1) is probed to order 7 when --order is 4
     @pytest.mark.parametrize("order", ["8", "4"])
@@ -956,10 +1014,115 @@ class TestResonanceEvaluatedOnce:
         argv = ["expand", "--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0",
                 "--order", order, "--json"]
         assert cli.main(argv) == 0
-        assert callers == ["leading_candidates"] * 2
+        assert callers == []
         branches = json.loads(capsys.readouterr().out)["branches"]
         assert [(b["resonance_status"], b["free_coefficient_index"]) for b in branches] == [
             ("no-resonance", None), ("evaluated", 5)]
+
+
+# -- one shift per point, against the evaluating reference --------------------------
+
+
+@st.composite
+def _balances(draw):
+    """alpha, beta, gamma, z0 for each leading balance: p = 2 (beta = gamma =
+    0), gamma = 0 with the side condition alpha(z0) + beta'(z0) = 0 made true
+    at random, the generic quadratic and, rarely, the degenerate equation.
+
+    Each nonzero coefficient is a polynomial over Q or Q(sqrt(5)), sometimes
+    times a linear factor and over another, and z0 is one of those factors'
+    roots (a zero or pole of a coefficient) or a constant of Q, Q(sqrt(5)) or
+    Q(sqrt(-3)), the last a field no coefficient shares.
+    """
+    constants = draw(st.sampled_from([rational_constants, extended_constants]))
+    nonzero = constants.filter(lambda c: not c.is_zero)
+    roots = []
+
+    def coeff() -> RatFunc:
+        f = RatFunc(Poly(draw(st.lists(constants, max_size=2)) + [draw(nonzero)]))
+        for shape in draw(st.lists(st.sampled_from(["zero", "pole"]), max_size=2)):
+            r = draw(constants)
+            roots.append(r)
+            f = f * (Z - RatFunc.const(r)) if shape == "zero" else f / (Z - RatFunc.const(r))
+        return f
+
+    kind = draw(st.sampled_from(["p = 2", "gamma = 0", "gamma = 0", "generic", "generic",
+                                 "degenerate"]))
+    alpha = coeff() if kind == "p = 2" or kind != "degenerate" and draw(st.booleans()) else RF0
+    beta = coeff() if kind in ("gamma = 0", "generic") else RF0
+    gamma = coeff() if kind == "generic" else RF0
+    other_field = st.builds(lambda a, b: FieldConstant(a, b, -3), small_fractions,
+                            small_fractions.filter(bool))
+    z0 = draw(st.one_of(*([st.sampled_from(roots)] if roots else []), rational_constants,
+                        extended_constants, other_field))
+    if kind == "gamma = 0" and draw(st.booleans()):
+        try:  # move alpha by a constant so that alpha(z0) + beta'(z0) = 0
+            alpha = alpha - RatFunc.const(alpha.eval_at(z0) + beta.derivative().eval_at(z0))
+        except (PoleAtPointError, IncompatibleExtensionsError):
+            pass
+    return alpha, beta, gamma, z0
+
+
+def _outcome(leading, alpha, beta, gamma, z0):
+    """leading(alpha, beta, gamma, z0), or the type and message of its error."""
+    try:
+        return leading(alpha, beta, gamma, z0)
+    except MerosolveError as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedShift:
+    """leading_candidates and expand read every fact at z0 (the excluded set,
+    the coefficients' values and beta'(z0)) off the one Taylor shift at z0;
+    the reference evaluates each coefficient there."""
+
+    @given(_balances())
+    def test_leading_candidates_equal_the_evaluating_reference(self, data):
+        alpha, beta, gamma, z0 = data
+        got = _outcome(leading_candidates, *data)
+        assert got == _outcome(reference_kernels.leading_candidates, *data)
+        refused = isinstance(got, tuple)
+        if got and (not refused or got[0] is PointInPhiError):
+            t = series._last_taylor
+            assert t.key == (alpha, beta, gamma, z0)
+            assert t.excluded == in_excluded_set(alpha, beta, gamma, z0)
+
+    def test_draws_cover_every_balance_and_refusal(self):
+        seen = set()
+
+        @given(_balances())
+        def collect(data):
+            alpha, beta, gamma, z0 = data
+            got = _outcome(leading_candidates, *data)
+            if isinstance(got, tuple):
+                pole = got[0] is PointInPhiError and any(
+                    f.den.eval(z0).is_zero for f in (alpha, beta, gamma))
+                seen.add((got[0].__name__, pole))
+                return
+            for cand in got:
+                seen.add((cand.p, cand.side_condition_satisfied, cand.a0.q != 0,
+                          bool(cand.note)))
+            if not got:
+                seen.add("degenerate")
+
+        collect()
+        assert {("PointInPhiError", True), ("PointInPhiError", False),
+                ("IncompatibleExtensionsError", False), (2, None, False, False),
+                (1, True, False, False), (1, False, False, False), (1, None, True, False),
+                "degenerate"} <= seen
+
+    @settings(max_examples=60)
+    @given(_balances(), st.integers(min_value=4, max_value=25))
+    def test_expand_equals_the_reference_on_every_branch(self, data, order):
+        try:
+            cands = leading_candidates(*data)
+            assume(cands and common_discriminant((*data, *(c.a0 for c in cands))))
+        except MerosolveError:
+            assume(False)
+        for cand in cands:
+            e = expand(*data, cand.p, cand.a0, order)
+            expected = reference_kernels.expand(*data, cand.p, cand.a0, order)
+            assert (e.coefficients, e.halted_at, e.alternate_coefficients) == expected
 
 
 # -- expand under v(z) = mu*w(lam*z + s) ----------------------------------------------------
