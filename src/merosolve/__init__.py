@@ -24,28 +24,23 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": (
         "ClassificationReport", "ConstraintSet", "Parameter", "RejectedBranch",
-        "SolutionFamily", "Term", "VerificationRecord", "applicable_labels", "classify",
-        "compute_A", "eq3_residual", "instantiate", "transform_original",
+        "SolutionFamily", "Term", "VerificationRecord", "classify", "compute_A",
+        "instantiate", "transform_original",
     ),
     "errors": (
         "DivisionByZeroError", "DomainViolationError", "ExpressionSyntaxError",
-        "GammaIdenticallyZeroError", "IncompatibleExtensionsError",
-        "LimitExceededError", "MerosolveError",
-        "NearPoleError", "NestedExtensionError", "PointInPhiError",
-        "PoleAtPointError", "UnsupportedExtensionError",
-        "ZeroDenominatorLiteralError",
+        "GammaIdenticallyZeroError", "IncompatibleExtensionsError", "LimitExceededError",
+        "MerosolveError", "NearPoleError", "NestedExtensionError", "PointInPhiError",
+        "UnsupportedExtensionError", "ZeroDenominatorLiteralError",
     ),
     "expsum": (
-        "ExpSum", "ObstructionReport", "guarded_sample_points", "integrate_exp",
-        "numeric_residual_bound_ok", "residual",
+        "ExpSum", "ObstructionReport", "integrate_exp", "numeric_residual_bound_ok",
+        "residual",
     ),
     "field": ("ExtensionContext", "FieldConstant", "format_constant", "sqrt_constant"),
     "laurent": ("LaurentExpansion", "ResonanceInfo"),
     "parse": ("RESONANCE_CAP_DEFAULT", "parse_constant", "parse_expsum", "parse_ratfunc"),
-    "ratfunc": (
-        "Poly", "RatFunc", "in_excluded_set", "linear_roots",
-        "poly_gcd", "poly_to_str", "ratfunc_to_str",
-    ),
+    "ratfunc": ("Poly", "RatFunc", "poly_gcd", "poly_to_str", "ratfunc_to_str"),
     "series": (
         "BranchResonance", "LeadingCandidate", "branch_resonance", "expand",
         "expand_branches", "leading_candidates", "resonance_report",

@@ -130,20 +130,6 @@ def compute_A(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> RatFunc:
     return (beta * (alpha + beta.derivative()) - gamma.derivative()) / gamma
 
 
-def eq3_residual(
-    k0: RatFunc, k1: RatFunc, k2: RatFunc, k3: RatFunc, f: ExpSum
-) -> ExpSum:
-    """f*f'' - (f')**2 - k0 - k1*f - k2*f' - k3*f'': the residual with
-    (alpha, beta, gamma) = (k1, k2, k0), less k3*f''."""
-    k0, k1, k2, k3 = (RatFunc.of(k) for k in (k0, k1, k2, k3))
-    return residual(k1, k2, k0, f) - f.derivative().derivative() * k3
-
-
-def applicable_labels(alpha: RatFunc, beta: RatFunc, gamma: RatFunc) -> tuple[str, ...]:
-    """Case labels the classifier must account for on this input."""
-    return tuple(label for label, _ in _case_table(alpha, beta, gamma))
-
-
 # -- instantiation and admissibility ------------------------------------------------
 
 

@@ -49,14 +49,6 @@ class UnsupportedExtensionError(MerosolveError):
         )
 
 
-class PoleAtPointError(MerosolveError):
-    code = "PoleAtPoint"
-
-    def __init__(self, point, order: int):
-        self.point, self.order = point, order
-        super().__init__(f"pole of order {order} at z = {point}")
-
-
 class GammaIdenticallyZeroError(MerosolveError):
     code = "GammaIdenticallyZero"
 

@@ -30,7 +30,6 @@ from fractions import Fraction
 from .errors import (
     DivisionByZeroError,
     NestedExtensionError,
-    PoleAtPointError,
     UnsupportedExtensionError,
 )
 from .field import (
@@ -175,19 +174,6 @@ class Poly:
             return _ZERO
         return _poly([i * x for i, x in enumerate(self.a)][1:],
                      [i * x for i, x in enumerate(self.b)][1:], self.d, self.q)
-
-    def eval(self, x: FieldConstant) -> FieldConstant:
-        """Horner's rule on (x_a + x_b*sqrt(q))/x_d, homogenised in x_d."""
-        x = FieldConstant.of(x)
-        q = common_discriminant((x,), self.q)
-        (xa,), xb, xd = integer_parts((x,), q)
-        xb = xb[0] if q else 0
-        a, b = _parts(self, q)
-        u, v, power = 0, 0, 1
-        for i in range(len(a) - 1, -1, -1):
-            u, v = u * xa + q * v * xb + a[i] * power, (u * xb + v * xa + b[i] * power) if q else 0
-            power *= xd
-        return from_integers(u * xd, v * xd, self.d * power, q)
 
     def shift(self, r: FieldConstant) -> Poly:
         """Taylor shift: returns p(z + r) as a polynomial in z, by Horner's rule
@@ -468,17 +454,19 @@ def _horner(a, x: int, m: int) -> int:
 
 
 def _rational_roots(f: Poly) -> list[FieldConstant]:
-    """The rational roots of a square-free rational f with f(0) != 0, by p-adic
-    lifting (Loos, SIAM J. Comput. 12(2), 1983; von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 15), with no integer factoring.
+    """Candidates for the rational roots of a square-free rational f with
+    f(0) != 0, a superset of them, by p-adic lifting (Loos, SIAM J. Comput.
+    12(2), 1983; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15),
+    with no integer factoring.
 
     On f's integer vector a, p is the least prime not dividing a[-1] at which
     f' is nonzero at every root of f mod p; such a p exists, as any prime
     dividing neither a[-1] nor disc(f) will do.  A root u/v has v | a[-1], so
     it reduces to one of those simple roots, and Newton's iteration lifts each
     to a modulus M > 2*|a[0]*a[-1]|.  As |u| <= |a[0]|, a[-1]*u/v is the
-    symmetric residue of a[-1]*r mod M; every candidate read off that way is
-    checked exactly."""
+    symmetric residue of a[-1]*r mod M.  The candidates are distinct and
+    unchecked: _roots_of_squarefree keeps one when dividing by z - r leaves
+    no remainder."""
     a = f.a
     da = [i * x for i, x in enumerate(a)][1:]
     p = 1
@@ -488,17 +476,15 @@ def _rational_roots(f: Poly) -> list[FieldConstant]:
             simple = [r for r in range(p) if not _horner(a, r, p)]
             if all(_horner(da, r, p) for r in simple):
                 break
-    bound, roots = 2 * abs(a[0] * a[-1]), []
+    bound, candidates = 2 * abs(a[0] * a[-1]), []
     for r in simple:
         m = p
         while m <= bound:
             m *= m
             r = (r - _horner(a, r, m) * pow(_horner(da, r, m), -1, m)) % m
         t = a[-1] * r % m
-        root = FieldConstant.of(Fraction(t - m if 2 * t > m else t, a[-1]))
-        if f.eval(root).is_zero:
-            roots.append(root)
-    return roots
+        candidates.append(FieldConstant.of(Fraction(t - m if 2 * t > m else t, a[-1])))
+    return candidates
 
 
 def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):
@@ -513,8 +499,11 @@ def _roots_of_squarefree(f: Poly, ctx: ExtensionContext):
         f = f.deflate(ZERO)
     if f.degree > 2 and not f.q:
         for r in _rational_roots(f):
-            roots.append(r)
-            f = f.deflate(r)
+            # one division both checks the candidate and deflates f
+            quo, rem = f.divmod(Poly((-r, ONE)))
+            if rem.is_zero:
+                roots.append(r)
+                f = quo
     if f.degree == 1:
         return roots + [-f[0]], _UNIT
     if f.degree == 2:
@@ -749,17 +738,7 @@ class RatFunc:
         _, r, dpg = _gcd(d, d.derivative())
         return RatFunc._reduced(n.derivative() * r - n * dpg, d * r)
 
-    # -- evaluation and expansion ------------------------------------------------
-
-    def pole_order_at(self, z0: FieldConstant) -> int:
-        return _low_order(self.den.shift(z0))
-
-    def eval_at(self, z0: FieldConstant) -> FieldConstant:
-        z0 = FieldConstant.of(z0)
-        d = self.den.eval(z0)
-        if d.is_zero:
-            raise PoleAtPointError(z0, self.pole_order_at(z0))
-        return self.num.eval(z0) / d
+    # -- expansion at a point --------------------------------------------------
 
     def taylor_at(self, z0: FieldConstant, n: int) -> tuple[int, list[FieldConstant]]:
         """n exact series coefficients of f(z0 + t): (offset, coeffs).
@@ -803,16 +782,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({ratfunc_to_str(self)})"
-
-
-def in_excluded_set(alpha: RatFunc, beta: RatFunc, gamma: RatFunc, z0: FieldConstant) -> bool:
-    """True when z0 is a zero or pole of a coefficient that is not identically zero."""
-    for f in (alpha, beta, gamma):
-        if f.is_zero:
-            continue
-        if f.den.eval(z0).is_zero or f.num.eval(z0).is_zero:
-            return True
-    return False
 
 
 def over_common_denominator(fs):

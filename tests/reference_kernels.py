@@ -2,17 +2,26 @@
 FieldConstant arithmetic, as they were written before merosolve moved them to
 integer vectors: convolution, long division, Euclid's gcd, the Taylor shift,
 Horner evaluation and the derivative on coefficient lists (low to high), the
-Taylor division, the leading balances at a point by evaluating each
-coefficient there, the order-matching loop and the polynomial printer; the
-Taylor shift once more as Horner's rule on whole Polys; the residuals of
-both equations as expanded ExpSum products; the exact Laurent expansion of
-an exponential sum; partial fractions over a split denominator, from its
-roots and the Taylor series at each; exp-integration by parts at each pole;
-case C's allowed rates from the residue at each pole; the square-free part
-of an integer by trial division with no bound; and the expression parser as
-a token-object recursive descent.  Tests compare the integer
-kernels, the root-free solves and the lean parser of merosolve against them;
-nothing in the package imports this."""
+Taylor division, the order-matching loop and the polynomial printer; the
+Taylor shift once more as Horner's rule on whole Polys.
+
+merosolve reads every fact at a point off one Taylor shift.  The point
+evaluations it no longer carries live here, built on this file's own
+horner, divmod_ and taylor_at: a rational function's value at a point
+(eval_at) and its pole order there (pole_order_at), the excluded set, where
+a coefficient vanishes or has a pole (in_excluded_set), and the leading
+balances at a point from those values (leading_candidates).
+
+Also here: the residuals of both equations as expanded ExpSum products
+(eq3_residual checks a family of the transformed equation against the
+original one); the case labels an input's signature selects; the exact
+Laurent expansion of an exponential sum; partial fractions over a split
+denominator, from its roots and the Taylor series at each; exp-integration
+by parts at each pole; case C's allowed rates from the residue at each pole;
+the square-free part of an integer by trial division with no bound; and the
+expression parser as a token-object recursive descent.  Tests compare the
+integer kernels, the root-free solves and the lean parser of merosolve
+against them; nothing in the package imports this."""
 
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ from merosolve.field import (ONE, ZERO, ExtensionContext, FieldConstant, common_
 from merosolve.laurent import LaurentExpansion
 from merosolve.parse import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH,
                              MAX_POWER_BITS, MAX_POWER_SIZE, _bits, _promote, _rational)
-from merosolve.ratfunc import Poly, RatFunc, in_excluded_set, linear_roots, poly_gcd
+from merosolve.ratfunc import Poly, RatFunc, linear_roots, poly_gcd
 from merosolve.series import LeadingCandidate
 
 
@@ -128,13 +137,38 @@ def series_div(num, den, n):
     return out
 
 
+def deflate(x, z0):
+    """(m, x/(z - z0)**m), m the multiplicity of the root z0 of x, by long division."""
+    m = 0
+    while horner(x, z0).is_zero:
+        x, m = divmod_(x, (-z0, ONE))[0], m + 1
+    return m, x
+
+
+def pole_order_at(f, z0):
+    """The order of the pole of the RatFunc f at z0, 0 where f is regular."""
+    return deflate(f.den.coeffs, z0)[0]
+
+
+def eval_at(f, z0):
+    """f(z0) by Horner's rule on numerator and denominator; DivisionByZeroError
+    at a pole."""
+    z0 = FieldConstant.of(z0)
+    return horner(f.num.coeffs, z0) / horner(f.den.coeffs, z0)
+
+
+def in_excluded_set(alpha, beta, gamma, z0):
+    """True when z0 is a zero or pole of a coefficient that is not identically
+    zero, each read by Horner's rule."""
+    return any(horner(f.num.coeffs, z0).is_zero or horner(f.den.coeffs, z0).is_zero
+               for f in (alpha, beta, gamma) if not f.is_zero)
+
+
 def taylor_at(f, z0, n):
     """f.taylor_at(z0, n), through series_div."""
     if f.is_zero:
         return 0, [ZERO] * n
-    m, den = 0, f.den.coeffs
-    while horner(den, z0).is_zero:
-        den, m = divmod_(den, (-z0, ONE))[0], m + 1
+    m, den = deflate(f.den.coeffs, z0)
     return -m, series_div(synthetic_shift(f.num.coeffs, z0), synthetic_shift(den, z0), n)
 
 
@@ -172,8 +206,8 @@ def residual_order(m, a, p, al, be, ga):
 
 
 def leading_candidates(alpha, beta, gamma, z0):
-    """series.leading_candidates, each value at z0 from RatFunc.eval_at and
-    the excluded set from in_excluded_set."""
+    """series.leading_candidates, each value at z0 from eval_at and the
+    excluded set from in_excluded_set."""
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
     common_discriminant((alpha, beta, gamma, z0))
@@ -182,12 +216,12 @@ def leading_candidates(alpha, beta, gamma, z0):
     if alpha.is_zero and beta.is_zero and gamma.is_zero:
         return []
     if gamma.is_zero and beta.is_zero:
-        return [LeadingCandidate(2, -alpha.eval_at(z0) / 2)]
+        return [LeadingCandidate(2, -eval_at(alpha, z0) / 2)]
     if gamma.is_zero:
-        side = (alpha.eval_at(z0) + beta.derivative().eval_at(z0)).is_zero
-        return [LeadingCandidate(1, -beta.eval_at(z0), side_condition_satisfied=side)]
-    b0 = beta.eval_at(z0)
-    g0 = gamma.eval_at(z0)
+        side = (eval_at(alpha, z0) + eval_at(beta.derivative(), z0)).is_zero
+        return [LeadingCandidate(1, -eval_at(beta, z0), side_condition_satisfied=side)]
+    b0 = eval_at(beta, z0)
+    g0 = eval_at(gamma, z0)
     disc = b0 * b0 - 4 * g0
     if disc.is_zero:
         return [LeadingCandidate(1, -b0 / 2, note="double root of the leading equation")]
@@ -279,6 +313,17 @@ def eq3_residual(k0, k1, k2, k3, f):
     return f * fpp - fp * fp - k0 - k1 * f - k2 * fp - k3 * fpp
 
 
+def applicable_labels(alpha, beta, gamma):
+    """The case labels a classification must account for, in report order:
+    the paper's case split by which of alpha, beta and gamma vanish."""
+    alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
+    if gamma.is_zero and beta.is_zero:
+        return ("trivial-all-zero",) if alpha.is_zero else ("A-cosh", "A-quadratic", "C")
+    if gamma.is_zero:
+        return ("B", "C")
+    return ("D", "E.a", "E.b", "E.c", "E.d", "E.e")
+
+
 class TranscendentalShift(Exception):
     """A series about z0 would need exp(rate*z0), which is not a field constant."""
 
@@ -300,7 +345,7 @@ def laurent_at(w, z0, order):
             )
     if w.is_zero:
         return LaurentExpansion(z0, 0, tuple([ZERO] * (order + 1)), order)
-    low = -max(c.pole_order_at(z0) for _, c in w.terms)
+    low = -max(pole_order_at(c, z0) for _, c in w.terms)
     high = low + order
     p = None
     for _ in range(12):
@@ -323,11 +368,11 @@ def window_series(w, z0, low, high):
     low .. high."""
     acc = [ZERO] * (high - low + 1)
     for rate, coeff in w.terms:
-        m = coeff.pole_order_at(z0)
+        m = pole_order_at(coeff, z0)
         n_t = high + m + 1  # term exponents run from -m upward
         if n_t <= 0:
             continue
-        off, cs = coeff.taylor_at(z0, n_t)
+        off, cs = taylor_at(coeff, z0, n_t)
         # exp(rate*(z0+t)) = exp(rate*t) exactly since rate*z0 = 0
         er = [ONE]
         fact = Fraction(1)

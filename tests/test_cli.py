@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import merosolve
-from merosolve import cli, ratfunc, series
+from merosolve import cli, errors, ratfunc, series
 from merosolve.cli import _fold_dash_values, main
 from merosolve.ratfunc import RatFunc, ratfunc_to_str
 
@@ -715,6 +717,29 @@ class TestErrorEnvelope:
             "code": "IncompatibleExtensions",
             "message": "cannot combine values from Q(sqrt(2)) and Q(sqrt(3))",
         }}
+
+
+# README's exit-code table: code -> (class cell, "From the CLI" cell)
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+_EXIT_CODES = _README[_README.index("### Exit codes"):_README.index("### JSON schema")]
+_EXIT_TABLE = {row[1]: (row[2], row[3])
+               for row in re.finditer(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", _EXIT_CODES, re.M)}
+
+
+class TestReadmeExitCodes:
+    def test_each_error_class_has_its_row(self):
+        classes = {cls.code: f"`{cls.__name__}`" for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, errors.MerosolveError)}
+        assert _EXIT_TABLE.keys() == classes.keys() | {"Usage", "Internal"}
+        assert {code: _EXIT_TABLE[code][0] for code in classes} == classes
+        assert all(reach.startswith(("yes: `", "no: ")) for _, reach in _EXIT_TABLE.values())
+
+    @pytest.mark.parametrize("code", sorted(code for code, (_, reach) in _EXIT_TABLE.items()
+                                            if reach.startswith("yes")))
+    def test_each_reachable_code_is_reached_by_its_example(self, capsys, code):
+        argv = shlex.split(re.fullmatch(r"yes: `(.+)`", _EXIT_TABLE[code][1])[1])
+        status, doc, _ = run_json(capsys, *argv)
+        assert (status, doc["error"]["code"]) == (1, code)
 
 
 class TestGcdGrowth:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -33,6 +34,30 @@ def test_names_without_a_caller_in_the_package_are_gone():
     assert "residual_is_zero" not in merosolve.__all__
     assert not hasattr(expsum, "residual_is_zero")
     assert not hasattr(importlib.import_module("merosolve.classify"), "CASE_ORDER")
+    # one way to read a value at a point: the Taylor shift
+    for module, name in (("ratfunc", "in_excluded_set"), ("errors", "PoleAtPointError"),
+                         ("classify", "eq3_residual"), ("classify", "applicable_labels")):
+        assert name not in merosolve.__all__
+        assert not hasattr(importlib.import_module(f"merosolve.{module}"), name), name
+    from merosolve.ratfunc import Poly, RatFunc
+
+    assert not hasattr(RatFunc, "eval_at") and not hasattr(RatFunc, "pole_order_at")
+    assert not hasattr(Poly, "eval")
+
+
+def test_helpers_only_the_package_uses_are_not_exported():
+    for module, name in (("expsum", "guarded_sample_points"), ("ratfunc", "linear_roots")):
+        assert name not in merosolve.__all__
+        assert hasattr(importlib.import_module(f"merosolve.{module}"), name)
+
+
+def test_every_exported_name_is_named_in_readme():
+    # named means written as code: in a `span` or a fenced block
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    named = set(re.findall(r"\w+", code))
+    assert sorted(set(merosolve.__all__) - named) == []
+    assert "poly_gcd" in merosolve.__all__  # the benchmark reads merosolve.poly_gcd
 
 
 def test_partial_fractions_are_gone():

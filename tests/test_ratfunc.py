@@ -12,18 +12,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from merosolve import field, ratfunc
-from merosolve.errors import (
-    IncompatibleExtensionsError,
-    LimitExceededError,
-    PoleAtPointError,
-)
+from merosolve.errors import IncompatibleExtensionsError, LimitExceededError
 from merosolve.expsum import ObstructionReport
 from merosolve.parse import parse_ratfunc
 from merosolve.field import ONE, ZERO, ExtensionContext, FieldConstant
 from merosolve.ratfunc import (
     Poly,
     RatFunc,
-    in_excluded_set,
     linear_roots,
     poly_gcd,
     poly_to_str,
@@ -121,19 +116,14 @@ class TestCalculus:
 
 
 class TestEvaluation:
-    def test_eval_at_regular_point(self):
+    def test_value_at_regular_point_leads_the_taylor_series(self):
         f = rf([1, 0, 1], [1, 1])  # (z^2 + 1)/(z + 1)
-        assert f.eval_at(FieldConstant.of(1)) == FieldConstant.of(1)
+        assert f.taylor_at(FieldConstant.of(1), 1) == (0, [FieldConstant.of(1)])
 
-    def test_eval_at_pole_raises(self):
-        f = 1 / (Z - 2)
-        with pytest.raises(PoleAtPointError):
-            f.eval_at(FieldConstant.of(2))
-
-    def test_pole_order_at(self):
+    def test_pole_order_is_the_taylor_offset(self):
         f = rf([1], [0, 0, 0, 1]) + rf([5])  # 1/z^3 + 5
-        assert f.pole_order_at(ZERO) == 3
-        assert f.pole_order_at(ONE) == 0
+        assert f.taylor_at(ZERO, 1)[0] == -3
+        assert f.taylor_at(ONE, 1)[0] == 0
 
     def test_taylor_at_regular_point(self):
         # 1/(1 - z) at 0: all coefficients 1
@@ -356,20 +346,6 @@ class TestSqrt:
         assert RatFunc(Poly()).sqrt() == RatFunc(Poly())
 
 
-class TestExcludedSet:
-    def test_zero_or_pole_of_coefficient(self):
-        alpha = Z - 1
-        beta = 1 / Z
-        gamma = RatFunc(Poly())
-        assert in_excluded_set(alpha, beta, gamma, ONE)  # zero of alpha
-        assert in_excluded_set(alpha, beta, gamma, ZERO)  # pole of beta
-        assert not in_excluded_set(alpha, beta, gamma, FieldConstant.of(5))
-
-    def test_identically_zero_coefficient_is_ignored(self):
-        zero = RatFunc(Poly())
-        assert not in_excluded_set(zero, zero, zero, ZERO)
-
-
 class TestDisplay:
     def test_poly_to_str(self):
         p = Poly([FieldConstant.of(-1), ZERO, ONE])
@@ -586,7 +562,7 @@ class TestKernelsAgainstReference:
     def test_shift_and_eval(self, case):
         p, r = case
         assert p.shift(r).coeffs == reference_kernels.synthetic_shift(p.coeffs, r)
-        assert p.eval(r) == reference_kernels.horner(p.coeffs, r)
+        assert p.shift(r)[0] == reference_kernels.horner(p.coeffs, r)
         assert canonical(p.shift(r))
 
     @given(fields.flatmap(lambda cs: polys(6, cs)))
@@ -1056,8 +1032,6 @@ class TestRepresentationEdges:
         for op in (Poly.__add__, Poly.__sub__, Poly.__mul__, Poly.divmod, poly_gcd):
             with pytest.raises(IncompatibleExtensionsError):
                 op(p2, p3)
-        with pytest.raises(IncompatibleExtensionsError):
-            p2.eval(root3)
         with pytest.raises(IncompatibleExtensionsError):
             p2.shift(root3)
 
