@@ -33,10 +33,7 @@ _EXPORTS = {
         "MerosolveError", "NearPoleError", "NestedExtensionError", "PointInPhiError",
         "UnsupportedExtensionError", "ZeroDenominatorLiteralError",
     ),
-    "expsum": (
-        "ExpSum", "ObstructionReport", "integrate_exp", "numeric_residual_bound_ok",
-        "residual",
-    ),
+    "expsum": ("ExpSum", "ObstructionReport", "integrate_exp", "residual"),
     "field": ("ExtensionContext", "FieldConstant", "format_constant", "sqrt_constant"),
     "laurent": ("LaurentExpansion", "ResonanceInfo"),
     "parse": ("RESONANCE_CAP_DEFAULT", "parse_constant", "parse_expsum", "parse_ratfunc"),
