@@ -441,6 +441,56 @@ class TestExpand:
         assert code == 0 and len(doc["branches"]) == 2
         assert len(calls) == setups and divisions == []
 
+    # branch shapes no golden reaches: (side_condition_satisfied, status, r,
+    # r_is_positive_integer, condition_satisfied, free_coefficient_index) of
+    # the branch record, (index, condition_satisfied, free_coefficient_index)
+    # of its expansion block, and the text's resonance: line
+    @pytest.mark.parametrize("argv, branch, block, line", [
+        # p = 2: no resonance formula, though the expansion frees a_2
+        (("--alpha", "2", "--beta", "0", "--gamma", "0", "--at", "1", "--order", "4"),
+         (None, "not-applicable", None, False, None, None), (2, True, 2),
+         "r = None, positive integer: False, condition satisfied: True, "
+         "free coefficient index: 2"),
+        # gamma = 0 with alpha(z0) + beta'(z0) = 0: r = 1 is satisfied
+        (("--alpha", "-2*z", "--beta", "z^2", "--gamma", "0", "--at", "1", "--order", "6"),
+         (True, "evaluated", "1", True, True, 1), (1, True, 1),
+         "r = 1, positive integer: True, condition satisfied: True, "
+         "free coefficient index: 1"),
+        # gamma = 0 with the side condition false: the branch halts at r = 1
+        (("--alpha", "-2*z", "--beta", "z", "--gamma", "0", "--at", "1", "--order", "6"),
+         (False, "evaluated", "1", True, False, None), (1, False, None),
+         "r = 1, positive integer: True, condition satisfied: False, "
+         "free coefficient index: None"),
+        # r = 5 inside the order but beyond the cap: the expansion still meets it
+        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--branch", "1",
+          "--order", "10", "--cap", "4"),
+         (None, "cap-exceeded", "5", True, None, None), (5, True, 5),
+         "r = 5, positive integer: True, condition satisfied: True, "
+         "free coefficient index: 5"),
+        # evaluated below r + 2: the expansion stops before r, the branch does not
+        (("--alpha", "0", "--beta", "-3", "--gamma", "-4", "--at", "0", "--branch", "1",
+          "--order", "3"),
+         (None, "evaluated", "5", True, True, 5), (None, None, None),
+         "r = 5, positive integer: True, condition satisfied: True, "
+         "free coefficient index: 5"),
+    ], ids=["p=2", "side-true", "side-false", "cap-exceeded-inside-order",
+            "evaluated-below-r+2"])
+    def test_branch_shapes_no_golden_reaches(self, capsys, argv, branch, block, line):
+        code, doc, _ = run_json(capsys, "expand", *argv)
+        assert code == 0
+        b, = doc["branches"]
+        assert (b["side_condition_satisfied"], b["resonance_status"], b["r"],
+                b["r_is_positive_integer"], b["condition_satisfied"],
+                b["free_coefficient_index"]) == branch
+        res = b["expansion"]["resonance"]
+        assert (res["r"], res["r_is_positive_integer"]) == branch[2:4]
+        assert (res["index"], res["condition_satisfied"],
+                res["free_coefficient_index"]) == block
+        code, out, _ = run_cli(capsys, "expand", *argv, "--text")
+        assert code == 0
+        assert [s.strip() for s in out.splitlines() if "resonance:" in s] == [
+            f"resonance: {line}"]
+
     def test_branch_selection(self, capsys):
         code, doc, _ = run_json(
             capsys, "expand",
