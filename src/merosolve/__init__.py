@@ -4,11 +4,12 @@ w*w'' - (w')^2 = alpha*w + beta*w' + gamma over rational function coefficients.
 The public surface mirrors the four CLI verbs: classify / transform_original
 for the decision procedure, residual / integrate_exp and the ExpSum algebra
 for verification, and leading_candidates / expand / expand_branches /
-branch_resonance / resonance_report for local series analysis.  All
-arithmetic is exact over Q, extendable to a single quadratic field Q(sqrt(q)).
+branch_resonance for local series analysis.  All arithmetic is exact over Q,
+extendable to a single quadratic field Q(sqrt(q)).
 
 Each module loads on first use of a name it exports (PEP 562), so
-``import merosolve`` loads none of them.  ``merosolve.classify`` is the
+``import merosolve`` loads none of them, and an exported name is read from its
+module each time, never bound onto the package.  ``merosolve.classify`` is the
 function, also after ``import merosolve.classify``.
 """
 
@@ -38,10 +39,8 @@ _EXPORTS = {
     "laurent": ("LaurentExpansion", "ResonanceInfo"),
     "parse": ("RESONANCE_CAP_DEFAULT", "parse_constant", "parse_expsum", "parse_ratfunc"),
     "ratfunc": ("Poly", "RatFunc", "poly_gcd", "poly_to_str", "ratfunc_to_str"),
-    "series": (
-        "BranchResonance", "LeadingCandidate", "branch_resonance", "expand",
-        "expand_branches", "leading_candidates", "resonance_report",
-    ),
+    "series": ("BranchResonance", "LeadingCandidate", "branch_resonance", "expand",
+               "expand_branches", "leading_candidates"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -49,15 +48,12 @@ __all__ = sorted(_OWNER)
 
 
 class _Package(types.ModuleType):
-    """Binds a submodule's exports onto the package as the import system binds
-    the submodule itself, so the classify function overwrites the classify
-    module and a name is bound when its module loads, never when it is read."""
+    """Drops the binding the import system makes of a submodule whose name is
+    an export, so that __getattr__ reads merosolve.classify as the function."""
 
     def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in _EXPORTS and isinstance(value, types.ModuleType):
-            for export in _EXPORTS[name]:
-                super().__setattr__(export, getattr(value, export))
+        if not (name in _OWNER and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
 
 
 sys.modules[__name__].__class__ = _Package

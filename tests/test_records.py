@@ -193,7 +193,7 @@ def test_each_verb_loads_only_its_modules(argv, skipped):
     )
 
 
-def test_the_package_binds_the_classify_function_not_the_module():
+def test_the_package_resolves_classify_to_the_function_not_the_module():
     _run_fresh(
         "import merosolve.classify\n"
         "assert callable(merosolve.classify), merosolve.classify\n"
@@ -204,7 +204,8 @@ def test_the_package_binds_the_classify_function_not_the_module():
         "import merosolve, merosolve.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    merosolve.cli.main({['classify', *_CLASSIFY]!r})\n"
-        "assert callable(vars(merosolve)['classify'])\n"
+        "assert 'classify' in loaded() and 'classify' not in vars(merosolve)\n"
+        "assert merosolve.classify is sys.modules['merosolve.classify'].classify\n"
     )
 
 

@@ -29,7 +29,6 @@ from merosolve.series import (
     expand,
     expand_branches,
     leading_candidates,
-    resonance_report,
 )
 
 import reference_kernels
@@ -242,11 +241,20 @@ def _oracle_branch(a0, n_max, free_value=0):
     return coeffs, resonance_at, condition
 
 
+def _records(alpha, beta, gamma, z0, order=4, cap=RESONANCE_CAP_DEFAULT):
+    """Each branch's BranchResonance as the CLI builds it: leading_candidates,
+    expand_branches to order, then branch_resonance of each expansion."""
+    cands = leading_candidates(alpha, beta, gamma, z0)
+    expansions = expand_branches(alpha, beta, gamma, z0, cands, order)
+    return [branch_resonance(alpha, beta, gamma, z0, cand, e, cap)
+            for cand, e in zip(cands, expansions)]
+
+
 class TestResonanceFixture:
     ALPHA, BETA, GAMMA = RF0, RatFunc.const(-3), RatFunc.const(-4)
 
     def test_branch_resonance_values(self):
-        report = resonance_report(self.ALPHA, self.BETA, self.GAMMA, ZERO)
+        report = _records(self.ALPHA, self.BETA, self.GAMMA, ZERO)
         assert [b.candidate.a0 for b in report] == [fc(4), fc(-1)]
         r0, r1 = report
         # r = beta(z0)/a0 + 2 exactly
@@ -302,12 +310,12 @@ class TestResonanceFixture:
 
 class TestResonanceStatuses:
     def test_not_applicable_on_double_zero_branch(self):
-        report = resonance_report(RatFunc.const(2), RF0, RF0, ZERO)
+        report = _records(RatFunc.const(2), RF0, RF0, ZERO)
         assert [b.status for b in report] == ["not-applicable"]
         assert report[0].r is None
 
     def test_cap_exceeded_is_a_reported_outcome(self):
-        report = resonance_report(RF0, RatFunc.const(98), RatFunc.const(-99), ZERO)
+        report = _records(RF0, RatFunc.const(98), RatFunc.const(-99), ZERO)
         by_a0 = {b.candidate.a0: b for b in report}
         deep = by_a0[fc(1)]
         assert deep.status == "cap-exceeded"
@@ -318,9 +326,7 @@ class TestResonanceStatuses:
         assert other.r == fc(Fraction(100, 99))
 
     def test_cap_is_adjustable(self):
-        report = resonance_report(
-            RF0, RatFunc.const(98), RatFunc.const(-99), ZERO, cap=128
-        )
+        report = _records(RF0, RatFunc.const(98), RatFunc.const(-99), ZERO, cap=128)
         by_a0 = {b.candidate.a0: b for b in report}
         assert by_a0[fc(1)].status == "evaluated"
         assert RESONANCE_CAP_DEFAULT == 64
@@ -329,7 +335,7 @@ class TestResonanceStatuses:
 class TestResonanceFromCallerExpansion:
     """branch_resonance reads the condition off the caller's expansion when it
     reaches order r + 2, and expands to r + 2 itself only when it does not;
-    either way the record is resonance_report's."""
+    either way the record is the one an expansion past r + 2 gives."""
 
     # r = 5 with the condition satisfied; r = 4 with it violated (branch halts)
     FIXTURES = [
@@ -339,8 +345,8 @@ class TestResonanceFromCallerExpansion:
 
     @pytest.mark.parametrize("coeffs, z0", FIXTURES)
     @pytest.mark.parametrize("order", range(3, 10))
-    def test_same_report_as_the_probe(self, monkeypatch, coeffs, z0, order):
-        reports = resonance_report(*coeffs, z0)
+    def test_same_record_at_every_order(self, monkeypatch, coeffs, z0, order):
+        reports = _records(*coeffs, z0, order=12)  # past r + 2 on every branch
         assert any(r.status == "evaluated" for r in reports)
         probes = []
         real = series.expand
@@ -354,7 +360,7 @@ class TestResonanceFromCallerExpansion:
             cand = report.candidate
             given = expand(*coeffs, z0, cand.p, cand.a0, max(order, cand.p + 2))
             probes.clear()
-            assert branch_resonance(*coeffs, z0, cand, expansion=given) == report
+            assert branch_resonance(*coeffs, z0, cand, given) == report
             evaluated = report.status == "evaluated"
             short = evaluated and given.truncation_order < report.r.as_integer() + 2
             assert probes == ([report.r.as_integer() + 2] if short else [])
@@ -959,8 +965,9 @@ def _resonance_draws(draw):
 
 class TestResonanceIndexOnce:
     """expand's r is beta(z0)/a0 + 2 with beta(z0) read off the shifted E*beta
-    and E, and branch_resonance given an expansion (expand's, or a conjugate
-    twin of expand_branches) reports what it reports without one."""
+    and E, and branch_resonance gives one record whichever expansion of the
+    branch it is handed: expand's at any order from p + 2 on, or a conjugate
+    twin of expand_branches."""
 
     @given(_resonance_draws())
     def test_expand_and_branch_resonance_agree_with_the_formula(self, data):
@@ -969,11 +976,13 @@ class TestResonanceIndexOnce:
         direct = _direct(alpha, beta, gamma, z0, cands, order)
         branches = expand_branches(alpha, beta, gamma, z0, cands, order)
         for cand, e, twin in zip(cands, direct, branches):
+            report = branch_resonance(alpha, beta, gamma, z0, cand, e)
             if cand.p == 1:
-                assert e.resonance.r == eval_at(beta, z0) / cand.a0 + 2
-            report = branch_resonance(alpha, beta, gamma, z0, cand)
-            assert branch_resonance(alpha, beta, gamma, z0, cand, expansion=e) == report
-            assert branch_resonance(alpha, beta, gamma, z0, cand, expansion=twin) == report
+                assert e.resonance.r == report.r == eval_at(beta, z0) / cand.a0 + 2
+            assert branch_resonance(alpha, beta, gamma, z0, cand, twin) == report
+            for n in range(cand.p + 2, order + 2):
+                at_n = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
+                assert branch_resonance(alpha, beta, gamma, z0, cand, at_n) == report
 
     def test_draws_cover_twins_resonances_and_the_field(self):
         seen = set()
@@ -988,8 +997,7 @@ class TestResonanceIndexOnce:
             seen.add("z0 in Q(sqrt(5))" if z0.q else "z0 rational")
             if any(f.den.degree for f in (alpha, beta, gamma)):
                 seen.add("denominator")
-            for cand in cands:
-                report = branch_resonance(alpha, beta, gamma, z0, cand)
+            for report in _records(alpha, beta, gamma, z0, order):
                 seen.add(report.status)
                 if report.r_is_positive_integer:
                     n = report.r.as_integer()
