@@ -392,7 +392,6 @@ def expand(
         if _match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt.values)
 
-    # where the order-n slope of a p = 1 branch vanishes
     r = t.at_z0(t.bx, t.by) / a0 + 2 if p == 1 else None
     info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
                          res_index, condition, free_index)
@@ -452,11 +451,12 @@ def branch_resonance(
 
     expansion is the candidate's, at any order, as expand_branches gives it.
     The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances, and
-    r is its resonance.r.  The p = 2 branch has no such formula and reports
-    not-applicable.  A positive integer r beyond the cap is a distinct
-    reportable outcome, not an error: the condition sits too deep to
-    evaluate.  The condition is read off an expansion of the branch to order
-    r + 2: the caller's when it reaches that far, else a fresh one.
+    expand records it in expansion.resonance.r.  The p = 2 branch has no
+    such formula and reports not-applicable.  A positive integer r beyond the
+    cap is a distinct reportable outcome, not an error: the condition sits
+    too deep to evaluate.  The condition is read off an expansion of the
+    branch to order r + 2: the caller's when it reaches that far, else a
+    fresh one.
     """
     if cand.p != 1:
         return BranchResonance(cand, "not-applicable", None, False)

@@ -193,7 +193,7 @@ class TestAcceptance:
             from merosolve.series import expand
 
             alpha, beta, gamma = RF(0), RF(-3), RF(-4)
-            # leading_candidates, expand_branches, branch_resonance: as expand does
+            # leading_candidates, expand_branches, branch_resonance: as the CLI does
             rep = _records(alpha, beta, gamma, FieldConstant.of(0))
             assert [b.candidate.a0 for b in rep] == [
                 FieldConstant.of(4), FieldConstant.of(-1),
