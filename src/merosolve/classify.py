@@ -45,7 +45,7 @@ class ConstraintSet(_ByIdentity, namedtuple(
     "A B g h k1_squared k2_squared discriminant case2_constraint",
     defaults=(None,) * 8,
 )):
-    """Exactly computed branch quantities; None marks not-applicable fields.
+    """Exactly computed branch quantities; None marks the fields that do not apply.
 
     A, B, h, discriminant and case2_constraint are RatFuncs; g, k1_squared
     and k2_squared are FieldConstants."""

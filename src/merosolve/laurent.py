@@ -13,8 +13,8 @@ class ResonanceInfo(namedtuple(
     """How the recurrence's linear factor behaved along one expansion branch.
 
     r is the index where the factor vanishes per the closed formula
-    beta(z0)/a0 + 2 (None when that formula does not apply, i.e. the double
-    zero branch p = 2); index is where the engine actually saw the factor
+    beta(z0)/a0 + 2, on every branch (r = 2 on the double zero branch p = 2,
+    where beta = 0); index is where the engine actually saw the factor
     vanish, when it did within range.
     """
 
@@ -39,7 +39,7 @@ class LaurentExpansion(namedtuple(
     def conjugate(self) -> LaurentExpansion:
         """The expansion with every constant c replaced by c.conjugate()."""
         info, alternate = self.resonance, self.alternate_coefficients
-        if info is not None and info.r is not None:
+        if info is not None:
             info = info._replace(r=info.r.conjugate())
         if alternate is not None:
             alternate = tuple(c.conjugate() for c in alternate)

@@ -7,7 +7,7 @@ byte-identical documents.  No timestamps live inside the payload.
 
 from __future__ import annotations
 
-from .field import format_constant
+from .field import ONE, format_constant
 from .ratfunc import RatFunc, ratfunc_to_str
 
 # the annotations also name classify's and series's record types; they are
@@ -83,7 +83,7 @@ def expansion_dict(exp: LaurentExpansion) -> dict:
     }
     r = exp.resonance
     out["resonance"] = {
-        "r": None if r.r is None else format_constant(r.r),
+        "r": format_constant(r.r),
         "r_is_positive_integer": r.r_is_positive_integer,
         "index": r.index,
         "condition_satisfied": r.condition_satisfied,
@@ -99,15 +99,19 @@ def expansion_dict(exp: LaurentExpansion) -> dict:
 
 
 def branch_dict(res: BranchResonance, expansion: LaurentExpansion) -> dict:
-    cand = res.candidate
+    # r = 1 only on the gamma = 0 branch: a root a0 = -beta(z0) of the
+    # quadratic balance would need gamma(z0) = 0, an excluded point.  Its
+    # condition at order 1, which every expansion reaches, is the side
+    # condition alpha(z0) + beta'(z0) = 0
+    cand, info = res.candidate, expansion.resonance
     return {
         "leading_power": cand.p,
         "a0": format_constant(cand.a0),
         "note": cand.note,
-        "side_condition_satisfied": cand.side_condition_satisfied,
+        "side_condition_satisfied": info.condition_satisfied if info.r == ONE else None,
         "resonance_status": res.status,
-        "r": None if res.r is None else format_constant(res.r),
-        "r_is_positive_integer": res.r_is_positive_integer,
+        "r": format_constant(info.r),
+        "r_is_positive_integer": info.r_is_positive_integer,
         "condition_satisfied": res.condition_satisfied,
         "free_coefficient_index": res.free_coefficient_index,
         "expansion": expansion_dict(expansion),
@@ -250,8 +254,7 @@ def _text_expand(doc: dict, lines: list[str]) -> None:
             lines.append(f"    note: {b['note']}")
         if b["side_condition_satisfied"] is not None:
             lines.append(f"    side condition satisfied: {b['side_condition_satisfied']}")
-        lines.append(f"    resonance status: {b['resonance_status']}"
-                     + (f", r = {b['r']}" if b["r"] is not None else ""))
+        lines.append(f"    resonance status: {b['resonance_status']}, r = {b['r']}")
         _text_expansion(b["expansion"], lines, "    ",
                         b if b["resonance_status"] == "evaluated" else None)
 

@@ -24,9 +24,12 @@ for a_n.
 
 Every fact at z0 is read off one Taylor shift per point, kept for the next
 call: the excluded set, the leading balances and the resonance index
-r = beta(z0)/a0 + 2 of a p = 1 branch, beta(z0) = (E*beta)(z0)/E(z0), which
-expand records.  branch_resonance reads r and its condition off the branch's
-expansion, or off a fresh one to order r + 2 when that one stops short.
+r = beta(z0)/a0 + 2 of every branch, beta(z0) = (E*beta)(z0)/E(z0), which
+expand records.  The p = 2 balance has beta = 0, so r = 2; the gamma = 0
+balance has a0 = -beta(z0), so r = 1, and its condition at r is the side
+condition alpha(z0) + beta'(z0) = 0.  branch_resonance reads r and its
+condition off the branch's expansion, or off a fresh one to order r + 2 when
+that one stops short.
 
 expand_branches expands several leading candidates at one point.  Over
 rational coefficients and a rational z0 the two p = 1 roots of an irrational
@@ -55,26 +58,20 @@ from .parse import RESONANCE_CAP_DEFAULT
 from .ratfunc import Poly, RatFunc, over_common_denominator
 
 
-class LeadingCandidate(namedtuple("LeadingCandidate", "p a0 note side_condition_satisfied",
-                                  defaults=(None, None))):
-    """One admissible leading behaviour a0*(z-z0)**p at an ordinary point z0.
-
-    side_condition_satisfied is set on the gamma == 0, beta != 0 branch only:
-    whether alpha(z0) + beta'(z0) = 0, the compatibility condition attached
-    to that expansion.
-    """
+class LeadingCandidate(namedtuple("LeadingCandidate", "p a0 note", defaults=(None,))):
+    """One admissible leading behaviour a0*(z-z0)**p at an ordinary point z0."""
 
     __slots__ = ()
 
 
 class BranchResonance(namedtuple(
     "BranchResonance",
-    "candidate status r r_is_positive_integer condition_satisfied free_coefficient_index",
+    "candidate status condition_satisfied free_coefficient_index",
     defaults=(None, None),
 )):
-    """Resonance summary for one leading candidate.
+    """Resonance summary for one leading candidate, whose r is its expansion's.
 
-    status is "not-applicable", "no-resonance", "evaluated" or "cap-exceeded".
+    status is "no-resonance", "evaluated" or "cap-exceeded".
     """
 
     __slots__ = ()
@@ -94,8 +91,10 @@ def leading_candidates(
     balance of most singular orders forces: p = 2 with a0 = -alpha(z0)/2 when
     beta = gamma = 0; p = 1 with a0 = -beta(z0) when only gamma = 0; and
     p = 1 with a0 a root of a0**2 + beta(z0)*a0 + gamma(z0) = 0 otherwise.
-    The degenerate equation (all three coefficients zero) admits only
-    constant solutions, which have no zeros of finite order: empty list.
+    The gamma = 0 branch's side condition alpha(z0) + beta'(z0) = 0 is its
+    resonance condition at r = 1, which expand decides.  The degenerate
+    equation (all three coefficients zero) admits only constant solutions,
+    which have no zeros of finite order: empty list.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -107,9 +106,7 @@ def leading_candidates(
         return [LeadingCandidate(2, -t.at_z0(t.ax, t.ay, 1) / 2)]
     b0 = t.at_z0(t.bx, t.by)
     if gamma.is_zero:
-        # beta'(z0) = ((E*beta)_1 - beta(z0)*E_1)/E(z0)
-        side = t.at_z0(t.ax, t.ay, 1) + t.at_z0(t.bx, t.by, 1) - b0 * t.at_z0(t.ex, t.ey, 1)
-        return [LeadingCandidate(1, -b0, side_condition_satisfied=side.is_zero)]
+        return [LeadingCandidate(1, -b0)]
     disc = b0 * b0 - 4 * t.at_z0(t.gx, t.gy)
     if disc.is_zero:
         return [LeadingCandidate(1, -b0 / 2, note="double root of the leading equation")]
@@ -156,8 +153,6 @@ class _Taylor:
     def at_z0(self, x: list[int], y: list[int], k: int = 0) -> FieldConstant:
         """Coefficient k of the list (x, y) over E(z0) != 0: f(z0) when the
         list is E*f's and k = 0 (k = 1 for the shifted E*alpha)."""
-        if k >= len(x):
-            return ZERO
         e, f, u, v, q = self.ex[0], self.ey[0], x[k], y[k], self.q
         return from_integers(u * e - q * v * f, v * e - u * f, e * e - q * f * f, q)
 
@@ -357,9 +352,12 @@ def expand(
     the alternate continuation (value 1) recorded alongside, unless
     resonance_value pins it (used to compare against a known solution).
     A violated resonance halts the branch: halted_at is set and the
-    coefficient list stops before the impossible index.  For p = 1 the
-    resonance index r = beta(z0)/a0 + 2 is recorded in resonance.r, with
-    beta(z0) read off the E*beta and E already shifted to z0.
+    coefficient list stops before the impossible index.  The resonance index
+    r = beta(z0)/a0 + 2 is recorded in resonance.r, with beta(z0) read off
+    the E*beta and E already shifted to z0: a matched order's slope is
+    E(z0)*(n + 1)*((n - 2)*a0 - beta(z0)) for p = 1 and
+    E(z0)*a0*(n + 1)*(n - 2) for p = 2, where beta = 0, so it vanishes at
+    n = r either way.
     """
     alpha, beta, gamma = RatFunc.of(alpha), RatFunc.of(beta), RatFunc.of(gamma)
     z0 = FieldConstant.of(z0)
@@ -392,9 +390,8 @@ def expand(
         if _match_orders(res, alt, order, ZERO)[1] is None:
             alternate = tuple(alt.values)
 
-    r = t.at_z0(t.bx, t.by) / a0 + 2 if p == 1 else None
-    info = ResonanceInfo(r, r is not None and r.is_positive_integer(),
-                         res_index, condition, free_index)
+    r = t.at_z0(t.bx, t.by) / a0 + 2
+    info = ResonanceInfo(r, r.is_positive_integer(), res_index, condition, free_index)
     return LaurentExpansion(
         z0=z0,
         p=p,
@@ -449,25 +446,21 @@ def branch_resonance(
 ) -> BranchResonance:
     """Resonance location of one leading candidate and, when reachable, its condition.
 
-    expansion is the candidate's, at any order, as expand_branches gives it.
-    The closed formula r = beta(z0)/a0 + 2 applies to the p = 1 balances, and
-    expand records it in expansion.resonance.r.  The p = 2 branch has no
-    such formula and reports not-applicable.  A positive integer r beyond the
-    cap is a distinct reportable outcome, not an error: the condition sits
-    too deep to evaluate.  The condition is read off an expansion of the
-    branch to order r + 2: the caller's when it reaches that far, else a
-    fresh one.
+    expansion is the candidate's, at any order, as expand_branches gives it;
+    expand records the branch's r = beta(z0)/a0 + 2 in expansion.resonance.r.
+    A positive integer r beyond the cap is a distinct reportable outcome, not
+    an error: the condition sits too deep to evaluate.  The condition is read
+    off an expansion of the branch to order r + 2: the caller's when it
+    reaches that far, else a fresh one.
     """
-    if cand.p != 1:
-        return BranchResonance(cand, "not-applicable", None, False)
     r = expansion.resonance.r
     if not r.is_positive_integer():
-        return BranchResonance(cand, "no-resonance", r, False)
+        return BranchResonance(cand, "no-resonance")
     n_r = r.as_integer()
     if n_r > cap:
-        return BranchResonance(cand, "cap-exceeded", r, True)
+        return BranchResonance(cand, "cap-exceeded")
     if expansion.truncation_order < n_r + 2:
         expansion = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n_r + 2)
     info = expansion.resonance
-    return BranchResonance(cand, "evaluated", r, True, info.condition_satisfied,
+    return BranchResonance(cand, "evaluated", info.condition_satisfied,
                            info.free_coefficient_index)

@@ -11,7 +11,8 @@ It builds equations by stratum, each from a known answer where there is one:
   generic three rational functions drawn at random
   fields  coefficients over two quadratic fields (an error)
   expand  a local expansion request, at a point in Q or Q(sqrt 5), some on a
-          zero or pole of a coefficient (PointInPhi)
+          zero or pole of a coefficient (PointInPhi), some with beta = gamma
+          = 0 (the p = 2 balance)
 
 Denominator factors are linear, quadratic or cubic, split over the constant
 field or not, and some constants lie in Q(sqrt 5).  Each input runs through
@@ -246,7 +247,9 @@ def expand_argv(rng, ext):
     factor, at one of 0, 1, 1/2 and -2 or, when the draw has no extension of
     its own, now and then at a point in Q(sqrt 5), there half the time with
     gamma = 0 (a0 = -beta(z0) lies in the field).  One request in twenty
-    puts the point on a zero or a pole of a coefficient (PointInPhi)."""
+    puts the point on a zero or a pole of a coefficient (PointInPhi), and one
+    in ten sets beta = gamma = 0 last, so that the p = 2 balance is met (r = 2)
+    and every other request is drawn as before."""
     coeffs = [Over(draw_factor(rng, ext), draw_poly(rng, ext, rng.randint(0, 2)), 1)
               if rng.random() < 0.3 else Over([(1, 0)], draw_poly(rng, ext, rng.randint(0, 2)))
               for _ in range(3)]
@@ -268,9 +271,11 @@ def expand_argv(rng, ext):
         c, root = coeffs[i], [(-z0[0], -z0[1]), (1, 0)]
         coeffs[i] = (Over(c.f, p_mul(c.n, root), c.j) if rng.random() < 0.5
                      else Over(p_mul(c.f if c.j else [(1, 0)], root), c.n, 1))
+    order = rng.randint(2, 8)
+    if rng.random() < 0.1:
+        coeffs[1] = coeffs[2] = Over([(1, 0)], [])
     return ["expand", "--alpha", str(coeffs[0]), "--beta", str(coeffs[1]),
-            "--gamma", str(coeffs[2]), "--at", at, "--order", str(rng.randint(2, 8)),
-            "--json"]
+            "--gamma", str(coeffs[2]), "--at", at, "--order", str(order), "--json"]
 
 
 # -- running and tagging -----------------------------------------------------------------

@@ -9,8 +9,10 @@ merosolve reads every fact at a point off one Taylor shift.  The point
 evaluations it no longer carries live here, built on this file's own
 horner, divmod_ and taylor_at: a rational function's value at a point
 (eval_at) and its pole order there (pole_order_at), the excluded set, where
-a coefficient vanishes or has a pole (in_excluded_set), and the leading
-balances at a point from those values (leading_candidates).
+a coefficient vanishes or has a pole (in_excluded_set), the leading
+balances at a point from those values (leading_candidates), and the side
+condition alpha(z0) + beta'(z0) = 0 of the gamma = 0 balance, which
+merosolve reads off the branch's resonance at r = 1 (side_condition).
 
 Also here: the residuals of both equations as expanded ExpSum products
 (eq3_residual checks a family of the transformed equation against the
@@ -218,8 +220,7 @@ def leading_candidates(alpha, beta, gamma, z0):
     if gamma.is_zero and beta.is_zero:
         return [LeadingCandidate(2, -eval_at(alpha, z0) / 2)]
     if gamma.is_zero:
-        side = (eval_at(alpha, z0) + eval_at(beta.derivative(), z0)).is_zero
-        return [LeadingCandidate(1, -eval_at(beta, z0), side_condition_satisfied=side)]
+        return [LeadingCandidate(1, -eval_at(beta, z0))]
     b0 = eval_at(beta, z0)
     g0 = eval_at(gamma, z0)
     disc = b0 * b0 - 4 * g0
@@ -227,6 +228,12 @@ def leading_candidates(alpha, beta, gamma, z0):
         return [LeadingCandidate(1, -b0 / 2, note="double root of the leading equation")]
     s = sqrt_constant(disc)
     return [LeadingCandidate(1, (-b0 + s) / 2), LeadingCandidate(1, (-b0 - s) / 2)]
+
+
+def side_condition(alpha, beta, z0):
+    """Whether alpha(z0) + beta'(z0) = 0, each value by Horner's rule."""
+    alpha, beta = RatFunc.of(alpha), RatFunc.of(beta)
+    return (eval_at(alpha, z0) + eval_at(beta.derivative(), z0)).is_zero
 
 
 def match_orders(res, a, order, free_value):

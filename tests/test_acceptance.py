@@ -195,16 +195,16 @@ class TestAcceptance:
             alpha, beta, gamma = RF(0), RF(-3), RF(-4)
             # leading_candidates, expand_branches, branch_resonance: as the CLI does
             rep = _records(alpha, beta, gamma, FieldConstant.of(0))
-            assert [b.candidate.a0 for b in rep] == [
+            assert [b.candidate.a0 for b, _ in rep] == [
                 FieldConstant.of(4), FieldConstant.of(-1),
             ]
-            assert rep[0].r == FieldConstant.of(Fraction(5, 4))
-            assert rep[0].status == "no-resonance"
-            assert rep[1].r == FieldConstant.of(5)
-            assert rep[1].status == "evaluated"
+            assert rep[0][1].r == FieldConstant.of(Fraction(5, 4))
+            assert rep[0][0].status == "no-resonance"
+            assert rep[1][1].r == FieldConstant.of(5)
+            assert rep[1][0].status == "evaluated"
             # r = beta(z0)/a0 + 2 exactly
-            for b in rep:
-                assert b.r == FieldConstant.of(-3) / b.candidate.a0 + 2
+            for b, info in rep:
+                assert info.r == FieldConstant.of(-3) / b.candidate.a0 + 2
 
             coeffs, res_at, cond = _oracle_branch(-1, 8, free_value=0)
             e = expand(alpha, beta, gamma, FieldConstant.of(0), 1,

@@ -446,10 +446,10 @@ class TestExpand:
     # the branch record, (index, condition_satisfied, free_coefficient_index)
     # of its expansion block, and the text's resonance: line
     @pytest.mark.parametrize("argv, branch, block, line", [
-        # p = 2: no resonance formula, though the expansion frees a_2
+        # p = 2: beta = 0 gives r = beta(z0)/a0 + 2 = 2, where the expansion frees a_2
         (("--alpha", "2", "--beta", "0", "--gamma", "0", "--at", "1", "--order", "4"),
-         (None, "not-applicable", None, False, None, None), (2, True, 2),
-         "r = None, positive integer: False, condition satisfied: True, "
+         (None, "evaluated", "2", True, True, 2), (2, True, 2),
+         "r = 2, positive integer: True, condition satisfied: True, "
          "free coefficient index: 2"),
         # gamma = 0 with alpha(z0) + beta'(z0) = 0: r = 1 is satisfied
         (("--alpha", "-2*z", "--beta", "z^2", "--gamma", "0", "--at", "1", "--order", "6"),

@@ -55,7 +55,7 @@ def _records():
         "ObstructionReport": ("rate", lambda: ObstructionReport(half(), ONE, half())),
         "LeadingCandidate": ("a0", cand),
         "BranchResonance": ("status",
-                            lambda: BranchResonance(cand(), "no-resonance", half(), False)),
+                            lambda: BranchResonance(cand(), "no-resonance")),
         "ResonanceInfo": ("index", lambda: ResonanceInfo(half(), False, 3)),
         "LaurentExpansion": ("coefficients",
                              lambda: LaurentExpansion(ZERO, 1, (half(), ONE), 1)),
@@ -115,10 +115,11 @@ def test_constructors_keep_their_defaults():
     assert Term(ONE, RatFunc.of(1)).monomial == ()
     assert ClassificationReport(None, None, None, (), (), 2).warnings == ()
     cand = LeadingCandidate(p=2, a0=ONE)
-    assert (cand.note, cand.side_condition_satisfied) == (None, None)
-    res = BranchResonance(cand, "not-applicable", None, False)
+    assert cand == LeadingCandidate(2, ONE, None) and cand.note is None
+    res = BranchResonance(cand, "cap-exceeded")
     assert (res.condition_satisfied, res.free_coefficient_index) == (None, None)
-    assert ResonanceInfo(None, False) == ResonanceInfo(None, False, None, None, None)
+    two = FieldConstant.of(2)
+    assert ResonanceInfo(two, True) == ResonanceInfo(two, True, None, None, None)
     exp = LaurentExpansion(ZERO, 1, (ONE,), 3)
     assert (exp.resonance, exp.alternate_coefficients, exp.halted_at) == (None, None, None)
     with pytest.raises(TypeError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import time
@@ -20,9 +22,10 @@ from merosolve.field import (
     ZERO,
     FieldConstant,
     common_discriminant,
+    format_constant,
     from_integers,
 )
-from merosolve.ratfunc import Poly, RatFunc, over_common_denominator
+from merosolve.ratfunc import Poly, RatFunc, over_common_denominator, ratfunc_to_str
 from merosolve.series import (
     RESONANCE_CAP_DEFAULT,
     branch_resonance,
@@ -58,14 +61,16 @@ class TestLeadingCandidates:
         assert len(cands) == 1
         assert cands[0].p == 2 and cands[0].a0 == fc(-1)
 
-    def test_simple_zero_branch_carries_side_condition(self):
-        # gamma = 0, beta != 0: p = 1, a0 = -beta(z0), condition alpha + beta' = 0
-        cands = leading_candidates(RatFunc.const(-1), Z + 2, RF0, ZERO)
-        assert cands == [
-            type(cands[0])(1, fc(-2), side_condition_satisfied=True)
-        ]
-        cands = leading_candidates(RatFunc.const(1), Z + 2, RF0, ZERO)
-        assert cands[0].side_condition_satisfied is False
+    def test_simple_zero_branch_meets_its_side_condition_at_r_one(self):
+        # gamma = 0, beta != 0: p = 1 and a0 = -beta(z0), so r = beta(z0)/a0 + 2
+        # = 1, and the order-1 condition is E(z0)*(alpha(z0) + beta'(z0)) = 0
+        for alpha, side in ((RatFunc.const(-1), True), (RatFunc.const(1), False)):
+            cands = leading_candidates(alpha, Z + 2, RF0, ZERO)
+            assert cands == [type(cands[0])(1, fc(-2))]
+            assert reference_kernels.side_condition(alpha, Z + 2, ZERO) is side
+            e = expand(alpha, Z + 2, RF0, ZERO, 1, fc(-2), 3)
+            assert (e.resonance.r, e.resonance.index) == (ONE, 1)
+            assert e.resonance.condition_satisfied is side
 
     def test_generic_quadratic_balance(self):
         cands = leading_candidates(RF0, RatFunc.const(-3), RatFunc.const(-4), ZERO)
@@ -115,13 +120,16 @@ class TestExpand:
 
     def test_double_zero_second_coefficient(self):
         # beta = gamma = 0: w = -alpha(z0)/2 (z-z0)^2 + a1 (z-z0)^3 + ...
-        # with a1 = -alpha'(z0)/2; here alpha = z + 1 at z0 = 1.  For this
-        # alpha the n = 2 compatibility fails (-3 a1^2 - a1 = -1/4), so the
-        # branch halts right after the forced coefficients.
+        # with a1 = -alpha'(z0)/2; here alpha = z + 1 at z0 = 1.  beta = 0
+        # makes r = beta(z0)/a0 + 2 = 2, where the slope
+        # E(z0)*a0*(n + 1)*(n - 2) vanishes.  For this alpha the n = 2
+        # compatibility fails (-3 a1^2 - a1 = -1/4), so the branch halts
+        # right after the forced coefficients.
         e = expand(Z + 1, RF0, RF0, ONE, 2, fc(-1), 6)
         assert e.p == 2
         assert e.coefficients == (fc(-1), fc(Fraction(-1, 2)))
-        assert e.resonance.r is None
+        assert e.resonance.r == fc(2) and e.resonance.r_is_positive_integer
+        assert e.resonance.index == 2
         assert e.halted_at == 2
         assert e.resonance.condition_satisfied is False
 
@@ -242,11 +250,12 @@ def _oracle_branch(a0, n_max, free_value=0):
 
 
 def _records(alpha, beta, gamma, z0, order=4, cap=RESONANCE_CAP_DEFAULT):
-    """Each branch's BranchResonance as the CLI builds it: leading_candidates,
-    expand_branches to order, then branch_resonance of each expansion."""
+    """Each branch's BranchResonance and the ResonanceInfo of its expansion,
+    as the CLI builds them: leading_candidates, expand_branches to order, then
+    branch_resonance of each expansion."""
     cands = leading_candidates(alpha, beta, gamma, z0)
     expansions = expand_branches(alpha, beta, gamma, z0, cands, order)
-    return [branch_resonance(alpha, beta, gamma, z0, cand, e, cap)
+    return [(branch_resonance(alpha, beta, gamma, z0, cand, e, cap), e.resonance)
             for cand, e in zip(cands, expansions)]
 
 
@@ -255,13 +264,13 @@ class TestResonanceFixture:
 
     def test_branch_resonance_values(self):
         report = _records(self.ALPHA, self.BETA, self.GAMMA, ZERO)
-        assert [b.candidate.a0 for b in report] == [fc(4), fc(-1)]
-        r0, r1 = report
+        assert [b.candidate.a0 for b, _ in report] == [fc(4), fc(-1)]
+        (r0, info0), (r1, info1) = report
         # r = beta(z0)/a0 + 2 exactly
-        assert r0.r == fc(Fraction(5, 4)) and r0.status == "no-resonance"
-        assert not r0.r_is_positive_integer
-        assert r1.r == fc(5) and r1.status == "evaluated"
-        assert r1.r_is_positive_integer
+        assert info0.r == fc(Fraction(5, 4)) and r0.status == "no-resonance"
+        assert not info0.r_is_positive_integer
+        assert info1.r == fc(5) and r1.status == "evaluated"
+        assert info1.r_is_positive_integer
         assert r1.condition_satisfied is True
         assert r1.free_coefficient_index == 5
 
@@ -309,25 +318,28 @@ class TestResonanceFixture:
 
 
 class TestResonanceStatuses:
-    def test_not_applicable_on_double_zero_branch(self):
-        report = _records(RatFunc.const(2), RF0, RF0, ZERO)
-        assert [b.status for b in report] == ["not-applicable"]
-        assert report[0].r is None
+    def test_double_zero_branch_is_evaluated_at_r_two(self):
+        # beta = 0: r = beta(z0)/a0 + 2 = 2; alpha = 2 frees a_2
+        (b, info), = _records(RatFunc.const(2), RF0, RF0, ZERO)
+        assert (b.candidate.p, b.status, info.r, info.index) == (2, "evaluated", fc(2), 2)
+        assert (b.condition_satisfied, b.free_coefficient_index) == (True, 2)
+        (b, info), = _records(RatFunc.const(2), RF0, RF0, ZERO, cap=1)
+        assert (b.status, info.r, b.condition_satisfied) == ("cap-exceeded", fc(2), None)
 
     def test_cap_exceeded_is_a_reported_outcome(self):
         report = _records(RF0, RatFunc.const(98), RatFunc.const(-99), ZERO)
-        by_a0 = {b.candidate.a0: b for b in report}
-        deep = by_a0[fc(1)]
+        by_a0 = {b.candidate.a0: (b, info) for b, info in report}
+        deep, info = by_a0[fc(1)]
         assert deep.status == "cap-exceeded"
-        assert deep.r == fc(100) and deep.r_is_positive_integer
+        assert info.r == fc(100) and info.r_is_positive_integer
         assert deep.condition_satisfied is None
-        other = by_a0[fc(-99)]
+        other, info = by_a0[fc(-99)]
         assert other.status == "no-resonance"
-        assert other.r == fc(Fraction(100, 99))
+        assert info.r == fc(Fraction(100, 99))
 
     def test_cap_is_adjustable(self):
         report = _records(RF0, RatFunc.const(98), RatFunc.const(-99), ZERO, cap=128)
-        by_a0 = {b.candidate.a0: b for b in report}
+        by_a0 = {b.candidate.a0: b for b, _ in report}
         assert by_a0[fc(1)].status == "evaluated"
         assert RESONANCE_CAP_DEFAULT == 64
 
@@ -347,7 +359,7 @@ class TestResonanceFromCallerExpansion:
     @pytest.mark.parametrize("order", range(3, 10))
     def test_same_record_at_every_order(self, monkeypatch, coeffs, z0, order):
         reports = _records(*coeffs, z0, order=12)  # past r + 2 on every branch
-        assert any(r.status == "evaluated" for r in reports)
+        assert any(r.status == "evaluated" for r, _ in reports)
         probes = []
         real = series.expand
 
@@ -356,14 +368,15 @@ class TestResonanceFromCallerExpansion:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(series, "expand", counting)
-        for report in reports:
+        for report, info in reports:
             cand = report.candidate
             given = expand(*coeffs, z0, cand.p, cand.a0, max(order, cand.p + 2))
             probes.clear()
             assert branch_resonance(*coeffs, z0, cand, given) == report
+            assert given.resonance.r == info.r
             evaluated = report.status == "evaluated"
-            short = evaluated and given.truncation_order < report.r.as_integer() + 2
-            assert probes == ([report.r.as_integer() + 2] if short else [])
+            short = evaluated and given.truncation_order < info.r.as_integer() + 2
+            assert probes == ([info.r.as_integer() + 2] if short else [])
 
 
 class TestClosedFormAgreement:
@@ -977,8 +990,7 @@ class TestResonanceIndexOnce:
         branches = expand_branches(alpha, beta, gamma, z0, cands, order)
         for cand, e, twin in zip(cands, direct, branches):
             report = branch_resonance(alpha, beta, gamma, z0, cand, e)
-            if cand.p == 1:
-                assert e.resonance.r == report.r == eval_at(beta, z0) / cand.a0 + 2
+            assert e.resonance.r == twin.resonance.r == eval_at(beta, z0) / cand.a0 + 2
             assert branch_resonance(alpha, beta, gamma, z0, cand, twin) == report
             for n in range(cand.p + 2, order + 2):
                 at_n = expand(alpha, beta, gamma, z0, cand.p, cand.a0, n)
@@ -997,10 +1009,10 @@ class TestResonanceIndexOnce:
             seen.add("z0 in Q(sqrt(5))" if z0.q else "z0 rational")
             if any(f.den.degree for f in (alpha, beta, gamma)):
                 seen.add("denominator")
-            for report in _records(alpha, beta, gamma, z0, order):
+            for report, info in _records(alpha, beta, gamma, z0, order):
                 seen.add(report.status)
-                if report.r_is_positive_integer:
-                    n = report.r.as_integer()
+                if info.r_is_positive_integer:
+                    n = info.r.as_integer()
                     seen.add("below" if order < n + 2 else "at" if order == n + 2 else "above")
 
         collect()
@@ -1105,8 +1117,9 @@ class TestSharedShift:
                 seen.add((got[0].__name__, pole))
                 return
             for cand in got:
-                seen.add((cand.p, cand.side_condition_satisfied, cand.a0.q != 0,
-                          bool(cand.note)))
+                side = (reference_kernels.side_condition(alpha, beta, z0)
+                        if cand.p == 1 and gamma.is_zero else None)
+                seen.add((cand.p, side, cand.a0.q != 0, bool(cand.note)))
             if not got:
                 seen.add("degenerate")
 
@@ -1128,6 +1141,79 @@ class TestSharedShift:
             e = expand(*data, cand.p, cand.a0, order)
             expected = reference_kernels.expand(*data, cand.p, cand.a0, order)
             assert (e.coefficients, e.halted_at, e.alternate_coefficients) == expected
+
+
+# -- each resonance fact of a report, read off the branch's expansion -----------------------
+
+
+@st.composite
+def _report_draws(draw):
+    """alpha, beta, gamma, z0 of _balances, an order of 1..8 and a cap of 0,
+    1, 2 or the default, drawn with 0 twice as often as the others."""
+    alpha, beta, gamma, z0 = draw(_balances())
+    order = draw(st.integers(min_value=1, max_value=8))
+    cap = draw(st.sampled_from([0, 0, 1, 2, RESONANCE_CAP_DEFAULT]))
+    return alpha, beta, gamma, z0, order, cap
+
+
+def _json_branches(alpha, beta, gamma, z0, order, cap):
+    """The branches of `expand --json` at z0, or None when it exits nonzero."""
+    from merosolve import cli
+
+    argv = ["expand", "--alpha", ratfunc_to_str(alpha), "--beta", ratfunc_to_str(beta),
+            "--gamma", ratfunc_to_str(gamma), "--at", format_constant(z0),
+            "--order", str(order), "--cap", str(cap), "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return json.loads(out.getvalue())["branches"] if code == 0 else None
+
+
+class TestResonanceFactsInTheReport:
+    """Every branch record carries r = beta(z0)/a0 + 2 from its expansion: r = 2
+    on the p = 2 balance (beta = gamma = 0), r = 1 only on the gamma = 0
+    balance, whose side condition alpha(z0) + beta'(z0) = 0 is the condition
+    at r; the oracle evaluates by Horner's rule."""
+
+    @given(_report_draws())
+    def test_side_condition_and_r_follow_the_balance(self, data):
+        alpha, beta, gamma, z0, order, cap = data
+        branches = _json_branches(*data)
+        for b in branches or ():
+            res = b["expansion"]["resonance"]
+            a0 = reference_kernels.parse_constant(b["a0"])
+            assert b["r"] == res["r"] == format_constant(eval_at(beta, z0) / a0 + 2)
+            if gamma.is_zero and beta.is_zero:
+                assert (b["leading_power"], b["r"], res["index"]) == (2, "2", 2)
+                assert b["resonance_status"] == ("evaluated" if cap >= 2 else "cap-exceeded")
+            if gamma.is_zero and not beta.is_zero:
+                side = reference_kernels.side_condition(alpha, beta, z0)
+                assert (b["r"], b["side_condition_satisfied"]) == ("1", side)
+            else:
+                assert b["side_condition_satisfied"] is None
+            if not gamma.is_zero:
+                assert b["r"] != "1"
+
+    def test_draws_cover_both_fields_the_zero_cap_and_every_balance(self):
+        seen = set()
+
+        @given(_report_draws())
+        def collect(data):
+            alpha, beta, gamma, z0, order, cap = data
+            branches = _json_branches(*data)
+            if not branches:
+                return
+            seen.add({0: "z0 rational", 5: "z0 in Q(sqrt(5))"}.get(z0.q))
+            for b in branches:
+                seen.add((b["leading_power"], b["side_condition_satisfied"],
+                          b["resonance_status"], cap == 0))
+
+        collect()
+        assert {"z0 rational", "z0 in Q(sqrt(5))",
+                (2, None, "evaluated", False), (2, None, "cap-exceeded", True),
+                (1, True, "evaluated", False), (1, False, "evaluated", False),
+                (1, True, "cap-exceeded", True), (1, False, "cap-exceeded", True),
+                (1, None, "no-resonance", True)} <= seen
 
 
 # -- expand under v(z) = mu*w(lam*z + s) ----------------------------------------------------
