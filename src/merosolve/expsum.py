@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import IncompatibleExtensionsError, LimitExceededError, NearPoleError
 from .field import (ZERO, ONE, ExtensionContext, FieldConstant, common_discriminant,
                     format_constant, from_integers, integer_parts)
-from .ratfunc import (Poly, RatFunc, _gcd, _lin, _poly, _times, linear_roots,
+from .ratfunc import (Poly, RatFunc, _gcd, _lin, _parts, _poly, _times, linear_roots,
                       over_common_denominator, poly_gcd, poly_to_str, ratfunc_to_str)
 
 POLE_GUARD = 1e-6
@@ -285,7 +285,9 @@ def integrate_exp(
     the antiderivative of coeff(z)*exp(rate*z), or the obstruction.
 
     With coeff = p + r/Q, deg r < deg Q: p integrates termwise at rate 0
-    (integration constant zero), by repeated parts otherwise.  A pole of S of
+    (integration constant zero), else by the backward recurrence
+    S_k = (p_k - (k+1)*S_{k+1})/rate from k = deg p on integer vectors
+    (_polynomial_part).  A pole of S of
     order m is one of S' + rate*S of order m + 1, so S = poly + N/G with
     G = gcd(Q, Q'), and no root of Q is needed (Risch, Trans. AMS 139, 1969;
     Bronstein, Symbolic Integration I, ch. 6).  Only a missing S has Q split,
@@ -293,24 +295,15 @@ def integrate_exp(
     (None: the first extension the split meets), so no caller's extension
     is spent.  A split past trial division names Q's square-free part."""
     coeff, rate = RatFunc.of(coeff), FieldConstant.of(rate)
-    if coeff.is_zero:
-        return coeff
-    p, r = coeff.num.divmod(coeff.den)
-    if rate.is_zero:
-        q = Poly([ZERO] + [p[i] / (i + 1) for i in range(p.degree + 1)])
-    else:  # repeated parts: sum_j (-1)**j p^(j) / rate**(j+1)
-        step = rate.inverse()
-        q, power = Poly(), step
-        while not p.is_zero:
-            q, p, power = q + p.scale(power), p.derivative(), -power * step
-    if r.is_zero:
-        return RatFunc(q)
+    if coeff.den.degree == 0:  # monic, so 1 (and 0 is 0/1)
+        return RatFunc.of(_polynomial_part(coeff.num, rate))
+    p, r = coeff.num.divmod(coeff.den)  # r != 0, as num and den are coprime
     repeated = _repeated_part(coeff.den)
     if repeated is not None:
         g, cofactor = repeated
         n, rem = _solve(r * cofactor, g, rate)
         if rem.is_zero:
-            return RatFunc(q) + RatFunc(n, g)
+            return RatFunc.of(_polynomial_part(p, rate)) + RatFunc(n, g)
     # name the first pole of the field, in canonical order, whose residue (what parts
     # leave over (z - pole)**(-1), sum_k c_k*rate**(k-1)/(k-1)!) is nonzero, else the
     # factor whose roots leave the field
@@ -325,6 +318,32 @@ def integrate_exp(
         if not res.is_zero:
             return ObstructionReport(pole, rate, res)
     return ObstructionReport(_gcd(rest, rest.derivative())[1], rate, None)
+
+
+def _polynomial_part(p: Poly, rate: FieldConstant) -> Poly:
+    """The polynomial S with S' + rate*S = p, constant term 0 at rate 0, on
+    p's integer vectors over Z[sqrt q] with one denominator d*e**(m+1): m is
+    deg p, d p's denominator and e that of 1/rate."""
+    if not p.a:
+        return p
+    m = p.degree
+    if rate.is_zero:  # coefficient i over i + 1, all over one lcm
+        n = math.lcm(*range(1, m + 2))
+        return _poly([0] + [x * (n // (i + 1)) for i, x in enumerate(p.a)],
+                     [0] + [x * (n // (i + 1)) for i, x in enumerate(p.b)], p.d * n, p.q)
+    step = rate.inverse()
+    q = common_discriminant((step,), p.q)
+    (u,), v, e = integer_parts((step,), q)
+    v = v[0] if q else 0
+    a, b = _parts(p, q)
+    # x + y*sqrt(q) = S_k*d*e**(m+1) = (p_k*d*e**(m+1) - (k+1)*S_{k+1}*d*e**(m+1))/rate,
+    # where e/rate = u + v*sqrt(q) and e divides the second product
+    top, xs, ys, x, y = e ** m, [0] * (m + 1), [0] * (m + 1), 0, 0
+    for k in range(m, -1, -1):
+        s = a[k] * top - (k + 1) * (x // e)
+        t = b[k] * top - (k + 1) * (y // e) if q else 0
+        x, y = xs[k], ys[k] = s * u + t * v * q, s * v + t * u
+    return _poly(xs, ys, p.d * top * e, q)
 
 
 def integrable_rates(coeff: RatFunc) -> tuple[Poly, bool] | None:

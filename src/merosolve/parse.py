@@ -1,11 +1,16 @@
 """Exact expression parsing for rational functions, constants, and ExpSums.
 
-A sub-expression is a Poly, a RatFunc once it divides by a non-constant and
-an ExpSum once an exp(...) term appears: an operator promotes the lower of its
-operands, Poly < RatFunc < ExpSum.  parse_ratfunc and parse_constant never
-build an ExpSum and end in RatFunc.of, and parse_expsum wraps a rational
-result once.  The expsum module is imported by the functions that build an
-ExpSum, so parsing rational input never loads it.
+A product of integer literals, z, their powers and quotients by nonzero
+integers is a private monomial (n, d, k), n/d*z^k, reduced by one gcd per
+product; a sum adds its monomials over the lcm of their denominators into one
+canonical Poly.  Any other sub-expression is a Poly, a RatFunc once it divides
+by a non-constant and an ExpSum once an exp(...) term appears: an operator
+promotes the lower of its operands, monomial < Poly < RatFunc < ExpSum, and a
+monomial is rational, so it moves no extension join, type, error or position.
+parse_ratfunc and parse_constant never build an ExpSum and end in RatFunc.of,
+and parse_expsum wraps a rational result once.  The expsum module is imported
+by the functions that build an ExpSum, so parsing rational input never loads
+it.
 
 Grammar (whitespace insignificant)::
 
@@ -19,8 +24,8 @@ Grammar (whitespace insignificant)::
 
 The text is cut into (kind, text, pos) tuples once, and the evaluator reads
 them in three frames per level: expr, term and factor, which takes a unary
-minus, a base and its power in one frame.  A power of a Poly checks its caps
-on that one Poly.
+minus, a base and its power in one frame.  A power of a monomial or a Poly
+checks its caps on that one term or Poly.
 
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2).  Rational
 literals like 1/2 arrive through exact division, which is equivalent.
@@ -37,7 +42,7 @@ import math
 
 from .errors import ExpressionSyntaxError, LimitExceededError, ZeroDenominatorLiteralError
 from .field import FieldConstant, sqrt_constant
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, _poly
 
 # a level is three frames of recursive descent (five through sqrt( or exp():
 # 100 levels stay well inside Python's default recursion limit of 1000
@@ -107,8 +112,8 @@ def _expected(kind: str, token: tuple[str, str, int]) -> ExpressionSyntaxError:
 
 
 class _Parser:
-    """Recursive-descent evaluator producing exact values: a Poly, a RatFunc
-    or an ExpSum (see _promote)."""
+    """Recursive-descent evaluator producing exact values: a monomial
+    (n, d, k) below parse, a Poly, a RatFunc or an ExpSum (see _promote)."""
 
     def __init__(self, text: str, allow_exp: bool, params: dict[str, FieldConstant] | None):
         self.tokens = _tokenize(text)
@@ -118,13 +123,13 @@ class _Parser:
         self.params = params or {}
 
     def parse(self) -> Poly | RatFunc | ExpSum:
-        value = self.expr()
+        value = _value(self.expr())
         kind, text, pos = self.tokens[self.k]
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing '{text}'", pos)
         return value
 
-    def expr(self) -> Poly | RatFunc | ExpSum:
+    def expr(self) -> Poly | RatFunc | ExpSum | tuple:
         if self.depth > MAX_NESTING_DEPTH:
             raise LimitExceededError(
                 f"expression nests deeper than {MAX_NESTING_DEPTH} levels "
@@ -132,24 +137,39 @@ class _Parser:
             )
         self.depth += 1
         tokens = self.tokens
-        value = self.term()
-        while (op := tokens[self.k][0]) == "+" or op == "-":
+        value, monomials, op = None, [], "+"
+        while True:
+            term = self.term()
+            if type(term) is tuple:
+                monomials.append(term if op == "+" else (-term[0], term[1], term[2]))
+            else:  # the monomials met so far join the sum as one Poly first
+                value, monomials = _add(_add(value, _sum(monomials), "+"), term, op), []
+            if (op := tokens[self.k][0]) != "+" and op != "-":
+                break
             self.k += 1
-            value, rhs = _promote(value, self.term())
-            value = value + rhs if op == "+" else value - rhs
         self.depth -= 1
-        return value
+        if value is None and len(monomials) == 1:
+            return monomials[0]
+        return _add(value, _sum(monomials), "+")
 
-    def term(self) -> Poly | RatFunc | ExpSum:
+    def term(self) -> Poly | RatFunc | ExpSum | tuple:
         tokens = self.tokens
         value = self.factor()
         while (op := tokens[self.k])[0] == "*" or op[0] == "/":
             self.k += 1
-            value, rhs = _promote(value, self.factor())
-            value = value * rhs if op[0] == "*" else self._divide(value, rhs, op[2])
+            rhs = self.factor()
+            both = type(value) is tuple and type(rhs) is tuple  # two monomials
+            if both and (op[0] == "*" or rhs[0] and not rhs[2]):  # not by 0 or z^k
+                (n, d, k), (m, e, j) = value, rhs if op[0] == "*" else (rhs[1], rhs[0], 0)
+                n, d = n * m, d * e
+                g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)  # one gcd: n/d reduced, d > 0
+                value = n // g, d // g, k + j
+            else:
+                value, rhs = _promote(_value(value), _value(rhs))
+                value = value * rhs if op[0] == "*" else self._divide(value, rhs, op[2])
         return value
 
-    def factor(self) -> Poly | RatFunc | ExpSum:
+    def factor(self) -> Poly | RatFunc | ExpSum | tuple:
         tokens = self.tokens
         kind, text, pos = tokens[self.k]
         negate = kind == "-"
@@ -163,10 +183,10 @@ class _Parser:
                     f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
                     f"(at position {pos})"
                 )
-            value = Poly.const(int(text))
+            value = (int(text), 1, 0)
         elif kind == "name":
             if text == "z":
-                value = Poly.z()
+                value = (1, 1, 1)
             elif text == "sqrt":
                 value = self._sqrt(pos)
             elif text == "exp":
@@ -186,7 +206,9 @@ class _Parser:
                 raise _expected("'int'", exponent)
             self.k += 2
             value = _power(value, exponent)
-        return -value if negate else value
+        if negate:
+            value = (-value[0], value[1], value[2]) if type(value) is tuple else -value
+        return value
 
     def _close(self) -> None:
         """Step over the ')' that ends a parenthesized argument."""
@@ -203,7 +225,7 @@ class _Parser:
         if token[0] != "(":
             raise _expected("'('", token)
         self.k += 1
-        value = self.expr()
+        value = _value(self.expr())
         self._close()
         return value
 
@@ -253,6 +275,30 @@ class _Parser:
         return ExpSum(tuple((r - rate, c / coeff) for r, c in lhs.terms))
 
 
+def _value(x: Poly | RatFunc | ExpSum | tuple) -> Poly | RatFunc | ExpSum:
+    """x, with a monomial (n, d, k) as its Poly n/d*z^k."""
+    return _poly([0] * x[2] + [x[0]], (), x[1], 0) if type(x) is tuple else x
+
+
+def _sum(monomials: list[tuple]) -> Poly | None:
+    """The monomials' sum as one Poly over their denominators' lcm, or None."""
+    if not monomials:
+        return None
+    d = math.lcm(*(m[1] for m in monomials))
+    a = [0] * (max(m[2] for m in monomials) + 1)
+    for n, e, k in monomials:
+        a[k] += n * (d // e)
+    return _poly(a, (), d, 0)
+
+
+def _add(value, term, op: str) -> Poly | RatFunc | ExpSum | None:
+    """value + term or value - term, where None is an empty sum."""
+    if value is None or term is None:
+        return term if value is None else value
+    value, term = _promote(value, term)
+    return value + term if op == "+" else value - term
+
+
 def _promote(x: Poly | RatFunc | ExpSum, y: Poly | RatFunc | ExpSum) -> tuple:
     """x and y as the higher-ranked type of the two, Poly < RatFunc < ExpSum."""
     if type(x) is type(y):
@@ -292,14 +338,18 @@ def _power(value: Poly | RatFunc | ExpSum, token: tuple) -> Poly | RatFunc | Exp
     value), or when n times the bit length of the largest numerator,
     denominator or discriminant among value's coefficients exceeds
     MAX_POWER_BITS.  A Poly is one term over the denominator 1, whose one
-    bit does not count against a nonzero numerator's.
+    bit does not count against a nonzero numerator's; a monomial gives the
+    figures of its one-term Poly.
     """
     _, text, pos = token
     digits = text.lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
         raise LimitExceededError(f"exponent exceeds {MAX_EXPONENT} (at position {pos})")
     n = int(digits)
-    if isinstance(value, Poly):
+    if type(value) is tuple:  # the one-term Poly's figures, a zero one's 1 and 0
+        c, d, k = value
+        size, bits = (n * k + 1, max(c.bit_length(), d.bit_length())) if c else (1, 0)
+    elif isinstance(value, Poly):
         size, bits = n * value.degree + 1 if value.a else 1, _bits(value)
     else:
         coeffs = ([value] * (not value.is_zero) if isinstance(value, RatFunc)
@@ -317,6 +367,8 @@ def _power(value: Poly | RatFunc | ExpSum, token: tuple) -> Poly | RatFunc | Exp
             f"power of {n} times {bits}-bit coefficients exceeds {MAX_POWER_BITS} bits "
             f"(at position {pos})"
         )
+    if type(value) is tuple:  # c and d stay coprime
+        return c ** n, d ** n, k * n
     if isinstance(value, Poly):
         return value.pow(n)
     if isinstance(value, RatFunc):

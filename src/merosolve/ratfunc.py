@@ -146,8 +146,6 @@ class Poly:
         return _poly(*_times(*_parts(self, q), x, y[0] if q else 0, q), self.d * e, q)
 
     def pow(self, n: int) -> Poly:
-        if self.a and not self.q and not any(self.a[:-1]):  # c*z**k -> c**n*z**(k*n)
-            return _poly([0] * (self.degree * n) + [self.a[-1] ** n], (), self.d ** n, 0)
         result, base = Poly.const(1), self
         while n:
             if n & 1:

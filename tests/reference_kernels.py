@@ -19,11 +19,12 @@ Also here: the residuals of both equations as expanded ExpSum products
 original one); the case labels an input's signature selects; the exact
 Laurent expansion of an exponential sum; partial fractions over a split
 denominator, from its roots and the Taylor series at each; exp-integration
-by parts at each pole; case C's allowed rates from the residue at each pole;
-the square-free part of an integer by trial division with no bound; and the
-expression parser as a token-object recursive descent.  Tests compare the
-integer kernels, the root-free solves and the lean parser of merosolve
-against them; nothing in the package imports this."""
+by parts at each pole, and of the polynomial part by repeated parts; case
+C's allowed rates from the residue at each pole; the square-free part of an
+integer by trial division with no bound; and the expression parser as a
+token-object recursive descent.  Tests compare the integer kernels, the
+root-free solves and the lean parser of merosolve against them; nothing in
+the package imports this."""
 
 from __future__ import annotations
 

@@ -262,6 +262,24 @@ def split_integrands(draw):
     return coeff + s.derivative() + s * rate, rate
 
 
+@st.composite
+def polynomial_integrands(draw):
+    """(p, rate): p a polynomial of degree at most 8, the ladder's degrees,
+    over K = Q or Q(sqrt 5), and the rate 0, in Q or in Q(sqrt 5)."""
+    p = draw(polys(8, draw(st.sampled_from([rational_constants, extended_constants]))))
+    rate = draw(st.one_of(st.just(ZERO), nonzero_rational_constants, nonzero_extended_constants))
+    return RatFunc(p), rate
+
+
+class TestIntegrateExpPolynomial:
+    @given(polynomial_integrands())
+    def test_recurrence_agrees_with_repeated_parts(self, draw):
+        p, rate = draw
+        out = integrate_exp(p, rate)
+        assert out == reference_kernels.integrate_exp(p, rate)
+        assert out.den.degree == 0 and out.derivative() + out * rate == p
+
+
 class TestIntegrateExpRootFree:
     @given(antiderivatives())
     def test_returns_the_rational_antiderivative(self, draw):

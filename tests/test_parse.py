@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from merosolve import parse as parse_module, ratfunc
 from merosolve.errors import (
     ExpressionSyntaxError,
     IncompatibleExtensionsError,
@@ -32,7 +33,7 @@ from merosolve.parse import (
     parse_expsum,
     parse_ratfunc,
 )
-from merosolve.ratfunc import RatFunc, ratfunc_to_str
+from merosolve.ratfunc import Poly, RatFunc, ratfunc_to_str
 
 import reference_kernels
 from conftest import expsums, ratfuncs
@@ -581,6 +582,29 @@ class TestParserCost:
         assert ratfunc_to_str(parse_ratfunc("1/(z + 1) + 1")) == "(z + 2)/(z + 1)"
         assert calls == ["__add__"]
 
+    def test_each_sum_builds_one_canonical_poly(self, monkeypatch):
+        calls, real_poly = [], ratfunc._poly
+        for module in (ratfunc, parse_module):
+            monkeypatch.setattr(module, "_poly", lambda *args: calls.append("_poly")
+                                or real_poly(*args), raising=False)
+        for name in ("__add__", "__mul__", "pow"):
+            real = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        for text in (self.ALPHA, self.BETA, self.GAMMA):
+            calls.clear()
+            assert ratfunc_to_str(parse_ratfunc(text)) == text
+            assert calls == ["_poly"]
+        # one Poly per side, then the normal form of their quotient
+        num, den = parse_ratfunc("z^3 + 2*z^2 + 24").num, parse_ratfunc("z^5").num
+        calls.clear()
+        RatFunc(num, den)
+        normal_form = list(calls)
+        calls.clear()
+        f = parse_ratfunc("(z^3 + 2*z^2 + 24)/(z^5)")
+        assert ratfunc_to_str(f) == "(z^3 + 2*z^2 + 24)/(z^5)"
+        assert calls == ["_poly", "_poly", *normal_form]
+
 
 # -- the parser against the token-object reference ---------------------------------------
 
@@ -657,6 +681,13 @@ _NEAR_CAPS = [
       for n in ("999", "1000", "1001", "01000")),
     *(f"(z/8388607 + 1/8388605)^{n}" for n in (144, 145)),
     *(f"(exp(z)/8388607 + 1/8388605)^{n}" for n in (144, 145)),
+    # monomial bases: the size cap, the 23-bit cap, the bit cap on a base
+    # that reduces from 11 bits to 8, a zero, a sign, and 500 cancelling
+    # quotients whose unreduced product would pass the bit cap
+    *(f"(3/7*z^2)^{n}" for n in (74, 75)),
+    *(f"(z/8388607)^{n}" for n in (144, 145)),
+    *(f"(1000/1024)^{n}" for n in (415, 416)),
+    "(0*z)^1000", "(-z)^149", f"({'*'.join(['9/9'] * 500)})^1000",
     *(f"{opener}{'(' * (levels - 1)}z{')' * levels}" for opener in ("(", "sqrt(", "exp(")
       for levels in (MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1)),
     *("9" * n for n in (MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1)),
